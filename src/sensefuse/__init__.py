@@ -6,8 +6,9 @@ from .errors import (
     EmptyRunError,
     NoSensingEntityError,
     ProtocolError,
+    StoreCorruptError,
 )
-from .fusion import FilterConfig, GateOutcome, gate_detections, process_frame
+from .fusion import FilterConfig
 from .geometry import Rect, StaticMap, WorldPoint, in_dilated_map
 from .measurement import (
     Cov2,
@@ -21,7 +22,7 @@ from .measurement import (
     world_covariance,
     world_to_polar,
 )
-from .metrics import MetricAccumulator, MetricResult, aggregate
+from .metrics import MetricResult, aggregate
 from .scenario import (
     ClutterModel,
     Frame,
@@ -46,8 +47,6 @@ __all__ = [
     "EmptyRunError",
     "FilterConfig",
     "Frame",
-    "GateOutcome",
-    "MetricAccumulator",
     "MetricResult",
     "NoSensingEntityError",
     "NoiseModel",
@@ -61,18 +60,17 @@ __all__ = [
     "SensingContext",
     "SensingRecord",
     "StaticMap",
+    "StoreCorruptError",
     "TargetTrack",
     "WorldDetection",
     "WorldPoint",
     "aggregate",
     "build_detection",
     "build_scenario",
-    "gate_detections",
     "generate_frame",
     "generate_frames",
     "in_dilated_map",
     "polar_to_world",
-    "process_frame",
     "propagate_covariance",
     "realization_rng",
     "world_covariance",

@@ -34,10 +34,10 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .errors import NoSensingEntityError, ProtocolError
-from .fusion import FilterConfig, gate_detections, process_frame
+from .fusion import FilterConfig, fused_metrics, precompute_distances
 from .geometry import Rect, StaticMap
 from .measurement import WorldDetection
-from .metrics import MetricAccumulator, MetricResult
+from .metrics import MetricResult
 from .scenario import Frame, Scenario, generate_frames, realization_rng
 from .sdsf_store import Availability, SdsfStore, SensingContext, SensingRecord
 
@@ -219,15 +219,8 @@ def run_sensing_task(
     ``kpi_satisfied=False``.
     """
     mask_on = fc.mask_enabled and mask_map is not None and not mask_map.empty
-    acc = MetricAccumulator()
-    for frame in frames:
-        if mask_on:
-            assert mask_map is not None
-            outcome = process_frame(frame, mask_map, fc)
-        else:
-            outcome = gate_detections(frame.detections, frame.truth, fc.gate_g_det)
-        acc.update(outcome)
-    metrics = acc.finalize()
+    fd = precompute_distances(frames, mask_map if mask_on else None)
+    metrics = fused_metrics(fd, fc)
     return SensingResult(
         stid=stid,
         metrics=metrics,

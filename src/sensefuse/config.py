@@ -77,7 +77,13 @@ def load_config(path: str | Path | None) -> AppConfig:
     raw: object = {}
     if path is not None:
         text = Path(path).read_text(encoding="utf-8")
-        raw = yaml.safe_load(text)
+        try:
+            raw = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = f" at line {mark.line + 1}" if mark is not None else ""
+            problem = getattr(exc, "problem", None) or exc
+            raise ConfigError(f"{path}: invalid YAML{where}: {problem}") from exc
         if raw is None:
             raw = {}
     if not isinstance(raw, dict):
@@ -106,10 +112,18 @@ def _section(raw: object, name: str, problems: list[str]) -> dict:
     return raw
 
 
+def _finite(value: object) -> bool:
+    """A real number (not a bool) that is neither infinite nor NaN."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _number(raw: dict, section: str, key: str, default: float, problems: list[str]) -> float:
     value = raw.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         problems.append(f"{section}.{key}: expected a number, got {value!r}")
+        return default
+    if not math.isfinite(value):
+        problems.append(f"{section}.{key}: must be finite, got {value!r}")
         return default
     return float(value)
 
@@ -211,9 +225,9 @@ def _parse_scenario(raw: object, problems: list[str]) -> ScenarioConfig:
                 if (
                     not isinstance(entry, (list, tuple))
                     or len(entry) != 3
-                    or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entry)
+                    or not all(_finite(v) for v in entry)
                 ):
-                    problems.append(f"scenario.se_poses[{i}]: expected [x, y, theta_deg]")
+                    problems.append(f"scenario.se_poses[{i}]: expected finite [x, y, theta_deg]")
                     continue
                 poses.append(Pose(float(entry[0]), float(entry[1]), math.radians(float(entry[2]))))
             if poses:
@@ -297,8 +311,8 @@ def _parse_sweep(raw: object, problems: list[str]) -> SweepSettings:
         else:
             vals = []
             for i, v in enumerate(value):
-                if isinstance(v, bool) or not isinstance(v, (int, float)) or float(v) < 0:
-                    problems.append(f"sweep.g_values[{i}]: expected a number >= 0")
+                if not _finite(v) or v < 0:
+                    problems.append(f"sweep.g_values[{i}]: expected a finite number >= 0")
                 else:
                     vals.append(float(v))
             g_values = tuple(vals) if vals else default_g_values()
@@ -322,8 +336,8 @@ def _parse_sweep(raw: object, problems: list[str]) -> SweepSettings:
         else:
             vals = []
             for i, v in enumerate(value):
-                if isinstance(v, bool) or not isinstance(v, (int, float)) or float(v) <= 0:
-                    problems.append(f"sweep.g_det_values[{i}]: expected a number > 0")
+                if not _finite(v) or v <= 0:
+                    problems.append(f"sweep.g_det_values[{i}]: expected a finite number > 0")
                 else:
                     vals.append(float(v))
             if vals:

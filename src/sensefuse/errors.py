@@ -28,5 +28,14 @@ class NoSensingEntityError(ProtocolError):
     """Live sensing was required but no sensing entity is registered."""
 
 
+class StoreCorruptError(ValueError):
+    """A sensing store log cannot be replayed; names the file and line."""
+
+    def __init__(self, path: object, lineno: int, reason: str):
+        self.path = path
+        self.lineno = lineno
+        super().__init__(f"{path}:{lineno}: {reason}")
+
+
 class EmptyRunError(ValueError):
-    """Metrics were finalized before any frame was accumulated."""
+    """Metrics were requested over zero frames or zero realizations."""

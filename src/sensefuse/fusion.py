@@ -10,9 +10,14 @@ The pipeline is two hard decisions applied to each frame's pooled detections:
    ``g_det`` of it.
 
 Gating is a pure distance-threshold test per side; there is deliberately no
-one-to-one assignment between detections and targets.  Distances are compared
-in squared form everywhere so the per-frame and batch implementations agree
-bit for bit.
+one-to-one assignment between detections and targets.
+
+One batch kernel serves both the sweep and the call flow.  Distances are
+computed once per frame sequence (:func:`precompute_distances`); each filter
+configuration is then a boolean thresholding pass over the same tensors
+(:func:`evaluate_distances`, :func:`fused_metrics`).  Distances are compared in
+squared form so the kernel agrees bit for bit with the scalar
+``geometry.in_dilated_map`` spec.
 """
 from __future__ import annotations
 
@@ -22,8 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import StaticMap, WorldPoint, in_dilated_map
-from .measurement import WorldDetection
+from .geometry import StaticMap
+from .metrics import MetricResult, result_from_counts
 from .scenario import Frame
 
 
@@ -40,78 +45,6 @@ class FilterConfig:
             raise ValueError(f"mask_margin_g must be finite and >= 0, got {self.mask_margin_g}")
         if not (math.isfinite(self.gate_g_det) and self.gate_g_det > 0.0):
             raise ValueError(f"gate_g_det must be finite and > 0, got {self.gate_g_det}")
-
-
-@dataclass(frozen=True)
-class GateOutcome:
-    """Gating result for one frame.
-
-    ``detected`` is keyed by in-area target id; ``accepted`` holds the
-    detections that survived the mask (the population the gate ran on).
-    """
-
-    detected: dict[int, bool]
-    unmatched_count: int
-    accepted: tuple[WorldDetection, ...]
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.unmatched_count <= len(self.accepted)):
-            raise ValueError(
-                f"unmatched_count {self.unmatched_count} outside [0, {len(self.accepted)}]"
-            )
-
-
-def apply_hard_mask(
-    detections: Sequence[WorldDetection], static_map: StaticMap, g: float
-) -> list[WorldDetection]:
-    """Remove detections inside the map dilated by ``g``; order is preserved."""
-    return [d for d in detections if not in_dilated_map(d.point, static_map, g)]
-
-
-def gate_detections(
-    detections: Sequence[WorldDetection],
-    truth: Sequence[tuple[int, WorldPoint]],
-    g_det: float,
-) -> GateOutcome:
-    """Euclidean validation gate between detections and true target positions.
-
-    Boundary hits (distance exactly g_det) count as inside the gate on both
-    the detection side and the false-alarm side.
-    """
-    if not (math.isfinite(g_det) and g_det > 0.0):
-        raise ValueError(f"g_det must be finite and > 0, got {g_det}")
-    gate_sq = g_det * g_det
-    detected = {tid: False for tid, _ in truth}
-    unmatched = 0
-    for det in detections:
-        matched = False
-        for tid, pos in truth:
-            dx = det.point.x - pos.x
-            dy = det.point.y - pos.y
-            if dx * dx + dy * dy <= gate_sq:
-                detected[tid] = True
-                matched = True
-        if not matched:
-            unmatched += 1
-    return GateOutcome(detected=detected, unmatched_count=unmatched, accepted=tuple(detections))
-
-
-def process_frame(frame: Frame, static_map: StaticMap, fc: FilterConfig) -> GateOutcome:
-    """Mask (strictly first, when enabled) then gate one frame."""
-    if fc.mask_enabled:
-        accepted = apply_hard_mask(frame.detections, static_map, fc.mask_margin_g)
-    else:
-        accepted = list(frame.detections)
-    return gate_detections(accepted, frame.truth, fc.gate_g_det)
-
-
-# ---------------------------------------------------------------------------
-# Batch kernel.  A sweep re-evaluates identical frames under many (g, g_det)
-# pairs, so distances are precomputed once per realization and each grid cell
-# reduces to boolean thresholding.  evaluate_distances is equivalent to
-# running process_frame frame by frame; the test suite asserts exact
-# agreement.
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -132,8 +65,14 @@ class FrameDistances:
     target_ids: tuple[int, ...]
 
 
-def precompute_distances(frames: Sequence[Frame], static_map: StaticMap) -> FrameDistances:
-    """Extract the distance tensors that masking and gating threshold against."""
+def precompute_distances(
+    frames: Sequence[Frame], static_map: StaticMap | None
+) -> FrameDistances:
+    """Extract the distance tensors that masking and gating threshold against.
+
+    ``static_map=None`` means no map: every detection is infinitely far from
+    it, so the mask keeps everything at any margin.
+    """
     t_steps = len(frames)
     ids = sorted({tid for f in frames for tid, _ in f.truth})
     col = {tid: i for i, tid in enumerate(ids)}
@@ -150,7 +89,8 @@ def precompute_distances(frames: Sequence[Frame], static_map: StaticMap) -> Fram
         if n_det:
             xy = np.array([(d.point.x, d.point.y) for d in frame.detections])
             det_valid[t, :n_det] = True
-            map_dist_sq[t, :n_det] = static_map.min_distance_sq_many(xy)
+            if static_map is not None:
+                map_dist_sq[t, :n_det] = static_map.min_distance_sq_many(xy)
             if frame.truth:
                 txy = np.array([(p.x, p.y) for _, p in frame.truth])
                 diff = xy[:, None, :] - txy[None, :, :]
@@ -187,3 +127,17 @@ def evaluate_distances(
     detected = (within & keep[:, :, None]).any(axis=1)
     unmatched = (keep & ~within.any(axis=2)).sum(axis=1)
     return detected, unmatched
+
+
+def fused_metrics(fd: FrameDistances, fc: FilterConfig) -> MetricResult:
+    """Pd/FA of the whole frame sequence under one filter configuration."""
+    detected, unmatched = evaluate_distances(fd, fc)
+    successes = (detected & fd.target_inbounds).sum(axis=0)
+    steps = fd.target_inbounds.sum(axis=0)
+    return result_from_counts(
+        fd.target_ids,
+        [int(s) for s in successes],
+        [int(s) for s in steps],
+        int(unmatched.sum()),
+        len(fd.det_valid),
+    )

@@ -28,9 +28,9 @@ from .callflow import (
 )
 from .config import AppConfig, SweepSettings
 from .errors import ConfigError
-from .fusion import FilterConfig, evaluate_distances, precompute_distances
+from .fusion import FilterConfig, fused_metrics, precompute_distances
 from .geometry import Rect, StaticMap
-from .metrics import MetricResult, aggregate, result_from_counts
+from .metrics import MetricResult, aggregate
 from .scenario import Scenario, generate_frames, realization_rng
 from .sdsf_store import SdsfStore, SensingContext
 
@@ -80,7 +80,6 @@ def run_realization(
     rng = realization_rng(scenario.seed, realization)
     frames = generate_frames(scenario, rng)
     fd = precompute_distances(frames, scenario.static_map)
-    steps = fd.target_inbounds.sum(axis=0)
 
     out: dict[CellKey, MetricResult] = {}
     for g, g_det in cell_keys(sweep):
@@ -88,15 +87,7 @@ def run_realization(
             fc = FilterConfig(mask_margin_g=0.0, gate_g_det=g_det, mask_enabled=False)
         else:
             fc = FilterConfig(mask_margin_g=g, gate_g_det=g_det, mask_enabled=True)
-        detected, unmatched = evaluate_distances(fd, fc)
-        successes = (detected & fd.target_inbounds).sum(axis=0)
-        out[(g, g_det)] = result_from_counts(
-            fd.target_ids,
-            [int(s) for s in successes],
-            [int(s) for s in steps],
-            int(unmatched.sum()),
-            len(frames),
-        )
+        out[(g, g_det)] = fused_metrics(fd, fc)
     return out
 
 

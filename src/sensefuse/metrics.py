@@ -1,4 +1,4 @@
-"""Detection-probability and false-alarm bookkeeping.
+"""Detection-probability and false-alarm metrics.
 
 Per-target detection probability is the fraction of steps, among those where
 the target was inside the sensing area, in which it was detected.  The scalar
@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import EmptyRunError
-from .fusion import GateOutcome
 
 log = logging.getLogger(__name__)
 
@@ -48,42 +47,6 @@ class AggregateStats:
     n: int
 
 
-class MetricAccumulator:
-    """Streaming accumulator over frame outcomes; one instance per realization."""
-
-    def __init__(self) -> None:
-        self._successes: dict[int, int] = {}
-        self._steps: dict[int, int] = {}
-        self._fa_total = 0
-        self._t_total = 0
-
-    def update(self, outcome: GateOutcome) -> "MetricAccumulator":
-        """Fold one frame's outcome in.  Returns self so updates chain."""
-        for tid, hit in outcome.detected.items():
-            self._steps[tid] = self._steps.get(tid, 0) + 1
-            self._successes[tid] = self._successes.get(tid, 0) + (1 if hit else 0)
-        self._fa_total += outcome.unmatched_count
-        self._t_total += 1
-        return self
-
-    @property
-    def t_total(self) -> int:
-        return self._t_total
-
-    def finalize(self) -> MetricResult:
-        """Close the realization; raises :class:`EmptyRunError` on zero frames."""
-        if self._t_total == 0:
-            raise EmptyRunError("cannot finalize metrics: no frames were accumulated")
-        ids = sorted(self._steps)
-        return result_from_counts(
-            ids,
-            [self._successes[i] for i in ids],
-            [self._steps[i] for i in ids],
-            self._fa_total,
-            self._t_total,
-        )
-
-
 def result_from_counts(
     target_ids: Sequence[int],
     successes: Sequence[int],
@@ -93,8 +56,7 @@ def result_from_counts(
 ) -> MetricResult:
     """Build a :class:`MetricResult` from raw counters.
 
-    Shared by the streaming accumulator and the batch sweep path so the two
-    produce identical floats from identical counts.
+    Raises :class:`EmptyRunError` when no frame was counted.
     """
     if t_total <= 0:
         raise EmptyRunError(f"t_total must be >= 1, got {t_total}")

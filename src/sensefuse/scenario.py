@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -382,7 +382,3 @@ def generate_frame(scenario: Scenario, t: int, rng: np.random.Generator) -> Fram
 def generate_frames(scenario: Scenario, rng: np.random.Generator) -> list[Frame]:
     """All frames of one realization, in step order."""
     return [generate_frame(scenario, t, rng) for t in range(scenario.t_steps)]
-
-
-def with_seed(scenario: Scenario, seed: int) -> Scenario:
-    return replace(scenario, seed=seed)

@@ -6,21 +6,23 @@ A stid/time/context-indexed store for sensing records with three duties:
   requested context (area, time window, target type), and name the covered
   and missing portions when coverage is partial;
 * freshness-filtered retrieval for fusion;
-* an aging policy that expires records, plus change subscriptions.
+* an aging policy that expires records.
 
 Time is the simulator's integer step clock; the store never consults wall
 clock time.  Persistence is a single append-only JSON-lines log with a header
-line, replayed into the in-memory index on load.
+line, replayed into the in-memory index on load.  A log that cannot be
+replayed raises :class:`StoreCorruptError` naming the file and line.
 """
 from __future__ import annotations
 
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Union
+from typing import Union
 
+from .errors import StoreCorruptError
 from .geometry import Rect, StaticMap, WorldPoint, subtract_rects
 from .measurement import Cov2, WorldDetection
 from .metrics import MetricResult
@@ -140,9 +142,6 @@ class SdsfStore:
         self._dedup: dict[tuple, str] = {}
         self._next_id = 1
         self._now = 0
-        self._subscriptions: list[tuple[int, SensingContext, Callable[[SensingRecord], None]]] = []
-        self._delivered: set[tuple[int, str]] = set()
-        self._next_sub_id = 1
         if self._path is not None and self._path.exists():
             self._load()
 
@@ -222,7 +221,6 @@ class SdsfStore:
         self._dedup[dedup_key] = record_id
         if self._path is not None:
             self._append_to_log(record)
-        self._notify(record)
         return record_id
 
     # -- read path -----------------------------------------------------------
@@ -327,37 +325,6 @@ class SdsfStore:
             log.info("aged out %d record(s) at step %d", len(expired), now)
         return len(expired)
 
-    # -- subscriptions ---------------------------------------------------------
-
-    def subscribe(
-        self, ctx: SensingContext, callback: Callable[[SensingRecord], None]
-    ) -> int:
-        """Invoke ``callback`` for every future stored record overlapping ``ctx``.
-
-        Delivery is at most once per (subscription, record) within this
-        process; subscriptions are not persisted.
-        """
-        sub_id = self._next_sub_id
-        self._next_sub_id += 1
-        self._subscriptions.append((sub_id, ctx, callback))
-        return sub_id
-
-    def unsubscribe(self, sub_id: int) -> None:
-        self._subscriptions = [s for s in self._subscriptions if s[0] != sub_id]
-
-    def _notify(self, record: SensingRecord) -> None:
-        for sub_id, ctx, callback in self._subscriptions:
-            key = (sub_id, record.record_id)
-            if key in self._delivered:
-                continue
-            if (
-                _type_matches(record.context.target_type, ctx.target_type)
-                and _windows_overlap(record.context.time_window, ctx.time_window)
-                and record.context.area.intersects(ctx.area)
-            ):
-                self._delivered.add(key)
-                callback(record)
-
     # -- persistence -----------------------------------------------------------
 
     def _append_to_log(self, record: SensingRecord) -> None:
@@ -372,25 +339,37 @@ class SdsfStore:
 
     def _load(self) -> None:
         assert self._path is not None
-        with self._path.open("r", encoding="utf-8") as fh:
+        # Bytes, so that invalid UTF-8 surfaces as a bad line, not a read error.
+        with self._path.open("rb") as fh:
             header_line = fh.readline()
             if not header_line.strip():
                 return  # empty file behaves like a fresh store
-            header = json.loads(header_line)
-            if header.get("magic") != LOG_MAGIC:
-                raise ValueError(f"{self._path}: not a sensing store log (bad magic)")
+            try:
+                header = json.loads(header_line)
+            except ValueError:
+                header = None
+            if not isinstance(header, dict) or header.get("magic") != LOG_MAGIC:
+                raise StoreCorruptError(self._path, 1, "not a sensing store log (bad magic)")
             if header.get("version") != LOG_FORMAT_VERSION:
-                raise ValueError(
-                    f"{self._path}: unsupported log version {header.get('version')!r}"
+                raise StoreCorruptError(
+                    self._path, 1, f"unsupported log version {header.get('version')!r}"
                 )
-            records = [_record_from_json(json.loads(line)) for line in fh if line.strip()]
-        for record in records:
+            entries = []
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                try:
+                    record = _record_from_json(json.loads(line))
+                    num = int(record.record_id.split("-")[-1])
+                except (ValueError, TypeError, KeyError, AttributeError) as exc:
+                    raise StoreCorruptError(self._path, lineno, f"bad record: {exc}") from exc
+                entries.append((record, num))
+        for record, num in entries:
             self._records[record.record_id] = record
             self._dedup[
                 (record.stid, record.kind, record.context.key(), record.created_at)
             ] = record.record_id
             self._now = max(self._now, record.created_at)
-            num = int(record.record_id.split("-")[-1])
             self._next_id = max(self._next_id, num + 1)
         # Records already past their policy relative to the recovered clock
         # stay out of the index, matching what apply_aging would have done.

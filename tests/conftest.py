@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -30,3 +32,42 @@ def make_detection(
         source_se=source_se,
         is_clutter_truth=is_clutter_truth,
     )
+
+
+def _hand_rect_d2(x: float, y: float, rect: Rect) -> float:
+    dx = max(rect.x_min - x, 0.0, x - rect.x_max)
+    dy = max(rect.y_min - y, 0.0, y - rect.y_max)
+    return dx * dx + dy * dy
+
+
+def brute_force_metrics(frames, static_map, fc):
+    """Independent reimplementation of mask, gate, and metric counting."""
+    successes: dict[int, int] = {}
+    steps: dict[int, int] = {}
+    fa_total = 0
+    for frame in frames:
+        kept = []
+        for det in frame.detections:
+            d2 = min(
+                (_hand_rect_d2(det.point.x, det.point.y, r) for r in static_map.rects),
+                default=math.inf,
+            )
+            if not (fc.mask_enabled and d2 <= fc.mask_margin_g * fc.mask_margin_g):
+                kept.append(det)
+        gate2 = fc.gate_g_det * fc.gate_g_det
+        for tid, pos in frame.truth:
+            steps[tid] = steps.get(tid, 0) + 1
+            hit = any(
+                (d.point.x - pos.x) ** 2 + (d.point.y - pos.y) ** 2 <= gate2 for d in kept
+            )
+            successes[tid] = successes.get(tid, 0) + (1 if hit else 0)
+        for d in kept:
+            if not any(
+                (d.point.x - pos.x) ** 2 + (d.point.y - pos.y) ** 2 <= gate2
+                for _, pos in frame.truth
+            ):
+                fa_total += 1
+    ids = sorted(steps)
+    pd = {tid: successes[tid] / steps[tid] for tid in ids}
+    pd_avg = float(np.mean([pd[tid] for tid in ids])) if pd else math.nan
+    return pd, pd_avg, fa_total / len(frames)

@@ -15,11 +15,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_detection
+from conftest import brute_force_metrics, make_detection
 from sensefuse.callflow import read_trace
 from sensefuse.cli import main as cli_main
 from sensefuse.config import parse_config
-from sensefuse.fusion import FilterConfig, process_frame
+from sensefuse.fusion import (
+    FilterConfig,
+    evaluate_distances,
+    fused_metrics,
+    precompute_distances,
+)
 from sensefuse.geometry import Rect, StaticMap, WorldPoint
 from sensefuse.harness import baseline_row, cell_row, demo_callflow, run_sweep
 from sensefuse.measurement import (
@@ -30,7 +35,6 @@ from sensefuse.measurement import (
     sample_measurements,
     world_covariance,
 )
-from sensefuse.metrics import MetricAccumulator
 from sensefuse.scenario import (
     ClutterModel,
     Frame,
@@ -170,9 +174,10 @@ def test_criterion_07_clutter_survival_matches_thinning_oracle():
     m = len(oracle_xy)
     assert m >= 1_000_000 // 2
 
+    fd = precompute_distances(frames, scenario.static_map)
     for g in (0.0, 1.0, 2.0, 5.0):
         fc = FilterConfig(mask_margin_g=g, gate_g_det=3.0)
-        survived = [process_frame(frame, scenario.static_map, fc).unmatched_count for frame in frames]
+        _, survived = evaluate_distances(fd, fc)
         mean_survived = float(np.mean(survived))
         p_reject = float(np.mean(oracle_d2 <= g * g))
         expected = lam * (1.0 - p_reject)
@@ -182,45 +187,6 @@ def test_criterion_07_clutter_survival_matches_thinning_oracle():
         assert abs(mean_survived - expected) <= 3.0 * sigma, (
             f"g={g}: mean {mean_survived} vs expected {expected} (3 sigma {3 * sigma})"
         )
-
-
-def _hand_rect_d2(x: float, y: float, rect: Rect) -> float:
-    dx = max(rect.x_min - x, 0.0, x - rect.x_max)
-    dy = max(rect.y_min - y, 0.0, y - rect.y_max)
-    return dx * dx + dy * dy
-
-
-def _brute_force_metrics(frames, static_map, fc):
-    """Independent reimplementation of mask, gate, and metric counting."""
-    successes: dict[int, int] = {}
-    steps: dict[int, int] = {}
-    fa_total = 0
-    for frame in frames:
-        kept = []
-        for det in frame.detections:
-            d2 = min(
-                (_hand_rect_d2(det.point.x, det.point.y, r) for r in static_map.rects),
-                default=math.inf,
-            )
-            if not (fc.mask_enabled and d2 <= fc.mask_margin_g * fc.mask_margin_g):
-                kept.append(det)
-        gate2 = fc.gate_g_det * fc.gate_g_det
-        for tid, pos in frame.truth:
-            steps[tid] = steps.get(tid, 0) + 1
-            hit = any(
-                (d.point.x - pos.x) ** 2 + (d.point.y - pos.y) ** 2 <= gate2 for d in kept
-            )
-            successes[tid] = successes.get(tid, 0) + (1 if hit else 0)
-        for d in kept:
-            if not any(
-                (d.point.x - pos.x) ** 2 + (d.point.y - pos.y) ** 2 <= gate2
-                for _, pos in frame.truth
-            ):
-                fa_total += 1
-    ids = sorted(steps)
-    pd = {tid: successes[tid] / steps[tid] for tid in ids}
-    pd_avg = float(np.mean([pd[tid] for tid in ids])) if pd else math.nan
-    return pd, pd_avg, fa_total / len(frames)
 
 
 def _micro_instance(rng: np.random.Generator):
@@ -252,18 +218,15 @@ def _micro_instance(rng: np.random.Generator):
 
 
 def test_criterion_08_streaming_metrics_equal_brute_force():
-    # On random micro-instances the streaming accumulator must agree exactly
-    # with a from-scratch evaluation of the same frames.
+    # On random micro-instances the fusion kernel's metrics must agree
+    # exactly with an independent evaluation of the same frames.
     for k in range(20):
         rng = np.random.default_rng(5600 + k)
         frames, static_map, fc = _micro_instance(rng)
 
-        acc = MetricAccumulator()
-        for frame in frames:
-            acc.update(process_frame(frame, static_map, fc))
-        result = acc.finalize()
+        result = fused_metrics(precompute_distances(frames, static_map), fc)
 
-        pd, pd_avg, fa_avg = _brute_force_metrics(frames, static_map, fc)
+        pd, pd_avg, fa_avg = brute_force_metrics(frames, static_map, fc)
         assert result.pd_per_target == pd, f"instance {k}"
         assert result.fa_avg == fa_avg, f"instance {k}"
         if math.isnan(pd_avg):

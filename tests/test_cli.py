@@ -101,6 +101,53 @@ def test_bad_config_key_exits_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("scenario: [unclosed\n", "invalid YAML"),
+        ("scenario:\n  se_poses: [[.inf, 0, 0]]\n", "scenario.se_poses[0]"),
+        ("scenario:\n  sigma_r: .inf\n", "scenario.sigma_r"),
+        ("demo:\n  mask_margin_g: .nan\n", "demo.mask_margin_g"),
+        ("sweep:\n  g_values: [.nan]\n", "sweep.g_values[0]"),
+    ],
+)
+def test_malformed_or_non_finite_config_exits_2(tmp_path, capsys, text, key):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and key in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def _torn(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) - 20])
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _torn,
+        lambda path: path.write_text("garbage\n"),
+        lambda path: path.write_text('{"magic": "other", "version": 1}\n'),
+    ],
+    ids=["torn", "garbage", "bad-magic"],
+)
+def test_corrupt_store_exits_1(tmp_path, small_config, capsys, corrupt):
+    trace = tmp_path / "run.jsonl"
+    store = tmp_path / "run.store"
+    argv = ["demo", "--config", small_config, "--trace", str(trace), "--store", str(store)]
+    assert main(argv) == 0
+    corrupt(store)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"store error: {store}:") and err.count("\n") == 1
+
+
 def test_unwritable_output_exits_1(tmp_path, small_config, capsys):
     out = tmp_path / "missing" / "out.csv"
     assert main(["sweep", "--config", small_config, "--out", str(out)]) == 1

@@ -2,8 +2,10 @@ import dataclasses
 
 import pytest
 
+from sensefuse.callflow import Kpi, run_sensing_task
 from sensefuse.config import SweepSettings, parse_config
 from sensefuse.errors import ConfigError
+from sensefuse.fusion import FilterConfig
 from sensefuse.harness import (
     BASELINE_G,
     CSV_HEADER,
@@ -19,7 +21,13 @@ from sensefuse.harness import (
     write_csv,
 )
 from sensefuse.metrics import aggregate
-from sensefuse.scenario import ClutterModel, ScenarioConfig, build_scenario
+from sensefuse.scenario import (
+    ClutterModel,
+    ScenarioConfig,
+    build_scenario,
+    generate_frames,
+    realization_rng,
+)
 from sensefuse.sdsf_store import SdsfStore
 
 SMALL_CFG = ScenarioConfig(t_steps=15, clutter=ClutterModel(lambda_fa=15.0), seed=5)
@@ -112,6 +120,22 @@ def test_baseline_ignores_mask_margin(small_scenario):
     a = baseline_row(run_sweep(small_scenario, other), 3.0)
     b = baseline_row(run_sweep(small_scenario, ours), 3.0)
     assert a == b
+
+
+def test_call_flow_and_sweep_share_one_kernel(default_scenario):
+    # Call-flow fusion of a realization's frames gives exactly the sweep's
+    # metrics for the same cell; without a map it gives the baseline cell.
+    sweep = parse_config({}).sweep
+    cells = run_realization(default_scenario, sweep, 0)
+    frames = generate_frames(default_scenario, realization_rng(default_scenario.seed, 0))
+    kpi = Kpi(pd_min=0.0, fa_max=1e9)
+    for g, g_det in ((0.0, 1.0), (2.0, 3.0), (5.0, 10.0)):
+        fc = FilterConfig(mask_margin_g=g, gate_g_det=g_det)
+        res = run_sensing_task("stid", frames, default_scenario.static_map, fc, kpi, "live-only")
+        assert res.mask_enabled and res.metrics == cells[(g, g_det)]
+        unmasked = run_sensing_task("stid", frames, None, fc, kpi, "live-only")
+        assert not unmasked.mask_enabled
+        assert unmasked.metrics == cells[(BASELINE_G, g_det)]
 
 
 def test_workers_validation(small_scenario):

@@ -4,11 +4,13 @@ import math
 import pytest
 
 from sensefuse.errors import EmptyRunError
-from sensefuse.fusion import FilterConfig, GateOutcome, process_frame
+from sensefuse.fusion import FilterConfig, fused_metrics, precompute_distances
+from sensefuse.geometry import WorldPoint
 from sensefuse.measurement import NoiseModel
-from sensefuse.metrics import MetricAccumulator, MetricResult, aggregate, result_from_counts
+from sensefuse.metrics import MetricResult, aggregate, result_from_counts
 from sensefuse.scenario import (
     ClutterModel,
+    Frame,
     ScenarioConfig,
     build_scenario,
     generate_frames,
@@ -18,71 +20,52 @@ from sensefuse.scenario import (
 from conftest import make_detection
 
 
-def outcome(detected: dict[int, bool], unmatched: int = 0) -> GateOutcome:
-    dets = tuple(make_detection(float(i), 0.0) for i in range(unmatched))
-    return GateOutcome(detected=detected, unmatched_count=unmatched, accepted=dets)
+def frame(detected: dict[int, bool], unmatched: int = 0) -> Frame:
+    """A frame whose gating outcome is exactly ``detected`` and ``unmatched``.
+
+    Targets sit 10 m apart; a hit is a detection on the target, a false
+    alarm a detection far from every target.
+    """
+    truth = tuple((tid, WorldPoint(10.0 * tid, 0.0)) for tid in detected)
+    hits = [make_detection(10.0 * tid, 0.0) for tid, hit in detected.items() if hit]
+    misses = [make_detection(1000.0 + 10.0 * i, 1000.0) for i in range(unmatched)]
+    return Frame(t=0, detections=tuple(hits + misses), truth=truth)
 
 
-# -- accumulator ------------------------------------------------------------------
+def metrics(frames: list[Frame]) -> MetricResult:
+    return fused_metrics(precompute_distances(frames, None), FilterConfig(0.0, 1.0))
+
+
+# -- counting -------------------------------------------------------------------
 
 
 def test_pd_counts_detected_fraction_of_observable_steps():
-    acc = MetricAccumulator()
-    acc.update(outcome({0: True}))
-    acc.update(outcome({0: True}))
-    acc.update(outcome({0: False}))
-    acc.update(outcome({0: True}))
-    result = acc.finalize()
+    result = metrics([frame({0: True}), frame({0: True}), frame({0: False}), frame({0: True})])
     assert result.pd_per_target == {0: 0.75}
     assert result.pd_avg == 0.75
 
 
 def test_fa_rate_is_total_over_steps():
     # 120 unmatched detections across 100 frames: rate 1.2 per frame.
-    acc = MetricAccumulator()
-    for _ in range(80):
-        acc.update(outcome({}, unmatched=1))
-    for _ in range(20):
-        acc.update(outcome({}, unmatched=2))
-    result = acc.finalize()
-    assert acc.t_total == 100
+    frames = [frame({}, unmatched=1)] * 80 + [frame({}, unmatched=2)] * 20
+    result = metrics(frames)
     assert result.fa_avg == 1.2
 
 
 def test_fa_rate_from_outcomes_only():
-    acc = MetricAccumulator()
-    acc.update(outcome({}, unmatched=3))
-    acc.update(outcome({}, unmatched=0))
-    result = acc.finalize()
+    result = metrics([frame({}, unmatched=3), frame({}, unmatched=0)])
     assert result.fa_avg == 1.5
 
 
 def test_out_of_area_steps_do_not_dilute_pd():
-    acc = MetricAccumulator()
-    acc.update(outcome({0: True}))
-    acc.update(outcome({}))  # target left the area, frame still counts for fa
-    acc.update(outcome({0: True}))
-    result = acc.finalize()
+    # The target leaves the area in the middle frame, which still counts for fa.
+    result = metrics([frame({0: True}), frame({}), frame({0: True})])
     assert result.pd_per_target == {0: 1.0}
-    assert acc.t_total == 3
-
-
-def test_incremental_equals_batch_counts():
-    acc = MetricAccumulator()
-    frames = [
-        outcome({0: True, 1: False}, unmatched=2),
-        outcome({0: False, 1: False}, unmatched=0),
-        outcome({0: True}, unmatched=5),
-    ]
-    for o in frames:
-        acc.update(o)
-    batch = result_from_counts([0, 1], [2, 0], [3, 2], 7, 3)
-    assert acc.finalize() == batch
 
 
 def test_finalize_requires_frames():
     with pytest.raises(EmptyRunError):
-        MetricAccumulator().finalize()
+        metrics([])
     with pytest.raises(EmptyRunError):
         result_from_counts([], [], [], 0, 0)
 
@@ -148,11 +131,8 @@ def test_clutter_free_perfect_detection_is_exact():
     )
     scenario = build_scenario(cfg)
     frames = generate_frames(scenario, realization_rng(scenario.seed, 0))
-    acc = MetricAccumulator()
     fc = FilterConfig(mask_margin_g=0.0, gate_g_det=10.0, mask_enabled=True)
-    for frame in frames:
-        acc.update(process_frame(frame, scenario.static_map, fc))
-    result = acc.finalize()
+    result = fused_metrics(precompute_distances(frames, scenario.static_map), fc)
     assert result.pd_avg == 1.0
     assert result.fa_avg == 0.0
     assert all(v == 1.0 for v in result.pd_per_target.values())

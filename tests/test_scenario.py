@@ -19,7 +19,6 @@ from sensefuse.scenario import (
     generate_frames,
     realization_rng,
     target_position,
-    with_seed,
 )
 
 
@@ -130,14 +129,6 @@ def test_build_scenario_rejects_track_that_never_enters():
     outside = TargetTrack(0, WorldPoint(500.0, 500.0), (1.0, 0.0), "horizontal")
     with pytest.raises(ConfigError, match="never enter"):
         build_scenario(ScenarioConfig(tracks=(outside,)))
-
-
-def test_with_seed_changes_only_seed():
-    scenario = build_scenario(ScenarioConfig())
-    other = with_seed(scenario, 99)
-    assert other.seed == 99
-    assert other.tracks == scenario.tracks
-    assert other.static_map == scenario.static_map
 
 
 # -- frame generation -----------------------------------------------------------

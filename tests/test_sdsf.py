@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sensefuse.errors import StoreCorruptError
 from sensefuse.geometry import Rect, StaticMap
 from sensefuse.metrics import MetricResult
 from sensefuse.sdsf_store import (
@@ -283,26 +284,37 @@ def test_bad_magic_and_version_are_rejected(tmp_path):
         SdsfStore(bad_version)
 
 
-# -- subscriptions -----------------------------------------------------------------
+# -- corrupt logs ------------------------------------------------------------------
 
 
-def test_subscription_delivers_matching_records_once():
-    store = SdsfStore()
-    seen: list[str] = []
-    store.subscribe(ctx(), lambda r: seen.append(r.record_id))
-    rid = store.store("stid-1", "processed", ctx(), demo_map(), 0, 1000)
-    store.store("stid-1", "processed", ctx(), demo_map(), 0, 1000)  # dedup, no redelivery
-    assert seen == [rid]
-
-    far = Rect(1000.0, 1000.0, 1100.0, 1100.0)
-    store.store("stid-2", "processed", ctx(area=far), demo_map(far), 0, 1000)
-    assert seen == [rid]  # non-overlapping area not delivered
-
-
-def test_unsubscribe_stops_delivery():
-    store = SdsfStore()
-    seen: list[str] = []
-    sub = store.subscribe(ctx(), lambda r: seen.append(r.record_id))
-    store.unsubscribe(sub)
+def _two_record_log(tmp_path):
+    path = tmp_path / "store.jsonl"
+    store = SdsfStore(path)
     store.store("stid-1", "processed", ctx(), demo_map(), 0, 1000)
-    assert seen == []
+    store.store("stid-1", "high-level", ctx(), metrics_payload(), 0, 1000)
+    return path
+
+
+def test_torn_last_line_raises_store_corrupt_error(tmp_path):
+    path = _two_record_log(tmp_path)
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) - 20])
+    with pytest.raises(StoreCorruptError, match=r"store\.jsonl:3: bad record") as err:
+        SdsfStore(path)
+    assert err.value.lineno == 3
+
+
+@pytest.mark.parametrize("content", [b"garbage\n", b"\xff\xfegarbage\n"], ids=["text", "binary"])
+def test_garbage_file_raises_store_corrupt_error(tmp_path, content):
+    path = tmp_path / "garbage.jsonl"
+    path.write_bytes(content)
+    with pytest.raises(StoreCorruptError, match=r"garbage\.jsonl:1: .*bad magic"):
+        SdsfStore(path)
+
+
+def test_record_missing_fields_raises_store_corrupt_error(tmp_path):
+    path = _two_record_log(tmp_path)
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"record_id": "rec-000003"}) + "\n")
+    with pytest.raises(StoreCorruptError, match=r":4: bad record"):
+        SdsfStore(path)
