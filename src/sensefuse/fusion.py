@@ -12,11 +12,15 @@ The pipeline is two hard decisions applied to each frame's pooled detections:
 Gating is a pure distance-threshold test per side; there is deliberately no
 one-to-one assignment between detections and targets.
 
-One batch kernel serves both the sweep and the call flow.  Distances are
-computed once per frame sequence (:func:`precompute_distances`); each filter
-configuration is then a boolean thresholding pass over the same tensors
-(:func:`evaluate_distances`, :func:`fused_metrics`).  Distances are compared in
-squared form so the kernel agrees bit for bit with the scalar
+One kernel serves both the sweep and the call flow.  Distances are computed
+once per frame sequence (:func:`detection_distances` from flat arrays,
+:func:`precompute_distances` from ``Frame`` lists).  :func:`grid_metrics`
+then evaluates one gate for every mask margin at once in closed form: a
+target is detected at margin ``g`` when the detection inside its gate that
+lies farthest from the map is more than ``g`` from it, and the false alarms at
+``g`` are the gate-unmatched detections more than ``g`` from the map.
+:func:`fused_metrics` is the one-cell case.  Distances are compared in squared
+form so the kernel agrees bit for bit with the scalar
 ``geometry.in_dilated_map`` spec.
 """
 from __future__ import annotations
@@ -49,95 +53,98 @@ class FilterConfig:
 
 @dataclass(frozen=True)
 class FrameDistances:
-    """Squared-distance tensors for a sequence of frames.
+    """Squared-distance tensors for a sequence of frames, one row per detection.
 
-    Shapes: (T, J) for detection-to-map and validity, (T, J, N) for
-    detection-to-target, (T, N) for target in-area flags, where J is the
-    maximum detection count over the frames and N the number of distinct
-    target ids observed.  Padding entries carry +inf distances and False
-    validity.
+    Shapes: (D,) for detection-to-map distance and the detection's frame
+    index, (D, N) for detection-to-target, (T, N) for target in-area flags,
+    where D counts the detections of all T frames and N the distinct target
+    ids observed, in ascending order.  A target outside the area in a
+    detection's frame is +inf away from it.
     """
 
     map_dist_sq: np.ndarray
     target_dist_sq: np.ndarray
-    det_valid: np.ndarray
+    frame_of: np.ndarray
     target_inbounds: np.ndarray
     target_ids: tuple[int, ...]
+
+
+def detection_distances(
+    xy: np.ndarray,
+    frame_of: np.ndarray,
+    truth_xy: np.ndarray,
+    truth_in: np.ndarray,
+    target_ids: Sequence[int],
+    static_map: StaticMap | None,
+) -> FrameDistances:
+    """Distance tensors of (D, 2) detections against (T, N) per-frame truth.
+
+    ``target_ids`` names the truth columns; columns never in the area are
+    dropped and the rest ordered by id.  ``static_map=None`` means no map:
+    every detection is infinitely far from it, so the mask keeps everything
+    at any margin.
+    """
+    cols = sorted((tid, n) for n, tid in enumerate(target_ids) if truth_in[:, n].any())
+    keep = [n for _, n in cols]
+    truth_xy, truth_in = truth_xy[:, keep], truth_in[:, keep]
+    diff = xy[:, None, :] - truth_xy[frame_of]
+    dist_sq = diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1]
+    return FrameDistances(
+        map_dist_sq=(
+            np.full(len(xy), np.inf) if static_map is None else static_map.min_distance_sq_many(xy)
+        ),
+        target_dist_sq=np.where(truth_in[frame_of], dist_sq, np.inf),
+        frame_of=frame_of,
+        target_inbounds=truth_in,
+        target_ids=tuple(tid for tid, _ in cols),
+    )
 
 
 def precompute_distances(
     frames: Sequence[Frame], static_map: StaticMap | None
 ) -> FrameDistances:
-    """Extract the distance tensors that masking and gating threshold against.
-
-    ``static_map=None`` means no map: every detection is infinitely far from
-    it, so the mask keeps everything at any margin.
-    """
-    t_steps = len(frames)
+    """Pack a ``Frame`` sequence into the tensors of :func:`detection_distances`."""
     ids = sorted({tid for f in frames for tid, _ in f.truth})
-    col = {tid: i for i, tid in enumerate(ids)}
-    n_targets = len(ids)
-    j_max = max((len(f.detections) for f in frames), default=0)
-
-    map_dist_sq = np.full((t_steps, j_max), np.inf)
-    target_dist_sq = np.full((t_steps, j_max, n_targets), np.inf)
-    det_valid = np.zeros((t_steps, j_max), dtype=bool)
-    target_inbounds = np.zeros((t_steps, n_targets), dtype=bool)
-
+    col = {tid: n for n, tid in enumerate(ids)}
+    truth_xy = np.zeros((len(frames), len(ids), 2))
+    truth_in = np.zeros((len(frames), len(ids)), dtype=bool)
     for t, frame in enumerate(frames):
-        n_det = len(frame.detections)
-        if n_det:
-            xy = np.array([(d.point.x, d.point.y) for d in frame.detections])
-            det_valid[t, :n_det] = True
-            if static_map is not None:
-                map_dist_sq[t, :n_det] = static_map.min_distance_sq_many(xy)
-            if frame.truth:
-                txy = np.array([(p.x, p.y) for _, p in frame.truth])
-                diff = xy[:, None, :] - txy[None, :, :]
-                dist_sq = diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1]
-                cols = [col[tid] for tid, _ in frame.truth]
-                target_dist_sq[t, :n_det, cols] = dist_sq.T
-        for tid, _ in frame.truth:
-            target_inbounds[t, col[tid]] = True
-
-    return FrameDistances(
-        map_dist_sq=map_dist_sq,
-        target_dist_sq=target_dist_sq,
-        det_valid=det_valid,
-        target_inbounds=target_inbounds,
-        target_ids=tuple(ids),
-    )
+        for tid, p in frame.truth:
+            truth_xy[t, col[tid]] = p.x, p.y
+            truth_in[t, col[tid]] = True
+    xy = np.array([(d.point.x, d.point.y) for f in frames for d in f.detections]).reshape(-1, 2)
+    frame_of = np.repeat(np.arange(len(frames)), [len(f.detections) for f in frames])
+    return detection_distances(xy, frame_of, truth_xy, truth_in, ids, static_map)
 
 
-def evaluate_distances(
-    fd: FrameDistances, fc: FilterConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Threshold precomputed distances under one filter configuration.
+def _mask_sq(fc: FilterConfig) -> float:
+    # Squared distance from the map a detection must exceed; -inf keeps all.
+    return fc.mask_margin_g * fc.mask_margin_g if fc.mask_enabled else -math.inf
 
-    Returns ``(detected, unmatched)`` where detected is (T, N) bool aligned
-    with ``fd.target_ids`` and unmatched is the per-frame false-alarm count.
+
+def grid_metrics(fd: FrameDistances, configs: Sequence[FilterConfig]) -> list[MetricResult]:
+    """Pd/FA of the frame sequence under each filter configuration.
+
+    Configurations that share a gate are evaluated together in one pass.
     """
-    if fc.mask_enabled:
-        g_sq = fc.mask_margin_g * fc.mask_margin_g
-        keep = fd.det_valid & (fd.map_dist_sq > g_sq)
-    else:
-        keep = fd.det_valid
-    gate_sq = fc.gate_g_det * fc.gate_g_det
-    within = fd.target_dist_sq <= gate_sq  # padding is +inf, never within
-    detected = (within & keep[:, :, None]).any(axis=1)
-    unmatched = (keep & ~within.any(axis=2)).sum(axis=1)
-    return detected, unmatched
+    steps, n_frames = fd.target_inbounds.sum(axis=0).tolist(), len(fd.target_inbounds)
+    results: dict[int, MetricResult] = {}
+    for gate in dict.fromkeys(fc.gate_g_det for fc in configs):
+        cells = [i for i, fc in enumerate(configs) if fc.gate_g_det == gate]
+        thresholds = np.array([_mask_sq(configs[i]) for i in cells])
+        within = fd.target_dist_sq <= gate * gate
+        det, col = np.nonzero(within)
+        # best[t, n]: map distance of the gated detection of target n farthest from the map.
+        best = np.full(fd.target_inbounds.shape, -np.inf)
+        np.maximum.at(best, (fd.frame_of[det], col), fd.map_dist_sq[det])
+        successes = (best > thresholds[:, None, None]).sum(axis=1)
+        unmatched = np.sort(fd.map_dist_sq[~within.any(axis=1)])
+        false_alarms = len(unmatched) - np.searchsorted(unmatched, thresholds, side="right")
+        for i, s, fa in zip(cells, successes, false_alarms):
+            results[i] = result_from_counts(fd.target_ids, s.tolist(), steps, int(fa), n_frames)
+    return [results[i] for i in range(len(configs))]
 
 
 def fused_metrics(fd: FrameDistances, fc: FilterConfig) -> MetricResult:
     """Pd/FA of the whole frame sequence under one filter configuration."""
-    detected, unmatched = evaluate_distances(fd, fc)
-    successes = (detected & fd.target_inbounds).sum(axis=0)
-    steps = fd.target_inbounds.sum(axis=0)
-    return result_from_counts(
-        fd.target_ids,
-        [int(s) for s in successes],
-        [int(s) for s in steps],
-        int(unmatched.sum()),
-        len(fd.det_valid),
-    )
+    return grid_metrics(fd, [fc])[0]

@@ -1,12 +1,12 @@
 """Monte-Carlo sweep harness and demo orchestration.
 
 The sweep evaluates a grid of (mask margin, validation gate) pairs over many
-independent realizations.  It is realization-major: each realization's frames
-are generated once, reduced to distance tensors once, and every grid cell is
-then a pure thresholding pass over the same tensors.  Beyond speed this gives
-the grid common random numbers: within a realization, two cells differ only
-in their thresholds, so monotone relationships hold pathwise rather than just
-in expectation.
+independent realizations.  It is realization-major: each realization is
+generated once as arrays, reduced to distance tensors once, and each gate is
+then one closed-form kernel pass that yields every mask margin at once.
+Beyond speed this gives the grid common random numbers: within a
+realization, two cells differ only in their thresholds, so monotone
+relationships hold pathwise rather than just in expectation.
 
 Results land in a small CSV whose floats are written with ``repr`` so a
 read/write round trip is byte-identical.
@@ -28,10 +28,11 @@ from .callflow import (
 )
 from .config import AppConfig, SweepSettings
 from .errors import ConfigError
-from .fusion import FilterConfig, fused_metrics, precompute_distances
+from .fusion import FilterConfig, detection_distances, grid_metrics
 from .geometry import Rect, StaticMap
 from .metrics import MetricResult, aggregate
-from .scenario import Scenario, generate_frames, realization_rng
+from .scenario import Scenario, generate_realization, realization_rng
+from .scenario import generate_frames  # noqa: F401  re-export; perfbench's tests bind it here
 from .sdsf_store import SdsfStore, SensingContext
 
 log = logging.getLogger(__name__)
@@ -76,19 +77,16 @@ def cell_keys(sweep: SweepSettings) -> list[CellKey]:
 def run_realization(
     scenario: Scenario, sweep: SweepSettings, realization: int
 ) -> dict[CellKey, MetricResult]:
-    """Evaluate every grid cell on one realization's frame sequence."""
-    rng = realization_rng(scenario.seed, realization)
-    frames = generate_frames(scenario, rng)
-    fd = precompute_distances(frames, scenario.static_map)
-
-    out: dict[CellKey, MetricResult] = {}
-    for g, g_det in cell_keys(sweep):
-        if g == BASELINE_G:
-            fc = FilterConfig(mask_margin_g=0.0, gate_g_det=g_det, mask_enabled=False)
-        else:
-            fc = FilterConfig(mask_margin_g=g, gate_g_det=g_det, mask_enabled=True)
-        out[(g, g_det)] = fused_metrics(fd, fc)
-    return out
+    """Evaluate every grid cell on one realization, one kernel pass per gate."""
+    rz = generate_realization(scenario, realization_rng(scenario.seed, realization))
+    ids = [track.id for track in scenario.tracks]
+    fd = detection_distances(rz.xy, rz.frame_of, rz.truth_xy, rz.truth_in, ids, scenario.static_map)
+    keys = cell_keys(sweep)
+    configs = [
+        FilterConfig(0.0, g_det, mask_enabled=False) if g == BASELINE_G else FilterConfig(g, g_det)
+        for g, g_det in keys
+    ]
+    return dict(zip(keys, grid_metrics(fd, configs)))
 
 
 def _run_realization_args(args: tuple[Scenario, SweepSettings, int]) -> dict[CellKey, MetricResult]:

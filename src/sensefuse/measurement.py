@@ -222,18 +222,8 @@ def sample_measurements(
     return r, b
 
 
-def jacobian(z: PolarMeasurement) -> np.ndarray:
-    """Jacobian of the polar-to-local-Cartesian map at the measurement point.
-
-    Equals R(bearing) @ diag(1, range), so its determinant is the range.
-    """
-    c = math.cos(z.bearing)
-    s = math.sin(z.bearing)
-    return np.array([[c, -z.range_m * s], [s, z.range_m * c]])
-
-
-def _rotated_covariance(range_m: float, angle: float, noise: NoiseModel) -> Cov2:
-    # diag(sigma_r^2, (r*sigma_b)^2) rotated by `angle`.
+def rotated_covariance(range_m: float, angle: float, noise: NoiseModel) -> Cov2:
+    """The polar noise ellipse diag(sigma_r^2, (r*sigma_b)^2) rotated by ``angle``."""
     a = noise.sigma_range * noise.sigma_range
     rb = range_m * noise.sigma_bearing
     b = rb * rb
@@ -245,11 +235,12 @@ def _rotated_covariance(range_m: float, angle: float, noise: NoiseModel) -> Cov2
 def propagate_covariance(z: PolarMeasurement, noise: NoiseModel) -> Cov2:
     """First-order propagation of the polar noise into the SE-local frame.
 
-    Closed form of J @ diag(sigma_r^2, sigma_b^2) @ J.T with J from
-    :func:`jacobian`; the eigenvalues are exactly sigma_r^2 and
-    (r * sigma_b)^2 regardless of bearing.
+    Closed form of J @ diag(sigma_r^2, sigma_b^2) @ J.T with J the Jacobian
+    of the polar-to-Cartesian map, R(bearing) @ diag(1, range); the
+    eigenvalues are exactly sigma_r^2 and (r * sigma_b)^2 regardless of
+    bearing.
     """
-    return _rotated_covariance(z.range_m, z.bearing, noise)
+    return rotated_covariance(z.range_m, z.bearing, noise)
 
 
 def world_covariance(pose: Pose, z: PolarMeasurement, noise: NoiseModel) -> Cov2:
@@ -258,7 +249,7 @@ def world_covariance(pose: Pose, z: PolarMeasurement, noise: NoiseModel) -> Cov2
     The local ellipse rides with the line of sight, so the world-frame matrix
     is the same ellipse rotated by (pose heading + bearing).
     """
-    return _rotated_covariance(z.range_m, pose.theta + z.bearing, noise)
+    return rotated_covariance(z.range_m, pose.theta + z.bearing, noise)
 
 
 def build_detection(

@@ -5,6 +5,10 @@ sensing entities, and straight-line targets crossing the junction.  Each step
 produces a frame: per-SE noisy detections of every in-area target plus a
 Poisson batch of clutter detections concentrated near building edges.
 
+A realization is generated as flat arrays (:class:`Realization`), which is all
+the sweep reads.  ``Frame`` objects with per-detection covariances are built
+from those arrays only at the call-flow boundary (:func:`generate_frames`).
+
 Clutter points model spurious detections (multipath and ghost returns), so
 the sampled world position *is* the realized detection; the polar pipeline is
 still consulted for the source SE's viewing geometry and covariance, but no
@@ -14,7 +18,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +29,8 @@ from .measurement import (
     NoiseModel,
     Pose,
     WorldDetection,
-    build_detection,
+    polar_to_world,
+    rotated_covariance,
     sample_measurement,
     world_covariance,
     world_to_polar,
@@ -144,6 +150,27 @@ class Frame:
     t: int
     detections: tuple[WorldDetection, ...]
     truth: tuple[tuple[int, WorldPoint], ...]
+
+
+@dataclass(frozen=True)
+class Realization:
+    """Frames of one realization as flat detection columns.
+
+    Detections are grouped by frame; within a frame the target detections
+    come first (SE-major, then track order) and clutter last.  ``range_m`` and
+    ``bearing`` are a target detection's sampled measurement and NaN for
+    clutter.  Truth is (T, N) in scenario track order, ``truth_in`` flagging
+    the targets inside the closed bounds.
+    """
+
+    xy: np.ndarray  # (D, 2)
+    frame_of: np.ndarray  # (D,) frame index
+    se_idx: np.ndarray  # (D,)
+    is_clutter: np.ndarray  # (D,) bool
+    range_m: np.ndarray  # (D,)
+    bearing: np.ndarray  # (D,)
+    truth_xy: np.ndarray  # (T, N, 2)
+    truth_in: np.ndarray  # (T, N)
 
 
 def default_tracks(n_targets: int, bounds: Rect) -> tuple[TargetTrack, ...]:
@@ -279,8 +306,8 @@ def generate_clutter(
     bounds: Rect,
     rng: np.random.Generator,
     _max_resample_rounds: int = 10,
-) -> list[WorldPoint]:
-    """Draw one frame's clutter positions.
+) -> np.ndarray:
+    """Draw one frame's clutter positions as a (k, 2) array.
 
     Count is Poisson(lambda_fa).  Each point is edge clutter with probability
     edge_fraction: a uniform point on a uniformly chosen building edge segment
@@ -291,7 +318,7 @@ def generate_clutter(
     """
     k = int(rng.poisson(clutter.lambda_fa))
     if k == 0:
-        return []
+        return np.empty((0, 2))
     edge_mask = rng.random(k) < clutter.edge_fraction
     segments = static_map.all_edges()
     if not segments and bool(edge_mask.any()):
@@ -325,7 +352,7 @@ def generate_clutter(
         xy[~edge_mask] = rng.uniform(
             (bounds.x_min, bounds.y_min), (bounds.x_max, bounds.y_max), (n_uniform, 2)
         )
-    return [WorldPoint(float(x), float(y)) for x, y in xy]
+    return xy
 
 
 def _sample_edge_points(
@@ -337,6 +364,93 @@ def _sample_edge_points(
     return base + jitter_sigma * rng.standard_normal((n, 2))
 
 
+def _realize(scenario: Scenario, steps: Sequence[int], rng: np.random.Generator) -> Realization:
+    # Per step: the p_det draw and noisy polar sample of each (SE, in-area
+    # target) pair, then the frame's clutter.  Target samples stay scalar so
+    # the generator is consumed in the same order as one frame at a time.
+    n_se = len(scenario.se_poses)
+    truth_xy = np.empty((len(steps), len(scenario.tracks), 2))
+    truth_in = np.zeros((len(steps), len(scenario.tracks)), dtype=bool)
+    hits: list[tuple[int, int, float, float, float, float]] = []
+    clutter: list[np.ndarray] = []
+    for i, t in enumerate(steps):
+        truth = []
+        for n, track in enumerate(scenario.tracks):
+            pos = target_position(track, t)
+            truth_xy[i, n] = pos.x, pos.y
+            if scenario.bounds.contains(pos):
+                truth_in[i, n] = True
+                truth.append(pos)
+        for s, pose in enumerate(scenario.se_poses):
+            for pos in truth:
+                if rng.random() < scenario.p_det:
+                    z = sample_measurement(pose, pos, scenario.noise, rng)
+                    p = polar_to_world(pose, z)
+                    hits.append((i, s, p.x, p.y, z.range_m, z.bearing))
+        clutter.append(generate_clutter(scenario.clutter, scenario.static_map, scenario.bounds, rng))
+
+    hit = np.array(hits, dtype=float).reshape(-1, 6)
+    counts = [len(c) for c in clutter]
+    n_clutter = sum(counts)
+    # Clutter is assigned to SEs round-robin within each frame.
+    clutter_se = (np.arange(n_clutter) - np.repeat(np.cumsum(counts) - counts, counts)) % n_se
+    nan = np.full(n_clutter, np.nan)
+    frame_of = np.concatenate([hit[:, 0].astype(np.intp), np.repeat(range(len(steps)), counts)])
+    # Stable on frame index: each frame's target detections precede its clutter.
+    order = np.argsort(frame_of, kind="stable")
+    return Realization(
+        xy=np.concatenate([hit[:, 2:4], *clutter])[order],
+        frame_of=frame_of[order],
+        se_idx=np.concatenate([hit[:, 1].astype(np.intp), clutter_se])[order],
+        is_clutter=np.repeat([False, True], [len(hit), n_clutter])[order],
+        range_m=np.concatenate([hit[:, 4], nan])[order],
+        bearing=np.concatenate([hit[:, 5], nan])[order],
+        truth_xy=truth_xy,
+        truth_in=truth_in,
+    )
+
+
+def generate_realization(scenario: Scenario, rng: np.random.Generator) -> Realization:
+    """All frames of one realization as arrays, in step order.
+
+    Draws from ``rng`` exactly as :func:`generate_frames` does, so the two
+    describe the same detections.
+    """
+    return _realize(scenario, range(scenario.t_steps), rng)
+
+
+def _frames(scenario: Scenario, rz: Realization) -> list[Frame]:
+    # Covariances exist only here: a target detection's from its sampled
+    # (range, bearing), a clutter point's from the geometry of its position.
+    noise = scenario.noise
+    dets = []
+    for (x, y), s, is_clutter, r, b in zip(
+        rz.xy.tolist(),
+        rz.se_idx.tolist(),
+        rz.is_clutter.tolist(),
+        rz.range_m.tolist(),
+        rz.bearing.tolist(),
+    ):
+        pose = scenario.se_poses[s]
+        point = WorldPoint(x, y)
+        if is_clutter:
+            cov = world_covariance(pose, world_to_polar(pose, point), noise)
+        else:
+            cov = rotated_covariance(r, pose.theta + b, noise)
+        dets.append(WorldDetection(point, cov, scenario.se_ids[s], is_clutter))
+
+    ends = np.searchsorted(rz.frame_of, np.arange(1, len(rz.truth_in) + 1)).tolist()
+    frames = []
+    for t, (start, end) in enumerate(zip([0, *ends], ends)):
+        truth = tuple(
+            (track.id, WorldPoint(*xy))
+            for track, xy, inside in zip(scenario.tracks, rz.truth_xy[t].tolist(), rz.truth_in[t])
+            if inside
+        )
+        frames.append(Frame(t=t, detections=tuple(dets[start:end]), truth=truth))
+    return frames
+
+
 def generate_frame(scenario: Scenario, t: int, rng: np.random.Generator) -> Frame:
     """Generate the frame for step ``t``.
 
@@ -346,39 +460,9 @@ def generate_frame(scenario: Scenario, t: int, rng: np.random.Generator) -> Fram
     round-robin and enter as detections at their sampled position with the
     viewing SE's covariance.
     """
-    truth = []
-    for track in scenario.tracks:
-        pos = target_position(track, t)
-        if scenario.bounds.contains(pos):
-            truth.append((track.id, pos))
-
-    detections: list[WorldDetection] = []
-    for se_id, pose in zip(scenario.se_ids, scenario.se_poses):
-        for _, pos in truth:
-            if rng.random() < scenario.p_det:
-                z = sample_measurement(pose, pos, scenario.noise, rng, source_se=se_id)
-                detections.append(build_detection(pose, z, scenario.noise))
-
-    clutter_pts = generate_clutter(scenario.clutter, scenario.static_map, scenario.bounds, rng)
-    n_se = len(scenario.se_poses)
-    for i, pt in enumerate(clutter_pts):
-        se_idx = i % n_se
-        pose = scenario.se_poses[se_idx]
-        # The sampled point is already the realized (noisy) detection; the
-        # polar conversion only attributes it to a viewing SE.
-        z = world_to_polar(pose, pt, source_se=scenario.se_ids[se_idx])
-        detections.append(
-            WorldDetection(
-                point=pt,
-                cov=world_covariance(pose, z, scenario.noise),
-                source_se=scenario.se_ids[se_idx],
-                is_clutter_truth=True,
-            )
-        )
-
-    return Frame(t=t, detections=tuple(detections), truth=tuple(truth))
+    return replace(_frames(scenario, _realize(scenario, (t,), rng))[0], t=t)
 
 
 def generate_frames(scenario: Scenario, rng: np.random.Generator) -> list[Frame]:
     """All frames of one realization, in step order."""
-    return [generate_frame(scenario, t, rng) for t in range(scenario.t_steps)]
+    return _frames(scenario, generate_realization(scenario, rng))

@@ -2,13 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sensefuse.fusion import (
-    FilterConfig,
-    evaluate_distances,
-    fused_metrics,
-    precompute_distances,
-)
+from sensefuse.fusion import FilterConfig, fused_metrics, grid_metrics, precompute_distances
 from sensefuse.geometry import Rect, StaticMap, WorldPoint
 from sensefuse.scenario import (
     ClutterModel,
@@ -22,20 +19,20 @@ from sensefuse.scenario import (
 from conftest import brute_force_metrics, make_detection
 
 
-def outcome(detections, truth=(), static_map=None, fc=FilterConfig()):
+def frame_outcome(frame, static_map=None, fc=FilterConfig()):
     """One frame through the kernel: (detected by target id, false alarms)."""
+    result = fused_metrics(precompute_distances([frame], static_map), fc)
+    return {tid: pd == 1.0 for tid, pd in result.pd_per_target.items()}, int(result.fa_avg)
+
+
+def outcome(detections, truth=(), static_map=None, fc=FilterConfig()):
     frame = Frame(t=0, detections=tuple(detections), truth=tuple(truth))
-    fd = precompute_distances([frame], static_map)
-    detected, unmatched = evaluate_distances(fd, fc)
-    return dict(zip(fd.target_ids, detected[0].tolist())), int(unmatched[0])
+    return frame_outcome(frame, static_map, fc)
 
 
 def kept(detections, static_map, g):
     """Per-detection mask survival, each detection in its own target-free frame."""
-    frames = [Frame(t=i, detections=(d,), truth=()) for i, d in enumerate(detections)]
-    fd = precompute_distances(frames, static_map)
-    _, unmatched = evaluate_distances(fd, FilterConfig(g, 3.0))
-    return [bool(u) for u in unmatched]
+    return [outcome([d], (), static_map, FilterConfig(g, 3.0))[1] == 1 for d in detections]
 
 
 # -- FilterConfig ---------------------------------------------------------------
@@ -132,10 +129,9 @@ def test_mask_runs_before_gate(unit_map):
 def test_mask_disabled_equals_plain_gating(default_scenario):
     frames = generate_frames(default_scenario, realization_rng(7, 5))[:3]
     fc = FilterConfig(mask_margin_g=4.0, gate_g_det=3.0, mask_enabled=False)
-    with_map = evaluate_distances(precompute_distances(frames, default_scenario.static_map), fc)
-    plain = evaluate_distances(precompute_distances(frames, None), fc)
-    for a, b in zip(with_map, plain):
-        np.testing.assert_array_equal(a, b)
+    for frame in frames:
+        with_map = frame_outcome(frame, default_scenario.static_map, fc)
+        assert with_map == frame_outcome(frame, None, fc)
 
 
 def test_clutter_inside_building_is_masked_at_zero_margin(unit_map):
@@ -169,18 +165,11 @@ def _mixed_frames() -> list[Frame]:
 
 def _batch_matches_loop(frames, static_map, fc):
     fd = precompute_distances(frames, static_map)
-    detected, unmatched = evaluate_distances(fd, fc)
-    col = {tid: i for i, tid in enumerate(fd.target_ids)}
     for t, frame in enumerate(frames):
         pd, _, fa = brute_force_metrics([frame], static_map, fc)
-        assert int(unmatched[t]) == fa, (t, fc)
-        for tid, hit_rate in pd.items():
-            assert bool(detected[t, col[tid]]) == (hit_rate == 1.0), (t, tid, fc)
-        # Padding columns for targets absent from this frame stay False.
-        in_frame = {tid for tid, _ in frame.truth}
-        for tid in fd.target_ids:
-            if tid not in in_frame:
-                assert not detected[t, col[tid]]
+        detected, n_fa = frame_outcome(frame, static_map, fc)
+        assert n_fa == fa, (t, fc)
+        assert detected == {tid: hit_rate == 1.0 for tid, hit_rate in pd.items()}, (t, fc)
     pd, _, fa = brute_force_metrics(frames, static_map, fc)
     result = fused_metrics(fd, fc)
     assert result.pd_per_target == pd and result.fa_avg == fa, fc
@@ -196,20 +185,22 @@ def test_batch_kernel_matches_frame_loop_exactly():
 
 
 def test_precompute_shapes_and_padding():
+    # One row per detection in frame order; a target outside the area in a
+    # detection's frame is padded with +inf.
     frames = _mixed_frames()
     static_map = build_scenario(ScenarioConfig()).static_map
     fd = precompute_distances(frames, static_map)
-    j_max = max(len(f.detections) for f in frames)
-    assert fd.map_dist_sq.shape == (10, j_max)
-    assert fd.target_dist_sq.shape == (10, j_max, len(fd.target_ids))
-    assert fd.det_valid.shape == (10, j_max)
+    n_det = sum(len(f.detections) for f in frames)
+    assert fd.map_dist_sq.shape == (n_det,)
+    assert fd.target_dist_sq.shape == (n_det, len(fd.target_ids))
     assert fd.target_inbounds.shape == (10, len(fd.target_ids))
-    for t, frame in enumerate(frames):
-        n_det = len(frame.detections)
-        assert fd.det_valid[t, :n_det].all()
-        assert not fd.det_valid[t, n_det:].any()
-        assert np.isinf(fd.map_dist_sq[t, n_det:]).all()
-        assert np.isinf(fd.target_dist_sq[t, n_det:, :]).all()
+    assert fd.frame_of.tolist() == [t for t, f in enumerate(frames) for _ in f.detections]
+    for d, t in enumerate(fd.frame_of.tolist()):
+        in_frame = {tid for tid, _ in frames[t].truth}
+        for n, tid in enumerate(fd.target_ids):
+            assert np.isinf(fd.target_dist_sq[d, n]) == (tid not in in_frame)
+            assert fd.target_inbounds[t, n] == (tid in in_frame)
+    assert not np.isinf(fd.map_dist_sq).any()
     assert fd.target_ids == tuple(sorted(fd.target_ids))
 
 
@@ -217,8 +208,67 @@ def test_precompute_empty_frames():
     frames = [Frame(t=0, detections=(), truth=()), Frame(t=1, detections=(), truth=())]
     static_map = StaticMap((), Rect(-10.0, -10.0, 10.0, 10.0))
     fd = precompute_distances(frames, static_map)
-    assert fd.map_dist_sq.shape == (2, 0)
+    assert fd.map_dist_sq.shape == (0,)
+    assert fd.target_inbounds.shape == (2, 0)
     assert fd.target_ids == ()
-    detected, unmatched = evaluate_distances(fd, FilterConfig(1.0, 3.0))
-    assert detected.shape == (2, 0)
-    assert unmatched.tolist() == [0, 0]
+    result = fused_metrics(fd, FilterConfig(1.0, 3.0))
+    assert result.pd_per_target == {} and result.fa_avg == 0.0
+
+
+# -- whole-grid kernel ------------------------------------------------------------
+
+GRID_MAP = StaticMap((Rect(0.0, 0.0, 10.0, 10.0),), Rect(-50.0, -50.0, 50.0, 50.0))
+GRID_G = (0.0, 1.0, 2.0, 2.5, 3.0)
+GRID_G_DET = (1.0, 2.0, 3.0)
+
+# Integer coordinates around the building make exact ties at g and g_det common.
+_coord = st.integers(-4, 16).map(float)
+_point = st.tuples(_coord, _coord)
+_frame = st.tuples(
+    st.lists(_point, max_size=6),
+    st.dictionaries(st.integers(0, 3), _point, max_size=3),
+)
+
+
+def _same(a, b):
+    return (
+        a.pd_per_target == b.pd_per_target
+        and a.fa_avg == b.fa_avg
+        and a.excluded_targets == b.excluded_targets
+        and (a.pd_avg == b.pd_avg or (math.isnan(a.pd_avg) and math.isnan(b.pd_avg)))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_frames=st.lists(_frame, min_size=1, max_size=5), use_map=st.booleans())
+@example(
+    # (13, 5) is exactly 3 from the building and exactly 2 from target 0;
+    # then an empty frame and a frame with no truth.
+    raw_frames=[([(13.0, 5.0)], {0: (13.0, 7.0)}), ([], {}), ([(12.0, 5.0)], {})],
+    use_map=True,
+)
+def test_grid_kernel_matches_one_cell_kernel_and_brute_force(raw_frames, use_map):
+    frames = [
+        Frame(
+            t=t,
+            detections=tuple(make_detection(x, y) for x, y in dets),
+            truth=tuple((tid, WorldPoint(x, y)) for tid, (x, y) in sorted(truth.items())),
+        )
+        for t, (dets, truth) in enumerate(raw_frames)
+    ]
+    static_map = GRID_MAP if use_map else None
+    oracle_map = GRID_MAP if use_map else StaticMap((), GRID_MAP.bounds)
+    fd = precompute_distances(frames, static_map)
+    # Every gate with the baseline cell (mask off) and every margin, in one call.
+    cells = [
+        FilterConfig(g, g_det, mask_enabled)
+        for g_det in GRID_G_DET
+        for g, mask_enabled in [(0.0, False)] + [(g, True) for g in GRID_G]
+    ]
+    grid = grid_metrics(fd, cells)
+    assert len(grid) == len(cells)
+    for fc, result in zip(cells, grid):
+        assert _same(result, fused_metrics(fd, fc)), fc
+        pd, pd_avg, fa = brute_force_metrics(frames, oracle_map, fc)
+        assert result.pd_per_target == pd and result.fa_avg == fa, fc
+        assert result.pd_avg == pd_avg or (math.isnan(pd_avg) and math.isnan(result.pd_avg))

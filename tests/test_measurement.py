@@ -11,7 +11,6 @@ from sensefuse.measurement import (
     PolarMeasurement,
     Pose,
     build_detection,
-    jacobian,
     polar_to_world,
     propagate_covariance,
     sample_measurement,
@@ -27,10 +26,19 @@ SIGMA_B = math.radians(2.0)
 NOISE = NoiseModel(SIGMA_R, SIGMA_B)
 
 
+def jacobian(z: PolarMeasurement) -> np.ndarray:
+    """Jacobian of the polar-to-local-Cartesian map at the measurement point.
+
+    Equals R(bearing) @ diag(1, range), so its determinant is the range.
+    """
+    c = math.cos(z.bearing)
+    s = math.sin(z.bearing)
+    return np.array([[c, -z.range_m * s], [s, z.range_m * c]])
+
+
 def _numpy_propagated(range_m: float, angle: float, noise: NoiseModel) -> np.ndarray:
-    """Independent oracle: rotate-and-scale the polar covariance with numpy."""
-    c, s = math.cos(angle), math.sin(angle)
-    j = np.array([[c, -range_m * s], [s, range_m * c]])
+    """Independent oracle: J @ diag(sigma_r^2, sigma_b^2) @ J.T with numpy."""
+    j = jacobian(PolarMeasurement(range_m, angle))
     return j @ np.diag([noise.sigma_range**2, noise.sigma_bearing**2]) @ j.T
 
 

@@ -7,9 +7,18 @@ from scipy import stats
 
 from sensefuse.errors import ConfigError
 from sensefuse.geometry import Rect, StaticMap, WorldPoint
+from sensefuse.measurement import (
+    Pose,
+    WorldDetection,
+    build_detection,
+    sample_measurement,
+    world_covariance,
+    world_to_polar,
+)
 from sensefuse.scenario import (
     DEFAULT_BOUNDS,
     ClutterModel,
+    Frame,
     ScenarioConfig,
     TargetTrack,
     build_scenario,
@@ -17,6 +26,7 @@ from sensefuse.scenario import (
     generate_clutter,
     generate_frame,
     generate_frames,
+    generate_realization,
     realization_rng,
     target_position,
 )
@@ -213,6 +223,81 @@ def test_detection_count_is_additive_with_clutter():
     assert abs(mean - 75.2) <= 3.0 * sigma
 
 
+# -- columnar realization ---------------------------------------------------------
+
+AGREEMENT_CASES = [
+    (7, ScenarioConfig(t_steps=20)),
+    (11, ScenarioConfig(t_steps=20, seed=11)),
+    (
+        2026,
+        ScenarioConfig(
+            t_steps=20,
+            seed=2026,
+            se_poses=(Pose(0.0, 0.0, 0.3), Pose(120.0, 0.0, -2.5), Pose(60.0, 120.0, 3.0)),
+        ),
+    ),
+]
+
+
+def scalar_frame(scenario, t, rng):
+    """Oracle: one frame built object by object, one covariance per detection."""
+    truth = tuple(
+        (track.id, pos)
+        for track in scenario.tracks
+        if scenario.bounds.contains(pos := target_position(track, t))
+    )
+    detections = []
+    for se_id, pose in zip(scenario.se_ids, scenario.se_poses):
+        for _, pos in truth:
+            if rng.random() < scenario.p_det:
+                z = sample_measurement(pose, pos, scenario.noise, rng, source_se=se_id)
+                detections.append(build_detection(pose, z, scenario.noise))
+    xy = generate_clutter(scenario.clutter, scenario.static_map, scenario.bounds, rng)
+    for i, (x, y) in enumerate(xy.tolist()):
+        se_idx = i % len(scenario.se_poses)
+        pose, point = scenario.se_poses[se_idx], WorldPoint(x, y)
+        z = world_to_polar(pose, point)
+        cov = world_covariance(pose, z, scenario.noise)
+        detections.append(WorldDetection(point, cov, scenario.se_ids[se_idx], True))
+    return Frame(t=t, detections=tuple(detections), truth=truth)
+
+
+@pytest.mark.parametrize("seed,cfg", AGREEMENT_CASES)
+def test_realization_columns_match_frames(seed, cfg):
+    scenario = build_scenario(cfg)
+    rz = generate_realization(scenario, realization_rng(seed, 0))
+    frames = generate_frames(scenario, realization_rng(seed, 0))
+    assert rz.truth_in.shape == (cfg.t_steps, len(scenario.tracks)) == (len(frames), 8)
+    assert np.all(np.diff(rz.frame_of) >= 0)
+    for i, frame in enumerate(frames):
+        rows = np.flatnonzero(rz.frame_of == i)
+        dets = frame.detections
+        xy = np.array([(d.point.x, d.point.y) for d in dets]).reshape(-1, 2)
+        assert xy.tobytes() == rz.xy[rows].tobytes()
+        assert [d.source_se for d in dets] == [scenario.se_ids[s] for s in rz.se_idx[rows]]
+        assert [d.is_clutter_truth for d in dets] == rz.is_clutter[rows].tolist()
+        assert np.isnan(rz.range_m[rows]).tolist() == rz.is_clutter[rows].tolist()
+        truth = tuple(
+            (track.id, WorldPoint(x, y))
+            for track, (x, y), inside in zip(scenario.tracks, rz.truth_xy[i].tolist(), rz.truth_in[i])
+            if inside
+        )
+        assert frame.truth == truth
+
+
+@pytest.mark.parametrize("seed,cfg", AGREEMENT_CASES)
+def test_frames_match_scalar_oracle(seed, cfg):
+    # Same points to the bit, and each covariance equals world_covariance of
+    # the sampled measurement (targets) or of the point's geometry (clutter).
+    scenario = build_scenario(cfg)
+    rng = realization_rng(seed, 0)
+    expected = [scalar_frame(scenario, t, rng) for t in range(cfg.t_steps)]
+    assert generate_frames(scenario, realization_rng(seed, 0)) == expected
+    rng_a, rng_b = realization_rng(seed, 1), realization_rng(seed, 1)
+    for t in (3, 0, 3):
+        assert generate_frame(scenario, t, rng_a) == scalar_frame(scenario, t, rng_b)
+
+
 # -- clutter --------------------------------------------------------------------
 
 
@@ -246,8 +331,7 @@ def test_clutter_concentrates_near_building_edges():
     # roughly 0.76 in total.  Uniform-only would give 0.20, all-edge 1.0.
     scenario = build_scenario(ScenarioConfig(clutter=ClutterModel(lambda_fa=100_000.0)))
     rng = realization_rng(0, 1)
-    points = generate_clutter(scenario.clutter, scenario.static_map, scenario.bounds, rng)
-    xy = np.array([(p.x, p.y) for p in points])
+    xy = generate_clutter(scenario.clutter, scenario.static_map, scenario.bounds, rng)
     near = scenario.static_map.min_distance_sq_many(xy) <= 9.0
     fraction = float(near.mean())
     assert 0.70 <= fraction <= 0.82
@@ -259,8 +343,8 @@ def test_clutter_pure_edge_points_hug_the_boundaries():
     rng = realization_rng(0, 2)
     points = generate_clutter(clutter, scenario.static_map, scenario.bounds, rng)
     assert len(points) > 0
-    for p in points:
-        assert scenario.static_map.min_distance(p) <= 0.5
+    for x, y in points.tolist():
+        assert scenario.static_map.min_distance(WorldPoint(x, y)) <= 0.5
 
 
 def test_clutter_respects_bounds_under_heavy_jitter():
@@ -271,8 +355,8 @@ def test_clutter_respects_bounds_under_heavy_jitter():
     rng = realization_rng(0, 3)
     points = generate_clutter(clutter, static_map, bounds, rng)
     assert len(points) > 0
-    for p in points:
-        assert bounds.contains(p)
+    for x, y in points.tolist():
+        assert bounds.contains(WorldPoint(x, y))
 
 
 def test_clutter_empty_map_falls_back_to_uniform(caplog):
@@ -284,7 +368,7 @@ def test_clutter_empty_map_falls_back_to_uniform(caplog):
         points = generate_clutter(clutter, static_map, bounds, rng)
     assert "empty static map" in caplog.text
     assert len(points) > 0
-    assert all(bounds.contains(p) for p in points)
+    assert all(bounds.contains(WorldPoint(x, y)) for x, y in points.tolist())
 
 
 def test_clutter_model_validation():
