@@ -30,15 +30,19 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import NoSensingEntityError, ProtocolError
-from .fusion import FilterConfig, fused_metrics, precompute_distances
+from .fusion import FilterConfig, detection_distances, fused_metrics
 from .geometry import Rect, StaticMap
-from .measurement import WorldDetection
 from .metrics import MetricResult
-from .scenario import Frame, Scenario, generate_frames, realization_rng
+from .scenario import Realization, Scenario, generate_realization, realization_detections
+from .scenario import realization_rng
+from .scenario import generate_frames  # noqa: F401  re-export; perfbench's tests bind it here
 from .sdsf_store import Availability, SdsfStore, SensingContext, SensingRecord
 
 log = logging.getLogger(__name__)
@@ -94,13 +98,13 @@ class PolicyRules:
 
 @dataclass(frozen=True)
 class SeReport:
-    """Step-11 payload: one SE's detections per step, plus any fresh buffer."""
+    """Step-11 payload: one SE's detections as world realization rows, plus any buffer."""
 
     se_id: str
     epoch: int
-    live: tuple[tuple[WorldDetection, ...], ...]
+    live: tuple[int, ...]
     buffered_epoch: int | None = None
-    buffered: tuple[tuple[WorldDetection, ...], ...] | None = None
+    buffered: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -205,13 +209,14 @@ def evaluate_policy(area: Rect, requester_kind: str, rules: PolicyRules) -> Poli
 
 def run_sensing_task(
     stid: Stid,
-    frames: Sequence[Frame],
+    world: SensingWorld,
+    rows: np.ndarray,
     mask_map: StaticMap | None,
     fc: FilterConfig,
     kpi: Kpi,
     data_source: str,
 ) -> SensingResult:
-    """Fuse collected frames under the given mask and gate, then judge KPIs.
+    """Fuse the world's detections at ``rows`` under the given mask and gate.
 
     The mask is applied only when enabled and a non-empty map is actually
     available; otherwise the run degrades to the live-only baseline.  The KPI
@@ -219,7 +224,9 @@ def run_sensing_task(
     ``kpi_satisfied=False``.
     """
     mask_on = fc.mask_enabled and mask_map is not None and not mask_map.empty
-    fd = precompute_distances(frames, mask_map if mask_on else None)
+    rz, mask = world.realization, mask_map if mask_on else None
+    ids = [track.id for track in world.scenario.tracks]
+    fd = detection_distances(rz.xy[rows], rz.frame_of[rows], rz.truth_xy, rz.truth_in, ids, mask)
     metrics = fused_metrics(fd, fc)
     return SensingResult(
         stid=stid,
@@ -287,27 +294,23 @@ class MessageBus:
 class SensingWorld:
     """Ground truth shared by the SEs and the evaluation.
 
-    One realization of the scenario's frame sequence.  SEs observe their own
-    detections from it; the SF's metric evaluation reads the true target
-    positions, which only a simulation can provide.
+    One realization of the scenario, generated on first use.  SEs observe
+    their own detections from it; the SF's metric evaluation reads the true
+    target positions, which only a simulation can provide.
     """
 
     def __init__(self, scenario: Scenario, realization: int = 0):
         self.scenario = scenario
-        self._frames: list[Frame] | None = None
-        self._realization = realization
+        self._index = realization
 
-    @property
-    def frames(self) -> list[Frame]:
-        if self._frames is None:
-            rng = realization_rng(self.scenario.seed, self._realization)
-            self._frames = generate_frames(self.scenario, rng)
-        return self._frames
+    @cached_property
+    def realization(self) -> Realization:
+        return generate_realization(self.scenario, realization_rng(self.scenario.seed, self._index))
 
-    def detections_for(self, se_id: str) -> tuple[tuple[WorldDetection, ...], ...]:
-        return tuple(
-            tuple(d for d in frame.detections if d.source_se == se_id) for frame in self.frames
-        )
+    def rows_for(self, se_id: str) -> tuple[int, ...]:
+        """Realization rows of the detections ``se_id`` made, in row order."""
+        s = self.scenario.se_ids.index(se_id)
+        return tuple(np.flatnonzero(self.realization.se_idx == s).tolist())
 
 
 # -- actors ------------------------------------------------------------------
@@ -319,13 +322,13 @@ class SensingEntity:
     def __init__(self, se_id: str, world: SensingWorld):
         self.se_id = se_id
         self._world = world
-        self._buffer: tuple[int, tuple[tuple[WorldDetection, ...], ...]] | None = None
+        self._buffer: tuple[int, tuple[int, ...]] | None = None
 
     def handle(self, msg: Message) -> list[Message]:
         if msg.variant != "SensingDataRequest":
             raise ProtocolError(f"SE {self.se_id} cannot handle {msg.variant}")
         epoch, max_age = msg.payload
-        live = self._world.detections_for(self.se_id)
+        live = self._world.rows_for(self.se_id)
         buffered_epoch = None
         buffered = None
         if self._buffer is not None and epoch - self._buffer[0] <= max_age:
@@ -481,22 +484,6 @@ class SfPhase(Enum):
     ABORTED = "aborted"
 
 
-PHASE_ORDER = [
-    SfPhase.IDLE,
-    SfPhase.REGISTERED,
-    SfPhase.REQUESTED,
-    SfPhase.POLICY_PENDING,
-    SfPhase.AVAILABILITY_PENDING,
-    SfPhase.TASKING_SES,
-    SfPhase.COLLECTING_LIVE,
-    SfPhase.FETCHING_HISTORICAL,
-    SfPhase.FUSING,
-    SfPhase.REPORTING,
-    SfPhase.ARCHIVING,
-    SfPhase.DONE,
-]
-
-
 class SensingFunction:
     """The SF state machine driving one sensing task end to end.
 
@@ -533,6 +520,7 @@ class SensingFunction:
         self.plan: str | None = None
         self.reports: dict[str, SeReport] = {}
         self.historical: tuple[SensingRecord, ...] = ()
+        self.rows: np.ndarray | None = None  # pooled realization rows, set at fusion
         self.result: SensingResult | None = None
         self._stid_seq = 0
         self._consent_revoked = False
@@ -707,11 +695,11 @@ class SensingFunction:
                 data_source="historical-only",
             )
         else:
-            frames = self._merge_reports()
+            self.rows = self._merge_reports()
             mask_map = self._historical_mask()
             fc = self.fc if self.request.historical_consent else replace(self.fc, mask_enabled=False)
             result = run_sensing_task(
-                self.stid, frames, mask_map, fc, self.request.kpi, self.plan
+                self.stid, self.world, self.rows, mask_map, fc, self.request.kpi, self.plan
             )
         self.result = result
         self.bus.note(14, SF_NAME, "FusionCompleted", self.stid)
@@ -747,14 +735,14 @@ class SensingFunction:
             target_type=self.request.target_type,
         )
 
-    def _merge_reports(self) -> list[Frame]:
-        """Zip SE reports back into pooled frames against the world truth.
+    def _merge_reports(self) -> np.ndarray:
+        """Pool the SE reports into realization rows, frame by frame.
 
-        Only data for the current collection window enters fusion; buffered
-        detections from an older epoch are acknowledged and dropped.
+        Within a frame, rows follow SE registration order.  Only data for the
+        current collection window enters fusion; buffered detections from an
+        older epoch are acknowledged and dropped.
         """
-        t_steps = self.world.scenario.t_steps
-        per_se = []
+        rows: list[int] = []
         for se_id in self.registered_ses:
             report = self.reports[se_id]
             if report.buffered_epoch is not None and report.buffered_epoch != self.epoch:
@@ -764,24 +752,20 @@ class SensingFunction:
                     se_id,
                     report.buffered_epoch,
                 )
-            per_se.append(report.live)
-        world_frames = self.world.frames
-        merged = []
-        for t in range(t_steps):
-            dets: list[WorldDetection] = []
-            for se_frames in per_se:
-                dets.extend(se_frames[t])
-            merged.append(Frame(t=t, detections=tuple(dets), truth=world_frames[t].truth))
-        return merged
+            rows.extend(report.live)
+        pooled = np.array(rows, dtype=np.intp)
+        return pooled[np.argsort(self.world.realization.frame_of[pooled], kind="stable")]
 
     def _historical_mask(self) -> StaticMap | None:
+        # Archived maps may cover another area; keep the rects that reach these bounds.
+        bounds = self.world.scenario.bounds
         rects: list[Rect] = []
         for record in self.historical:
             if isinstance(record.payload, StaticMap):
-                rects.extend(record.payload.rects)
+                rects.extend(r for r in record.payload.rects if r.intersects(bounds))
         if not rects:
             return None
-        return StaticMap(tuple(dict.fromkeys(rects)), self.world.scenario.bounds)
+        return StaticMap(tuple(dict.fromkeys(rects)), bounds)
 
     def _archive_items(self, result: SensingResult) -> tuple[StorageItem, ...]:
         """Step-16 archive: refreshed static map plus the run's fused metrics."""
@@ -820,7 +804,9 @@ class SensingFunction:
             ),
         ]
         if self.archive_raw and result.data_source != "historical-only":
-            detections = [d for frame in self._merge_reports() for d in frame.detections]
+            detections = realization_detections(
+                self.world.scenario, self.world.realization, self.rows
+            )
             items.append(
                 StorageItem(
                     stid=self.stid,
@@ -856,11 +842,9 @@ class SensingFunction:
             )
 
     def _advance(self, phase: SfPhase) -> None:
-        if phase == SfPhase.ABORTED:
-            self.phase = phase
-            self.phase_history.append(phase)
-            return
-        if PHASE_ORDER.index(phase) <= PHASE_ORDER.index(self.phase):
+        # Phases only move forward in definition order; any phase may abort.
+        order = list(SfPhase)
+        if phase != SfPhase.ABORTED and order.index(phase) <= order.index(self.phase):
             raise ProtocolError(
                 f"illegal phase transition {self.phase.value} -> {phase.value}"
             )

@@ -13,8 +13,9 @@ Gating is a pure distance-threshold test per side; there is deliberately no
 one-to-one assignment between detections and targets.
 
 One kernel serves both the sweep and the call flow.  Distances are computed
-once per frame sequence (:func:`detection_distances` from flat arrays,
-:func:`precompute_distances` from ``Frame`` lists).  :func:`grid_metrics`
+once per frame sequence by :func:`detection_distances` from a realization's
+flat arrays, which is what both of them call; :func:`precompute_distances`
+packs ``Frame`` lists into the same input for tests.  :func:`grid_metrics`
 then evaluates one gate for every mask margin at once in closed form: a
 target is detected at margin ``g`` when the detection inside its gate that
 lies farthest from the map is more than ``g`` from it, and the false alarms at

@@ -6,8 +6,10 @@ produces a frame: per-SE noisy detections of every in-area target plus a
 Poisson batch of clutter detections concentrated near building edges.
 
 A realization is generated as flat arrays (:class:`Realization`), which is all
-the sweep reads.  ``Frame`` objects with per-detection covariances are built
-from those arrays only at the call-flow boundary (:func:`generate_frames`).
+the sweep and the call flow's fusion read.  Per-detection objects with
+covariances are built from those arrays by :func:`realization_detections`,
+for the call flow's raw archive record and for the ``Frame`` view of
+:func:`generate_frames`, which serves tests and the acceptance criteria.
 
 Clutter points model spurious detections (multipath and ghost returns), so
 the sampled world position *is* the realized detection; the polar pipeline is
@@ -419,17 +421,22 @@ def generate_realization(scenario: Scenario, rng: np.random.Generator) -> Realiz
     return _realize(scenario, range(scenario.t_steps), rng)
 
 
-def _frames(scenario: Scenario, rz: Realization) -> list[Frame]:
-    # Covariances exist only here: a target detection's from its sampled
-    # (range, bearing), a clutter point's from the geometry of its position.
+def realization_detections(
+    scenario: Scenario, rz: Realization, rows: np.ndarray
+) -> list[WorldDetection]:
+    """The realization's detections at ``rows`` as objects, in that order.
+
+    Covariances exist only here: a target detection's from its sampled
+    (range, bearing), a clutter point's from the geometry of its position.
+    """
     noise = scenario.noise
     dets = []
     for (x, y), s, is_clutter, r, b in zip(
-        rz.xy.tolist(),
-        rz.se_idx.tolist(),
-        rz.is_clutter.tolist(),
-        rz.range_m.tolist(),
-        rz.bearing.tolist(),
+        rz.xy[rows].tolist(),
+        rz.se_idx[rows].tolist(),
+        rz.is_clutter[rows].tolist(),
+        rz.range_m[rows].tolist(),
+        rz.bearing[rows].tolist(),
     ):
         pose = scenario.se_poses[s]
         point = WorldPoint(x, y)
@@ -438,7 +445,11 @@ def _frames(scenario: Scenario, rz: Realization) -> list[Frame]:
         else:
             cov = rotated_covariance(r, pose.theta + b, noise)
         dets.append(WorldDetection(point, cov, scenario.se_ids[s], is_clutter))
+    return dets
 
+
+def _frames(scenario: Scenario, rz: Realization) -> list[Frame]:
+    dets = realization_detections(scenario, rz, np.arange(len(rz.frame_of)))
     ends = np.searchsorted(rz.frame_of, np.arange(1, len(rz.truth_in) + 1)).tolist()
     frames = []
     for t, (start, end) in enumerate(zip([0, *ends], ends)):

@@ -1,16 +1,20 @@
 import math
 
+import numpy as np
 import pytest
 
 from sensefuse.callflow import (
     Kpi,
     Message,
     MessageBus,
+    PolicyControl,
     PolicyDecision,
     PolicyRules,
+    SdsfFrontend,
     SensingEntity,
     SensingFunction,
     SensingWorld,
+    ServiceConsumer,
     ServiceRequest,
     SfPhase,
     evaluate_policy,
@@ -23,9 +27,11 @@ from sensefuse.callflow import (
 from sensefuse.errors import NoSensingEntityError, ProtocolError
 from sensefuse.fusion import FilterConfig
 from sensefuse.geometry import Rect, StaticMap
+from sensefuse.measurement import Cov2, WorldDetection
 from sensefuse.metrics import MetricResult
 from sensefuse.scenario import (
     ClutterModel,
+    Frame,
     ScenarioConfig,
     build_scenario,
     generate_frames,
@@ -254,10 +260,11 @@ def test_no_consent_runs_live_only_unmasked(flow_scenario):
     assert "HistoricalDataRequest" not in variants
 
     # Identical metrics to gating the same realization without any mask.
-    frames = generate_frames(flow_scenario, realization_rng(flow_scenario.seed, 0))
+    world = SensingWorld(flow_scenario)
     expected = run_sensing_task(
         "stid-x",
-        frames,
+        world,
+        np.arange(len(world.realization.xy)),
         None,
         FilterConfig(mask_margin_g=2.0, gate_g_det=3.0, mask_enabled=False),
         request.kpi,
@@ -279,8 +286,6 @@ def test_consent_with_map_lowers_false_alarms(flow_scenario):
 
 
 def test_revoked_consent_aborts_at_next_message(flow_scenario):
-    from sensefuse.callflow import PolicyControl, SdsfFrontend, ServiceConsumer
-
     bus = MessageBus()
     world = SensingWorld(flow_scenario)
     sf = SensingFunction(bus, world, FilterConfig(), epoch=0, aging_policy=100)
@@ -402,3 +407,88 @@ def test_archive_raw_adds_pooled_detections(flow_scenario):
     raw = [r for r in records if r.kind == "raw"]
     assert len(raw) == 1
     assert len(raw[0].payload) > 0
+
+
+# -- columnar detections ------------------------------------------------------------
+
+
+def _count_constructions(monkeypatch, cls) -> list[int]:
+    calls = [0]
+    init = cls.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting_init)
+    return calls
+
+
+def run_with_ses(scenario, se_order, *, archive_raw):
+    """One live call flow with only ``se_order`` registered, in that order."""
+    store = SdsfStore()
+    bus = MessageBus()
+    world = SensingWorld(scenario)
+    sf = SensingFunction(
+        bus, world, FilterConfig(), epoch=0, aging_policy=100, archive_raw=archive_raw
+    )
+    consumer = ServiceConsumer(make_request())
+    bus.register_actor("sf", sf.handle)
+    bus.register_actor("ssc", consumer.handle)
+    bus.register_actor("pcf", PolicyControl(PolicyRules()).handle)
+    bus.register_actor("sdsf", SdsfFrontend(store).handle)
+    for se_id in se_order:
+        bus.register_actor(se_id, SensingEntity(se_id, world).handle)
+        sf.register_se(se_id)
+    bus.post(consumer.initial_message())
+    bus.run()
+    assert consumer.result is not None and consumer.result.data_source == "live-only"
+    everything = SensingContext(Rect(0.0, 0.0, 120.0, 120.0), (0, 10_000), "vehicle")
+    raw = [r for r in store.fetch(everything) if r.kind == "raw"]
+    return sf, raw
+
+
+def test_live_request_without_raw_archive_builds_no_detection_objects(
+    flow_scenario, monkeypatch
+):
+    def boom(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built on a live request")
+
+    for cls in (WorldDetection, Cov2, Frame):
+        monkeypatch.setattr(cls, "__init__", boom)
+    sf, raw = run_with_ses(flow_scenario, flow_scenario.se_ids, archive_raw=False)
+    assert raw == []
+    assert len(sf.rows) == len(sf.world.realization.xy)
+
+
+def test_raw_archive_builds_pooled_objects_once(flow_scenario, monkeypatch):
+    detections = _count_constructions(monkeypatch, WorldDetection)
+    covariances = _count_constructions(monkeypatch, Cov2)
+    merges = [0]
+    merge = SensingFunction._merge_reports
+
+    def counting_merge(self):
+        merges[0] += 1
+        return merge(self)
+
+    monkeypatch.setattr(SensingFunction, "_merge_reports", counting_merge)
+    sf, raw = run_with_ses(flow_scenario, flow_scenario.se_ids, archive_raw=True)
+    assert len(raw) == 1
+    assert merges[0] == 1
+    assert detections[0] == covariances[0] == len(raw[0].payload) == len(sf.rows)
+
+
+@pytest.mark.parametrize("se_order", [("se-1", "se-0"), ("se-1",), ("se-0",)])
+def test_raw_record_pools_registered_ses_in_registration_order(flow_scenario, se_order):
+    _, raw = run_with_ses(flow_scenario, se_order, archive_raw=True)
+    frames = generate_frames(flow_scenario, realization_rng(flow_scenario.seed, 0))
+    # Per frame, each registered SE's detections, in registration order.
+    expected = [
+        d
+        for frame in frames
+        for se_id in se_order
+        for d in frame.detections
+        if d.source_se == se_id
+    ]
+    assert len(raw) == 1
+    assert raw[0].payload == expected

@@ -93,6 +93,31 @@ def test_demo_second_run_reuses_store(tmp_path, small_config, capsys):
     assert "source=historical" in second
 
 
+def test_demo_ignores_stored_map_outside_the_bounds(tmp_path, small_config, capsys):
+    # A store archived over the default 120 m area, then asked about a
+    # 40 m area none of whose archived buildings reach into.
+    trace = tmp_path / "run.jsonl"
+    store = tmp_path / "run.store"
+    argv = ["demo", "--trace", str(trace), "--store", str(store)]
+    assert main([*argv, "--config", small_config]) == 0
+    other = tmp_path / "other.yaml"
+    other.write_text(
+        "scenario:\n"
+        "  bounds: [0, 0, 40, 40]\n"
+        "  buildings: [[10, 10, 20, 20]]\n"
+        "  se_poses: [[0, 0, 0], [40, 0, 90]]\n"
+        "  n_targets: 0\n"
+        "  t_steps: 10\n"
+        "demo:\n"
+        "  pd_min: 0.99\n"
+    )
+    capsys.readouterr()
+    assert main([*argv, "--config", str(other)]) == 0
+    out, err = capsys.readouterr()
+    assert "source=live+historical, mask=off" in out
+    assert "Traceback" not in err
+
+
 def test_bad_config_key_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text("scenario:\n  sigma: 1\n")
