@@ -12,6 +12,7 @@ from .fusion import FilterConfig
 from .geometry import Rect, StaticMap, WorldPoint, in_dilated_map
 from .measurement import (
     Cov2,
+    DetectionColumns,
     NoiseModel,
     PolarMeasurement,
     Pose,
@@ -44,6 +45,7 @@ __all__ = [
     "ConfigError",
     "Cov2",
     "DegenerateGeometryError",
+    "DetectionColumns",
     "EmptyRunError",
     "FilterConfig",
     "Frame",

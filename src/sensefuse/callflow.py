@@ -278,6 +278,14 @@ class MessageBus:
         """Record a trace event that is not carried by a queued message."""
         self.trace.append(TraceEvent(step, sender, receiver, variant, stid))
 
+    def close(self) -> None:
+        """Drop the actors.
+
+        The SF holds the bus and the bus holds the SF's handler, so closing
+        breaks that cycle and frees a finished request without a cyclic GC.
+        """
+        self._actors.clear()
+
     def run(self) -> None:
         while self._queue:
             msg = self._queue.popleft()
@@ -768,7 +776,11 @@ class SensingFunction:
         return StaticMap(tuple(dict.fromkeys(rects)), bounds)
 
     def _archive_items(self, result: SensingResult) -> tuple[StorageItem, ...]:
-        """Step-16 archive: refreshed static map plus the run's fused metrics."""
+        """Step-16 archive: refreshed static map plus the run's fused metrics.
+
+        With ``archive_raw``, a live run also archives its pooled detections
+        as :class:`DetectionColumns`, in fusion order.
+        """
         assert self.request is not None and self.stid is not None
         t_steps = self.world.scenario.t_steps
         end = self.epoch + t_steps
@@ -908,7 +920,10 @@ def run_call_flow(
         sf.register_se(se_id, {"pose": scenario.se_poses[scenario.se_ids.index(se_id)]})
 
     bus.post(consumer.initial_message())
-    bus.run()
+    try:
+        bus.run()
+    finally:
+        bus.close()
 
     return CallFlowRun(
         result=consumer.result,

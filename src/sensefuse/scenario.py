@@ -6,10 +6,12 @@ produces a frame: per-SE noisy detections of every in-area target plus a
 Poisson batch of clutter detections concentrated near building edges.
 
 A realization is generated as flat arrays (:class:`Realization`), which is all
-the sweep and the call flow's fusion read.  Per-detection objects with
-covariances are built from those arrays by :func:`realization_detections`,
-for the call flow's raw archive record and for the ``Frame`` view of
-:func:`generate_frames`, which serves tests and the acceptance criteria.
+the sweep and the call flow's fusion read.  Covariances are derived, as
+arrays, only by :func:`realization_detections`, which returns chosen rows as
+:class:`DetectionColumns`: the call flow's raw archive record stores those
+columns, and the ``Frame`` view of :func:`generate_frames`, which serves
+tests and the acceptance criteria, builds its per-detection objects from
+them.
 
 Clutter points model spurious detections (multipath and ghost returns), so
 the sampled world position *is* the realized detection; the polar pipeline is
@@ -25,17 +27,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateGeometryError
 from .geometry import Rect, StaticMap, WorldPoint
 from .measurement import (
+    DetectionColumns,
     NoiseModel,
     Pose,
     WorldDetection,
     polar_to_world,
-    rotated_covariance,
     sample_measurement,
-    world_covariance,
-    world_to_polar,
+    wrap_angles,
 )
 
 log = logging.getLogger(__name__)
@@ -423,33 +424,47 @@ def generate_realization(scenario: Scenario, rng: np.random.Generator) -> Realiz
 
 def realization_detections(
     scenario: Scenario, rz: Realization, rows: np.ndarray
-) -> list[WorldDetection]:
-    """The realization's detections at ``rows`` as objects, in that order.
+) -> DetectionColumns:
+    """The realization's detections at ``rows`` as columns, in that order.
 
     Covariances exist only here: a target detection's from its sampled
-    (range, bearing), a clutter point's from the geometry of its position.
+    (range, bearing), a clutter point's from the noise-free view of its
+    position by its SE.  They are bit-identical to the scalar
+    :func:`rotated_covariance`/:func:`world_covariance`: numpy's ``+ - *``,
+    ``sqrt`` and ``mod`` round as Python's do, and the transcendental
+    functions are Python's ``math`` ones mapped over the column.
     """
-    noise = scenario.noise
-    dets = []
-    for (x, y), s, is_clutter, r, b in zip(
-        rz.xy[rows].tolist(),
-        rz.se_idx[rows].tolist(),
-        rz.is_clutter[rows].tolist(),
-        rz.range_m[rows].tolist(),
-        rz.bearing[rows].tolist(),
-    ):
-        pose = scenario.se_poses[s]
-        point = WorldPoint(x, y)
-        if is_clutter:
-            cov = world_covariance(pose, world_to_polar(pose, point), noise)
-        else:
-            cov = rotated_covariance(r, pose.theta + b, noise)
-        dets.append(WorldDetection(point, cov, scenario.se_ids[s], is_clutter))
-    return dets
+    xy = rz.xy[rows]
+    se_idx = rz.se_idx[rows]
+    clutter = rz.is_clutter[rows]
+    pose = np.array([(p.x, p.y, p.theta) for p in scenario.se_poses])[se_idx]
+    # Copies: their clutter rows are filled in below.
+    range_m = np.array(rz.range_m[rows])
+    bearing = np.array(rz.bearing[rows])
+
+    # Clutter: the (range, bearing) world_to_polar gives for its SE.
+    d = xy[clutter] - pose[clutter, :2]
+    dx, dy = d[:, 0], d[:, 1]
+    r = np.sqrt(dx * dx + dy * dy)
+    if np.any(r == 0.0):
+        raise DegenerateGeometryError("cannot take a bearing to a point at the SE position")
+    atan = np.array(list(map(math.atan2, dy.tolist(), dx.tolist())), dtype=float)
+    range_m[clutter] = r
+    bearing[clutter] = wrap_angles(atan - pose[clutter, 2])
+
+    # rotated_covariance over the rows, with its evaluation order.
+    angle = (pose[:, 2] + bearing).tolist()
+    c = np.array(list(map(math.cos, angle)), dtype=float)
+    s = np.array(list(map(math.sin, angle)), dtype=float)
+    a = scenario.noise.sigma_range * scenario.noise.sigma_range
+    rb = range_m * scenario.noise.sigma_bearing
+    b = rb * rb
+    cov = np.column_stack([a * c * c + b * s * s, (a - b) * c * s, a * s * s + b * c * c])
+    return DetectionColumns(xy, cov, se_idx, scenario.se_ids, clutter)
 
 
 def _frames(scenario: Scenario, rz: Realization) -> list[Frame]:
-    dets = realization_detections(scenario, rz, np.arange(len(rz.frame_of)))
+    dets = realization_detections(scenario, rz, np.arange(len(rz.frame_of))).detections()
     ends = np.searchsorted(rz.frame_of, np.arange(1, len(rz.truth_in) + 1)).tolist()
     frames = []
     for t, (start, end) in enumerate(zip([0, *ends], ends)):

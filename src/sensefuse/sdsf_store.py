@@ -12,6 +12,12 @@ Time is the simulator's integer step clock; the store never consults wall
 clock time.  Persistence is a single append-only JSON-lines log with a header
 line, replayed into the in-memory index on load.  A log that cannot be
 replayed raises :class:`StoreCorruptError` naming the file and line.
+
+Every log line is strict JSON, ``json.dumps(..., sort_keys=True)`` of the
+record: a non-finite metric is written as ``null`` and read back as NaN.  A
+raw record's payload is :class:`DetectionColumns`; its line is formatted row
+by row from the columns (same bytes as ``json.dumps`` of one object per
+detection) and read straight back into columns, with the same validation.
 """
 from __future__ import annotations
 
@@ -22,9 +28,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
+import numpy as np
+
 from .errors import StoreCorruptError
-from .geometry import Rect, StaticMap, WorldPoint, subtract_rects
-from .measurement import Cov2, WorldDetection
+from .geometry import Rect, StaticMap, subtract_rects
+from .measurement import DetectionColumns
 from .metrics import MetricResult
 
 log = logging.getLogger(__name__)
@@ -35,7 +43,7 @@ LOG_FORMAT_VERSION = 1
 TARGET_TYPES = ("pedestrian", "vehicle", "lorry", "cyclist", "motorcyclist", "unknown")
 RECORD_KINDS = ("raw", "processed", "high-level")
 
-Payload = Union[StaticMap, list[WorldDetection], MetricResult]
+Payload = Union[StaticMap, DetectionColumns, MetricResult]
 
 
 @dataclass(frozen=True)
@@ -332,10 +340,8 @@ class SdsfStore:
         new_file = not self._path.exists()
         with self._path.open("a", encoding="utf-8") as fh:
             if new_file:
-                fh.write(
-                    json.dumps({"magic": LOG_MAGIC, "version": LOG_FORMAT_VERSION}) + "\n"
-                )
-            fh.write(json.dumps(_record_to_json(record), sort_keys=True) + "\n")
+                fh.write(_dumps({"magic": LOG_MAGIC, "version": LOG_FORMAT_VERSION}) + "\n")
+            fh.write(_record_line(record) + "\n")
 
     def _load(self) -> None:
         assert self._path is not None
@@ -381,7 +387,7 @@ def _payload_kind(payload: Payload) -> str | None:
         return "processed"
     if isinstance(payload, MetricResult):
         return "high-level"
-    if isinstance(payload, list) and all(isinstance(d, WorldDetection) for d in payload):
+    if isinstance(payload, DetectionColumns):
         return "raw"
     return None
 
@@ -407,34 +413,70 @@ def _context_from_json(d: dict) -> SensingContext:
     )
 
 
-def _payload_to_json(payload: Payload) -> dict:
+def _dumps(obj: object) -> str:
+    return json.dumps(obj, sort_keys=True, allow_nan=False)
+
+
+def _finite_or_none(v: float) -> float | None:
+    return v if math.isfinite(v) else None
+
+
+def _nan_if_none(v: float | None) -> float:
+    return math.nan if v is None else v
+
+
+def _payload_to_json(payload: StaticMap | MetricResult) -> dict:
     if isinstance(payload, StaticMap):
         return {
             "type": "static_map",
             "bounds": list(payload.bounds.as_tuple()),
             "rects": [list(r.as_tuple()) for r in payload.rects],
         }
-    if isinstance(payload, MetricResult):
-        return {
-            "type": "metrics",
-            "pd_per_target": {str(k): v for k, v in payload.pd_per_target.items()},
-            "pd_avg": payload.pd_avg,
-            "fa_avg": payload.fa_avg,
-            "excluded_targets": list(payload.excluded_targets),
-        }
     return {
-        "type": "detections",
-        "items": [
-            {
-                "x": d.point.x,
-                "y": d.point.y,
-                "cov": [d.cov.xx, d.cov.xy, d.cov.yy],
-                "source_se": d.source_se,
-                "clutter": d.is_clutter_truth,
-            }
-            for d in payload
-        ],
+        "type": "metrics",
+        "pd_per_target": {str(k): _finite_or_none(v) for k, v in payload.pd_per_target.items()},
+        "pd_avg": _finite_or_none(payload.pd_avg),
+        "fa_avg": _finite_or_none(payload.fa_avg),
+        "excluded_targets": list(payload.excluded_targets),
     }
+
+
+def _detections_json(cols: DetectionColumns) -> str:
+    """``json.dumps(..., sort_keys=True)`` of the detections payload, one row at a time.
+
+    Each item is ``{"clutter", "cov", "source_se", "x", "y"}``; floats are
+    written by ``repr``, as ``json`` writes them.
+    """
+    source = [json.dumps(se_id) for se_id in cols.se_ids]
+    flag = ("false", "true")
+    item = '{"clutter": %s, "cov": [%r, %r, %r], "source_se": %s, "x": %r, "y": %r}'
+    items = ", ".join(
+        [
+            item % (flag[c], xx, xy, yy, source[s], x, y)
+            for (x, y), (xx, xy, yy), s, c in zip(
+                cols.xy.tolist(), cols.cov.tolist(), cols.se_idx.tolist(), cols.is_clutter.tolist()
+            )
+        ]
+    )
+    return f'{{"items": [{items}], "type": "detections"}}'
+
+
+def _columns_from_json(items: list[dict]) -> DetectionColumns:
+    sources = [item["source_se"] for item in items]
+    se_ids = tuple(dict.fromkeys(sources))
+    index = {se_id: i for i, se_id in enumerate(se_ids)}
+    covs = [item["cov"] for item in items]
+    for i, cov in enumerate(covs):
+        if len(cov) != 3:
+            raise ValueError(f"item {i}: cov must hold (xx, xy, yy), got {cov}")
+    n = len(items)
+    return DetectionColumns(
+        xy=np.array([(item["x"], item["y"]) for item in items], dtype=float).reshape(n, 2),
+        cov=np.array(covs, dtype=float).reshape(n, 3),
+        se_idx=np.array([index[s] for s in sources], dtype=np.intp),
+        se_ids=se_ids,
+        is_clutter=np.array([item["clutter"] for item in items]),
+    )
 
 
 def _payload_from_json(d: dict) -> Payload:
@@ -443,35 +485,36 @@ def _payload_from_json(d: dict) -> Payload:
         return StaticMap(tuple(Rect(*r) for r in d["rects"]), bounds)
     if d["type"] == "metrics":
         return MetricResult(
-            pd_per_target={int(k): v for k, v in d["pd_per_target"].items()},
-            pd_avg=d["pd_avg"],
-            fa_avg=d["fa_avg"],
+            pd_per_target={int(k): _nan_if_none(v) for k, v in d["pd_per_target"].items()},
+            pd_avg=_nan_if_none(d["pd_avg"]),
+            fa_avg=_nan_if_none(d["fa_avg"]),
             excluded_targets=tuple(d["excluded_targets"]),
         )
     if d["type"] == "detections":
-        return [
-            WorldDetection(
-                point=WorldPoint(item["x"], item["y"]),
-                cov=Cov2(*item["cov"]),
-                source_se=item["source_se"],
-                is_clutter_truth=item["clutter"],
-            )
-            for item in d["items"]
-        ]
+        return _columns_from_json(d["items"])
     raise ValueError(f"unknown payload type {d.get('type')!r}")
 
 
-def _record_to_json(record: SensingRecord) -> dict:
-    return {
+def _record_line(record: SensingRecord) -> str:
+    """The record's log line: ``json.dumps`` of its JSON form with sorted keys.
+
+    A detections payload is formatted by :func:`_detections_json` and spliced
+    in at its sorted key position, between ``metadata`` and ``record_id``.
+    """
+    fields = {
         "record_id": record.record_id,
         "stid": record.stid,
         "kind": record.kind,
         "context": _context_to_json(record.context),
-        "payload": _payload_to_json(record.payload),
         "created_at": record.created_at,
         "aging_policy": record.aging_policy,
         "metadata": [list(m) for m in record.metadata],
     }
+    if not isinstance(record.payload, DetectionColumns):
+        return _dumps({**fields, "payload": _payload_to_json(record.payload)})
+    before = _dumps({k: v for k, v in fields.items() if k < "payload"})
+    after = _dumps({k: v for k, v in fields.items() if k > "payload"})
+    return f'{before[:-1]}, "payload": {_detections_json(record.payload)}, {after[1:]}'
 
 
 def _record_from_json(d: dict) -> SensingRecord:

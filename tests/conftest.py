@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sensefuse.geometry import Rect, StaticMap, WorldPoint
-from sensefuse.measurement import Cov2, WorldDetection
+from sensefuse.measurement import Cov2, DetectionColumns, WorldDetection
 from sensefuse.scenario import Scenario, ScenarioConfig, build_scenario
 
 
@@ -31,6 +31,18 @@ def make_detection(
         cov=Cov2(1.0, 0.0, 1.0),
         source_se=source_se,
         is_clutter_truth=is_clutter_truth,
+    )
+
+
+def columns_of(detections: list[WorldDetection]) -> DetectionColumns:
+    """The same detections as one columnar batch, SE ids in first-seen order."""
+    se_ids = tuple(dict.fromkeys(d.source_se for d in detections))
+    return DetectionColumns(
+        xy=np.array([(d.point.x, d.point.y) for d in detections]).reshape(-1, 2),
+        cov=np.array([(d.cov.xx, d.cov.xy, d.cov.yy) for d in detections]).reshape(-1, 3),
+        se_idx=np.array([se_ids.index(d.source_se) for d in detections], dtype=np.intp),
+        se_ids=se_ids,
+        is_clutter=np.array([d.is_clutter_truth for d in detections], dtype=bool),
     )
 
 

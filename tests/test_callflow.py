@@ -1,8 +1,11 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from sensefuse import callflow
 from sensefuse.callflow import (
     Kpi,
     Message,
@@ -26,7 +29,7 @@ from sensefuse.callflow import (
 )
 from sensefuse.errors import NoSensingEntityError, ProtocolError
 from sensefuse.fusion import FilterConfig
-from sensefuse.geometry import Rect, StaticMap
+from sensefuse.geometry import Rect, StaticMap, WorldPoint
 from sensefuse.measurement import Cov2, WorldDetection
 from sensefuse.metrics import MetricResult
 from sensefuse.scenario import (
@@ -35,6 +38,7 @@ from sensefuse.scenario import (
     ScenarioConfig,
     build_scenario,
     generate_frames,
+    generate_realization,
     realization_rng,
 )
 from sensefuse.sdsf_store import SdsfStore, SensingContext
@@ -475,7 +479,8 @@ def test_raw_archive_builds_pooled_objects_once(flow_scenario, monkeypatch):
     sf, raw = run_with_ses(flow_scenario, flow_scenario.se_ids, archive_raw=True)
     assert len(raw) == 1
     assert merges[0] == 1
-    assert detections[0] == covariances[0] == len(raw[0].payload) == len(sf.rows)
+    assert detections[0] == covariances[0] == 0
+    assert len(raw[0].payload) == len(sf.rows)
 
 
 @pytest.mark.parametrize("se_order", [("se-1", "se-0"), ("se-1",), ("se-0",)])
@@ -491,4 +496,41 @@ def test_raw_record_pools_registered_ses_in_registration_order(flow_scenario, se
         if d.source_se == se_id
     ]
     assert len(raw) == 1
-    assert raw[0].payload == expected
+    assert raw[0].payload.detections() == expected
+
+
+def test_raw_archive_and_reopen_build_no_detection_objects(flow_scenario, monkeypatch, tmp_path):
+    # Generation builds WorldPoints for the truth; it runs before the patches.
+    rz = generate_realization(flow_scenario, realization_rng(flow_scenario.seed, 0))
+    monkeypatch.setattr(callflow, "generate_realization", lambda scenario, rng: rz)
+
+    def boom(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built for the raw archive")
+
+    for cls in (WorldDetection, Cov2, WorldPoint):
+        monkeypatch.setattr(cls, "__init__", boom)
+    path = tmp_path / "store.jsonl"
+    run = run_flow(flow_scenario, SdsfStore(path), archive_raw=True)
+    assert run.result is not None and run.result.data_source == "live-only"
+    everything = SensingContext(Rect(0.0, 0.0, 120.0, 120.0), (0, 10_000), "vehicle")
+    raw = [r for r in SdsfStore(path).fetch(everything) if r.kind == "raw"]
+    assert len(raw) == 1 and len(raw[0].payload) == len(rz.xy)
+
+
+def test_finished_request_is_freed_without_cyclic_gc(flow_scenario, monkeypatch):
+    worlds = []
+
+    class TrackedWorld(SensingWorld):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            worlds.append(weakref.ref(self))
+
+    monkeypatch.setattr(callflow, "SensingWorld", TrackedWorld)
+    gc.collect()
+    gc.disable()
+    try:
+        run = run_flow(flow_scenario, SdsfStore(), archive_raw=True)
+        assert run.result is not None
+        assert len(worlds) == 1 and worlds[0]() is None
+    finally:
+        gc.enable()

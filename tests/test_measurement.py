@@ -6,10 +6,13 @@ import pytest
 from sensefuse.errors import DegenerateGeometryError
 from sensefuse.geometry import WorldPoint
 from sensefuse.measurement import (
+    PSD_SLACK,
     Cov2,
+    DetectionColumns,
     NoiseModel,
     PolarMeasurement,
     Pose,
+    WorldDetection,
     build_detection,
     polar_to_world,
     propagate_covariance,
@@ -272,3 +275,67 @@ def test_build_detection_back_projects_the_measurement():
     assert det.source_se == "se-1"
     assert not det.is_clutter_truth
     assert det.cov == world_covariance(pose, z, NOISE)
+
+
+# -- detection columns -------------------------------------------------------------
+
+
+def columns(**overrides) -> DetectionColumns:
+    fields = dict(
+        xy=[[1.0, 2.0], [3.0, -4.0], [0.5, 0.25]],
+        cov=[[1.0, 0.0, 1.0], [2.0, 0.5, 1.0], [0.64, -0.1, 0.3]],
+        se_idx=[1, 0, 1],
+        se_ids=("se-0", "se-1"),
+        is_clutter=[False, True, False],
+    )
+    fields.update(overrides)
+    return DetectionColumns(**fields)
+
+
+def test_detection_columns_detections_view():
+    cols = columns()
+    assert len(cols) == 3
+    assert cols.sources() == ["se-1", "se-0", "se-1"]
+    assert cols.detections()[1] == WorldDetection(
+        WorldPoint(3.0, -4.0), Cov2(2.0, 0.5, 1.0), "se-0", True
+    )
+    assert not cols.xy.flags.writeable and not cols.cov.flags.writeable
+
+
+def test_detection_columns_equality_is_by_rows():
+    # Same rows under another se_ids order are the same detections.
+    assert columns() == columns(se_idx=[0, 1, 0], se_ids=("se-1", "se-0"))
+    assert columns() != columns(is_clutter=[False, False, False])
+    assert columns() != columns(cov=[[1.0, 0.0, 1.0], [2.0, 0.5, 1.0], [0.64, -0.1, 0.31]])
+
+
+@pytest.mark.parametrize(
+    "overrides,match",
+    [
+        ({"xy": [[1.0, 2.0], [3.0, 4.0]]}, "cov must have shape"),
+        ({"xy": [1.0, 2.0, 3.0]}, "xy must have shape"),
+        ({"cov": [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]}, "cov must have shape"),
+        ({"xy": [[1.0, 2.0], [math.inf, 0.0], [0.5, 0.25]]}, "xy must be finite.*row 1"),
+        ({"cov": [[1.0, 0.0, 1.0], [math.nan, 0.0, 1.0], [1.0, 0.0, 1.0]]}, "finite.*row 1"),
+        ({"cov": [[1.0, 0.0, 1.0], [1.0, 0.0, 1.0], [1.0, 2.0, 1.0]]}, "semidefinite.*row 2"),
+        ({"se_idx": [0, 2, 1]}, "se_idx must index"),
+        ({"se_idx": [0.0, 1.0, 1.0]}, "se_idx must be"),
+        ({"is_clutter": [0, 1, 0]}, "is_clutter must be"),
+        ({"se_ids": ("se-0", 1)}, "se_ids must be strings"),
+    ],
+)
+def test_detection_columns_validation(overrides, match):
+    with pytest.raises(ValueError, match=match):
+        columns(**overrides)
+
+
+def test_detection_columns_psd_slack_matches_cov2():
+    # Smallest eigenvalue 1 - xy: just inside, then outside, the slack.
+    inside = [1.0, 1.0 + PSD_SLACK / 2, 1.0]
+    outside = [1.0, 1.0 + 4 * PSD_SLACK, 1.0]
+    Cov2(*inside)
+    assert len(columns(cov=[inside] * 3)) == 3
+    with pytest.raises(ValueError, match="semidefinite"):
+        Cov2(*outside)
+    with pytest.raises(ValueError, match="semidefinite"):
+        columns(cov=[inside, inside, outside])

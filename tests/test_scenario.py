@@ -11,6 +11,7 @@ from sensefuse.measurement import (
     Pose,
     WorldDetection,
     build_detection,
+    rotated_covariance,
     sample_measurement,
     world_covariance,
     world_to_polar,
@@ -27,6 +28,7 @@ from sensefuse.scenario import (
     generate_frame,
     generate_frames,
     generate_realization,
+    realization_detections,
     realization_rng,
     target_position,
 )
@@ -296,6 +298,35 @@ def test_frames_match_scalar_oracle(seed, cfg):
     rng_a, rng_b = realization_rng(seed, 1), realization_rng(seed, 1)
     for t in (3, 0, 3):
         assert generate_frame(scenario, t, rng_a) == scalar_frame(scenario, t, rng_b)
+
+
+@pytest.mark.parametrize("seed", [3, 7, 2026])
+def test_columnar_covariances_match_scalar_oracle_bitwise(seed):
+    # Headings away from 0 make the clutter bearings wrap.
+    poses = (Pose(0.0, 0.0, 2.5), Pose(120.0, 0.0, -math.pi / 2), Pose(60.0, 120.0, 0.0))
+    scenario = build_scenario(ScenarioConfig(t_steps=30, seed=seed, se_poses=poses))
+    rz = generate_realization(scenario, realization_rng(seed, 0))
+    rows = np.random.default_rng(seed).permutation(len(rz.xy))
+    cols = realization_detections(scenario, rz, rows)
+    expected = []
+    for (x, y), s, clutter, r, b in zip(
+        rz.xy[rows].tolist(),
+        rz.se_idx[rows].tolist(),
+        rz.is_clutter[rows].tolist(),
+        rz.range_m[rows].tolist(),
+        rz.bearing[rows].tolist(),
+    ):
+        pose = scenario.se_poses[s]
+        if clutter:
+            cov = world_covariance(pose, world_to_polar(pose, WorldPoint(x, y)), scenario.noise)
+        else:
+            cov = rotated_covariance(r, pose.theta + b, scenario.noise)
+        expected.append((cov.xx, cov.xy, cov.yy))
+    assert rz.is_clutter.any() and not rz.is_clutter.all()
+    assert cols.cov.tobytes() == np.array(expected).tobytes()
+    assert cols.xy.tobytes() == rz.xy[rows].tobytes()
+    assert cols.sources() == [scenario.se_ids[s] for s in rz.se_idx[rows]]
+    assert cols.is_clutter.tolist() == rz.is_clutter[rows].tolist()
 
 
 # -- clutter --------------------------------------------------------------------

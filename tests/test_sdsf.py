@@ -1,10 +1,22 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
+from sensefuse.config import parse_config
 from sensefuse.errors import StoreCorruptError
 from sensefuse.geometry import Rect, StaticMap
+from sensefuse.harness import demo_callflow
+from sensefuse.measurement import DetectionColumns
 from sensefuse.metrics import MetricResult
+from sensefuse.scenario import (
+    ScenarioConfig,
+    build_scenario,
+    generate_realization,
+    realization_detections,
+    realization_rng,
+)
 from sensefuse.sdsf_store import (
     LOG_MAGIC,
     Availability,
@@ -12,7 +24,7 @@ from sensefuse.sdsf_store import (
     SensingContext,
 )
 
-from conftest import make_detection
+from conftest import columns_of, make_detection
 
 AREA = Rect(0.0, 0.0, 120.0, 120.0)
 
@@ -115,7 +127,7 @@ def test_store_rejects_unsupported_payload_and_bad_fields():
 
 def test_detection_list_is_raw_kind():
     store = SdsfStore()
-    rid = store.store("stid-1", "raw", ctx(), [make_detection(1.0, 2.0)], 0, 50)
+    rid = store.store("stid-1", "raw", ctx(), columns_of([make_detection(1.0, 2.0)]), 0, 50)
     record = store.get(rid)
     assert record is not None and record.kind == "raw"
 
@@ -243,7 +255,7 @@ def test_log_round_trip_restores_records_and_clock(tmp_path):
     store.store("stid-1", "processed", ctx(), demo_map(), 0, 1000)
     store.set_now(30)
     store.store("stid-2", "high-level", ctx(window=(0, 30)), metrics_payload(), 30, 1000)
-    store.store("stid-3", "raw", ctx(), [make_detection(1.0, 2.0)], 30, 1000)
+    store.store("stid-3", "raw", ctx(), columns_of([make_detection(1.0, 2.0)]), 30, 1000)
 
     reloaded = SdsfStore(path)
     assert len(reloaded) == 3
@@ -318,3 +330,153 @@ def test_record_missing_fields_raises_store_corrupt_error(tmp_path):
         fh.write(json.dumps({"record_id": "rec-000003"}) + "\n")
     with pytest.raises(StoreCorruptError, match=r":4: bad record"):
         SdsfStore(path)
+
+
+# -- raw detection records ------------------------------------------------------------
+
+
+def raw_payload() -> DetectionColumns:
+    scenario = build_scenario(ScenarioConfig(t_steps=5, seed=3))
+    rz = generate_realization(scenario, realization_rng(3, 0))
+    rows = np.random.default_rng(0).permutation(len(rz.xy))
+    return realization_detections(scenario, rz, rows)
+
+
+def _lines(path) -> list[bytes]:
+    return path.read_bytes().splitlines(keepends=True)
+
+
+def test_list_payload_is_rejected():
+    store = SdsfStore()
+    with pytest.raises(ValueError, match="unsupported payload type list"):
+        store.store("stid-1", "raw", ctx(), [make_detection(1.0, 2.0)], 0, 50)
+
+
+def test_raw_record_line_is_json_dumps_of_its_detections(tmp_path):
+    # Quote, backslash and non-ASCII SE ids exercise json's string escaping.
+    dets = [
+        make_detection(1.0, -0.0, source_se='se "north"'),
+        make_detection(1e-300, 123456.789, source_se="se-é\\", is_clutter_truth=True),
+        make_detection(0.1, 2.0 / 3.0, source_se='se "north"'),
+    ]
+    path = tmp_path / "store.jsonl"
+    store = SdsfStore(path)
+    store.store("stid-1", "raw", ctx(), columns_of(dets), 0, 50, metadata={"k": "v"})
+    expected = {
+        "record_id": "rec-000001",
+        "stid": "stid-1",
+        "kind": "raw",
+        "context": {
+            "area": list(AREA.as_tuple()),
+            "time_window": [0, 100],
+            "target_type": "vehicle",
+            "conditions": [],
+        },
+        "payload": {
+            "type": "detections",
+            "items": [
+                {
+                    "x": d.point.x,
+                    "y": d.point.y,
+                    "cov": [d.cov.xx, d.cov.xy, d.cov.yy],
+                    "source_se": d.source_se,
+                    "clutter": d.is_clutter_truth,
+                }
+                for d in dets
+            ],
+        },
+        "created_at": 0,
+        "aging_policy": 50,
+        "metadata": [["k", "v"]],
+    }
+    assert _lines(path)[1] == (json.dumps(expected, sort_keys=True) + "\n").encode()
+
+
+def test_raw_record_round_trips_as_columns(tmp_path):
+    payload = raw_payload()
+    path = tmp_path / "store.jsonl"
+    SdsfStore(path).store("stid-1", "raw", ctx(), payload, 0, 50)
+
+    record = SdsfStore(path).get("rec-000001")
+    assert record is not None and record.kind == "raw"
+    assert isinstance(record.payload, DetectionColumns)
+    assert record.payload == payload
+    assert record.payload.xy.tobytes() == payload.xy.tobytes()
+    assert record.payload.cov.tobytes() == payload.cov.tobytes()
+    assert record.payload.sources() == payload.sources()
+    assert record.payload.is_clutter.tolist() == payload.is_clutter.tolist()
+
+    again = tmp_path / "again.jsonl"
+    SdsfStore(again).store(
+        record.stid, record.kind, record.context, record.payload, record.created_at,
+        record.aging_policy,
+    )
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_empty_raw_record_round_trips(tmp_path):
+    path = tmp_path / "store.jsonl"
+    SdsfStore(path).store("stid-1", "raw", ctx(), columns_of([]), 0, 50)
+    record = SdsfStore(path).get("rec-000001")
+    assert record is not None and len(record.payload) == 0
+    assert json.loads(_lines(path)[1])["payload"] == {"items": [], "type": "detections"}
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("cov", [1.0, math.nan, 1.0]),
+        ("cov", [1.0, 2.0, 1.0]),
+        ("cov", [1.0, 0.0]),
+        ("x", None),
+    ],
+    ids=["nan-cov", "indefinite-cov", "short-cov", "missing-field"],
+)
+def test_corrupt_raw_record_raises_store_corrupt_error(tmp_path, field, value):
+    path = _two_record_log(tmp_path)
+    store = SdsfStore(path)
+    store.store("stid-2", "raw", ctx(), columns_of([make_detection(1.0, 2.0)] * 3), 0, 1000)
+    store.store("stid-3", "processed", ctx(window=(0, 5)), demo_map(), 0, 1000)
+    lines = _lines(path)
+    record = json.loads(lines[3])
+    item = record["payload"]["items"][1]
+    if value is None:
+        del item[field]
+    else:
+        item[field] = value
+    lines[3] = (json.dumps(record, sort_keys=True) + "\n").encode()
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(StoreCorruptError, match=r"store\.jsonl:4: bad record") as err:
+        SdsfStore(path)
+    assert err.value.lineno == 4
+
+
+# -- strict JSON ---------------------------------------------------------------------
+
+
+def _no_constants(name):
+    raise ValueError(f"non-JSON constant {name} in the log")
+
+
+def test_non_finite_metrics_are_written_as_null_and_read_as_nan(tmp_path):
+    path = tmp_path / "store.jsonl"
+    nan_metrics = MetricResult(pd_per_target={0: math.nan, 1: 0.5}, pd_avg=math.nan, fa_avg=2.0)
+    SdsfStore(path).store("stid-1", "high-level", ctx(), nan_metrics, 0, 50)
+    payload = json.loads(_lines(path)[1], parse_constant=_no_constants)["payload"]
+    assert payload["pd_avg"] is None and payload["pd_per_target"] == {"0": None, "1": 0.5}
+    record = SdsfStore(path).get("rec-000001")
+    assert record is not None
+    assert math.isnan(record.payload.pd_avg) and math.isnan(record.payload.pd_per_target[0])
+    assert record.payload.pd_per_target[1] == 0.5 and record.payload.fa_avg == 2.0
+
+
+def test_demo_without_targets_writes_strict_json(tmp_path):
+    cfg = parse_config({"scenario": {"n_targets": 0}})
+    store_path = tmp_path / "store.jsonl"
+    report = demo_callflow(cfg, build_scenario(cfg.scenario), tmp_path / "t.jsonl", store_path)
+    assert math.isnan(report.run.result.metrics.pd_avg)
+    for line in _lines(store_path):
+        json.loads(line, parse_constant=_no_constants)
+    reopened = SdsfStore(store_path)
+    metrics = [r.payload for r in reopened.fetch(ctx(window=(0, 10**6))) if r.kind == "high-level"]
+    assert len(metrics) == 1 and math.isnan(metrics[0].pd_avg)
