@@ -9,20 +9,8 @@ from .errors import (
     StoreCorruptError,
 )
 from .fusion import FilterConfig
-from .geometry import Rect, StaticMap, WorldPoint, in_dilated_map
-from .measurement import (
-    Cov2,
-    DetectionColumns,
-    NoiseModel,
-    PolarMeasurement,
-    Pose,
-    WorldDetection,
-    build_detection,
-    polar_to_world,
-    propagate_covariance,
-    world_covariance,
-    world_to_polar,
-)
+from .geometry import Rect, StaticMap, WorldPoint
+from .measurement import Cov2, DetectionColumns, NoiseModel, Pose, WorldDetection
 from .metrics import MetricResult, aggregate
 from .scenario import (
     ClutterModel,
@@ -31,7 +19,6 @@ from .scenario import (
     ScenarioConfig,
     TargetTrack,
     build_scenario,
-    generate_frame,
     generate_frames,
     realization_rng,
 )
@@ -52,7 +39,6 @@ __all__ = [
     "MetricResult",
     "NoSensingEntityError",
     "NoiseModel",
-    "PolarMeasurement",
     "Pose",
     "ProtocolError",
     "Rect",
@@ -67,15 +53,8 @@ __all__ = [
     "WorldDetection",
     "WorldPoint",
     "aggregate",
-    "build_detection",
     "build_scenario",
-    "generate_frame",
     "generate_frames",
-    "in_dilated_map",
-    "polar_to_world",
-    "propagate_covariance",
     "realization_rng",
-    "world_covariance",
-    "world_to_polar",
     "__version__",
 ]

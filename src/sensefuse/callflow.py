@@ -168,18 +168,6 @@ def write_trace(events: Sequence[TraceEvent], path: str | Path) -> None:
             fh.write(ev.to_json() + "\n")
 
 
-def read_trace(path: str | Path) -> list[TraceEvent]:
-    events = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                d = json.loads(line)
-                events.append(
-                    TraceEvent(d["step"], d["sender"], d["receiver"], d["variant"], d["stid"])
-                )
-    return events
-
-
 # -- policy ------------------------------------------------------------------
 
 

@@ -257,34 +257,34 @@ def _parse_scenario(raw: object, problems: list[str]) -> ScenarioConfig:
     except ValueError as exc:
         problems.append(f"scenario.buildings: {exc}")
         static_map = None
-    kwargs = dict(
-        bounds=bounds,
-        static_map=static_map,
-        noise=NoiseModel(sigma_range=sigma_r, sigma_bearing=math.radians(sigma_beta_deg)),
-        p_det=p_det,
-        n_targets=n_targets,
-        clutter=ClutterModel(
-            lambda_fa=max(lambda_fa, 0.0),
-            edge_fraction=min(max(edge_fraction, 0.0), 1.0),
-            edge_jitter_sigma=max(edge_jitter_sigma, 0.0),
-        ),
-        t_steps=max(t_steps, 1),
-        seed=max(seed, 0),
-    )
     if lambda_fa < 0:
         problems.append("scenario.lambda_fa: must be >= 0")
     if not 0.0 <= edge_fraction <= 1.0:
         problems.append("scenario.edge_fraction: must be in [0, 1]")
-    if edge_jitter_sigma < 0:
-        problems.append("scenario.edge_jitter_sigma: must be >= 0")
+    if edge_jitter_sigma <= 0:
+        problems.append("scenario.edge_jitter_sigma: must be > 0")
     if t_steps < 1:
         problems.append("scenario.t_steps: must be >= 1")
     if seed < 0:
         problems.append("scenario.seed: must be >= 0")
-    if se_poses is not None:
-        kwargs["se_poses"] = se_poses
+    # Bad values are reported above and replaced by valid placeholders; what a
+    # model still rejects (a bearing sigma that underflows) is reported too.
     try:
-        return ScenarioConfig(**kwargs)
+        return ScenarioConfig(
+            bounds=bounds,
+            static_map=static_map,
+            se_poses=se_poses or ScenarioConfig.se_poses,
+            noise=NoiseModel(sigma_range=sigma_r, sigma_bearing=math.radians(sigma_beta_deg)),
+            p_det=p_det,
+            n_targets=n_targets,
+            clutter=ClutterModel(
+                lambda_fa=max(lambda_fa, 0.0),
+                edge_fraction=min(max(edge_fraction, 0.0), 1.0),
+                edge_jitter_sigma=edge_jitter_sigma if edge_jitter_sigma > 0 else 1.0,
+            ),
+            t_steps=max(t_steps, 1),
+            seed=max(seed, 0),
+        )
     except ValueError as exc:
         problems.append(f"scenario: {exc}")
         return ScenarioConfig()

@@ -14,15 +14,14 @@ one-to-one assignment between detections and targets.
 
 One kernel serves both the sweep and the call flow.  Distances are computed
 once per frame sequence by :func:`detection_distances` from a realization's
-flat arrays, which is what both of them call; :func:`precompute_distances`
-packs ``Frame`` lists into the same input for tests.  :func:`grid_metrics`
+flat arrays, which is what both of them call.  :func:`grid_metrics`
 then evaluates one gate for every mask margin at once in closed form: a
 target is detected at margin ``g`` when the detection inside its gate that
 lies farthest from the map is more than ``g`` from it, and the false alarms at
 ``g`` are the gate-unmatched detections more than ``g`` from the map.
 :func:`fused_metrics` is the one-cell case.  Distances are compared in squared
-form so the kernel agrees bit for bit with the scalar
-``geometry.in_dilated_map`` spec.
+form so the kernel agrees bit for bit with the scalar dilated-map membership
+spec the tests hold (``in_dilated_map`` in ``tests/oracles.py``).
 """
 from __future__ import annotations
 
@@ -34,7 +33,6 @@ import numpy as np
 
 from .geometry import StaticMap
 from .metrics import MetricResult, result_from_counts
-from .scenario import Frame
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,23 +97,6 @@ def detection_distances(
         target_inbounds=truth_in,
         target_ids=tuple(tid for tid, _ in cols),
     )
-
-
-def precompute_distances(
-    frames: Sequence[Frame], static_map: StaticMap | None
-) -> FrameDistances:
-    """Pack a ``Frame`` sequence into the tensors of :func:`detection_distances`."""
-    ids = sorted({tid for f in frames for tid, _ in f.truth})
-    col = {tid: n for n, tid in enumerate(ids)}
-    truth_xy = np.zeros((len(frames), len(ids), 2))
-    truth_in = np.zeros((len(frames), len(ids)), dtype=bool)
-    for t, frame in enumerate(frames):
-        for tid, p in frame.truth:
-            truth_xy[t, col[tid]] = p.x, p.y
-            truth_in[t, col[tid]] = True
-    xy = np.array([(d.point.x, d.point.y) for f in frames for d in f.detections]).reshape(-1, 2)
-    frame_of = np.repeat(np.arange(len(frames)), [len(f.detections) for f in frames])
-    return detection_distances(xy, frame_of, truth_xy, truth_in, ids, static_map)
 
 
 def _mask_sq(fc: FilterConfig) -> float:

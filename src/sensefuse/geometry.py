@@ -95,25 +95,12 @@ class Rect:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
 
 
-def rect_distance_sq(p: WorldPoint, rect: Rect) -> float:
-    """Squared Euclidean distance from a point to a closed rectangle (0 inside)."""
-    dx = max(rect.x_min - p.x, 0.0, p.x - rect.x_max)
-    dy = max(rect.y_min - p.y, 0.0, p.y - rect.y_max)
-    return dx * dx + dy * dy
-
-
-def rect_distance(p: WorldPoint, rect: Rect) -> float:
-    """Euclidean distance from a point to a closed rectangle.
-
-    Zero for points inside or on the boundary.  Outside, this is the distance
-    to the nearest edge or corner; for example (13, 14) against the unit
-    square scaled to [0, 10] x [0, 10] gives sqrt(3^2 + 4^2) = 5.
-    """
-    return math.sqrt(rect_distance_sq(p, rect))
-
-
 def rect_distance_sq_many(xy: np.ndarray, rect: Rect) -> np.ndarray:
-    """Vectorized :func:`rect_distance_sq` over an (n, 2) coordinate array."""
+    """Squared Euclidean distance from (n, 2) points to a closed rectangle (0 inside).
+
+    Outside, this is the squared distance to the nearest edge or corner; for
+    example (13, 14) against [0, 10] x [0, 10] gives 3^2 + 4^2 = 25.
+    """
     dx = np.maximum(np.maximum(rect.x_min - xy[:, 0], 0.0), xy[:, 0] - rect.x_max)
     dy = np.maximum(np.maximum(rect.y_min - xy[:, 1], 0.0), xy[:, 1] - rect.y_max)
     return dx * dx + dy * dy
@@ -139,38 +126,14 @@ class StaticMap:
     def empty(self) -> bool:
         return not self.rects
 
-    def min_distance_sq(self, p: WorldPoint) -> float:
-        """Squared distance to the nearest rect; +inf for an empty map."""
-        if not self.rects:
-            return math.inf
-        return min(rect_distance_sq(p, r) for r in self.rects)
-
-    def min_distance(self, p: WorldPoint) -> float:
-        return math.sqrt(self.min_distance_sq(p))
-
     def min_distance_sq_many(self, xy: np.ndarray) -> np.ndarray:
-        """Vectorized squared distance to the nearest rect for (n, 2) coordinates."""
+        """Squared distance to the nearest rect for (n, 2) coordinates; +inf for an empty map."""
         if not self.rects:
             return np.full(len(xy), np.inf)
         return np.minimum.reduce([rect_distance_sq_many(xy, r) for r in self.rects])
 
     def all_edges(self) -> list[Segment]:
         return [seg for r in self.rects for seg in r.edges()]
-
-
-def in_dilated_map(p: WorldPoint, static_map: StaticMap, g: float) -> bool:
-    """Membership test against the map dilated by a disk of radius ``g``.
-
-    Equivalent to ``min_r rect_distance(p, r) <= g``.  Points exactly at
-    distance ``g`` count as inside, so the dilated region is closed.  An empty
-    map contains nothing for any margin.
-    """
-    if not math.isfinite(g) or g < 0.0:
-        raise ValueError(f"dilation margin must be finite and >= 0, got {g}")
-    if static_map.empty:
-        return False
-    # Compare in squared space so batch and scalar callers agree bit for bit.
-    return static_map.min_distance_sq(p) <= g * g
 
 
 def subtract_rect(base: Rect, cut: Rect) -> list[Rect]:

@@ -4,7 +4,11 @@ A sensing entity (SE) at a known pose observes a world point as a range and a
 bearing corrupted by independent zero-mean Gaussian noise.  Back-projection to
 the world frame and a first-order (Jacobian) propagation of the polar noise
 covariance give each detection a position uncertainty ellipse whose principal
-axes are the radial and cross-range directions.
+axes are the radial and cross-range directions.  The generator in
+:mod:`sensefuse.scenario` does that math on its own rows; this module holds
+the types it is stated in.  The one-point-at-a-time forms of the formulas
+(polar measurement, back-projection, covariance) are test oracles in
+``tests/oracles.py``.
 
 A batch of world-frame detections travels as :class:`DetectionColumns`:
 one array per field, with covariances as ``(xx, xy, yy)`` rows validated in
@@ -26,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError
 from .geometry import WorldPoint
 
 TWO_PI = 2.0 * math.pi
@@ -77,20 +80,6 @@ class NoiseModel:
 
 
 @dataclass(frozen=True, slots=True)
-class PolarMeasurement:
-    """One range-bearing observation, tagged with the SE that produced it."""
-
-    range_m: float
-    bearing: float
-    source_se: str = ""
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.range_m) and self.range_m > 0.0):
-            raise ValueError(f"range must be finite and > 0, got {self.range_m}")
-        object.__setattr__(self, "bearing", wrap_angle(self.bearing))
-
-
-@dataclass(frozen=True, slots=True)
 class Cov2:
     """Symmetric 2x2 covariance stored as its three independent entries.
 
@@ -121,15 +110,6 @@ class Cov2:
     @property
     def matrix(self) -> np.ndarray:
         return np.array([[self.xx, self.xy], [self.xy, self.yy]])
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray, *, sym_tol: float = 1e-9) -> Cov2:
-        m = np.asarray(m, dtype=float)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if abs(m[0, 1] - m[1, 0]) > sym_tol:
-            raise ValueError(f"matrix is not symmetric within {sym_tol}: {m.tolist()}")
-        return cls(float(m[0, 0]), float(0.5 * (m[0, 1] + m[1, 0])), float(m[1, 1]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,130 +216,3 @@ def _check_rows(name: str, values: np.ndarray, ok: np.ndarray, what: str) -> Non
     if not ok.all():
         row = int(np.argmin(ok))
         raise ValueError(f"{name} must be {what}, got {values[row].tolist()} at row {row}")
-
-
-def polar_to_world(pose: Pose, z: PolarMeasurement) -> WorldPoint:
-    """Back-project a polar measurement through the SE pose into the world frame."""
-    lx = z.range_m * math.cos(z.bearing)
-    ly = z.range_m * math.sin(z.bearing)
-    c = math.cos(pose.theta)
-    s = math.sin(pose.theta)
-    return WorldPoint(pose.x + c * lx - s * ly, pose.y + s * lx + c * ly)
-
-
-def world_to_polar(pose: Pose, p: WorldPoint, source_se: str = "") -> PolarMeasurement:
-    """Express a world point as the exact noise-free measurement the SE would take.
-
-    Raises :class:`DegenerateGeometryError` when the point coincides with the
-    SE position, where bearing is undefined.
-    """
-    dx = p.x - pose.x
-    dy = p.y - pose.y
-    r = math.sqrt(dx * dx + dy * dy)
-    if r == 0.0:
-        raise DegenerateGeometryError(
-            f"cannot take a bearing to a point at the SE position ({pose.x}, {pose.y})"
-        )
-    bearing = wrap_angle(math.atan2(dy, dx) - pose.theta)
-    return PolarMeasurement(r, bearing, source_se=source_se)
-
-
-def sample_measurement(
-    pose: Pose,
-    target: WorldPoint,
-    noise: NoiseModel,
-    rng: np.random.Generator,
-    source_se: str = "",
-    _max_redraws: int = 1000,
-) -> PolarMeasurement:
-    """Draw one noisy measurement of ``target``.
-
-    Range noise samples that push the range to zero or below are redrawn, so
-    the returned range is always positive; the bearing is wrapped to
-    (-pi, pi].  The redraw cap only guards against pathological noise scales.
-    """
-    z0 = world_to_polar(pose, target, source_se=source_se)
-    r = z0.range_m + noise.sigma_range * rng.standard_normal()
-    redraws = 0
-    while r <= 0.0:
-        redraws += 1
-        if redraws > _max_redraws:
-            raise RuntimeError(
-                f"range redraw cap exceeded at range {z0.range_m} with sigma {noise.sigma_range}"
-            )
-        r = z0.range_m + noise.sigma_range * rng.standard_normal()
-    bearing = wrap_angle(z0.bearing + noise.sigma_bearing * rng.standard_normal())
-    return PolarMeasurement(r, bearing, source_se=source_se)
-
-
-def sample_measurements(
-    pose: Pose,
-    points: np.ndarray,
-    noise: NoiseModel,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`sample_measurement` over an (n, 2) array of world points.
-
-    Returns (ranges, bearings).  Consumes the generator differently from the
-    scalar form, so the two are interchangeable only in distribution.
-    """
-    pts = np.asarray(points, dtype=float)
-    dx = pts[:, 0] - pose.x
-    dy = pts[:, 1] - pose.y
-    r0 = np.sqrt(dx * dx + dy * dy)
-    if np.any(r0 == 0.0):
-        raise DegenerateGeometryError("cannot take a bearing to a point at the SE position")
-    b0 = wrap_angles(np.arctan2(dy, dx) - pose.theta)
-    r = r0 + noise.sigma_range * rng.standard_normal(len(pts))
-    bad = r <= 0.0
-    while np.any(bad):
-        r[bad] = r0[bad] + noise.sigma_range * rng.standard_normal(int(bad.sum()))
-        bad = r <= 0.0
-    b = wrap_angles(b0 + noise.sigma_bearing * rng.standard_normal(len(pts)))
-    return r, b
-
-
-def rotated_covariance(range_m: float, angle: float, noise: NoiseModel) -> Cov2:
-    """The polar noise ellipse diag(sigma_r^2, (r*sigma_b)^2) rotated by ``angle``."""
-    a = noise.sigma_range * noise.sigma_range
-    rb = range_m * noise.sigma_bearing
-    b = rb * rb
-    c = math.cos(angle)
-    s = math.sin(angle)
-    return Cov2(a * c * c + b * s * s, (a - b) * c * s, a * s * s + b * c * c)
-
-
-def propagate_covariance(z: PolarMeasurement, noise: NoiseModel) -> Cov2:
-    """First-order propagation of the polar noise into the SE-local frame.
-
-    Closed form of J @ diag(sigma_r^2, sigma_b^2) @ J.T with J the Jacobian
-    of the polar-to-Cartesian map, R(bearing) @ diag(1, range); the
-    eigenvalues are exactly sigma_r^2 and (r * sigma_b)^2 regardless of
-    bearing.
-    """
-    return rotated_covariance(z.range_m, z.bearing, noise)
-
-
-def world_covariance(pose: Pose, z: PolarMeasurement, noise: NoiseModel) -> Cov2:
-    """Propagated covariance expressed in the world frame.
-
-    The local ellipse rides with the line of sight, so the world-frame matrix
-    is the same ellipse rotated by (pose heading + bearing).
-    """
-    return rotated_covariance(z.range_m, pose.theta + z.bearing, noise)
-
-
-def build_detection(
-    pose: Pose,
-    z: PolarMeasurement,
-    noise: NoiseModel,
-    *,
-    is_clutter_truth: bool = False,
-) -> WorldDetection:
-    """Assemble a world-frame detection from a polar measurement."""
-    return WorldDetection(
-        point=polar_to_world(pose, z),
-        cov=world_covariance(pose, z, noise),
-        source_se=z.source_se,
-        is_clutter_truth=is_clutter_truth,
-    )

@@ -6,9 +6,12 @@ produces a frame: per-SE noisy detections of every in-area target plus a
 Poisson batch of clutter detections concentrated near building edges.
 
 A realization is generated as flat arrays (:class:`Realization`), which is all
-the sweep and the call flow's fusion read.  Covariances are derived, as
-arrays, only by :func:`realization_detections`, which returns chosen rows as
-:class:`DetectionColumns`: the call flow's raw archive record stores those
+the sweep and the call flow's fusion read.  Each target hit's polar sample and
+back-projection are plain float math on the generator's scalar draws, made in
+the order of the one-frame-at-a-time oracle ``generate_frame`` in
+``tests/oracles.py``; no per-point object is built.  Covariances are derived,
+as arrays, only by :func:`realization_detections`, which returns chosen rows
+as :class:`DetectionColumns`: the call flow's raw archive record stores those
 columns, and the ``Frame`` view of :func:`generate_frames`, which serves
 tests and the acceptance criteria, builds its per-detection objects from
 them.
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,8 +37,7 @@ from .measurement import (
     NoiseModel,
     Pose,
     WorldDetection,
-    polar_to_world,
-    sample_measurement,
+    wrap_angle,
     wrap_angles,
 )
 
@@ -214,6 +216,32 @@ def _track_visits_bounds(track: TargetTrack, bounds: Rect, t_steps: int) -> bool
     )
 
 
+def _line_of_sight(pose: Pose, x: float, y: float) -> tuple[float, float, float]:
+    """Offset from the SE to a world point and its range; range 0 has no bearing."""
+    dx = x - pose.x
+    dy = y - pose.y
+    return dx, dy, math.sqrt(dx * dx + dy * dy)
+
+
+def _ses_on_tracks(
+    poses: Sequence[Pose], tracks: Sequence[TargetTrack], bounds: Rect, t_steps: int
+) -> list[str]:
+    # The generator takes a bearing from every SE to every in-area target, so
+    # a target at zero range from an SE would stop it mid-realization.
+    first: dict[tuple[int, int], int] = {}
+    for n, track in enumerate(tracks):
+        for t in range(t_steps):
+            pos = target_position(track, t)
+            if bounds.contains(pos):
+                for i, pose in enumerate(poses):
+                    if (i, n) not in first and _line_of_sight(pose, pos.x, pos.y)[2] == 0.0:
+                        first[i, n] = t
+    return [
+        f"se_poses[{i}] at ({poses[i].x}, {poses[i].y}) lies on track {tracks[n].id} at step {t}"
+        for (i, n), t in sorted(first.items())
+    ]
+
+
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
     """Validate a config and resolve it into a scenario.
 
@@ -274,6 +302,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
             violations.append(
                 f"tracks {never_inside} never enter the bounds within t_steps={cfg.t_steps}"
             )
+        violations += _ses_on_tracks(cfg.se_poses, tracks, cfg.bounds, cfg.t_steps)
 
     if violations:
         raise ConfigError(violations)
@@ -372,6 +401,7 @@ def _realize(scenario: Scenario, steps: Sequence[int], rng: np.random.Generator)
     # target) pair, then the frame's clutter.  Target samples stay scalar so
     # the generator is consumed in the same order as one frame at a time.
     n_se = len(scenario.se_poses)
+    sigma_r, sigma_b = scenario.noise.sigma_range, scenario.noise.sigma_bearing
     truth_xy = np.empty((len(steps), len(scenario.tracks), 2))
     truth_in = np.zeros((len(steps), len(scenario.tracks)), dtype=bool)
     hits: list[tuple[int, int, float, float, float, float]] = []
@@ -385,11 +415,35 @@ def _realize(scenario: Scenario, steps: Sequence[int], rng: np.random.Generator)
                 truth_in[i, n] = True
                 truth.append(pos)
         for s, pose in enumerate(scenario.se_poses):
+            cos_h, sin_h = math.cos(pose.theta), math.sin(pose.theta)
             for pos in truth:
-                if rng.random() < scenario.p_det:
-                    z = sample_measurement(pose, pos, scenario.noise, rng)
-                    p = polar_to_world(pose, z)
-                    hits.append((i, s, p.x, p.y, z.range_m, z.bearing))
+                if rng.random() >= scenario.p_det:
+                    continue
+                # Noise-free range and bearing, then the noisy sample: a
+                # non-positive range is redrawn, the bearing wrapped.
+                dx, dy, r0 = _line_of_sight(pose, pos.x, pos.y)
+                if r0 == 0.0:
+                    raise DegenerateGeometryError(
+                        f"cannot take a bearing to a point at the SE position "
+                        f"({pose.x}, {pose.y})"
+                    )
+                b0 = wrap_angle(math.atan2(dy, dx) - pose.theta)
+                r = r0 + sigma_r * rng.standard_normal()
+                redraws = 0
+                while r <= 0.0:
+                    redraws += 1
+                    if redraws > 1000:  # only a pathological noise scale gets here
+                        raise RuntimeError(
+                            f"range redraw cap exceeded at range {r0} with sigma {sigma_r}"
+                        )
+                    r = r0 + sigma_r * rng.standard_normal()
+                b = wrap_angle(b0 + sigma_b * rng.standard_normal())
+                # Back-projection through the pose into the world frame.
+                lx = r * math.cos(b)
+                ly = r * math.sin(b)
+                x = pose.x + cos_h * lx - sin_h * ly
+                y = pose.y + sin_h * lx + cos_h * ly
+                hits.append((i, s, x, y, r, b))
         clutter.append(generate_clutter(scenario.clutter, scenario.static_map, scenario.bounds, rng))
 
     hit = np.array(hits, dtype=float).reshape(-1, 6)
@@ -429,10 +483,10 @@ def realization_detections(
 
     Covariances exist only here: a target detection's from its sampled
     (range, bearing), a clutter point's from the noise-free view of its
-    position by its SE.  They are bit-identical to the scalar
-    :func:`rotated_covariance`/:func:`world_covariance`: numpy's ``+ - *``,
-    ``sqrt`` and ``mod`` round as Python's do, and the transcendental
-    functions are Python's ``math`` ones mapped over the column.
+    position by its SE.  They are bit-identical to the scalar oracles
+    ``rotated_covariance``/``world_covariance`` in ``tests/oracles.py``:
+    numpy's ``+ - *``, ``sqrt`` and ``mod`` round as Python's do, and the
+    transcendental functions are Python's ``math`` ones mapped over the column.
     """
     xy = rz.xy[rows]
     se_idx = rz.se_idx[rows]
@@ -442,7 +496,7 @@ def realization_detections(
     range_m = np.array(rz.range_m[rows])
     bearing = np.array(rz.bearing[rows])
 
-    # Clutter: the (range, bearing) world_to_polar gives for its SE.
+    # Clutter: the noise-free (range, bearing) of the point from its SE.
     d = xy[clutter] - pose[clutter, :2]
     dx, dy = d[:, 0], d[:, 1]
     r = np.sqrt(dx * dx + dy * dy)
@@ -452,7 +506,8 @@ def realization_detections(
     range_m[clutter] = r
     bearing[clutter] = wrap_angles(atan - pose[clutter, 2])
 
-    # rotated_covariance over the rows, with its evaluation order.
+    # diag(sigma_r^2, (r * sigma_b)^2) rotated by heading + bearing, in the
+    # scalar formula's evaluation order.
     angle = (pose[:, 2] + bearing).tolist()
     c = np.array(list(map(math.cos, angle)), dtype=float)
     s = np.array(list(map(math.sin, angle)), dtype=float)
@@ -475,18 +530,6 @@ def _frames(scenario: Scenario, rz: Realization) -> list[Frame]:
         )
         frames.append(Frame(t=t, detections=tuple(dets[start:end]), truth=truth))
     return frames
-
-
-def generate_frame(scenario: Scenario, t: int, rng: np.random.Generator) -> Frame:
-    """Generate the frame for step ``t``.
-
-    Truth lists every target inside the closed bounds.  For each SE and each
-    in-area target a detection is included with probability p_det, drawn
-    through the noisy polar pipeline.  Clutter points are assigned to SEs
-    round-robin and enter as detections at their sampled position with the
-    viewing SE's covariance.
-    """
-    return replace(_frames(scenario, _realize(scenario, (t,), rng))[0], t=t)
 
 
 def generate_frames(scenario: Scenario, rng: np.random.Generator) -> list[Frame]:

@@ -305,12 +305,6 @@ class SdsfStore:
         ]
         return sorted(hits, key=lambda r: (-r.created_at, r.record_id))
 
-    def get(self, record_id: str) -> SensingRecord | None:
-        record = self._records.get(record_id)
-        if record is not None and record.expired(self._now):
-            return None
-        return record
-
     def _live_records(self) -> list[SensingRecord]:
         return [r for r in self._records.values() if not r.expired(self._now)]
 

@@ -6,6 +6,7 @@ import pytest
 from sensefuse.geometry import Rect, StaticMap, WorldPoint
 from sensefuse.measurement import Cov2, DetectionColumns, WorldDetection
 from sensefuse.scenario import Scenario, ScenarioConfig, build_scenario
+from sensefuse.sdsf_store import SdsfStore, SensingRecord
 
 
 @pytest.fixture
@@ -44,6 +45,11 @@ def columns_of(detections: list[WorldDetection]) -> DetectionColumns:
         se_ids=se_ids,
         is_clutter=np.array([d.is_clutter_truth for d in detections], dtype=bool),
     )
+
+
+def live_record(store: SdsfStore, record_id: str) -> SensingRecord | None:
+    """The store's record ``record_id`` unless it is missing or expired."""
+    return next((r for r in store._live_records() if r.record_id == record_id), None)
 
 
 def _hand_rect_d2(x: float, y: float, rect: Rect) -> float:

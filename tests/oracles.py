@@ -1,0 +1,275 @@
+"""Scalar, one-object-per-point reference implementations for the tests.
+
+The package computes on arrays: the generator samples and back-projects
+target hits on scalar draws without building objects, covariances are
+derived as columns, and the fusion kernel reads flat distance arrays.  The
+functions here are the object-at-a-time forms of the same math:
+
+* the polar measurement model: :class:`PolarMeasurement`,
+  :func:`world_to_polar`, :func:`polar_to_world`, the samplers and the
+  per-detection covariances;
+* :func:`generate_frame`, one step of a realization as a ``Frame``;
+* :func:`precompute_distances`, which packs ``Frame`` lists into the fusion
+  kernel's input;
+* point-to-map distances and the closed dilated-map membership spec;
+* :func:`read_trace`, the inverse of ``callflow.write_trace``.
+
+Tests import this module by name, as they import ``conftest``.  Nothing in
+the package imports it.
+"""
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass, replace
+from pathlib import Path
+from typing import Sequence
+
+import numpy as np
+
+from sensefuse.callflow import TraceEvent
+from sensefuse.errors import DegenerateGeometryError
+from sensefuse.fusion import FrameDistances, detection_distances
+from sensefuse.geometry import Rect, StaticMap, WorldPoint
+from sensefuse.measurement import (
+    Cov2,
+    NoiseModel,
+    Pose,
+    WorldDetection,
+    wrap_angle,
+    wrap_angles,
+)
+from sensefuse.scenario import Frame, Scenario, _frames, _realize
+
+# -- measurement -----------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class PolarMeasurement:
+    """One range-bearing observation, tagged with the SE that produced it."""
+
+    range_m: float
+    bearing: float
+    source_se: str = ""
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.range_m) and self.range_m > 0.0):
+            raise ValueError(f"range must be finite and > 0, got {self.range_m}")
+        object.__setattr__(self, "bearing", wrap_angle(self.bearing))
+
+
+def polar_to_world(pose: Pose, z: PolarMeasurement) -> WorldPoint:
+    """Back-project a polar measurement through the SE pose into the world frame."""
+    lx = z.range_m * math.cos(z.bearing)
+    ly = z.range_m * math.sin(z.bearing)
+    c = math.cos(pose.theta)
+    s = math.sin(pose.theta)
+    return WorldPoint(pose.x + c * lx - s * ly, pose.y + s * lx + c * ly)
+
+
+def world_to_polar(pose: Pose, p: WorldPoint, source_se: str = "") -> PolarMeasurement:
+    """Express a world point as the exact noise-free measurement the SE would take.
+
+    Raises :class:`DegenerateGeometryError` when the point coincides with the
+    SE position, where bearing is undefined.
+    """
+    dx = p.x - pose.x
+    dy = p.y - pose.y
+    r = math.sqrt(dx * dx + dy * dy)
+    if r == 0.0:
+        raise DegenerateGeometryError(
+            f"cannot take a bearing to a point at the SE position ({pose.x}, {pose.y})"
+        )
+    bearing = wrap_angle(math.atan2(dy, dx) - pose.theta)
+    return PolarMeasurement(r, bearing, source_se=source_se)
+
+
+def sample_measurement(
+    pose: Pose,
+    target: WorldPoint,
+    noise: NoiseModel,
+    rng: np.random.Generator,
+    source_se: str = "",
+    _max_redraws: int = 1000,
+) -> PolarMeasurement:
+    """Draw one noisy measurement of ``target``.
+
+    Range noise samples that push the range to zero or below are redrawn, so
+    the returned range is always positive; the bearing is wrapped to
+    (-pi, pi].  The redraw cap only guards against pathological noise scales.
+    """
+    z0 = world_to_polar(pose, target, source_se=source_se)
+    r = z0.range_m + noise.sigma_range * rng.standard_normal()
+    redraws = 0
+    while r <= 0.0:
+        redraws += 1
+        if redraws > _max_redraws:
+            raise RuntimeError(
+                f"range redraw cap exceeded at range {z0.range_m} with sigma {noise.sigma_range}"
+            )
+        r = z0.range_m + noise.sigma_range * rng.standard_normal()
+    bearing = wrap_angle(z0.bearing + noise.sigma_bearing * rng.standard_normal())
+    return PolarMeasurement(r, bearing, source_se=source_se)
+
+
+def sample_measurements(
+    pose: Pose,
+    points: np.ndarray,
+    noise: NoiseModel,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized :func:`sample_measurement` over an (n, 2) array of world points.
+
+    Returns (ranges, bearings).  Consumes the generator differently from the
+    scalar form, so the two are interchangeable only in distribution.
+    """
+    pts = np.asarray(points, dtype=float)
+    dx = pts[:, 0] - pose.x
+    dy = pts[:, 1] - pose.y
+    r0 = np.sqrt(dx * dx + dy * dy)
+    if np.any(r0 == 0.0):
+        raise DegenerateGeometryError("cannot take a bearing to a point at the SE position")
+    b0 = wrap_angles(np.arctan2(dy, dx) - pose.theta)
+    r = r0 + noise.sigma_range * rng.standard_normal(len(pts))
+    bad = r <= 0.0
+    while np.any(bad):
+        r[bad] = r0[bad] + noise.sigma_range * rng.standard_normal(int(bad.sum()))
+        bad = r <= 0.0
+    b = wrap_angles(b0 + noise.sigma_bearing * rng.standard_normal(len(pts)))
+    return r, b
+
+
+def rotated_covariance(range_m: float, angle: float, noise: NoiseModel) -> Cov2:
+    """The polar noise ellipse diag(sigma_r^2, (r*sigma_b)^2) rotated by ``angle``.
+
+    With ``angle`` the bearing this is the first-order propagation
+    J @ diag(sigma_r^2, sigma_b^2) @ J.T into the SE-local frame, J the
+    Jacobian R(bearing) @ diag(1, range) of the polar-to-Cartesian map.
+    """
+    a = noise.sigma_range * noise.sigma_range
+    rb = range_m * noise.sigma_bearing
+    b = rb * rb
+    c = math.cos(angle)
+    s = math.sin(angle)
+    return Cov2(a * c * c + b * s * s, (a - b) * c * s, a * s * s + b * c * c)
+
+
+def world_covariance(pose: Pose, z: PolarMeasurement, noise: NoiseModel) -> Cov2:
+    """Propagated covariance expressed in the world frame.
+
+    The local ellipse rides with the line of sight, so the world-frame matrix
+    is the same ellipse rotated by (pose heading + bearing).
+    """
+    return rotated_covariance(z.range_m, pose.theta + z.bearing, noise)
+
+
+def build_detection(
+    pose: Pose,
+    z: PolarMeasurement,
+    noise: NoiseModel,
+    *,
+    is_clutter_truth: bool = False,
+) -> WorldDetection:
+    """Assemble a world-frame detection from a polar measurement."""
+    return WorldDetection(
+        point=polar_to_world(pose, z),
+        cov=world_covariance(pose, z, noise),
+        source_se=z.source_se,
+        is_clutter_truth=is_clutter_truth,
+    )
+
+
+# -- scenario ----------------------------------------------------------------------
+
+
+def generate_frame(scenario: Scenario, t: int, rng: np.random.Generator) -> Frame:
+    """Generate the frame for step ``t``.
+
+    Truth lists every target inside the closed bounds.  For each SE and each
+    in-area target a detection is included with probability p_det, drawn
+    through the noisy polar pipeline.  Clutter points are assigned to SEs
+    round-robin and enter as detections at their sampled position with the
+    viewing SE's covariance.
+    """
+    return replace(_frames(scenario, _realize(scenario, (t,), rng))[0], t=t)
+
+
+# -- fusion ------------------------------------------------------------------------
+
+
+def precompute_distances(
+    frames: Sequence[Frame], static_map: StaticMap | None
+) -> FrameDistances:
+    """Pack a ``Frame`` sequence into the tensors of :func:`detection_distances`."""
+    ids = sorted({tid for f in frames for tid, _ in f.truth})
+    col = {tid: n for n, tid in enumerate(ids)}
+    truth_xy = np.zeros((len(frames), len(ids), 2))
+    truth_in = np.zeros((len(frames), len(ids)), dtype=bool)
+    for t, frame in enumerate(frames):
+        for tid, p in frame.truth:
+            truth_xy[t, col[tid]] = p.x, p.y
+            truth_in[t, col[tid]] = True
+    xy = np.array([(d.point.x, d.point.y) for f in frames for d in f.detections]).reshape(-1, 2)
+    frame_of = np.repeat(np.arange(len(frames)), [len(f.detections) for f in frames])
+    return detection_distances(xy, frame_of, truth_xy, truth_in, ids, static_map)
+
+
+# -- geometry ----------------------------------------------------------------------
+
+
+def rect_distance_sq(p: WorldPoint, rect: Rect) -> float:
+    """Squared Euclidean distance from a point to a closed rectangle (0 inside)."""
+    dx = max(rect.x_min - p.x, 0.0, p.x - rect.x_max)
+    dy = max(rect.y_min - p.y, 0.0, p.y - rect.y_max)
+    return dx * dx + dy * dy
+
+
+def rect_distance(p: WorldPoint, rect: Rect) -> float:
+    """Euclidean distance from a point to a closed rectangle.
+
+    Zero for points inside or on the boundary.  Outside, this is the distance
+    to the nearest edge or corner; for example (13, 14) against the unit
+    square scaled to [0, 10] x [0, 10] gives sqrt(3^2 + 4^2) = 5.
+    """
+    return math.sqrt(rect_distance_sq(p, rect))
+
+
+def min_distance_sq(static_map: StaticMap, p: WorldPoint) -> float:
+    """Squared distance to the nearest rect; +inf for an empty map."""
+    if not static_map.rects:
+        return math.inf
+    return min(rect_distance_sq(p, r) for r in static_map.rects)
+
+
+def min_distance(static_map: StaticMap, p: WorldPoint) -> float:
+    return math.sqrt(min_distance_sq(static_map, p))
+
+
+def in_dilated_map(p: WorldPoint, static_map: StaticMap, g: float) -> bool:
+    """Membership test against the map dilated by a disk of radius ``g``.
+
+    Equivalent to ``min_r rect_distance(p, r) <= g``.  Points exactly at
+    distance ``g`` count as inside, so the dilated region is closed.  An empty
+    map contains nothing for any margin.
+    """
+    if not math.isfinite(g) or g < 0.0:
+        raise ValueError(f"dilation margin must be finite and >= 0, got {g}")
+    if static_map.empty:
+        return False
+    # Compare in squared space so batch and scalar callers agree bit for bit.
+    return min_distance_sq(static_map, p) <= g * g
+
+
+# -- callflow ----------------------------------------------------------------------
+
+
+def read_trace(path: str | Path) -> list[TraceEvent]:
+    events = []
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                d = json.loads(line)
+                events.append(
+                    TraceEvent(d["step"], d["sender"], d["receiver"], d["variant"], d["stid"])
+                )
+    return events

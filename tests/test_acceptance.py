@@ -17,20 +17,20 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_metrics, make_detection
-from sensefuse.callflow import read_trace
-from sensefuse.cli import main as cli_main
-from sensefuse.config import parse_config
-from sensefuse.fusion import FilterConfig, fused_metrics, precompute_distances
-from sensefuse.geometry import Rect, StaticMap, WorldPoint
-from sensefuse.harness import baseline_row, cell_row, demo_callflow, run_sweep, write_csv
-from sensefuse.measurement import (
-    NoiseModel,
+from oracles import (
     PolarMeasurement,
-    Pose,
     polar_to_world,
+    precompute_distances,
+    read_trace,
     sample_measurements,
     world_covariance,
 )
+from sensefuse.cli import main as cli_main
+from sensefuse.config import parse_config
+from sensefuse.fusion import FilterConfig, fused_metrics
+from sensefuse.geometry import Rect, StaticMap, WorldPoint
+from sensefuse.harness import baseline_row, cell_row, demo_callflow, run_sweep, write_csv
+from sensefuse.measurement import NoiseModel, Pose
 from sensefuse.scenario import (
     ClutterModel,
     Frame,

@@ -22,7 +22,6 @@ from sensefuse.callflow import (
     SfPhase,
     evaluate_policy,
     kpi_verdict,
-    read_trace,
     run_call_flow,
     run_sensing_task,
     write_trace,
@@ -42,6 +41,8 @@ from sensefuse.scenario import (
     realization_rng,
 )
 from sensefuse.sdsf_store import SdsfStore, SensingContext
+
+from oracles import read_trace
 
 SCENARIO_CFG = ScenarioConfig(t_steps=20, clutter=ClutterModel(lambda_fa=10.0), seed=3)
 

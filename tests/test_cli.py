@@ -189,3 +189,28 @@ def test_sweep_requires_out_path(small_config):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--config", small_config])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["sweep", "demo"])
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("scenario:\n  edge_jitter_sigma: 0\n", "scenario.edge_jitter_sigma: must be > 0"),
+        ("scenario:\n  edge_jitter_sigma: -1\n", "scenario.edge_jitter_sigma: must be > 0"),
+        (
+            "scenario:\n  se_poses: [[0, 15, 0], [120, 0, 0]]\n",
+            "se_poses[0] at (0.0, 15.0) lies on track 0 at step 0",
+        ),
+    ],
+    ids=["jitter-zero", "jitter-negative", "se-on-track"],
+)
+def test_bad_scenario_exits_2_on_both_commands(tmp_path, capsys, command, text, key):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    out = tmp_path / "out"
+    target = ["--out", str(out)] if command == "sweep" else ["--trace", str(out)]
+    assert main([command, "--config", str(path), *target]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and key in err
+    assert err.count("\n") == 1
+    assert not out.exists()

@@ -168,3 +168,23 @@ def test_negative_grid_rejected():
         parse_config({"sweep": {"g_min": -1.0}})
     with pytest.raises(ConfigError, match="sweep.g_step"):
         parse_config({"sweep": {"g_step": 0.0}})
+
+
+@pytest.mark.parametrize("value", [0, 0.0, -0.5])
+def test_non_positive_edge_jitter_is_a_config_error(value):
+    with pytest.raises(ConfigError) as err:
+        parse_config({"scenario": {"edge_jitter_sigma": value}})
+    assert err.value.violations == ["scenario.edge_jitter_sigma: must be > 0"]
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        {"sigma_beta_deg": 5e-324},  # positive, but 0.0 once in radians
+        {"edge_jitter_sigma": -1.0, "lambda_fa": -1.0, "edge_fraction": 2.0, "sigma_r": 0.0},
+    ],
+)
+def test_model_constructors_never_raise_out_of_parse_config(scenario):
+    with pytest.raises(ConfigError) as err:
+        parse_config({"scenario": scenario})
+    assert all(v.startswith("scenario") for v in err.value.violations)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sensefuse.fusion import FilterConfig, fused_metrics, grid_metrics, precompute_distances
+from sensefuse.fusion import FilterConfig, fused_metrics, grid_metrics
 from sensefuse.geometry import Rect, StaticMap, WorldPoint
 from sensefuse.scenario import (
     ClutterModel,
@@ -17,6 +17,7 @@ from sensefuse.scenario import (
 )
 
 from conftest import brute_force_metrics, make_detection
+from oracles import precompute_distances
 
 
 def frame_outcome(frame, static_map=None, fc=FilterConfig()):

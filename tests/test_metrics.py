@@ -4,7 +4,7 @@ import math
 import pytest
 
 from sensefuse.errors import EmptyRunError
-from sensefuse.fusion import FilterConfig, fused_metrics, precompute_distances
+from sensefuse.fusion import FilterConfig, fused_metrics
 from sensefuse.geometry import WorldPoint
 from sensefuse.measurement import NoiseModel
 from sensefuse.metrics import MetricResult, aggregate, result_from_counts
@@ -18,6 +18,7 @@ from sensefuse.scenario import (
 )
 
 from conftest import make_detection
+from oracles import precompute_distances
 
 
 def frame(detected: dict[int, bool], unmatched: int = 0) -> Frame:

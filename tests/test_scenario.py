@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -5,17 +6,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sensefuse.errors import ConfigError
+from sensefuse.errors import ConfigError, DegenerateGeometryError
 from sensefuse.geometry import Rect, StaticMap, WorldPoint
-from sensefuse.measurement import (
-    Pose,
-    WorldDetection,
-    build_detection,
-    rotated_covariance,
-    sample_measurement,
-    world_covariance,
-    world_to_polar,
-)
+from sensefuse.measurement import NoiseModel, Pose, WorldDetection
 from sensefuse.scenario import (
     DEFAULT_BOUNDS,
     ClutterModel,
@@ -25,12 +18,21 @@ from sensefuse.scenario import (
     build_scenario,
     default_tracks,
     generate_clutter,
-    generate_frame,
     generate_frames,
     generate_realization,
     realization_detections,
     realization_rng,
     target_position,
+)
+
+from oracles import (
+    build_detection,
+    generate_frame,
+    min_distance,
+    rotated_covariance,
+    sample_measurement,
+    world_covariance,
+    world_to_polar,
 )
 
 
@@ -87,7 +89,7 @@ def test_default_tracks_stay_in_bounds_and_clear_of_buildings():
         for t in range(scenario.t_steps):
             pos = target_position(track, t)
             assert scenario.bounds.contains(pos)
-            per_track.append(scenario.static_map.min_distance(pos))
+            per_track.append(min_distance(scenario.static_map, pos))
         clearances.append(min(per_track))
     # No lane enters a building and each keeps at least 5 m of clearance;
     # the mid street between the buildings is deliberately closer than 10 m
@@ -141,6 +143,33 @@ def test_build_scenario_rejects_track_that_never_enters():
     outside = TargetTrack(0, WorldPoint(500.0, 500.0), (1.0, 0.0), "horizontal")
     with pytest.raises(ConfigError, match="never enter"):
         build_scenario(ScenarioConfig(tracks=(outside,)))
+
+
+def test_build_scenario_rejects_se_on_a_track():
+    # Track 0 enters at (0, 15); track 3 (x = 10, southbound) passes (10, 60)
+    # at step 50.  An SE beside a lane, or on it where the target would only
+    # arrive after the last step, is fine.
+    poses = (Pose(0.0, 15.0, 0.0), Pose(120.0, 0.0, 0.0), Pose(10.0, 60.0, 1.0))
+    with pytest.raises(ConfigError) as err:
+        build_scenario(ScenarioConfig(se_poses=poses))
+    assert err.value.violations == [
+        "se_poses[0] at (0.0, 15.0) lies on track 0 at step 0",
+        "se_poses[2] at (10.0, 60.0) lies on track 3 at step 50",
+    ]
+    build_scenario(ScenarioConfig(se_poses=(Pose(0.0, 15.6, 0.0), Pose(120.0, 0.0, 0.0))))
+    # Track 0 would reach x = 120 at step 100.
+    build_scenario(ScenarioConfig(se_poses=(Pose(0.0, 0.0, 0.0), Pose(120.0, 15.0, 0.0))))
+
+
+def test_generator_rejects_target_at_the_se_position():
+    # A hand-built scenario skips build_scenario's check; the generator's own
+    # zero-range guard still stops it with a typed error.
+    cfg = ScenarioConfig(p_det=1.0, n_targets=1, clutter=ClutterModel(lambda_fa=0.0))
+    scenario = dataclasses.replace(
+        build_scenario(cfg), se_poses=(Pose(0.0, 0.0, 0.0), Pose(6.0, 15.0, 0.0))
+    )
+    with pytest.raises(DegenerateGeometryError, match=r"\(6.0, 15.0\)"):
+        generate_realization(scenario, realization_rng(scenario.seed, 0))
 
 
 # -- frame generation -----------------------------------------------------------
@@ -203,12 +232,26 @@ def test_truth_excludes_targets_after_they_leave():
     assert frame1.truth == () and frame1.detections == ()
 
 
+def frame_counts(scenario, rng, n_frames):
+    """Detections per frame of consecutive realizations drawn from one stream.
+
+    A realization draws its frames one after another, so this is the count
+    sequence of ``n_frames`` calls of ``generate_frame(scenario, t % T, rng)``.
+    """
+    realizations = math.ceil(n_frames / scenario.t_steps)
+    counts = [
+        np.bincount(generate_realization(scenario, rng).frame_of, minlength=scenario.t_steps)
+        for _ in range(realizations)
+    ]
+    return np.concatenate(counts)[:n_frames].tolist()
+
+
 def test_detection_count_matches_binomial_mean():
     # 8 targets x 2 SEs x p_det=0.95: per-frame count ~ Binomial(16, 0.95).
     scenario = build_scenario(ScenarioConfig(clutter=ClutterModel(lambda_fa=0.0)))
     rng = realization_rng(scenario.seed, 11)
     n_frames = 5_000
-    counts = [len(generate_frame(scenario, t % 100, rng).detections) for t in range(n_frames)]
+    counts = frame_counts(scenario, rng, n_frames)
     mean = float(np.mean(counts))
     sigma = math.sqrt(16 * 0.95 * 0.05 / n_frames)
     assert abs(mean - 15.2) <= 3.0 * sigma
@@ -219,7 +262,7 @@ def test_detection_count_is_additive_with_clutter():
     scenario = build_scenario(ScenarioConfig())
     rng = realization_rng(scenario.seed, 12)
     n_frames = 2_000
-    counts = [len(generate_frame(scenario, t % 100, rng).detections) for t in range(n_frames)]
+    counts = frame_counts(scenario, rng, n_frames)
     mean = float(np.mean(counts))
     sigma = math.sqrt((16 * 0.95 * 0.05 + 60.0) / n_frames)
     assert abs(mean - 75.2) <= 3.0 * sigma
@@ -300,6 +343,15 @@ def test_frames_match_scalar_oracle(seed, cfg):
         assert generate_frame(scenario, t, rng_a) == scalar_frame(scenario, t, rng_b)
 
 
+def test_range_redraws_match_scalar_oracle():
+    # With sigma_r = 40 m against ranges from 15 m, this realization redraws
+    # 22 non-positive ranges across its 149 target hits.
+    scenario = build_scenario(ScenarioConfig(t_steps=10, noise=NoiseModel(40.0, 0.3)))
+    rng = realization_rng(5, 0)
+    expected = [scalar_frame(scenario, t, rng) for t in range(10)]
+    assert generate_frames(scenario, realization_rng(5, 0)) == expected
+
+
 @pytest.mark.parametrize("seed", [3, 7, 2026])
 def test_columnar_covariances_match_scalar_oracle_bitwise(seed):
     # Headings away from 0 make the clutter bearings wrap.
@@ -375,7 +427,7 @@ def test_clutter_pure_edge_points_hug_the_boundaries():
     points = generate_clutter(clutter, scenario.static_map, scenario.bounds, rng)
     assert len(points) > 0
     for x, y in points.tolist():
-        assert scenario.static_map.min_distance(WorldPoint(x, y)) <= 0.5
+        assert min_distance(scenario.static_map, WorldPoint(x, y)) <= 0.5
 
 
 def test_clutter_respects_bounds_under_heavy_jitter():

@@ -24,7 +24,7 @@ from sensefuse.sdsf_store import (
     SensingContext,
 )
 
-from conftest import columns_of, make_detection
+from conftest import columns_of, live_record, make_detection
 
 AREA = Rect(0.0, 0.0, 120.0, 120.0)
 
@@ -78,7 +78,7 @@ def test_availability_invariants():
 def test_store_and_get_round_trip():
     store = SdsfStore()
     rid = store.store("stid-1", "processed", ctx(), demo_map(), created_at=0, aging_policy=50)
-    record = store.get(rid)
+    record = live_record(store, rid)
     assert record is not None
     assert record.stid == "stid-1"
     assert record.kind == "processed"
@@ -128,7 +128,7 @@ def test_store_rejects_unsupported_payload_and_bad_fields():
 def test_detection_list_is_raw_kind():
     store = SdsfStore()
     rid = store.store("stid-1", "raw", ctx(), columns_of([make_detection(1.0, 2.0)]), 0, 50)
-    record = store.get(rid)
+    record = live_record(store, rid)
     assert record is not None and record.kind == "raw"
 
 
@@ -219,7 +219,7 @@ def test_get_expired_returns_none():
     store = SdsfStore()
     rid = store.store("stid-1", "processed", ctx(), demo_map(), 0, aging_policy=10)
     store.set_now(11)
-    assert store.get(rid) is None
+    assert live_record(store, rid) is None
 
 
 def test_apply_aging_removes_and_is_idempotent():
@@ -261,7 +261,7 @@ def test_log_round_trip_restores_records_and_clock(tmp_path):
     assert len(reloaded) == 3
     assert reloaded.now == 30
     for rid in ("rec-000001", "rec-000002", "rec-000003"):
-        assert reloaded.get(rid) == store.get(rid)
+        assert live_record(reloaded, rid) == live_record(store, rid)
     # Fresh ids continue after the persisted ones.
     rid = reloaded.store("stid-4", "processed", ctx(), demo_map(), 30, 1000)
     assert rid == "rec-000004"
@@ -397,7 +397,7 @@ def test_raw_record_round_trips_as_columns(tmp_path):
     path = tmp_path / "store.jsonl"
     SdsfStore(path).store("stid-1", "raw", ctx(), payload, 0, 50)
 
-    record = SdsfStore(path).get("rec-000001")
+    record = live_record(SdsfStore(path), "rec-000001")
     assert record is not None and record.kind == "raw"
     assert isinstance(record.payload, DetectionColumns)
     assert record.payload == payload
@@ -417,7 +417,7 @@ def test_raw_record_round_trips_as_columns(tmp_path):
 def test_empty_raw_record_round_trips(tmp_path):
     path = tmp_path / "store.jsonl"
     SdsfStore(path).store("stid-1", "raw", ctx(), columns_of([]), 0, 50)
-    record = SdsfStore(path).get("rec-000001")
+    record = live_record(SdsfStore(path), "rec-000001")
     assert record is not None and len(record.payload) == 0
     assert json.loads(_lines(path)[1])["payload"] == {"items": [], "type": "detections"}
 
@@ -464,7 +464,7 @@ def test_non_finite_metrics_are_written_as_null_and_read_as_nan(tmp_path):
     SdsfStore(path).store("stid-1", "high-level", ctx(), nan_metrics, 0, 50)
     payload = json.loads(_lines(path)[1], parse_constant=_no_constants)["payload"]
     assert payload["pd_avg"] is None and payload["pd_per_target"] == {"0": None, "1": 0.5}
-    record = SdsfStore(path).get("rec-000001")
+    record = live_record(SdsfStore(path), "rec-000001")
     assert record is not None
     assert math.isnan(record.payload.pd_avg) and math.isnan(record.payload.pd_per_target[0])
     assert record.payload.pd_per_target[1] == 0.5 and record.payload.fa_avg == 2.0
