@@ -247,6 +247,10 @@ def _parse_scenario(raw: object, problems: list[str]) -> ScenarioConfig:
         problems.append("scenario.sigma_r: must be > 0")
     if sigma_beta_deg <= 0:
         problems.append("scenario.sigma_beta_deg: must be > 0")
+    elif math.radians(sigma_beta_deg) == 0.0:
+        problems.append(
+            f"scenario.sigma_beta_deg: must be > 0 in radians, got {sigma_beta_deg!r} degrees"
+        )
     if problems:
         # Noise values already reported; keep placeholders valid for the return.
         sigma_r = max(sigma_r, 1e-9)
@@ -267,27 +271,22 @@ def _parse_scenario(raw: object, problems: list[str]) -> ScenarioConfig:
         problems.append("scenario.t_steps: must be >= 1")
     if seed < 0:
         problems.append("scenario.seed: must be >= 0")
-    # Bad values are reported above and replaced by valid placeholders; what a
-    # model still rejects (a bearing sigma that underflows) is reported too.
-    try:
-        return ScenarioConfig(
-            bounds=bounds,
-            static_map=static_map,
-            se_poses=se_poses or ScenarioConfig.se_poses,
-            noise=NoiseModel(sigma_range=sigma_r, sigma_bearing=math.radians(sigma_beta_deg)),
-            p_det=p_det,
-            n_targets=n_targets,
-            clutter=ClutterModel(
-                lambda_fa=max(lambda_fa, 0.0),
-                edge_fraction=min(max(edge_fraction, 0.0), 1.0),
-                edge_jitter_sigma=edge_jitter_sigma if edge_jitter_sigma > 0 else 1.0,
-            ),
-            t_steps=max(t_steps, 1),
-            seed=max(seed, 0),
-        )
-    except ValueError as exc:
-        problems.append(f"scenario: {exc}")
-        return ScenarioConfig()
+    # Bad values are reported above and replaced by valid placeholders.
+    return ScenarioConfig(
+        bounds=bounds,
+        static_map=static_map,
+        se_poses=se_poses or ScenarioConfig.se_poses,
+        noise=NoiseModel(sigma_range=sigma_r, sigma_bearing=math.radians(sigma_beta_deg)),
+        p_det=p_det,
+        n_targets=n_targets,
+        clutter=ClutterModel(
+            lambda_fa=max(lambda_fa, 0.0),
+            edge_fraction=min(max(edge_fraction, 0.0), 1.0),
+            edge_jitter_sigma=edge_jitter_sigma if edge_jitter_sigma > 0 else 1.0,
+        ),
+        t_steps=max(t_steps, 1),
+        seed=max(seed, 0),
+    )
 
 
 def _parse_sweep(raw: object, problems: list[str]) -> SweepSettings:

@@ -18,10 +18,13 @@ flat arrays, which is what both of them call.  :func:`grid_metrics`
 then evaluates one gate for every mask margin at once in closed form: a
 target is detected at margin ``g`` when the detection inside its gate that
 lies farthest from the map is more than ``g`` from it, and the false alarms at
-``g`` are the gate-unmatched detections more than ``g`` from the map.
-:func:`fused_metrics` is the one-cell case.  Distances are compared in squared
-form so the kernel agrees bit for bit with the scalar dilated-map membership
-spec the tests hold (``in_dilated_map`` in ``tests/oracles.py``).
+``g`` are the gate-unmatched detections more than ``g`` from the map.  The
+detection-target pairs inside the widest gate and one sort of the map
+distances serve every gate, and each gate's Pd is computed as arrays for all
+of its cells.  :func:`fused_metrics` is the one-cell case.  Distances are
+compared in squared form so the kernel agrees bit for bit with the scalar
+dilated-map membership spec the tests hold (``in_dilated_map`` in
+``tests/oracles.py``).
 """
 from __future__ import annotations
 
@@ -85,16 +88,18 @@ def detection_distances(
     """
     cols = sorted((tid, n) for n, tid in enumerate(target_ids) if truth_in[:, n].any())
     keep = [n for _, n in cols]
-    truth_xy, truth_in = truth_xy[:, keep], truth_in[:, keep]
-    diff = xy[:, None, :] - truth_xy[frame_of]
-    dist_sq = diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1]
+    # Each target's coordinates as a (D, N) plane, one row per detection.
+    dx = xy[:, 0, None] - truth_xy[:, keep, 0].take(frame_of, axis=0)
+    dy = xy[:, 1, None] - truth_xy[:, keep, 1].take(frame_of, axis=0)
+    dist_sq = dx * dx + dy * dy
+    inside = truth_in[:, keep]
     return FrameDistances(
         map_dist_sq=(
             np.full(len(xy), np.inf) if static_map is None else static_map.min_distance_sq_many(xy)
         ),
-        target_dist_sq=np.where(truth_in[frame_of], dist_sq, np.inf),
+        target_dist_sq=np.where(inside.take(frame_of, axis=0), dist_sq, np.inf),
         frame_of=frame_of,
-        target_inbounds=truth_in,
+        target_inbounds=inside,
         target_ids=tuple(tid for tid, _ in cols),
     )
 
@@ -109,21 +114,44 @@ def grid_metrics(fd: FrameDistances, configs: Sequence[FilterConfig]) -> list[Me
 
     Configurations that share a gate are evaluated together in one pass.
     """
-    steps, n_frames = fd.target_inbounds.sum(axis=0).tolist(), len(fd.target_inbounds)
+    steps, n_frames = fd.target_inbounds.sum(axis=0), len(fd.target_inbounds)
+    # Pd is a plain mean over targets only when every target was observed.
+    pd_arrays = n_frames > 0 and steps.size > 0 and bool(steps.all())
+    gates = list(dict.fromkeys(fc.gate_g_det for fc in configs))
+    # The (detection, target) pairs inside the widest gate hold every
+    # narrower gate's pairs, and a detection's nearest target among them
+    # decides whether it is unmatched at any gate.
+    widest = max(gates, default=0.0)
+    pairs = np.flatnonzero(fd.target_dist_sq <= widest * widest)
+    det, col = np.unravel_index(pairs, fd.target_dist_sq.shape)
+    pair_sq = fd.target_dist_sq.ravel()[pairs]
+    pair_frame, pair_map = fd.frame_of[det], fd.map_dist_sq[det]
+    nearest = np.full(len(fd.map_dist_sq), np.inf)
+    np.minimum.at(nearest, det, pair_sq)
+    # One sort serves every gate: a gate's unmatched detections are a
+    # subsequence of the map-distance order.
+    order = np.argsort(fd.map_dist_sq)
+    map_sorted, nearest = fd.map_dist_sq[order], nearest[order]
     results: dict[int, MetricResult] = {}
-    for gate in dict.fromkeys(fc.gate_g_det for fc in configs):
+    for gate in gates:
         cells = [i for i, fc in enumerate(configs) if fc.gate_g_det == gate]
         thresholds = np.array([_mask_sq(configs[i]) for i in cells])
-        within = fd.target_dist_sq <= gate * gate
-        det, col = np.nonzero(within)
-        # best[t, n]: map distance of the gated detection of target n farthest from the map.
-        best = np.full(fd.target_inbounds.shape, -np.inf)
-        np.maximum.at(best, (fd.frame_of[det], col), fd.map_dist_sq[det])
-        successes = (best > thresholds[:, None, None]).sum(axis=1)
-        unmatched = np.sort(fd.map_dist_sq[~within.any(axis=1)])
+        inside = pair_sq <= gate * gate
+        # best[n, t]: map distance of the gated detection of target n farthest from the map.
+        best = np.full(fd.target_inbounds.shape[::-1], -np.inf)
+        np.maximum.at(best, (col[inside], pair_frame[inside]), pair_map[inside])
+        successes = (best > thresholds[:, None, None]).sum(axis=2)
+        unmatched = map_sorted[nearest > gate * gate]
         false_alarms = len(unmatched) - np.searchsorted(unmatched, thresholds, side="right")
-        for i, s, fa in zip(cells, successes, false_alarms):
-            results[i] = result_from_counts(fd.target_ids, s.tolist(), steps, int(fa), n_frames)
+        if pd_arrays:
+            pd = successes / steps
+            for i, row, pd_avg, fa in zip(
+                cells, pd.tolist(), pd.mean(axis=1).tolist(), (false_alarms / n_frames).tolist()
+            ):
+                results[i] = MetricResult(dict(zip(fd.target_ids, row)), pd_avg, fa)
+        else:
+            for i, s, fa in zip(cells, successes.tolist(), false_alarms.tolist()):
+                results[i] = result_from_counts(fd.target_ids, s, steps.tolist(), fa, n_frames)
     return [results[i] for i in range(len(configs))]
 
 

@@ -6,10 +6,13 @@ produces a frame: per-SE noisy detections of every in-area target plus a
 Poisson batch of clutter detections concentrated near building edges.
 
 A realization is generated as flat arrays (:class:`Realization`), which is all
-the sweep and the call flow's fusion read.  Each target hit's polar sample and
-back-projection are plain float math on the generator's scalar draws, made in
-the order of the one-frame-at-a-time oracle ``generate_frame`` in
-``tests/oracles.py``; no per-point object is built.  Covariances are derived,
+the sweep and the call flow's fusion read.  The generator is drawn from in the
+order of the one-frame-at-a-time oracle ``generate_frame`` in
+``tests/oracles.py``: per step, each target hit's scalar draws are recorded,
+then the frame's clutter comes from a sampler that holds the map's edge
+segments and the bounds for the whole realization.  Truth, the noise-free
+geometry and the back-projection of every hit are array math done once per
+realization, bit-identical to the scalar formulas.  Covariances are derived,
 as arrays, only by :func:`realization_detections`, which returns chosen rows
 as :class:`DetectionColumns`: the call flow's raw archive record stores those
 columns, and the ``Frame`` view of :func:`generate_frames`, which serves
@@ -26,7 +29,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,7 +40,6 @@ from .measurement import (
     NoiseModel,
     Pose,
     WorldDetection,
-    wrap_angle,
     wrap_angles,
 )
 
@@ -48,6 +50,7 @@ log = logging.getLogger(__name__)
 DEFAULT_BOUNDS = Rect(0.0, 0.0, 120.0, 120.0)
 DEFAULT_BUILDINGS = (Rect(20.0, 45.0, 55.0, 75.0), Rect(65.0, 45.0, 100.0, 75.0))
 DEFAULT_SPEED = 1.2  # meters per step
+_RESAMPLE_ROUNDS = 10  # for edge clutter jittered out of the bounds, before clamping
 
 # Default lanes as (orientation, cross-axis position as a fraction of the
 # bounds, direction sign).  On the default map these are street positions
@@ -210,36 +213,21 @@ def default_tracks(n_targets: int, bounds: Rect) -> tuple[TargetTrack, ...]:
     return tuple(tracks)
 
 
-def _track_visits_bounds(track: TargetTrack, bounds: Rect, t_steps: int) -> bool:
-    return any(
-        bounds.contains(target_position(track, t)) for t in range(t_steps)
-    )
-
-
-def _line_of_sight(pose: Pose, x: float, y: float) -> tuple[float, float, float]:
-    """Offset from the SE to a world point and its range; range 0 has no bearing."""
-    dx = x - pose.x
-    dy = y - pose.y
-    return dx, dy, math.sqrt(dx * dx + dy * dy)
-
-
-def _ses_on_tracks(
-    poses: Sequence[Pose], tracks: Sequence[TargetTrack], bounds: Rect, t_steps: int
-) -> list[str]:
-    # The generator takes a bearing from every SE to every in-area target, so
-    # a target at zero range from an SE would stop it mid-realization.
-    first: dict[tuple[int, int], int] = {}
-    for n, track in enumerate(tracks):
-        for t in range(t_steps):
-            pos = target_position(track, t)
-            if bounds.contains(pos):
-                for i, pose in enumerate(poses):
-                    if (i, n) not in first and _line_of_sight(pose, pos.x, pos.y)[2] == 0.0:
-                        first[i, n] = t
-    return [
-        f"se_poses[{i}] at ({poses[i].x}, {poses[i].y}) lies on track {tracks[n].id} at step {t}"
-        for (i, n), t in sorted(first.items())
-    ]
+def _sight_lines(
+    poses: Sequence[Pose], tracks: Sequence[TargetTrack], bounds: Rect, steps: Sequence[int]
+) -> tuple[np.ndarray, ...]:
+    """Per (step, track): truth (T, N, 2), in-bounds (T, N), SE dx, dy, range (T, S, N)."""
+    t = np.asarray(steps, dtype=float)[:, None, None]
+    start = np.array([(tr.start.x, tr.start.y) for tr in tracks]).reshape(-1, 2)
+    velocity = np.array([tr.velocity for tr in tracks], dtype=float).reshape(-1, 2)
+    truth_xy = start + t * velocity
+    tx, ty = truth_xy[..., 0], truth_xy[..., 1]
+    truth_in = (bounds.x_min <= tx) & (tx <= bounds.x_max) & (bounds.y_min <= ty)
+    truth_in &= ty <= bounds.y_max
+    pose = np.array([(p.x, p.y) for p in poses]).reshape(-1, 2)
+    dx = tx[:, None, :] - pose[None, :, 0, None]
+    dy = ty[:, None, :] - pose[None, :, 1, None]
+    return truth_xy, truth_in, dx, dy, np.sqrt(dx * dx + dy * dy)
 
 
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
@@ -295,14 +283,22 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
             violations.append(f"track ids must be unique, got {ids}")
 
     if not violations and tracks:
-        never_inside = [
-            tr.id for tr in tracks if not _track_visits_bounds(tr, cfg.bounds, cfg.t_steps)
-        ]
+        _, truth_in, _, _, r0 = _sight_lines(cfg.se_poses, tracks, cfg.bounds, range(cfg.t_steps))
+        never_inside = [tr.id for tr, seen in zip(tracks, truth_in.any(axis=0)) if not seen]
         if never_inside:
             violations.append(
                 f"tracks {never_inside} never enter the bounds within t_steps={cfg.t_steps}"
             )
-        violations += _ses_on_tracks(cfg.se_poses, tracks, cfg.bounds, cfg.t_steps)
+        # The generator takes a bearing from every SE to every in-area target,
+        # so a target at zero range from an SE would stop it mid-realization.
+        first: dict[tuple[int, int], int] = {}
+        for t, i, n in zip(*np.nonzero((r0 == 0.0) & truth_in[:, None, :])):
+            first.setdefault((int(i), int(n)), int(t))
+        violations += [
+            f"se_poses[{i}] at ({cfg.se_poses[i].x}, {cfg.se_poses[i].y}) lies on track "
+            f"{tracks[n].id} at step {t}"
+            for (i, n), t in sorted(first.items())
+        ]
 
     if violations:
         raise ConfigError(violations)
@@ -337,7 +333,7 @@ def generate_clutter(
     static_map: StaticMap,
     bounds: Rect,
     rng: np.random.Generator,
-    _max_resample_rounds: int = 10,
+    _max_resample_rounds: int = _RESAMPLE_ROUNDS,
 ) -> np.ndarray:
     """Draw one frame's clutter positions as a (k, 2) array.
 
@@ -348,123 +344,141 @@ def generate_clutter(
     times, then clamped.  Points landing inside buildings are kept; rejecting
     exactly those detections is the mask's job, not the generator's.
     """
-    k = int(rng.poisson(clutter.lambda_fa))
-    if k == 0:
-        return np.empty((0, 2))
-    edge_mask = rng.random(k) < clutter.edge_fraction
-    segments = static_map.all_edges()
-    if not segments and bool(edge_mask.any()):
-        log.warning(
-            "clutter edge_fraction=%.2f with an empty static map; generating all clutter "
-            "uniformly",
-            clutter.edge_fraction,
-        )
-        edge_mask[:] = False
-
-    xy = np.empty((k, 2))
-    n_edge = int(edge_mask.sum())
-    if n_edge:
-        seg_arr = np.asarray(segments)  # (S, 2, 2)
-        pts = _sample_edge_points(seg_arr, n_edge, clutter.edge_jitter_sigma, rng)
-        for _ in range(_max_resample_rounds):
-            bad = ~(
-                (pts[:, 0] >= bounds.x_min)
-                & (pts[:, 0] <= bounds.x_max)
-                & (pts[:, 1] >= bounds.y_min)
-                & (pts[:, 1] <= bounds.y_max)
-            )
-            if not bad.any():
-                break
-            pts[bad] = _sample_edge_points(seg_arr, int(bad.sum()), clutter.edge_jitter_sigma, rng)
-        np.clip(pts[:, 0], bounds.x_min, bounds.x_max, out=pts[:, 0])
-        np.clip(pts[:, 1], bounds.y_min, bounds.y_max, out=pts[:, 1])
-        xy[edge_mask] = pts
-    n_uniform = k - n_edge
-    if n_uniform:
-        xy[~edge_mask] = rng.uniform(
-            (bounds.x_min, bounds.y_min), (bounds.x_max, bounds.y_max), (n_uniform, 2)
-        )
-    return xy
+    return _clutter_sampler(clutter, static_map, bounds, _max_resample_rounds)(rng)
 
 
-def _sample_edge_points(
-    seg_arr: np.ndarray, n: int, jitter_sigma: float, rng: np.random.Generator
-) -> np.ndarray:
-    idx = rng.integers(0, len(seg_arr), n)
-    tpar = rng.random(n)[:, None]
-    base = seg_arr[idx, 0] * (1.0 - tpar) + seg_arr[idx, 1] * tpar
-    return base + jitter_sigma * rng.standard_normal((n, 2))
+def _clutter_sampler(
+    clutter: ClutterModel, static_map: StaticMap, bounds: Rect, max_resample_rounds: int
+) -> Callable[[np.random.Generator], np.ndarray]:
+    # The map's edge segments and the bounds are fixed for a realization, so
+    # they are built once here; the returned draw is one frame's clutter and
+    # warns about an empty map at most once per sampler.
+    segments = np.asarray(static_map.all_edges(), dtype=float).reshape(-1, 2, 2)  # (S, 2, 2)
+    seg_a, seg_b = segments[:, 0].copy(), segments[:, 1].copy()
+    lo, hi = np.array([[bounds.x_min, bounds.y_min], [bounds.x_max, bounds.y_max]])
+    span = hi - lo
+    warned = False
+
+    def edge_points(n: int, rng: np.random.Generator) -> np.ndarray:
+        idx = rng.integers(0, len(seg_a), n)
+        tpar = rng.random(n)[:, None]
+        base = seg_a.take(idx, axis=0) * (1.0 - tpar) + seg_b.take(idx, axis=0) * tpar
+        return base + clutter.edge_jitter_sigma * rng.standard_normal((n, 2))
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        nonlocal warned
+        k = int(rng.poisson(clutter.lambda_fa))
+        edge_mask = rng.random(k) < clutter.edge_fraction
+        n_edge = int(np.count_nonzero(edge_mask))
+        if n_edge and not len(seg_a):
+            if not warned:
+                log.warning(
+                    "clutter edge_fraction=%.2f with an empty static map; generating all "
+                    "clutter uniformly",
+                    clutter.edge_fraction,
+                )
+                warned = True
+            edge_mask[:] = False
+            n_edge = 0
+        xy = np.empty((k, 2))
+        if n_edge:
+            pts = edge_points(n_edge, rng)
+            for _ in range(max_resample_rounds):
+                inside = (lo <= pts) & (pts <= hi)
+                if inside.all():
+                    break
+                bad = ~inside.all(axis=1)
+                pts[bad] = edge_points(int(np.count_nonzero(bad)), rng)
+            else:
+                np.clip(pts, lo, hi, out=pts)
+            xy[edge_mask] = pts
+        if n_edge < k:
+            # lo + span * U[0, 1) is rng.uniform(lo, hi) to the bit, on the same draws.
+            xy[~edge_mask] = lo + span * rng.random((k - n_edge, 2))
+        return xy
+
+    return draw
 
 
 def _realize(scenario: Scenario, steps: Sequence[int], rng: np.random.Generator) -> Realization:
-    # Per step: the p_det draw and noisy polar sample of each (SE, in-area
-    # target) pair, then the frame's clutter.  Target samples stay scalar so
-    # the generator is consumed in the same order as one frame at a time.
-    n_se = len(scenario.se_poses)
-    sigma_r, sigma_b = scenario.noise.sigma_range, scenario.noise.sigma_bearing
-    truth_xy = np.empty((len(steps), len(scenario.tracks), 2))
-    truth_in = np.zeros((len(steps), len(scenario.tracks)), dtype=bool)
-    hits: list[tuple[int, int, float, float, float, float]] = []
+    # The generator is consumed in the order of one frame at a time: per
+    # step, the p_det draw and noisy polar sample of each (SE, in-area
+    # target) pair, then the frame's clutter.  Only those draws are scalar;
+    # truth, the noise-free geometry and the back-projection are arrays.
+    poses, bounds = scenario.se_poses, scenario.bounds
+    n_se, n_tr = len(poses), len(scenario.tracks)
+    truth_xy, truth_in, dx, dy, r0 = _sight_lines(poses, scenario.tracks, bounds, steps)
+
+    p_det, sigma_r = scenario.p_det, scenario.noise.sigma_range
+    random, normal = rng.random, rng.standard_normal
+    draw_clutter = _clutter_sampler(scenario.clutter, scenario.static_map, bounds, _RESAMPLE_ROUNDS)
+    hit_at: list[int] = []  # flat (step, SE, target) index of each hit
+    hit_r: list[float] = []  # sampled range, redrawn while non-positive
+    hit_zb: list[float] = []  # the bearing's standard normal draw
     clutter: list[np.ndarray] = []
-    for i, t in enumerate(steps):
-        truth = []
-        for n, track in enumerate(scenario.tracks):
-            pos = target_position(track, t)
-            truth_xy[i, n] = pos.x, pos.y
-            if scenario.bounds.contains(pos):
-                truth_in[i, n] = True
-                truth.append(pos)
-        for s, pose in enumerate(scenario.se_poses):
-            cos_h, sin_h = math.cos(pose.theta), math.sin(pose.theta)
-            for pos in truth:
-                if rng.random() >= scenario.p_det:
+    for i, (inside, r0_i) in enumerate(zip(truth_in.tolist(), r0.tolist())):
+        cols = [n for n, flag in enumerate(inside) if flag]
+        for s, r0_s in enumerate(r0_i):
+            for n in cols:
+                if random() >= p_det:
                     continue
-                # Noise-free range and bearing, then the noisy sample: a
-                # non-positive range is redrawn, the bearing wrapped.
-                dx, dy, r0 = _line_of_sight(pose, pos.x, pos.y)
-                if r0 == 0.0:
+                r0_n = r0_s[n]
+                if r0_n == 0.0:
                     raise DegenerateGeometryError(
                         f"cannot take a bearing to a point at the SE position "
-                        f"({pose.x}, {pose.y})"
+                        f"({poses[s].x}, {poses[s].y})"
                     )
-                b0 = wrap_angle(math.atan2(dy, dx) - pose.theta)
-                r = r0 + sigma_r * rng.standard_normal()
+                r = r0_n + sigma_r * normal()
                 redraws = 0
                 while r <= 0.0:
                     redraws += 1
                     if redraws > 1000:  # only a pathological noise scale gets here
                         raise RuntimeError(
-                            f"range redraw cap exceeded at range {r0} with sigma {sigma_r}"
+                            f"range redraw cap exceeded at range {r0_n} with sigma {sigma_r}"
                         )
-                    r = r0 + sigma_r * rng.standard_normal()
-                b = wrap_angle(b0 + sigma_b * rng.standard_normal())
-                # Back-projection through the pose into the world frame.
-                lx = r * math.cos(b)
-                ly = r * math.sin(b)
-                x = pose.x + cos_h * lx - sin_h * ly
-                y = pose.y + sin_h * lx + cos_h * ly
-                hits.append((i, s, x, y, r, b))
-        clutter.append(generate_clutter(scenario.clutter, scenario.static_map, scenario.bounds, rng))
+                    r = r0_n + sigma_r * normal()
+                hit_at.append((i * n_se + s) * n_tr + n)
+                hit_r.append(r)
+                hit_zb.append(normal())
+        clutter.append(draw_clutter(rng))
 
-    hit = np.array(hits, dtype=float).reshape(-1, 6)
+    # Back-projection of every hit through its pose into the world frame, in
+    # the scalar formulas' evaluation order; the transcendental functions are
+    # Python's math ones, mapped over the column.
+    at = np.array(hit_at, dtype=np.intp)
+    step_of, se_of = np.unravel_index(at, r0.shape)[:2]
+    pose = np.array([(p.x, p.y, p.theta, math.cos(p.theta), math.sin(p.theta)) for p in poses])
+    px, py, theta, cos_h, sin_h = pose.take(se_of, axis=0).T
+    b0 = wrap_angles(_mapped(math.atan2, dy.ravel()[at], dx.ravel()[at]) - theta)
+    bearing = wrap_angles(b0 + scenario.noise.sigma_bearing * np.array(hit_zb))
+    range_m = np.array(hit_r)
+    lx = range_m * _mapped(math.cos, bearing)
+    ly = range_m * _mapped(math.sin, bearing)
+    x = px + cos_h * lx - sin_h * ly
+    y = py + sin_h * lx + cos_h * ly
+
     counts = [len(c) for c in clutter]
     n_clutter = sum(counts)
     # Clutter is assigned to SEs round-robin within each frame.
     clutter_se = (np.arange(n_clutter) - np.repeat(np.cumsum(counts) - counts, counts)) % n_se
     nan = np.full(n_clutter, np.nan)
-    frame_of = np.concatenate([hit[:, 0].astype(np.intp), np.repeat(range(len(steps)), counts)])
+    frame_of = np.concatenate([step_of, np.repeat(np.arange(len(counts)), counts)])
     # Stable on frame index: each frame's target detections precede its clutter.
     order = np.argsort(frame_of, kind="stable")
     return Realization(
-        xy=np.concatenate([hit[:, 2:4], *clutter])[order],
+        xy=np.concatenate([np.column_stack([x, y]), *clutter]).take(order, axis=0),
         frame_of=frame_of[order],
-        se_idx=np.concatenate([hit[:, 1].astype(np.intp), clutter_se])[order],
-        is_clutter=np.repeat([False, True], [len(hit), n_clutter])[order],
-        range_m=np.concatenate([hit[:, 4], nan])[order],
-        bearing=np.concatenate([hit[:, 5], nan])[order],
+        se_idx=np.concatenate([se_of, clutter_se])[order],
+        is_clutter=np.repeat([False, True], [len(at), n_clutter])[order],
+        range_m=np.concatenate([range_m, nan])[order],
+        bearing=np.concatenate([bearing, nan])[order],
         truth_xy=truth_xy,
         truth_in=truth_in,
     )
+
+
+def _mapped(fn: Callable[..., float], *columns: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(fn, *(c.tolist() for c in columns)), dtype=float, count=len(columns[0]))
 
 
 def generate_realization(scenario: Scenario, rng: np.random.Generator) -> Realization:
@@ -488,10 +502,10 @@ def realization_detections(
     numpy's ``+ - *``, ``sqrt`` and ``mod`` round as Python's do, and the
     transcendental functions are Python's ``math`` ones mapped over the column.
     """
-    xy = rz.xy[rows]
+    xy = rz.xy.take(rows, axis=0)
     se_idx = rz.se_idx[rows]
     clutter = rz.is_clutter[rows]
-    pose = np.array([(p.x, p.y, p.theta) for p in scenario.se_poses])[se_idx]
+    pose = np.array([(p.x, p.y, p.theta) for p in scenario.se_poses]).take(se_idx, axis=0)
     # Copies: their clutter rows are filled in below.
     range_m = np.array(rz.range_m[rows])
     bearing = np.array(rz.bearing[rows])
@@ -502,15 +516,13 @@ def realization_detections(
     r = np.sqrt(dx * dx + dy * dy)
     if np.any(r == 0.0):
         raise DegenerateGeometryError("cannot take a bearing to a point at the SE position")
-    atan = np.array(list(map(math.atan2, dy.tolist(), dx.tolist())), dtype=float)
     range_m[clutter] = r
-    bearing[clutter] = wrap_angles(atan - pose[clutter, 2])
+    bearing[clutter] = wrap_angles(_mapped(math.atan2, dy, dx) - pose[clutter, 2])
 
     # diag(sigma_r^2, (r * sigma_b)^2) rotated by heading + bearing, in the
     # scalar formula's evaluation order.
-    angle = (pose[:, 2] + bearing).tolist()
-    c = np.array(list(map(math.cos, angle)), dtype=float)
-    s = np.array(list(map(math.sin, angle)), dtype=float)
+    angle = pose[:, 2] + bearing
+    c, s = _mapped(math.cos, angle), _mapped(math.sin, angle)
     a = scenario.noise.sigma_range * scenario.noise.sigma_range
     rb = range_m * scenario.noise.sigma_bearing
     b = rb * rb

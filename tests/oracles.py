@@ -8,7 +8,8 @@ functions here are the object-at-a-time forms of the same math:
 * the polar measurement model: :class:`PolarMeasurement`,
   :func:`world_to_polar`, :func:`polar_to_world`, the samplers and the
   per-detection covariances;
-* :func:`generate_frame`, one step of a realization as a ``Frame``;
+* :func:`generate_frame`, one step of a realization as a ``Frame``, and
+  :func:`clutter_frame`, one frame's clutter drawn with nothing hoisted;
 * :func:`precompute_distances`, which packs ``Frame`` lists into the fusion
   kernel's input;
 * point-to-map distances and the closed dilated-map membership spec;
@@ -39,7 +40,7 @@ from sensefuse.measurement import (
     wrap_angle,
     wrap_angles,
 )
-from sensefuse.scenario import Frame, Scenario, _frames, _realize
+from sensefuse.scenario import ClutterModel, Frame, Scenario, _frames, _realize
 
 # -- measurement -----------------------------------------------------------------
 
@@ -192,6 +193,55 @@ def generate_frame(scenario: Scenario, t: int, rng: np.random.Generator) -> Fram
     viewing SE's covariance.
     """
     return replace(_frames(scenario, _realize(scenario, (t,), rng))[0], t=t)
+
+
+def clutter_frame(
+    clutter: ClutterModel, static_map: StaticMap, bounds: Rect, rng: np.random.Generator
+) -> np.ndarray:
+    """One frame's clutter as ``generate_clutter`` draws it, built from scratch per call.
+
+    The segments and bounds are rebuilt here on every call, coordinates are
+    checked and clamped one axis at a time, and the uniform share comes from
+    ``rng.uniform``, so the generator's hoisted body is checked against the
+    plain per-frame form of the same draws.
+    """
+    k = int(rng.poisson(clutter.lambda_fa))
+    if k == 0:
+        return np.empty((0, 2))
+    edge_mask = rng.random(k) < clutter.edge_fraction
+    segments = static_map.all_edges()
+    if not segments:
+        edge_mask[:] = False
+
+    def edge_points(n: int) -> np.ndarray:
+        seg_arr = np.asarray(segments)
+        idx = rng.integers(0, len(seg_arr), n)
+        tpar = rng.random(n)[:, None]
+        base = seg_arr[idx, 0] * (1.0 - tpar) + seg_arr[idx, 1] * tpar
+        return base + clutter.edge_jitter_sigma * rng.standard_normal((n, 2))
+
+    xy = np.empty((k, 2))
+    n_edge = int(edge_mask.sum())
+    if n_edge:
+        pts = edge_points(n_edge)
+        for _ in range(10):
+            bad = ~(
+                (pts[:, 0] >= bounds.x_min)
+                & (pts[:, 0] <= bounds.x_max)
+                & (pts[:, 1] >= bounds.y_min)
+                & (pts[:, 1] <= bounds.y_max)
+            )
+            if not bad.any():
+                break
+            pts[bad] = edge_points(int(bad.sum()))
+        np.clip(pts[:, 0], bounds.x_min, bounds.x_max, out=pts[:, 0])
+        np.clip(pts[:, 1], bounds.y_min, bounds.y_max, out=pts[:, 1])
+        xy[edge_mask] = pts
+    if k - n_edge:
+        xy[~edge_mask] = rng.uniform(
+            (bounds.x_min, bounds.y_min), (bounds.x_max, bounds.y_max), (k - n_edge, 2)
+        )
+    return xy
 
 
 # -- fusion ------------------------------------------------------------------------

@@ -201,8 +201,13 @@ def test_sweep_requires_out_path(small_config):
             "scenario:\n  se_poses: [[0, 15, 0], [120, 0, 0]]\n",
             "se_poses[0] at (0.0, 15.0) lies on track 0 at step 0",
         ),
+        ("scenario:\n  sigma_r: 0\n", "scenario.sigma_r: must be > 0"),
+        (
+            "scenario:\n  sigma_beta_deg: 5.0e-324\n",
+            "scenario.sigma_beta_deg: must be > 0 in radians",
+        ),
     ],
-    ids=["jitter-zero", "jitter-negative", "se-on-track"],
+    ids=["jitter-zero", "jitter-negative", "se-on-track", "sigma-r-zero", "sigma-beta-underflow"],
 )
 def test_bad_scenario_exits_2_on_both_commands(tmp_path, capsys, command, text, key):
     path = tmp_path / "bad.yaml"

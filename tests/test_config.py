@@ -188,3 +188,24 @@ def test_model_constructors_never_raise_out_of_parse_config(scenario):
     with pytest.raises(ConfigError) as err:
         parse_config({"scenario": scenario})
     assert all(v.startswith("scenario") for v in err.value.violations)
+
+
+@pytest.mark.parametrize(
+    "key, value, violation",
+    [
+        ("sigma_r", 0.0, "scenario.sigma_r: must be > 0"),
+        ("sigma_r", -0.8, "scenario.sigma_r: must be > 0"),
+        ("sigma_beta_deg", 0.0, "scenario.sigma_beta_deg: must be > 0"),
+        # Positive, but 0.0 once in radians.
+        (
+            "sigma_beta_deg",
+            5e-324,
+            "scenario.sigma_beta_deg: must be > 0 in radians, got 5e-324 degrees",
+        ),
+    ],
+    ids=["sigma-r-zero", "sigma-r-negative", "sigma-beta-zero", "sigma-beta-underflow"],
+)
+def test_noise_violations_name_their_key(key, value, violation):
+    with pytest.raises(ConfigError) as err:
+        parse_config({"scenario": {key: value}})
+    assert err.value.violations == [violation]

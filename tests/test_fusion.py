@@ -1,12 +1,15 @@
+import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sensefuse.fusion import FilterConfig, fused_metrics, grid_metrics
+from sensefuse.fusion import FilterConfig, FrameDistances, fused_metrics, grid_metrics
 from sensefuse.geometry import Rect, StaticMap, WorldPoint
+from sensefuse.metrics import result_from_counts
 from sensefuse.scenario import (
     ClutterModel,
     Frame,
@@ -273,3 +276,100 @@ def test_grid_kernel_matches_one_cell_kernel_and_brute_force(raw_frames, use_map
         pd, pd_avg, fa = brute_force_metrics(frames, oracle_map, fc)
         assert result.pd_per_target == pd and result.fa_avg == fa, fc
         assert result.pd_avg == pd_avg or (math.isnan(pd_avg) and math.isnan(result.pd_avg))
+
+
+# -- the grid's Pd arrays ----------------------------------------------------------
+
+
+def _counted_results(fd, configs):
+    """Brute-force counters per cell, finalized by ``result_from_counts``."""
+    steps = fd.target_inbounds.sum(axis=0).tolist()
+    results = []
+    for fc in configs:
+        kept = fd.map_dist_sq > (fc.mask_margin_g**2 if fc.mask_enabled else -math.inf)
+        within = fd.target_dist_sq <= fc.gate_g_det**2
+        successes = [
+            len({t for t, k, w in zip(fd.frame_of.tolist(), kept, within[:, n]) if k and w})
+            for n in range(len(fd.target_ids))
+        ]
+        fa = int(np.sum(kept & ~within.any(axis=1)))
+        results.append(
+            result_from_counts(fd.target_ids, successes, steps, fa, len(fd.target_inbounds))
+        )
+    return results
+
+
+_d2 = st.sampled_from([0.0, 1.0, 2.25, 4.0, 6.25, 9.0, 30.0, math.inf])
+
+
+@st.composite
+def _hand_distances(draw):
+    n_frames = draw(st.integers(1, 6))
+    n_targets = draw(st.integers(0, 12))
+    n_det = draw(st.integers(0, 20))
+
+    def cells(elements, size):
+        return draw(st.lists(elements, min_size=size, max_size=size))
+
+    inbounds = np.array(cells(st.booleans(), n_frames * n_targets), dtype=bool)
+    inbounds = inbounds.reshape(n_frames, n_targets)
+    frame_of = np.array(cells(st.integers(0, n_frames - 1), n_det), dtype=np.intp)
+    dist = np.array(cells(_d2, n_det * n_targets)).reshape(n_det, n_targets)
+    return FrameDistances(
+        map_dist_sq=np.array(cells(_d2, n_det)),
+        target_dist_sq=np.where(inbounds[frame_of], dist, np.inf),
+        frame_of=frame_of,
+        target_inbounds=inbounds,
+        target_ids=tuple(range(10, 10 + 3 * n_targets, 3)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(fd=_hand_distances())
+def test_grid_pd_arrays_equal_result_from_counts(fd):
+    # Up to 12 targets, some possibly never in the area (the zero-step case).
+    configs = [
+        FilterConfig(g, g_det, mask_enabled)
+        for g_det in (1.0, 1.5, 3.0)
+        for g, mask_enabled in [(0.0, False), (0.0, True), (1.0, True), (2.5, True)]
+    ]
+    grid = grid_metrics(fd, configs)
+    for fc, result, expected in zip(configs, grid, _counted_results(fd, configs)):
+        assert _same(result, expected), fc
+        assert list(result.pd_per_target) == list(expected.pd_per_target), fc
+
+
+def test_grid_with_no_observable_target_has_nan_pd_without_warnings():
+    fd = FrameDistances(
+        map_dist_sq=np.array([4.0, 25.0]),
+        target_dist_sq=np.empty((2, 0)),
+        frame_of=np.array([0, 1]),
+        target_inbounds=np.empty((3, 0), dtype=bool),
+        target_ids=(),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = grid_metrics(fd, [FilterConfig(0.0, 3.0), FilterConfig(3.0, 3.0)])
+    assert [r.pd_per_target for r in results] == [{}, {}]
+    assert all(math.isnan(r.pd_avg) for r in results)
+    assert [r.fa_avg for r in results] == [2 / 3, 1 / 3]
+
+
+def test_grid_excludes_a_target_with_no_steps(caplog):
+    # Target 5 is never in the area: excluded from pd_avg, with a warning.
+    inbounds = np.array([[True, False, True], [True, False, False]])
+    fd = FrameDistances(
+        map_dist_sq=np.array([16.0, 16.0, 16.0]),
+        target_dist_sq=np.array(
+            [[1.0, np.inf, 1.0], [np.inf, np.inf, np.inf], [1.0, np.inf, np.inf]]
+        ),
+        frame_of=np.array([0, 0, 1]),
+        target_inbounds=inbounds,
+        target_ids=(3, 5, 9),
+    )
+    with caplog.at_level(logging.WARNING, logger="sensefuse.metrics"):
+        (result,) = grid_metrics(fd, [FilterConfig(0.0, 2.0)])
+    assert result.excluded_targets == (5,)
+    assert result.pd_per_target == {3: 1.0, 9: 1.0}
+    assert result.pd_avg == 1.0 and result.fa_avg == 0.5
+    assert "excluded from pd_avg" in caplog.text

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from sensefuse.errors import ConfigError, DegenerateGeometryError
@@ -27,6 +29,7 @@ from sensefuse.scenario import (
 
 from oracles import (
     build_detection,
+    clutter_frame,
     generate_frame,
     min_distance,
     rotated_covariance,
@@ -284,6 +287,21 @@ AGREEMENT_CASES = [
 ]
 
 
+# An empty map (all clutter uniform), no targets, p_det 0 and 1, and headings
+# away from 0.
+EDGE_CASES = [
+    (5, ScenarioConfig(t_steps=12, static_map=StaticMap((), DEFAULT_BOUNDS))),
+    (6, ScenarioConfig(t_steps=12, n_targets=0)),
+    (8, ScenarioConfig(t_steps=12, p_det=0.0)),
+    (
+        9,
+        ScenarioConfig(
+            t_steps=12, p_det=1.0, se_poses=(Pose(30.0, 110.0, -2.0), Pose(120.0, 60.0, math.pi))
+        ),
+    ),
+]
+
+
 def scalar_frame(scenario, t, rng):
     """Oracle: one frame built object by object, one covariance per detection."""
     truth = tuple(
@@ -330,7 +348,7 @@ def test_realization_columns_match_frames(seed, cfg):
         assert frame.truth == truth
 
 
-@pytest.mark.parametrize("seed,cfg", AGREEMENT_CASES)
+@pytest.mark.parametrize("seed,cfg", AGREEMENT_CASES + EDGE_CASES)
 def test_frames_match_scalar_oracle(seed, cfg):
     # Same points to the bit, and each covariance equals world_covariance of
     # the sampled measurement (targets) or of the point's geometry (clutter).
@@ -452,6 +470,71 @@ def test_clutter_empty_map_falls_back_to_uniform(caplog):
     assert "empty static map" in caplog.text
     assert len(points) > 0
     assert all(bounds.contains(WorldPoint(x, y)) for x, y in points.tolist())
+
+
+def test_empty_map_warns_once_per_realization(caplog):
+    cfg = ScenarioConfig(t_steps=20, static_map=StaticMap((), DEFAULT_BOUNDS))
+    scenario = build_scenario(cfg)
+    with caplog.at_level(logging.WARNING, logger="sensefuse.scenario"):
+        frames = generate_frames(scenario, realization_rng(3, 0))
+    assert sum("empty static map" in r.getMessage() for r in caplog.records) == 1
+    rng = realization_rng(3, 0)
+    assert frames == [scalar_frame(scenario, t, rng) for t in range(20)]
+
+
+_FLUSH_BOUNDS = Rect(0.0, 0.0, 40.0, 40.0)
+CLUTTER_CASES = {
+    "default": ScenarioConfig(),
+    "resample-and-clamp": ScenarioConfig(
+        bounds=_FLUSH_BOUNDS,
+        static_map=StaticMap((Rect(0.0, 0.0, 40.0, 40.0),), _FLUSH_BOUNDS),
+        se_poses=(Pose(20.0, 20.0, 0.0),),
+        clutter=ClutterModel(lambda_fa=200.0, edge_fraction=1.0, edge_jitter_sigma=5.0),
+    ),
+    "empty-map": ScenarioConfig(static_map=StaticMap((), DEFAULT_BOUNDS)),
+    "uniform-only": ScenarioConfig(clutter=ClutterModel(edge_fraction=0.0)),
+    "edge-only": ScenarioConfig(clutter=ClutterModel(edge_fraction=1.0, edge_jitter_sigma=0.05)),
+    "sparse": ScenarioConfig(clutter=ClutterModel(lambda_fa=0.5)),
+}
+
+
+@pytest.mark.parametrize("cfg", CLUTTER_CASES.values(), ids=CLUTTER_CASES.keys())
+def test_realization_clutter_matches_per_frame_oracle(cfg):
+    # Without targets a realization is its frames' clutter, drawn by one
+    # hoisted sampler; the oracle rebuilds everything on every frame.
+    scenario = build_scenario(dataclasses.replace(cfg, n_targets=0, t_steps=25))
+    for seed in range(4):
+        rng, rng_rz = realization_rng(seed, 9), realization_rng(seed, 9)
+        expected = [
+            clutter_frame(scenario.clutter, scenario.static_map, scenario.bounds, rng)
+            for _ in range(25)
+        ]
+        rz = generate_realization(scenario, rng_rz)
+        assert rz.xy.tobytes() == np.concatenate(expected).tobytes()
+        assert rz.frame_of.tolist() == [t for t, xy in enumerate(expected) for _ in xy]
+        assert rng_rz.bit_generator.state == rng.bit_generator.state
+
+
+_bound = st.floats(-1e4, 1e4, allow_nan=False)
+_span = st.floats(1e-3, 1e4, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 200),
+    lo=st.tuples(_bound, _bound),
+    span=st.tuples(_span, _span),
+)
+@example(seed=1, n=200, lo=(-37.5, -0.1), span=(120.3, 0.7))
+def test_scaled_unit_draws_equal_rng_uniform(seed, n, lo, span):
+    # The clutter sampler's uniform share relies on this identity.
+    lo = np.array(lo)
+    hi = lo + np.array(span)
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = rng_a.uniform(lo, hi, (n, 2))
+    assert (lo + (hi - lo) * rng_b.random((n, 2))).tobytes() == expected.tobytes()
+    assert rng_b.bit_generator.state == rng_a.bit_generator.state
 
 
 def test_clutter_model_validation():
