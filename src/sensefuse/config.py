@@ -112,9 +112,22 @@ def _section(raw: object, name: str, problems: list[str]) -> dict:
     return raw
 
 
+def _as_float(value: int | float) -> float | None:
+    """``float(value)``, or None when that is infinite, NaN, or too large to convert."""
+    try:
+        x = float(value)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
+
+
 def _finite(value: object) -> bool:
-    """A real number (not a bool) that is neither infinite nor NaN."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """A real number (not a bool) that is a finite float."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and _as_float(value) is not None
+    )
 
 
 def _number(raw: dict, section: str, key: str, default: float, problems: list[str]) -> float:
@@ -122,10 +135,16 @@ def _number(raw: dict, section: str, key: str, default: float, problems: list[st
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         problems.append(f"{section}.{key}: expected a number, got {value!r}")
         return default
-    if not math.isfinite(value):
+    x = _as_float(value)
+    if x is None and isinstance(value, int):
+        problems.append(
+            f"{section}.{key}: must fit a 64-bit float, got a {value.bit_length()}-bit integer"
+        )
+        return default
+    if x is None:
         problems.append(f"{section}.{key}: must be finite, got {value!r}")
         return default
-    return float(value)
+    return x
 
 
 def _integer(raw: dict, section: str, key: str, default: int, problems: list[str]) -> int:
@@ -162,7 +181,7 @@ def _rect(value: object, where: str, problems: list[str]) -> Rect | None:
         return None
     try:
         return Rect(*(float(v) for v in value))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         problems.append(f"{where}: {exc}")
         return None
 
@@ -269,6 +288,10 @@ def _parse_scenario(raw: object, problems: list[str]) -> ScenarioConfig:
         problems.append("scenario.edge_jitter_sigma: must be > 0")
     if t_steps < 1:
         problems.append("scenario.t_steps: must be >= 1")
+    elif t_steps >= 2**63:  # the steps are indexed by numpy int64
+        problems.append(
+            f"scenario.t_steps: must be <= 2**63 - 1, got a {t_steps.bit_length()}-bit integer"
+        )
     if seed < 0:
         problems.append("scenario.seed: must be >= 0")
     # Bad values are reported above and replaced by valid placeholders.

@@ -15,9 +15,14 @@ replayed raises :class:`StoreCorruptError` naming the file and line.
 
 Every log line is strict JSON, ``json.dumps(..., sort_keys=True)`` of the
 record: a non-finite metric is written as ``null`` and read back as NaN.  A
-raw record's payload is :class:`DetectionColumns`; its line is formatted row
-by row from the columns (same bytes as ``json.dumps`` of one object per
-detection) and read straight back into columns, with the same validation.
+raw record's payload is :class:`DetectionColumns`.  Its line has the same
+bytes as ``json.dumps`` of one object per detection, but is assembled from
+the columns, 1024 rows at a time: orjson formats a chunk's floats in one
+call (``repr`` formats the few whose magnitude puts ``repr`` in exponent
+form), one join builds the chunk's rows, and the line is written to the log
+in pieces.  Reading stays on stdlib ``json`` (it accepts the bare ``NaN`` of
+older logs) and decodes the items straight back into columns, with the same
+validation.
 """
 from __future__ import annotations
 
@@ -26,9 +31,10 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
+import orjson
 
 from .errors import StoreCorruptError
 from .geometry import Rect, StaticMap, subtract_rects
@@ -335,7 +341,7 @@ class SdsfStore:
         with self._path.open("a", encoding="utf-8") as fh:
             if new_file:
                 fh.write(_dumps({"magic": LOG_MAGIC, "version": LOG_FORMAT_VERSION}) + "\n")
-            fh.write(_record_line(record) + "\n")
+            fh.writelines([*_record_pieces(record), "\n"])
 
     def _load(self) -> None:
         assert self._path is not None
@@ -435,24 +441,55 @@ def _payload_to_json(payload: StaticMap | MetricResult) -> dict:
     }
 
 
-def _detections_json(cols: DetectionColumns) -> str:
-    """``json.dumps(..., sort_keys=True)`` of the detections payload, one row at a time.
+def _float_strings(values: np.ndarray) -> list[str]:
+    """``repr`` of each float in a C-contiguous 1-D float64 array, in one orjson call.
 
-    Each item is ``{"clutter", "cov", "source_se", "x", "y"}``; floats are
-    written by ``repr``, as ``json`` writes them.
+    orjson writes the same shortest round-trip digits as ``repr`` for zero and
+    for magnitudes in ``[1e-4, 1e16)``.  Outside that range ``repr`` switches
+    to exponent form (``1e-05``, ``1e+16``) where orjson does not, so those
+    few values are formatted by ``repr`` itself.
     """
-    source = [json.dumps(se_id) for se_id in cols.se_ids]
-    flag = ("false", "true")
-    item = '{"clutter": %s, "cov": [%r, %r, %r], "source_se": %s, "x": %r, "y": %r}'
-    items = ", ".join(
-        [
-            item % (flag[c], xx, xy, yy, source[s], x, y)
-            for (x, y), (xx, xy, yy), s, c in zip(
-                cols.xy.tolist(), cols.cov.tolist(), cols.se_idx.tolist(), cols.is_clutter.tolist()
-            )
-        ]
-    )
-    return f'{{"items": [{items}], "type": "detections"}}'
+    if not len(values):
+        return []
+    strings = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    magnitude = np.abs(values)
+    exponent_form = np.flatnonzero((magnitude >= 1e16) | ((magnitude < 1e-4) & (magnitude > 0)))
+    for i, x in zip(exponent_form.tolist(), values[exponent_form].tolist()):
+        strings[i] = repr(x)
+    return strings
+
+
+# Rows formatted per float-formatting call: bounds the per-float strings alive at once.
+_ROWS_PER_CHUNK = 1024
+
+
+def _detections_chunks(cols: DetectionColumns) -> Iterator[str]:
+    """``json.dumps(..., sort_keys=True)`` of the detections payload, in chunks of rows.
+
+    Each item is ``{"clutter", "cov", "source_se", "x", "y"}``.  For each
+    chunk the floats come from :func:`_float_strings`, each row is ten pieces
+    slotted into one list by stride, and one join makes the chunk's text.
+    """
+    heads = ('}, {"clutter": false, "cov": [', '}, {"clutter": true, "cov": [')
+    sources = [f'], "source_se": {json.dumps(se_id)}, "x": ' for se_id in cols.se_ids]
+    yield '{"items": ['
+    for start in range(0, len(cols), _ROWS_PER_CHUNK):
+        rows = slice(start, start + _ROWS_PER_CHUNK)
+        floats = _float_strings(np.concatenate((cols.cov[rows], cols.xy[rows]), axis=1).ravel())
+        n = min(_ROWS_PER_CHUNK, len(cols) - start)
+        pieces = [", "] * (10 * n)
+        pieces[0::10] = [heads[c] for c in cols.is_clutter[rows].tolist()]
+        pieces[1::10] = floats[0::5]  # xx
+        pieces[3::10] = floats[1::5]  # xy
+        pieces[5::10] = floats[2::5]  # yy
+        pieces[6::10] = [sources[s] for s in cols.se_idx[rows].tolist()]
+        pieces[7::10] = floats[3::5]  # x
+        pieces[8::10] = [', "y": '] * n
+        pieces[9::10] = floats[4::5]  # y
+        if not start:
+            pieces[0] = pieces[0][3:]  # no "}, " before the first row
+        yield "".join(pieces)
+    yield '}], "type": "detections"}' if len(cols) else '], "type": "detections"}'
 
 
 def _columns_from_json(items: list[dict]) -> DetectionColumns:
@@ -489,11 +526,14 @@ def _payload_from_json(d: dict) -> Payload:
     raise ValueError(f"unknown payload type {d.get('type')!r}")
 
 
-def _record_line(record: SensingRecord) -> str:
-    """The record's log line: ``json.dumps`` of its JSON form with sorted keys.
+def _record_pieces(record: SensingRecord) -> list[str]:
+    """The record's log line, ``json.dumps`` of its JSON form with sorted keys, in pieces.
 
-    A detections payload is formatted by :func:`_detections_json` and spliced
-    in at its sorted key position, between ``metadata`` and ``record_id``.
+    A detections payload is formatted by :func:`_detections_chunks` and
+    placed at its sorted key position, between ``metadata`` and
+    ``record_id``.  The pieces are written in order, so the whole line is
+    never built as one string; all of them exist before the first is
+    written, so a formatting error cannot leave a torn line in the log.
     """
     fields = {
         "record_id": record.record_id,
@@ -505,10 +545,10 @@ def _record_line(record: SensingRecord) -> str:
         "metadata": [list(m) for m in record.metadata],
     }
     if not isinstance(record.payload, DetectionColumns):
-        return _dumps({**fields, "payload": _payload_to_json(record.payload)})
+        return [_dumps({**fields, "payload": _payload_to_json(record.payload)})]
     before = _dumps({k: v for k, v in fields.items() if k < "payload"})
     after = _dumps({k: v for k, v in fields.items() if k > "payload"})
-    return f'{before[:-1]}, "payload": {_detections_json(record.payload)}, {after[1:]}'
+    return [f'{before[:-1]}, "payload": ', *_detections_chunks(record.payload), f", {after[1:]}"]
 
 
 def _record_from_json(d: dict) -> SensingRecord:

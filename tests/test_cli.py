@@ -206,8 +206,19 @@ def test_sweep_requires_out_path(small_config):
             "scenario:\n  sigma_beta_deg: 5.0e-324\n",
             "scenario.sigma_beta_deg: must be > 0 in radians",
         ),
+        # Integers that YAML reads exactly but no float or step index can hold.
+        ("scenario:\n  sigma_r: 1" + "0" * 400 + "\n", "scenario.sigma_r: must fit a 64-bit float"),
+        ("scenario:\n  t_steps: 1" + "0" * 40 + "\n", "scenario.t_steps: must be <= 2**63 - 1"),
     ],
-    ids=["jitter-zero", "jitter-negative", "se-on-track", "sigma-r-zero", "sigma-beta-underflow"],
+    ids=[
+        "jitter-zero",
+        "jitter-negative",
+        "se-on-track",
+        "sigma-r-zero",
+        "sigma-beta-underflow",
+        "sigma-r-huge-integer",
+        "t-steps-huge-integer",
+    ],
 )
 def test_bad_scenario_exits_2_on_both_commands(tmp_path, capsys, command, text, key):
     path = tmp_path / "bad.yaml"

@@ -209,3 +209,49 @@ def test_noise_violations_name_their_key(key, value, violation):
     with pytest.raises(ConfigError) as err:
         parse_config({"scenario": {key: value}})
     assert err.value.violations == [violation]
+
+
+@pytest.mark.parametrize(
+    "raw, violation",
+    [
+        (
+            {"scenario": {"sigma_r": 10**400}},
+            "scenario.sigma_r: must fit a 64-bit float, got a 1329-bit integer",
+        ),
+        (
+            {"demo": {"pd_min": -(10**400)}},
+            "demo.pd_min: must fit a 64-bit float, got a 1329-bit integer",
+        ),
+        (
+            {"scenario": {"se_poses": [[10**400, 0, 0]]}},
+            "scenario.se_poses[0]: expected finite [x, y, theta_deg]",
+        ),
+        (
+            {"scenario": {"buildings": [[0, 0, 10**400, 1]]}},
+            "scenario.buildings[0]: int too large to convert to float",
+        ),
+        ({"sweep": {"g_values": [10**400]}}, "sweep.g_values[0]: expected a finite number >= 0"),
+        (
+            {"sweep": {"g_det_values": [10**400]}},
+            "sweep.g_det_values[0]: expected a finite number > 0",
+        ),
+    ],
+    ids=["sigma-r", "pd-min-negative", "se-pose", "building", "g-values", "g-det-values"],
+)
+def test_integers_too_large_for_a_float_name_their_key(raw, violation):
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.violations == [violation]
+
+
+@pytest.mark.parametrize("t_steps", [2**63, 10**40], ids=["2**63", "10**40"])
+def test_t_steps_beyond_a_64_bit_index_is_a_config_error(t_steps):
+    with pytest.raises(ConfigError) as err:
+        parse_config({"scenario": {"t_steps": t_steps}})
+    assert err.value.violations == [
+        f"scenario.t_steps: must be <= 2**63 - 1, got a {t_steps.bit_length()}-bit integer"
+    ]
+
+
+def test_largest_64_bit_t_steps_parses():
+    assert parse_config({"scenario": {"t_steps": 2**63 - 1}}).scenario.t_steps == 2**63 - 1

@@ -1,8 +1,11 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sensefuse.config import parse_config
 from sensefuse.errors import StoreCorruptError
@@ -22,6 +25,7 @@ from sensefuse.sdsf_store import (
     Availability,
     SdsfStore,
     SensingContext,
+    _float_strings,
 )
 
 from conftest import columns_of, live_record, make_detection
@@ -390,6 +394,152 @@ def test_raw_record_line_is_json_dumps_of_its_detections(tmp_path):
         "metadata": [["k", "v"]],
     }
     assert _lines(path)[1] == (json.dumps(expected, sort_keys=True) + "\n").encode()
+
+
+# Every class of double the float formatter treats differently: both zeros,
+# subnormals, the neighbours of 1e-4 and 1e16 (where repr switches to exponent
+# form) and the largest finite values.
+_EDGE_FLOATS = [
+    0.0,
+    5e-324,
+    2.2250738585072014e-308,
+    math.nextafter(1e-4, 0.0),
+    1e-4,
+    math.nextafter(1e-4, 1.0),
+    math.nextafter(1e16, 0.0),
+    1e16,
+    math.nextafter(1e16, math.inf),
+    1e308,
+    math.nextafter(math.inf, 0.0),
+]
+
+
+def _floats(limit: float) -> st.SearchStrategy[float]:
+    """Finite floats of magnitude up to ``limit``, edge cases and [1e-6, 1e18] weighted up."""
+    edges = [v for v in _EDGE_FLOATS if v <= limit]
+    return st.one_of(
+        st.sampled_from(edges + [-v for v in edges]),
+        st.floats(min_value=-limit, max_value=limit),
+        st.floats(min_value=1e-6, max_value=1e18),
+    )
+
+
+def _cov_row(u: float, w: float) -> tuple[float, float, float]:
+    """A PSD ``(xx, xy, yy)`` row, ``xx = yy >= |xy|``, from two floats below 1e150.
+
+    DetectionColumns' closed-form smallest eigenvalue is then ``xx - sqrt(xy * xy)``:
+    no step overflows, and only a square that underflows can round it below 0,
+    by far less than ``PSD_SLACK``.
+    """
+    return max(abs(u), abs(w)), math.copysign(min(abs(u), abs(w)), w), max(abs(u), abs(w))
+
+
+@st.composite
+def _columns(draw) -> DetectionColumns:
+    se_ids = draw(
+        st.lists(
+            st.text(st.sampled_from('se-0"\\é€😀') | st.characters(), max_size=6),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    n = draw(st.integers(0, 50))
+    position = st.tuples(_floats(sys.float_info.max), _floats(sys.float_info.max))
+    cov = st.builds(_cov_row, _floats(1e149), _floats(1e149))
+    return DetectionColumns(
+        xy=np.array(draw(st.lists(position, min_size=n, max_size=n))).reshape(n, 2),
+        cov=np.array(draw(st.lists(cov, min_size=n, max_size=n))).reshape(n, 3),
+        se_idx=np.array(draw(st.lists(st.integers(0, len(se_ids) - 1), min_size=n, max_size=n))),
+        se_ids=tuple(se_ids),
+        is_clutter=np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool),
+    )
+
+
+def _raw_line_spec(payload: DetectionColumns) -> bytes:
+    """The raw record's log line as ``json.dumps`` writes its dict form."""
+    items = [
+        {"x": x, "y": y, "cov": cov, "source_se": se_id, "clutter": clutter}
+        for (x, y), cov, se_id, clutter in zip(
+            payload.xy.tolist(), payload.cov.tolist(), payload.sources(), payload.is_clutter.tolist()
+        )
+    ]
+    expected = {
+        "record_id": "rec-000001",
+        "stid": "stid-1",
+        "kind": "raw",
+        "context": {
+            "area": list(AREA.as_tuple()),
+            "time_window": [0, 100],
+            "target_type": "vehicle",
+            "conditions": [],
+        },
+        "payload": {"type": "detections", "items": items},
+        "created_at": 0,
+        "aging_policy": 50,
+        "metadata": [["k", "v"]],
+    }
+    return (json.dumps(expected, sort_keys=True) + "\n").encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(payload=_columns())
+def test_raw_record_line_is_json_dumps_for_every_float_class(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("raw") / "store.jsonl"
+    SdsfStore(path).store("stid-1", "raw", ctx(), payload, 0, 50, metadata={"k": "v"})
+    assert _lines(path)[1] == _raw_line_spec(payload)
+
+    record = live_record(SdsfStore(path), "rec-000001")
+    assert record is not None and record.payload == payload
+    assert record.payload.xy.tobytes() == payload.xy.tobytes()
+    assert record.payload.cov.tobytes() == payload.cov.tobytes()
+
+
+@pytest.mark.parametrize("n", [1023, 1024, 1025, 2049])
+def test_raw_record_line_is_json_dumps_across_row_chunks(tmp_path, n):
+    rng = np.random.default_rng(n)
+    var = rng.uniform(0.5, 4.0, size=n)
+    payload = DetectionColumns(
+        xy=rng.normal(60.0, 40.0, size=(n, 2)),
+        cov=np.stack([var, 0.5 * rng.uniform(-var, var), var], axis=1),
+        se_idx=rng.integers(0, 2, size=n),
+        se_ids=("se-0", "se-1"),
+        is_clutter=rng.random(n) < 0.3,
+    )
+    path = tmp_path / "store.jsonl"
+    SdsfStore(path).store("stid-1", "raw", ctx(), payload, 0, 50, metadata={"k": "v"})
+    assert _lines(path)[1] == _raw_line_spec(payload)
+
+
+def _assert_formats_as_repr(values: np.ndarray) -> None:
+    got = _float_strings(values)
+    want = list(map(repr, values.tolist()))
+    if got != want:
+        mismatches = [(w, g) for g, w in zip(got, want) if g != w] or [(len(want), len(got))]
+        pytest.fail(f"{len(mismatches)} floats differ from repr, first: {mismatches[:5]}")
+
+
+def test_float_formatter_equals_repr_on_random_bit_patterns():
+    bits = np.random.default_rng(20261018).integers(0, 2**64, size=1_100_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    finite = values[np.isfinite(values)]
+    assert len(finite) >= 1_000_000
+    _assert_formats_as_repr(finite)
+
+
+def test_float_formatter_equals_repr_from_1e_minus_5_to_1e17():
+    rng = np.random.default_rng(17)
+    dense = 10.0 ** rng.uniform(-5.0, 17.0, size=500_000)
+    decades = 10.0 ** np.arange(-5, 18, dtype=float)
+    neighbours = np.concatenate(
+        [np.nextafter(decades, 0.0), decades, np.nextafter(decades, np.inf)]
+    )
+    values = np.concatenate([dense, -dense, neighbours, -neighbours])
+    _assert_formats_as_repr(values)
+
+
+def test_float_formatter_of_no_floats_is_empty():
+    assert _float_strings(np.empty(0)) == []
 
 
 def test_raw_record_round_trips_as_columns(tmp_path):
