@@ -84,6 +84,10 @@ def load_config(path: str | Path | None) -> AppConfig:
             where = f" at line {mark.line + 1}" if mark is not None else ""
             problem = getattr(exc, "problem", None) or exc
             raise ConfigError(f"{path}: invalid YAML{where}: {problem}") from exc
+        except ValueError as exc:
+            # PyYAML converts scalars itself: an integer literal past Python's
+            # int-string digit limit, or an impossible date, raises here.
+            raise ConfigError(f"{path}: unreadable YAML value: {exc}") from exc
         if raw is None:
             raw = {}
     if not isinstance(raw, dict):

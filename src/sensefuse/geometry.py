@@ -40,7 +40,8 @@ class Rect:
 
     def __post_init__(self) -> None:
         vals = (self.x_min, self.y_min, self.x_max, self.y_max)
-        if not all(math.isfinite(v) for v in vals):
+        finite = math.isfinite  # no generator: a store replay builds many rects
+        if not (finite(vals[0]) and finite(vals[1]) and finite(vals[2]) and finite(vals[3])):
             raise ValueError(f"rect coordinates must be finite, got {vals}")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError(

@@ -17,6 +17,7 @@ import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from .callflow import (
     CallFlowRun,
@@ -30,7 +31,7 @@ from .config import AppConfig, SweepSettings
 from .errors import ConfigError
 from .fusion import FilterConfig, detection_distances, grid_metrics
 from .geometry import Rect, StaticMap
-from .metrics import MetricResult, aggregate
+from .metrics import MetricResult, aggregate_values
 from .scenario import Scenario, generate_realization, realization_rng
 from .scenario import generate_frames  # noqa: F401  re-export; perfbench's tests bind it here
 from .sdsf_store import SdsfStore, SensingContext
@@ -103,15 +104,29 @@ def run_sweep(scenario: Scenario, sweep: SweepSettings, workers: int = 1) -> lis
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     jobs = [(scenario, sweep, ri) for ri in range(sweep.n_realizations)]
+    keys = cell_keys(sweep)
+    pd_avg: dict[CellKey, list[float]] = {key: [] for key in keys}
+    fa_avg: dict[CellKey, list[float]] = {key: [] for key in keys}
+
+    def collect(per_realization: Iterable[dict[CellKey, MetricResult]]) -> None:
+        # Keep two floats per cell, not the MetricResults: thousands of those
+        # outliving each realization set off a full garbage collection every
+        # few sweeps, in the middle of a realization.
+        for res in per_realization:
+            for key in keys:
+                result = res[key]
+                pd_avg[key].append(result.pd_avg)
+                fa_avg[key].append(result.fa_avg)
+
     if workers == 1:
-        per_realization = [run_realization(*job) for job in jobs]
+        collect(run_realization(*job) for job in jobs)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_realization = list(pool.map(_run_realization_args, jobs))
+            collect(pool.map(_run_realization_args, jobs))
 
     rows = []
-    for key in cell_keys(sweep):
-        stats = aggregate(res[key] for res in per_realization)
+    for key in keys:
+        stats = aggregate_values(pd_avg[key], fa_avg[key])
         g, g_det = key
         rows.append(
             SweepRow(

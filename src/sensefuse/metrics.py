@@ -89,11 +89,16 @@ def aggregate(results: Iterable[MetricResult]) -> AggregateStats:
     A single realization reports zero standard deviation.
     """
     results = list(results)
-    if not results:
+    return aggregate_values([r.pd_avg for r in results], [r.fa_avg for r in results])
+
+
+def aggregate_values(pd_avg: Sequence[float], fa_avg: Sequence[float]) -> AggregateStats:
+    """:func:`aggregate` of the realizations' ``pd_avg`` and ``fa_avg`` values."""
+    if not pd_avg:
         raise EmptyRunError("cannot aggregate zero realizations")
-    pd = np.array([r.pd_avg for r in results])
-    fa = np.array([r.fa_avg for r in results])
-    n = len(results)
+    pd = np.array(pd_avg)
+    fa = np.array(fa_avg)
+    n = len(pd)
     return AggregateStats(
         pd_mean=float(pd.mean()),
         pd_std=float(pd.std(ddof=1)) if n > 1 else 0.0,

@@ -20,9 +20,13 @@ bytes as ``json.dumps`` of one object per detection, but is assembled from
 the columns, 1024 rows at a time: orjson formats a chunk's floats in one
 call (``repr`` formats the few whose magnitude puts ``repr`` in exponent
 form), one join builds the chunk's rows, and the line is written to the log
-in pieces.  Reading stays on stdlib ``json`` (it accepts the bare ``NaN`` of
-older logs) and decodes the items straight back into columns, with the same
-validation.
+in pieces.
+
+Replay reads each line with orjson and falls back to stdlib ``json`` only
+where the two would differ (see :func:`_decode_line`), so every record equals
+what ``json.loads`` of its line decodes to.  Within one replay, equal area
+rects and equal static maps are built once and shared; a raw record's items
+are read into columns in one pass, with the same validation.
 """
 from __future__ import annotations
 
@@ -30,8 +34,10 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Union
+from typing import Any, Callable, Iterator, TypeVar, Union
 
 import numpy as np
 import orjson
@@ -50,6 +56,7 @@ TARGET_TYPES = ("pedestrian", "vehicle", "lorry", "cyclist", "motorcyclist", "un
 RECORD_KINDS = ("raw", "processed", "high-level")
 
 Payload = Union[StaticMap, DetectionColumns, MetricResult]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -110,15 +117,6 @@ class Availability:
             raise ValueError("status 'exists' cannot carry missing portions")
         if self.status == "missing" and self.available_portions:
             raise ValueError("status 'missing' cannot carry available portions")
-
-
-def _type_matches(stored: str, requested: str) -> bool:
-    # Stored "unknown" data is type-agnostic and satisfies any request.
-    return stored == requested or stored == "unknown"
-
-
-def _windows_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return max(a[0], b[0]) <= min(a[1], b[1])
 
 
 def _subtract_window(
@@ -247,34 +245,48 @@ class SdsfStore:
         data archived by another.  Spatial and temporal coverage are computed
         separately and intersected: full availability requires both.
         """
-        relevant = [
-            r
-            for r in self._live_records()
-            if _type_matches(r.context.target_type, ctx.target_type)
-            and _windows_overlap(r.context.time_window, ctx.time_window)
-            and r.context.area.intersects(ctx.area)
-        ]
+        relevant = self._overlapping(ctx)
         if not relevant:
             return Availability(status="missing", missing_portions=(ctx,))
 
+        area, (t0, t1) = ctx.area, ctx.time_window
+        # Portions built from the same area, start and end objects are equal,
+        # so one is built per distinct triple, keyed by the objects' ids.  Each
+        # keyed object stays referenced by its portion, so no id is reused.
+        portions: dict[tuple[int, int, int], SensingContext] = {}
         overlaps = []
         for r in relevant:
-            inter_area = r.context.area.intersection(ctx.area)
-            assert inter_area is not None
-            w0 = max(r.context.time_window[0], ctx.time_window[0])
-            w1 = min(r.context.time_window[1], ctx.time_window[1])
-            overlaps.append(
-                SensingContext(
+            stored = r.context.area
+            if (
+                area.x_min <= stored.x_min
+                and stored.x_max <= area.x_max
+                and area.y_min <= stored.y_min
+                and stored.y_max <= area.y_max
+            ):
+                # The intersection would rebuild ``stored`` coordinate for coordinate.
+                inter_area = stored
+            else:
+                inter_area = stored.intersection(area)
+                assert inter_area is not None
+            w0 = max(r.context.time_window[0], t0)
+            w1 = min(r.context.time_window[1], t1)
+            key = (id(inter_area), id(w0), id(w1))
+            portion = portions.get(key)
+            if portion is None:
+                portion = portions[key] = SensingContext(
                     area=inter_area,
                     time_window=(w0, w1),
                     target_type=ctx.target_type,
                     conditions=ctx.conditions,
                 )
-            )
+            overlaps.append(portion)
 
-        uncovered_rects = subtract_rects(ctx.area, [o.area for o in overlaps])
+        # Subtracting a cut a second time is a no-op, so only distinct cuts
+        # are subtracted, in order of first appearance.
+        distinct = portions.values()
+        uncovered_rects = subtract_rects(area, list(dict.fromkeys(p.area for p in distinct)))
         uncovered_windows = _subtract_window(
-            ctx.time_window, [o.time_window for o in overlaps]
+            ctx.time_window, list(dict.fromkeys(p.time_window for p in distinct))
         )
         if not uncovered_rects and not uncovered_windows:
             return Availability(status="exists", available_portions=tuple(overlaps))
@@ -301,18 +313,27 @@ class SdsfStore:
         remove anything fetch would still have served.  Results are ordered
         newest first, then by record id for stability.
         """
-        hits = [
-            r
-            for r in self._live_records()
-            if _type_matches(r.context.target_type, ctx.target_type)
-            and _windows_overlap(r.context.time_window, ctx.time_window)
-            and r.context.area.intersects(ctx.area)
-            and r.age(self._now) <= max_age
-        ]
+        now = self._now
+        hits = [r for r in self._overlapping(ctx) if now - r.created_at <= max_age]
         return sorted(hits, key=lambda r: (-r.created_at, r.record_id))
 
-    def _live_records(self) -> list[SensingRecord]:
-        return [r for r in self._records.values() if not r.expired(self._now)]
+    def _overlapping(self, ctx: SensingContext) -> list[SensingRecord]:
+        """Live records whose context overlaps ``ctx``, in one pass over the index.
+
+        Live means ``not r.expired(now)``.  Stored "unknown" data is
+        type-agnostic and satisfies any requested target type.  Windows
+        overlap when they share a step; areas when they share positive area.
+        """
+        now = self._now
+        area, (t0, t1), wanted = ctx.area, ctx.time_window, ctx.target_type
+        return [
+            r
+            for r in self._records.values()
+            if not now - r.created_at > r.aging_policy
+            and ((c := r.context).target_type == wanted or c.target_type == "unknown")
+            and max(c.time_window[0], t0) <= min(c.time_window[1], t1)
+            and c.area.intersects(area)
+        ]
 
     # -- aging ---------------------------------------------------------------
 
@@ -360,12 +381,15 @@ class SdsfStore:
                 raise StoreCorruptError(
                     self._path, 1, f"unsupported log version {header.get('version')!r}"
                 )
+            # Equal area rects and equal maps decoded in this replay share one object.
+            rects: dict[bytes | str, Rect] = {}
+            maps: dict[bytes | str, StaticMap] = {}
             entries = []
             for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
                 try:
-                    record = _record_from_json(json.loads(line))
+                    record = _record_from_json(_decode_line(line), rects, maps)
                     num = int(record.record_id.split("-")[-1])
                 except (ValueError, TypeError, KeyError, AttributeError) as exc:
                     raise StoreCorruptError(self._path, lineno, f"bad record: {exc}") from exc
@@ -404,12 +428,13 @@ def _context_to_json(ctx: SensingContext) -> dict:
     }
 
 
-def _context_from_json(d: dict) -> SensingContext:
+def _context_from_json(d: dict, rects: dict | None = None) -> SensingContext:
+    coords = d["area"]
     return SensingContext(
-        area=Rect(*d["area"]),
+        area=_interned(rects, coords, lambda: Rect(*coords)),
         time_window=tuple(d["time_window"]),
         target_type=d["target_type"],
-        conditions=tuple(tuple(c) for c in d["conditions"]),
+        conditions=tuple(map(tuple, d["conditions"])),
     )
 
 
@@ -423,6 +448,60 @@ def _finite_or_none(v: float) -> float | None:
 
 def _nan_if_none(v: float | None) -> float:
     return math.nan if v is None else v
+
+
+def _interned(cache: dict[bytes | str, T] | None, coords: object, build: Callable[[], T]) -> T:
+    """``build()``, or the object that equal JSON ``coords`` built earlier into ``cache``.
+
+    The key is the JSON text of ``coords``, so ``0`` and ``0.0``, or ``0.0``
+    and ``-0.0``, stay apart.  Only immutable objects are cached.
+    """
+    if cache is None:
+        return build()
+    try:
+        key: bytes | str = orjson.dumps(coords)
+    except TypeError:  # an integer beyond 64 bits from a json.loads line
+        key = repr(coords)
+    obj = cache.get(key)
+    if obj is None:
+        obj = cache[key] = build()
+    return obj
+
+
+def _float_in_int_fields(d: Any) -> bool:
+    """True when a field the log writes as integers decoded to a float.
+
+    Those fields are ``created_at``, ``aging_policy``, ``time_window`` and a
+    metrics payload's ``excluded_targets``.  A value that is not shaped like
+    a record also answers True, so that the record decoder reports its fault
+    on what ``json.loads`` reads.
+    """
+    try:
+        ints = [d["created_at"], d["aging_policy"], *d["context"]["time_window"]]
+        payload = d["payload"]
+        if "excluded_targets" in payload:
+            ints += payload["excluded_targets"]
+    except (KeyError, TypeError, AttributeError):
+        return True
+    return float in map(type, ints)
+
+
+def _decode_line(line: bytes) -> Any:
+    """One log line as ``json.loads`` decodes it, parsed by orjson where that is the same.
+
+    A line goes to ``json.loads`` in two cases.  orjson rejects it: the bare
+    ``NaN``/``Infinity`` of logs written before metrics were stored as
+    ``null``, or a lone-surrogate escape.  Or orjson has read an integer
+    literal outside 64 bits as a float where ``json.loads`` keeps an ``int``:
+    the fields the log writes as integers are checked for floats.  Every
+    other number in a record is written as a float literal, which both
+    decoders read to the same float.
+    """
+    try:
+        d = orjson.loads(line)
+    except orjson.JSONDecodeError:
+        return json.loads(line)
+    return json.loads(line) if _float_in_int_fields(d) else d
 
 
 def _payload_to_json(payload: StaticMap | MetricResult) -> dict:
@@ -492,31 +571,42 @@ def _detections_chunks(cols: DetectionColumns) -> Iterator[str]:
     yield '}], "type": "detections"}' if len(cols) else '], "type": "detections"}'
 
 
+_ITEM_FIELDS = itemgetter("x", "y", "cov", "source_se", "clutter")
+
+
 def _columns_from_json(items: list[dict]) -> DetectionColumns:
-    sources = [item["source_se"] for item in items]
+    """The detections payload's items as columns, read in one pass over the items."""
+    n = len(items)
+    xs, ys, covs, sources, clutter = zip(*map(_ITEM_FIELDS, items)) if n else ((),) * 5
+    if set(map(len, covs)) - {3}:
+        i = next(i for i, row in enumerate(covs) if len(row) != 3)
+        raise ValueError(f"item {i}: cov must hold (xx, xy, yy), got {covs[i]}")
     se_ids = tuple(dict.fromkeys(sources))
     index = {se_id: i for i, se_id in enumerate(se_ids)}
-    covs = [item["cov"] for item in items]
-    for i, cov in enumerate(covs):
-        if len(cov) != 3:
-            raise ValueError(f"item {i}: cov must hold (xx, xy, yy), got {cov}")
-    n = len(items)
     return DetectionColumns(
-        xy=np.array([(item["x"], item["y"]) for item in items], dtype=float).reshape(n, 2),
-        cov=np.array(covs, dtype=float).reshape(n, 3),
-        se_idx=np.array([index[s] for s in sources], dtype=np.intp),
+        xy=np.array((xs, ys), dtype=float).T.copy(),
+        # numpy converts a flat list of floats much faster than a list of rows.
+        cov=np.array(list(chain.from_iterable(covs)), dtype=float).reshape(n, 3),
+        se_idx=np.fromiter(map(index.__getitem__, sources), dtype=np.intp, count=n),
         se_ids=se_ids,
-        is_clutter=np.array([item["clutter"] for item in items]),
+        is_clutter=np.array(clutter),
     )
 
 
-def _payload_from_json(d: dict) -> Payload:
+def _static_map_from_json(d: dict) -> StaticMap:
+    bounds = Rect(*d["bounds"])
+    return StaticMap(tuple(Rect(*r) for r in d["rects"]), bounds)
+
+
+def _payload_from_json(d: dict, maps: dict | None = None) -> Payload:
     if d["type"] == "static_map":
-        bounds = Rect(*d["bounds"])
-        return StaticMap(tuple(Rect(*r) for r in d["rects"]), bounds)
+        return _interned(maps, (d["bounds"], d["rects"]), lambda: _static_map_from_json(d))
     if d["type"] == "metrics":
+        # Never shared: pd_per_target is a mutable dict.
         return MetricResult(
-            pd_per_target={int(k): _nan_if_none(v) for k, v in d["pd_per_target"].items()},
+            pd_per_target={
+                int(k): math.nan if v is None else v for k, v in d["pd_per_target"].items()
+            },
             pd_avg=_nan_if_none(d["pd_avg"]),
             fa_avg=_nan_if_none(d["fa_avg"]),
             excluded_targets=tuple(d["excluded_targets"]),
@@ -551,14 +641,17 @@ def _record_pieces(record: SensingRecord) -> list[str]:
     return [f'{before[:-1]}, "payload": ', *_detections_chunks(record.payload), f", {after[1:]}"]
 
 
-def _record_from_json(d: dict) -> SensingRecord:
+def _record_from_json(
+    d: dict, rects: dict | None = None, maps: dict | None = None
+) -> SensingRecord:
+    """The record a decoded log line holds; ``rects`` and ``maps`` intern its area and map."""
     return SensingRecord(
         record_id=d["record_id"],
         stid=d["stid"],
         kind=d["kind"],
-        context=_context_from_json(d["context"]),
-        payload=_payload_from_json(d["payload"]),
+        context=_context_from_json(d["context"], rects),
+        payload=_payload_from_json(d["payload"], maps),
         created_at=d["created_at"],
         aging_policy=d["aging_policy"],
-        metadata=tuple(tuple(m) for m in d["metadata"]),
+        metadata=tuple(map(tuple, d["metadata"])),
     )

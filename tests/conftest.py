@@ -49,7 +49,8 @@ def columns_of(detections: list[WorldDetection]) -> DetectionColumns:
 
 def live_record(store: SdsfStore, record_id: str) -> SensingRecord | None:
     """The store's record ``record_id`` unless it is missing or expired."""
-    return next((r for r in store._live_records() if r.record_id == record_id), None)
+    record = store._records.get(record_id)
+    return None if record is None or record.expired(store.now) else record
 
 
 def _hand_rect_d2(x: float, y: float, rect: Rect) -> float:

@@ -13,7 +13,9 @@ functions here are the object-at-a-time forms of the same math:
 * :func:`precompute_distances`, which packs ``Frame`` lists into the fusion
   kernel's input;
 * point-to-map distances and the closed dilated-map membership spec;
-* :func:`read_trace`, the inverse of ``callflow.write_trace``.
+* :func:`read_trace`, the inverse of ``callflow.write_trace``;
+* :func:`query_availability` and :func:`fetch`, the store's read path with
+  one coverage portion built and subtracted per overlapping record.
 
 Tests import this module by name, as they import ``conftest``.  Nothing in
 the package imports it.
@@ -31,7 +33,7 @@ import numpy as np
 from sensefuse.callflow import TraceEvent
 from sensefuse.errors import DegenerateGeometryError
 from sensefuse.fusion import FrameDistances, detection_distances
-from sensefuse.geometry import Rect, StaticMap, WorldPoint
+from sensefuse.geometry import Rect, StaticMap, WorldPoint, subtract_rects
 from sensefuse.measurement import (
     Cov2,
     NoiseModel,
@@ -41,6 +43,7 @@ from sensefuse.measurement import (
     wrap_angles,
 )
 from sensefuse.scenario import ClutterModel, Frame, Scenario, _frames, _realize
+from sensefuse.sdsf_store import Availability, SensingContext, SensingRecord, _subtract_window
 
 # -- measurement -----------------------------------------------------------------
 
@@ -323,3 +326,60 @@ def read_trace(path: str | Path) -> list[TraceEvent]:
                     TraceEvent(d["step"], d["sender"], d["receiver"], d["variant"], d["stid"])
                 )
     return events
+
+
+def _overlapping(
+    records: Sequence[SensingRecord], ctx: SensingContext, now: int
+) -> list[SensingRecord]:
+    return [
+        r
+        for r in records
+        if not r.expired(now)
+        and r.context.target_type in (ctx.target_type, "unknown")
+        and max(r.context.time_window[0], ctx.time_window[0])
+        <= min(r.context.time_window[1], ctx.time_window[1])
+        and r.context.area.intersects(ctx.area)
+    ]
+
+
+def query_availability(
+    records: Sequence[SensingRecord], ctx: SensingContext, now: int
+) -> Availability:
+    """``SdsfStore.query_availability`` with a fresh portion per overlapping record."""
+    relevant = _overlapping(records, ctx, now)
+    if not relevant:
+        return Availability(status="missing", missing_portions=(ctx,))
+    overlaps = [
+        SensingContext(
+            area=r.context.area.intersection(ctx.area),
+            time_window=(
+                max(r.context.time_window[0], ctx.time_window[0]),
+                min(r.context.time_window[1], ctx.time_window[1]),
+            ),
+            target_type=ctx.target_type,
+            conditions=ctx.conditions,
+        )
+        for r in relevant
+    ]
+    uncovered_rects = subtract_rects(ctx.area, [o.area for o in overlaps])
+    uncovered_windows = _subtract_window(ctx.time_window, [o.time_window for o in overlaps])
+    if not uncovered_rects and not uncovered_windows:
+        return Availability(status="exists", available_portions=tuple(overlaps))
+    missing = [
+        SensingContext(rect, ctx.time_window, ctx.target_type, ctx.conditions)
+        for rect in uncovered_rects
+    ] + [
+        SensingContext(ctx.area, win, ctx.target_type, ctx.conditions)
+        for win in uncovered_windows
+    ]
+    return Availability(
+        status="partial", available_portions=tuple(overlaps), missing_portions=tuple(missing)
+    )
+
+
+def fetch(
+    records: Sequence[SensingRecord], ctx: SensingContext, now: int, max_age: float
+) -> list[SensingRecord]:
+    """``SdsfStore.fetch``: overlapping live records no older than ``max_age``, newest first."""
+    hits = [r for r in _overlapping(records, ctx, now) if r.age(now) <= max_age]
+    return sorted(hits, key=lambda r: (-r.created_at, r.record_id))

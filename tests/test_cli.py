@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from sensefuse import __version__
@@ -20,6 +22,15 @@ demo:
   pd_min: 0.0
   fa_max: 1.0e+9
 """
+
+
+# Python's int-string limit (3.10.7+) stops PyYAML from reading a 5001-digit
+# integer; without the limit it is read and then fails to fit a float.
+HUGE_INT_PROBLEM = (
+    "unreadable YAML value: Exceeds the limit"
+    if hasattr(sys, "get_int_max_str_digits")
+    else "scenario.sigma_r: must fit a 64-bit float"
+)
 
 
 @pytest.fixture()
@@ -209,6 +220,8 @@ def test_sweep_requires_out_path(small_config):
         # Integers that YAML reads exactly but no float or step index can hold.
         ("scenario:\n  sigma_r: 1" + "0" * 400 + "\n", "scenario.sigma_r: must fit a 64-bit float"),
         ("scenario:\n  t_steps: 1" + "0" * 40 + "\n", "scenario.t_steps: must be <= 2**63 - 1"),
+        # Past Python's int-string limit PyYAML cannot read the integer at all.
+        ("scenario: {sigma_r: 1" + "0" * 5000 + "}\n", HUGE_INT_PROBLEM),
     ],
     ids=[
         "jitter-zero",
@@ -218,6 +231,7 @@ def test_sweep_requires_out_path(small_config):
         "sigma-beta-underflow",
         "sigma-r-huge-integer",
         "t-steps-huge-integer",
+        "sigma-r-past-digit-limit",
     ],
 )
 def test_bad_scenario_exits_2_on_both_commands(tmp_path, capsys, command, text, key):

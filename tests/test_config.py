@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -161,6 +162,31 @@ def test_top_level_must_be_mapping(tmp_path):
     path.write_text("- just\n- a\n- list\n")
     with pytest.raises(ConfigError, match="expected a mapping"):
         load_config(path)
+
+
+# Python's int-string limit (3.10.7+) stops PyYAML from reading this integer at
+# all; without the limit it is read and then fails to fit a float.
+HUGE_INT_PROBLEM = (
+    "unreadable YAML value: Exceeds the limit"
+    if hasattr(sys, "get_int_max_str_digits")
+    else "scenario.sigma_r: must fit a 64-bit float"
+)
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("scenario: {sigma_r: 1" + "0" * 5000 + "}\n", HUGE_INT_PROBLEM),
+        ("demo:\n  pd_min: 2020-13-45\n", "unreadable YAML value: month must be in 1..12"),
+    ],
+    ids=["integer-past-digit-limit", "impossible-date"],
+)
+def test_unreadable_yaml_scalar_is_a_config_error(tmp_path, text, problem):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert problem in str(err.value)
 
 
 def test_negative_grid_rejected():

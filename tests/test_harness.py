@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 
 import pytest
 
@@ -8,6 +9,7 @@ from sensefuse.callflow import Kpi, SensingWorld, run_sensing_task
 from sensefuse.config import SweepSettings, parse_config
 from sensefuse.errors import ConfigError
 from sensefuse.fusion import FilterConfig
+from sensefuse import harness
 from sensefuse.harness import (
     BASELINE_G,
     CSV_HEADER,
@@ -22,7 +24,7 @@ from sensefuse.harness import (
     run_sweep,
     write_csv,
 )
-from sensefuse.metrics import aggregate
+from sensefuse.metrics import MetricResult, aggregate
 from sensefuse.scenario import ClutterModel, ScenarioConfig, build_scenario
 from sensefuse.sdsf_store import SdsfStore
 
@@ -102,6 +104,22 @@ def test_row_composes_from_realizations(small_scenario, small_rows):
         stats.fa_mean,
         stats.fa_std,
     )
+
+
+def test_sweep_keeps_no_metric_results_across_realizations(small_scenario, monkeypatch):
+    # A sweep keeps each cell's two floats, not its MetricResult: thousands of
+    # results outliving their realization set off full garbage collections.
+    # Only the realization in hand (the loop variable) may still be alive.
+    live = []
+
+    def counted(*args):
+        live.append(sum(isinstance(o, MetricResult) for o in gc.get_objects()))
+        return run_realization(*args)
+
+    monkeypatch.setattr(harness, "run_realization", counted)
+    run_sweep(small_scenario, SMALL_SWEEP)
+    assert len(live) == SMALL_SWEEP.n_realizations
+    assert max(live) - min(live) <= len(cell_keys(SMALL_SWEEP))
 
 
 def test_baseline_ignores_mask_margin(small_scenario):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sensefuse.cli import main
 from sensefuse.config import parse_config
 from sensefuse.errors import StoreCorruptError
 from sensefuse.geometry import Rect, StaticMap
@@ -26,8 +28,10 @@ from sensefuse.sdsf_store import (
     SdsfStore,
     SensingContext,
     _float_strings,
+    _record_from_json,
 )
 
+import oracles
 from conftest import columns_of, live_record, make_detection
 
 AREA = Rect(0.0, 0.0, 120.0, 120.0)
@@ -630,3 +634,265 @@ def test_demo_without_targets_writes_strict_json(tmp_path):
     reopened = SdsfStore(store_path)
     metrics = [r.payload for r in reopened.fetch(ctx(window=(0, 10**6))) if r.kind == "high-level"]
     assert len(metrics) == 1 and math.isnan(metrics[0].pd_avg)
+
+
+# -- replay: orjson decoding and interning ---------------------------------------------
+
+
+def _typed(value):
+    """``value`` as nested tuples that are equal only for equal values of equal types.
+
+    Floats compare by ``float.hex``, so ``-0.0`` differs from ``0.0`` and NaN
+    equals NaN; ``1`` differs from ``1.0`` because every entry carries its type.
+    """
+    if isinstance(value, float):
+        return ("float", value.hex())
+    if isinstance(value, DetectionColumns):
+        return (
+            "DetectionColumns",
+            value.xy.tobytes(),
+            value.cov.tobytes(),
+            value.se_idx.tolist(),
+            _typed(value.se_ids),
+            value.is_clutter.tolist(),
+        )
+    if dataclasses.is_dataclass(value):
+        fields = dataclasses.fields(value)
+        return (type(value).__name__, *(_typed(getattr(value, f.name)) for f in fields))
+    if isinstance(value, (tuple, list)):
+        return (type(value).__name__, *map(_typed, value))
+    if isinstance(value, dict):
+        return ("dict", *((_typed(k), _typed(v)) for k, v in value.items()))
+    return (type(value).__name__, value)
+
+
+# Rects that overlap one another, with equal coordinates of different types
+# or signs, so that replay meets repeated and nearly repeated JSON coordinates.
+_RECT_POOL = [
+    Rect(0.0, 0.0, 120.0, 120.0),
+    Rect(-0.0, 0.0, 120.0, 120.0),
+    Rect(0, 0, 120, 120),
+    Rect(0.0, 0.0, 60.0, 120.0),
+    Rect(20.0, 45.0, 55.0, 75.0),
+    Rect(2**-20, 1 / 3, 0.1, 1e300),
+]
+# Non-ASCII, quote and backslash characters, and lone surrogates, which
+# ``json.dumps`` escapes as ``\ud800`` and only ``json.loads`` reads back.
+_TEXT = st.text(
+    st.sampled_from('ab"\\é€😀\ud800\udfff') | st.characters(), min_size=1, max_size=6
+)
+# Integers on both sides of the 64-bit range that orjson keeps exact.
+_INTS = st.one_of(
+    st.integers(0, 10**6), st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64, 10**30])
+)
+_METRIC = st.one_of(st.just(math.nan), st.floats(0.0, 1.0), st.floats(-1e300, 1e300))
+
+
+@st.composite
+def _static_maps(draw) -> StaticMap:
+    bounds = draw(st.sampled_from(_RECT_POOL))
+    rects = draw(st.lists(st.sampled_from(_RECT_POOL), max_size=3))
+    return StaticMap(tuple(r for r in rects if r.intersects(bounds)), bounds)
+
+
+@st.composite
+def _metric_results(draw) -> MetricResult:
+    return MetricResult(
+        pd_per_target=draw(st.dictionaries(st.integers(-5, 2**70), _METRIC, max_size=4)),
+        pd_avg=draw(_METRIC),
+        fa_avg=draw(_METRIC),
+        excluded_targets=tuple(draw(st.lists(st.integers(-(2**70), 2**70), max_size=3))),
+    )
+
+
+@st.composite
+def _record_specs(draw) -> dict:
+    kind, payload = draw(
+        st.one_of(
+            st.tuples(st.just("processed"), _static_maps()),
+            st.tuples(st.just("high-level"), _metric_results()),
+            st.tuples(st.just("raw"), _columns()),
+        )
+    )
+    start = draw(_INTS)
+    return {
+        "stid": draw(_TEXT),
+        "kind": kind,
+        "context": SensingContext(
+            area=draw(st.sampled_from(_RECT_POOL)),
+            time_window=(start, start + draw(_INTS)),
+            target_type=draw(st.sampled_from(["vehicle", "unknown"])),
+            conditions=tuple(draw(st.lists(st.tuples(_TEXT, _TEXT), max_size=2))),
+        ),
+        "payload": payload,
+        "created_at": draw(_INTS),
+        "extra_age": draw(_INTS),
+        "metadata": draw(st.dictionaries(_TEXT, _TEXT, max_size=2)),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs=st.lists(_record_specs(), min_size=1, max_size=6))
+def test_replay_decodes_every_line_as_json_loads_does(tmp_path_factory, specs):
+    path = tmp_path_factory.mktemp("parity") / "store.jsonl"
+    store = SdsfStore(path)
+    now = max(spec["created_at"] for spec in specs)
+    store.set_now(now)
+    for spec in specs:
+        store.store(
+            spec["stid"],
+            spec["kind"],
+            spec["context"],
+            spec["payload"],
+            spec["created_at"],
+            # Old enough to stay live at the replayed clock.
+            aging_policy=now - spec["created_at"] + spec["extra_age"],
+            metadata=spec["metadata"],
+        )
+    expected = [_record_from_json(json.loads(line)) for line in _lines(path)[1:]]
+    replayed = list(SdsfStore(path)._records.values())
+    assert [_typed(r) for r in replayed] == [_typed(r) for r in expected]
+
+
+def test_replay_reads_bare_nan_of_older_logs(tmp_path):
+    path = tmp_path / "store.jsonl"
+    path.write_text(
+        json.dumps({"magic": LOG_MAGIC, "version": 1})
+        + "\n"
+        + '{"aging_policy": 50, "context": {"area": [0.0, 0.0, 120.0, 120.0], '
+        '"conditions": [], "target_type": "vehicle", "time_window": [0, 100]}, '
+        '"created_at": 0, "kind": "high-level", "metadata": [], "payload": '
+        '{"excluded_targets": [3], "fa_avg": 2.0, "pd_avg": NaN, '
+        '"pd_per_target": {"0": NaN, "1": 0.5}, "type": "metrics"}, '
+        '"record_id": "rec-000001", "stid": "stid-1"}\n'
+    )
+    record = live_record(SdsfStore(path), "rec-000001")
+    assert record is not None
+    assert _typed(record) == _typed(_record_from_json(json.loads(_lines(path)[1])))
+    assert math.isnan(record.payload.pd_avg) and record.payload.excluded_targets == (3,)
+
+
+def test_integers_beyond_64_bits_reopen_as_int_after_two_demos(tmp_path, capsys):
+    config = tmp_path / "age.yaml"
+    config.write_text("demo:\n  aging_policy: 1000000000000000000000000000000\n")
+    store_path = tmp_path / "run.store"
+    argv = ["demo", "--config", str(config), "--trace", str(tmp_path / "t.jsonl")]
+    for _ in range(2):
+        assert main([*argv, "--store", str(store_path)]) == 0
+    assert "source=historical-only" in capsys.readouterr().out
+    records = list(SdsfStore(store_path)._records.values())
+    assert len(records) == 5
+    for record in records:
+        assert type(record.aging_policy) is int and record.aging_policy == 10**30
+        assert all(type(t) is int for t in record.context.time_window)
+        assert record.context.time_window[1] == record.created_at + 10**30
+    expected = [_record_from_json(json.loads(line)) for line in _lines(store_path)[1:]]
+    assert [_typed(r) for r in records] == [_typed(r) for r in expected]
+
+
+def _duplicate_log(tmp_path, copies: int = 40):
+    """A log of ``copies`` map records and as many metrics records, all alike."""
+    path = tmp_path / "store.jsonl"
+    store = SdsfStore(path)
+    for t in range(copies):
+        store.set_now(t)
+        store.store("stid-1", "processed", ctx(), demo_map(), t, 1000)
+        store.store("stid-1", "high-level", ctx(), metrics_payload(), t, 1000)
+    return path
+
+
+def test_replay_shares_equal_maps_but_never_metrics(tmp_path):
+    path = _duplicate_log(tmp_path, copies=3)
+    records = list(SdsfStore(path)._records.values())
+    maps = [r.payload for r in records if r.kind == "processed"]
+    metrics = [r.payload for r in records if r.kind == "high-level"]
+    assert maps[0] == maps[1] == maps[2] == demo_map()
+    assert maps[0] is maps[1] is maps[2]
+    assert records[0].context.area is records[1].context.area
+    assert metrics[0] == metrics[1] == metrics[2] == metrics_payload()
+    assert len({id(m.pd_per_target) for m in metrics}) == 3
+    metrics[0].pd_per_target[0] = 0.1
+    assert metrics[1].pd_per_target == {0: 0.9}
+
+
+def test_replay_keeps_equal_coordinates_of_other_type_or_sign_apart(tmp_path):
+    path = tmp_path / "store.jsonl"
+    store = SdsfStore(path)
+    areas = [Rect(0.0, 0.0, 120.0, 120.0), Rect(-0.0, 0.0, 120.0, 120.0), Rect(0, 0, 120, 120)]
+    for stid, area in zip(("stid-1", "stid-2", "stid-3"), areas):
+        store.store(stid, "processed", ctx(area=area), StaticMap((), area), 0, 1000)
+    records = list(SdsfStore(path)._records.values())
+    assert [_typed(r.context.area) for r in records] == [_typed(a) for a in areas]
+    assert [_typed(r.payload.bounds) for r in records] == [_typed(a) for a in areas]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda d: d.pop("stid"),
+        lambda d: d["context"].update(time_window=[5, 1]),
+        lambda d: d["context"].update(area=[0.0, 0.0, 0.0, 120.0]),
+        lambda d: d["payload"].update(rects=[[200.0, 200.0, 300.0, 300.0]]),
+    ],
+    ids=["missing-stid", "reversed-window", "flat-area", "rect-outside-bounds"],
+)
+def test_corrupt_line_after_many_duplicates_names_its_own_line(tmp_path, corrupt):
+    path = _duplicate_log(tmp_path)
+    lines = _lines(path)
+    record = json.loads(lines[1])  # a map record like every other odd line
+    corrupt(record)
+    record["record_id"] = "rec-000081"
+    path.write_bytes(b"".join(lines) + (json.dumps(record, sort_keys=True) + "\n").encode())
+    with pytest.raises(StoreCorruptError, match=r"store\.jsonl:82: bad record") as err:
+        SdsfStore(path)
+    assert err.value.lineno == 82
+
+
+# Areas that contain, cross, touch and miss the requested ones, some of them
+# equal in value but not in type or sign.
+_QUERY_RECTS = [
+    *_RECT_POOL[:5],
+    Rect(50.0, 50.0, 150.0, 150.0),
+    Rect(120.0, 0.0, 130.0, 10.0),
+    Rect(-10.0, -10.0, 5.0, 200.0),
+    Rect(-10.0, 20.0, 30.0, 60.0),
+    Rect(100.0, -5.0, 125.0, 50.0),
+]
+# Small step ranges, so that record windows often share a start or an end
+# with each other and with the requested window.
+_STEPS = st.integers(0, 12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    stored=st.lists(
+        st.tuples(
+            st.sampled_from(_QUERY_RECTS),
+            _STEPS,
+            _STEPS,
+            st.sampled_from(["vehicle", "pedestrian", "unknown"]),
+            _STEPS,
+            _STEPS,
+        ),
+        max_size=12,
+    ),
+    area=st.sampled_from(_QUERY_RECTS),
+    start=_STEPS,
+    length=_STEPS,
+    target_type=st.sampled_from(["vehicle", "pedestrian"]),
+    max_age=_STEPS,
+)
+def test_read_path_equals_one_portion_per_record(
+    stored, area, start, length, target_type, max_age
+):
+    store = SdsfStore()
+    store.set_now(12)
+    for i, (rect, w0, width, kind, created_at, aging) in enumerate(stored):
+        context = SensingContext(rect, (w0, w0 + width), kind)
+        store.store(f"stid-{i}", "high-level", context, metrics_payload(), created_at, aging)
+    records = list(store._records.values())
+    ctx = SensingContext(area, (start, start + length), target_type, (("k", "v"),))
+    assert _typed(store.query_availability(ctx)) == _typed(
+        oracles.query_availability(records, ctx, store.now)
+    )
+    assert store.fetch(ctx, max_age=max_age) == oracles.fetch(records, ctx, store.now, max_age)
