@@ -11,7 +11,7 @@ from .errors import (
 from .fusion import FilterConfig
 from .geometry import Rect, StaticMap, WorldPoint
 from .measurement import Cov2, DetectionColumns, NoiseModel, Pose, WorldDetection
-from .metrics import MetricResult, aggregate
+from .metrics import MetricResult
 from .scenario import (
     ClutterModel,
     Frame,
@@ -52,7 +52,6 @@ __all__ = [
     "TargetTrack",
     "WorldDetection",
     "WorldPoint",
-    "aggregate",
     "build_scenario",
     "generate_frames",
     "realization_rng",

@@ -28,7 +28,7 @@ import json
 import logging
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -98,26 +98,11 @@ class PolicyRules:
 
 @dataclass(frozen=True)
 class SeReport:
-    """Step-11 payload: one SE's detections as world realization rows, plus any buffer."""
+    """Step-11 payload: one SE's detections as world realization rows."""
 
     se_id: str
     epoch: int
     live: tuple[int, ...]
-    buffered_epoch: int | None = None
-    buffered: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True)
-class StorageItem:
-    """One record the SF wants archived at step 16."""
-
-    stid: Stid
-    kind: str
-    context: SensingContext
-    payload: object
-    created_at: int
-    aging_policy: int
-    metadata: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -313,30 +298,17 @@ class SensingWorld:
 
 
 class SensingEntity:
-    """A registered sensor.  Senses on request and buffers its last collection."""
+    """A registered sensor.  Reports its detections for the requested epoch."""
 
     def __init__(self, se_id: str, world: SensingWorld):
         self.se_id = se_id
         self._world = world
-        self._buffer: tuple[int, tuple[int, ...]] | None = None
 
     def handle(self, msg: Message) -> list[Message]:
         if msg.variant != "SensingDataRequest":
             raise ProtocolError(f"SE {self.se_id} cannot handle {msg.variant}")
-        epoch, max_age = msg.payload
         live = self._world.rows_for(self.se_id)
-        buffered_epoch = None
-        buffered = None
-        if self._buffer is not None and epoch - self._buffer[0] <= max_age:
-            buffered_epoch, buffered = self._buffer
-        report = SeReport(
-            se_id=self.se_id,
-            epoch=epoch,
-            live=live,
-            buffered_epoch=buffered_epoch,
-            buffered=buffered,
-        )
-        self._buffer = (epoch, live)
+        report = SeReport(se_id=self.se_id, epoch=msg.payload, live=live)
         return [
             Message(
                 variant="SensingDataReport",
@@ -407,18 +379,12 @@ class SdsfFrontend:
                 )
             ]
         if msg.variant == "StorageUpdate":
-            items: tuple[StorageItem, ...] = msg.payload
-            if items:
-                self.store.set_now(max(item.created_at for item in items))
-            for item in items:
+            created_at, aging_policy, items = msg.payload
+            self.store.set_now(created_at)
+            for kind, context, payload, content in items:
+                metadata = {"source": "sensing-run", "content": content}
                 self.store.store(
-                    stid=item.stid,
-                    kind=item.kind,
-                    context=item.context,
-                    payload=item.payload,
-                    created_at=item.created_at,
-                    aging_policy=item.aging_policy,
-                    metadata=item.metadata,
+                    msg.stid, kind, context, payload, created_at, aging_policy, metadata
                 )
             return []
         raise ProtocolError(f"SDSF cannot handle {msg.variant}")
@@ -507,7 +473,7 @@ class SensingFunction:
 
         self.phase = SfPhase.IDLE
         self.phase_history: list[SfPhase] = [SfPhase.IDLE]
-        self.registered_ses: dict[str, dict] = {}
+        self.registered_ses: list[str] = []
         self.stid: Stid | None = None
         self.request: ServiceRequest | None = None
         self.policy: PolicyDecision | None = None
@@ -523,15 +489,14 @@ class SensingFunction:
 
     # -- lifecycle -------------------------------------------------------------
 
-    def register_se(self, se_id: str, capabilities: dict | None = None) -> dict:
-        """Step 1: record an SE and its capabilities.  Duplicate ids are rejected."""
+    def register_se(self, se_id: str) -> None:
+        """Step 1: record an SE.  Duplicate ids are rejected."""
         if se_id in self.registered_ses:
             raise ValueError(f"SE id {se_id!r} is already registered")
-        self.registered_ses[se_id] = dict(capabilities or {})
+        self.registered_ses.append(se_id)
         self.bus.record(1, se_id, SF_NAME, "SeRegistration", None)
         if self.phase == SfPhase.IDLE:
             self._advance(SfPhase.REGISTERED)
-        return {"se_id": se_id, "registered": True}
 
     def revoke_consent(self) -> None:
         """Withdraw historical-data consent; takes effect at the next message."""
@@ -627,7 +592,6 @@ class SensingFunction:
         return self._task_ses()
 
     def _task_ses(self) -> list[Message]:
-        assert self.request is not None
         if not self.registered_ses:
             raise NoSensingEntityError(
                 "live sensing data is required but no sensing entity is registered"
@@ -641,7 +605,7 @@ class SensingFunction:
                 receiver=se_id,
                 step=10,
                 stid=self.stid,
-                payload=(self.epoch, self.request.max_age),
+                payload=self.epoch,
             )
             for se_id in self.registered_ses
         ]
@@ -650,7 +614,6 @@ class SensingFunction:
 
     def _on_sensing_report(self, msg: Message) -> list[Message]:
         self._require_phase(SfPhase.COLLECTING_LIVE)
-        assert self.request is not None
         report: SeReport = msg.payload
         self.reports[report.se_id] = report
         if set(self.reports) != set(self.registered_ses):
@@ -734,21 +697,11 @@ class SensingFunction:
     def _merge_reports(self) -> np.ndarray:
         """Pool the SE reports into realization rows, frame by frame.
 
-        Within a frame, rows follow SE registration order.  Only data for the
-        current collection window enters fusion; buffered detections from an
-        older epoch are acknowledged and dropped.
+        Within a frame, rows follow SE registration order.
         """
         rows: list[int] = []
         for se_id in self.registered_ses:
-            report = self.reports[se_id]
-            if report.buffered_epoch is not None and report.buffered_epoch != self.epoch:
-                log.info(
-                    "SE %s included buffered data from epoch %d; outside the current "
-                    "window, not fused",
-                    se_id,
-                    report.buffered_epoch,
-                )
-            rows.extend(report.live)
+            rows.extend(self.reports[se_id].live)
         pooled = np.array(rows, dtype=np.intp)
         return pooled[np.argsort(self.world.realization.frame_of[pooled], kind="stable")]
 
@@ -763,15 +716,15 @@ class SensingFunction:
             return None
         return StaticMap(tuple(dict.fromkeys(rects)), bounds)
 
-    def _archive_items(self, result: SensingResult) -> tuple[StorageItem, ...]:
-        """Step-16 archive: refreshed static map plus the run's fused metrics.
+    def _archive_items(self, result: SensingResult) -> tuple[int, int, tuple[tuple, ...]]:
+        """Step-16 ``(created_at, aging_policy, items)``: the refreshed static map
+        and the run's fused metrics, each item ``(kind, context, payload, content)``.
 
         With ``archive_raw``, a live run also archives its pooled detections
         as :class:`DetectionColumns`, in fusion order.
         """
-        assert self.request is not None and self.stid is not None
-        t_steps = self.world.scenario.t_steps
-        end = self.epoch + t_steps
+        assert self.request is not None
+        end = self.epoch + self.world.scenario.t_steps
         window = (end, end + self.aging_policy)
         map_ctx = SensingContext(
             area=self.world.scenario.bounds,
@@ -784,41 +737,15 @@ class SensingFunction:
             target_type=self.request.target_type,
         )
         items = [
-            StorageItem(
-                stid=self.stid,
-                kind="processed",
-                context=map_ctx,
-                payload=self.world.scenario.static_map,
-                created_at=end,
-                aging_policy=self.aging_policy,
-                metadata={"source": "sensing-run", "content": "static-map"},
-            ),
-            StorageItem(
-                stid=self.stid,
-                kind="high-level",
-                context=metrics_ctx,
-                payload=result.metrics,
-                created_at=end,
-                aging_policy=self.aging_policy,
-                metadata={"source": "sensing-run", "content": "fused-metrics"},
-            ),
+            ("processed", map_ctx, self.world.scenario.static_map, "static-map"),
+            ("high-level", metrics_ctx, result.metrics, "fused-metrics"),
         ]
         if self.archive_raw and result.data_source != "historical-only":
             detections = realization_detections(
                 self.world.scenario, self.world.realization, self.rows
             )
-            items.append(
-                StorageItem(
-                    stid=self.stid,
-                    kind="raw",
-                    context=metrics_ctx,
-                    payload=detections,
-                    created_at=end,
-                    aging_policy=self.aging_policy,
-                    metadata={"source": "sensing-run", "content": "pooled-detections"},
-                )
-            )
-        return tuple(items)
+            items.append(("raw", metrics_ctx, detections, "pooled-detections"))
+        return end, self.aging_policy, tuple(items)
 
     def _abort(self, reason: str, step: int = 15) -> list[Message]:
         self._advance(SfPhase.ABORTED)
@@ -901,11 +828,9 @@ def run_call_flow(
     bus.register_actor(SSC_NAME, consumer.handle)
     bus.register_actor(PCF_NAME, pcf.handle)
     bus.register_actor(SDSF_NAME, sdsf.handle)
-    ses = {}
     for se_id in scenario.se_ids:
-        ses[se_id] = SensingEntity(se_id, world)
-        bus.register_actor(se_id, ses[se_id].handle)
-        sf.register_se(se_id, {"pose": scenario.se_poses[scenario.se_ids.index(se_id)]})
+        bus.register_actor(se_id, SensingEntity(se_id, world).handle)
+        sf.register_se(se_id)
 
     bus.post(consumer.initial_message())
     try:

@@ -7,7 +7,7 @@ before raising, reporting each offending key by its dotted path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -316,6 +316,28 @@ def _parse_scenario(raw: object, problems: list[str]) -> ScenarioConfig:
     )
 
 
+def _grid_values(raw: dict, key: str, positive: bool, problems: list[str]) -> tuple[float, ...]:
+    """The valid values of ``sweep.<key>`` as floats, with a problem per bad entry.
+
+    Values must be finite and ``>= 0`` (``> 0`` when ``positive``).  Cells are
+    keyed by value, so entries equal as floats (``1`` and ``1.0``) would pool
+    their results: they are duplicates.
+    """
+    name = f"sweep.{key}"
+    value = raw[key]
+    if not isinstance(value, list) or not value:
+        problems.append(f"{name}: expected a non-empty list of numbers")
+        return ()
+    bound = "> 0" if positive else ">= 0"
+    first: dict[float, int] = {}
+    for i, v in enumerate(value):
+        if not _finite(v) or v < 0 or (positive and v == 0):
+            problems.append(f"{name}[{i}]: expected a finite number {bound}")
+        elif (j := first.setdefault(float(v), i)) != i:
+            problems.append(f"{name}[{i}]: duplicate of {name}[{j}]")
+    return tuple(first)
+
+
 def _parse_sweep(raw: object, problems: list[str]) -> SweepSettings:
     raw = _section(raw, "sweep", problems)
     _check_keys(
@@ -330,18 +352,7 @@ def _parse_sweep(raw: object, problems: list[str]) -> SweepSettings:
 
     g_values: tuple[float, ...]
     if "g_values" in raw:
-        value = raw["g_values"]
-        if not isinstance(value, list) or not value:
-            problems.append("sweep.g_values: expected a non-empty list of numbers")
-            g_values = default_g_values()
-        else:
-            vals = []
-            for i, v in enumerate(value):
-                if not _finite(v) or v < 0:
-                    problems.append(f"sweep.g_values[{i}]: expected a finite number >= 0")
-                else:
-                    vals.append(float(v))
-            g_values = tuple(vals) if vals else default_g_values()
+        g_values = _grid_values(raw, "g_values", False, problems) or default_g_values()
     else:
         if g_min < 0:
             problems.append("sweep.g_min: must be >= 0")
@@ -356,18 +367,7 @@ def _parse_sweep(raw: object, problems: list[str]) -> SweepSettings:
 
     g_det_values: tuple[float, ...] = DEFAULT_G_DET_VALUES
     if "g_det_values" in raw:
-        value = raw["g_det_values"]
-        if not isinstance(value, list) or not value:
-            problems.append("sweep.g_det_values: expected a non-empty list of numbers")
-        else:
-            vals = []
-            for i, v in enumerate(value):
-                if not _finite(v) or v <= 0:
-                    problems.append(f"sweep.g_det_values[{i}]: expected a finite number > 0")
-                else:
-                    vals.append(float(v))
-            if vals:
-                g_det_values = tuple(vals)
+        g_det_values = _grid_values(raw, "g_det_values", True, problems) or DEFAULT_G_DET_VALUES
 
     n_realizations = _integer(raw, "sweep", "n_realizations", 50, problems)
     if n_realizations < 1:

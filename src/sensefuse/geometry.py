@@ -60,10 +60,6 @@ class Rect:
     def area(self) -> float:
         return self.width * self.height
 
-    def contains(self, p: WorldPoint) -> bool:
-        """Closed-rectangle membership; boundary points count as inside."""
-        return self.x_min <= p.x <= self.x_max and self.y_min <= p.y <= self.y_max
-
     def intersects(self, other: Rect) -> bool:
         """True when the rectangles share positive area (edge contact does not count)."""
         return (

@@ -59,10 +59,6 @@ class SweepRow:
     fa_std: float
     n: int
 
-    @property
-    def is_baseline(self) -> bool:
-        return self.g == BASELINE_G
-
 
 def cell_keys(sweep: SweepSettings) -> list[CellKey]:
     """All grid cells of a sweep, baseline rows included, in output order."""
@@ -155,47 +151,6 @@ def write_csv(rows: list[SweepRow], path: str | Path) -> None:
                 f"{float(r.g)!r},{float(r.g_det)!r},{float(r.pd_mean)!r},"
                 f"{float(r.pd_std)!r},{float(r.fa_mean)!r},{float(r.fa_std)!r},{r.n}\n"
             )
-
-
-def read_csv(path: str | Path) -> list[SweepRow]:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != CSV_HEADER:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        rows = []
-        for line in fh:
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != 7:
-                raise ValueError(f"{path}: malformed row {line!r}")
-            rows.append(
-                SweepRow(
-                    g=float(parts[0]),
-                    g_det=float(parts[1]),
-                    pd_mean=float(parts[2]),
-                    pd_std=float(parts[3]),
-                    fa_mean=float(parts[4]),
-                    fa_std=float(parts[5]),
-                    n=int(parts[6]),
-                )
-            )
-    return rows
-
-
-def baseline_row(rows: list[SweepRow], g_det: float) -> SweepRow:
-    """The mask-disabled row for a gate value."""
-    for r in rows:
-        if r.is_baseline and r.g_det == g_det:
-            return r
-    raise ValueError(f"no baseline row for g_det={g_det}")
-
-
-def cell_row(rows: list[SweepRow], g: float, g_det: float) -> SweepRow:
-    for r in rows:
-        if r.g == g and r.g_det == g_det:
-            return r
-    raise ValueError(f"no row for g={g}, g_det={g_det}")
 
 
 # -- demo ---------------------------------------------------------------------

@@ -107,10 +107,6 @@ class Cov2:
         radius = math.sqrt(half_diff * half_diff + self.xy * self.xy)
         return (mean - radius, mean + radius)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.xx, self.xy], [self.xy, self.yy]])
-
 
 @dataclass(frozen=True, slots=True)
 class WorldDetection:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -83,17 +83,8 @@ def result_from_counts(
     )
 
 
-def aggregate(results: Iterable[MetricResult]) -> AggregateStats:
-    """Mean and sample std of pd_avg and fa_avg over realizations.
-
-    A single realization reports zero standard deviation.
-    """
-    results = list(results)
-    return aggregate_values([r.pd_avg for r in results], [r.fa_avg for r in results])
-
-
 def aggregate_values(pd_avg: Sequence[float], fa_avg: Sequence[float]) -> AggregateStats:
-    """:func:`aggregate` of the realizations' ``pd_avg`` and ``fa_avg`` values."""
+    """Mean and sample std of the realizations' values; zero std for one realization."""
     if not pd_avg:
         raise EmptyRunError("cannot aggregate zero realizations")
     pd = np.array(pd_avg)

@@ -86,16 +86,6 @@ class TargetTrack:
             raise ValueError(f"track axis must be 'horizontal' or 'vertical', got {self.axis!r}")
 
 
-def target_position(track: TargetTrack, t: int) -> WorldPoint:
-    """Target position at integer step t >= 0."""
-    if t < 0:
-        raise ValueError(f"step index must be >= 0, got {t}")
-    return WorldPoint(
-        track.start.x + t * track.velocity[0],
-        track.start.y + t * track.velocity[1],
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class ClutterModel:
     """Per-frame Poisson clutter: mean count, edge concentration, edge jitter."""
@@ -328,31 +318,20 @@ def realization_rng(seed: int, realization: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, realization)))
 
 
-def generate_clutter(
-    clutter: ClutterModel,
-    static_map: StaticMap,
-    bounds: Rect,
-    rng: np.random.Generator,
-    _max_resample_rounds: int = _RESAMPLE_ROUNDS,
-) -> np.ndarray:
-    """Draw one frame's clutter positions as a (k, 2) array.
+def _clutter_sampler(
+    clutter: ClutterModel, static_map: StaticMap, bounds: Rect
+) -> Callable[[np.random.Generator], np.ndarray]:
+    """A draw of one frame's clutter positions as a (k, 2) array.
 
     Count is Poisson(lambda_fa).  Each point is edge clutter with probability
     edge_fraction: a uniform point on a uniformly chosen building edge segment
     plus isotropic Gaussian jitter.  The rest is uniform over the bounds.
     Edge points jittered out of the bounds are resampled a bounded number of
     times, then clamped.  Points landing inside buildings are kept; rejecting
-    exactly those detections is the mask's job, not the generator's.
+    exactly those detections is the mask's job, not the generator's.  The
+    map's edge segments and the bounds are built once per sampler, which
+    warns about an empty map at most once.
     """
-    return _clutter_sampler(clutter, static_map, bounds, _max_resample_rounds)(rng)
-
-
-def _clutter_sampler(
-    clutter: ClutterModel, static_map: StaticMap, bounds: Rect, max_resample_rounds: int
-) -> Callable[[np.random.Generator], np.ndarray]:
-    # The map's edge segments and the bounds are fixed for a realization, so
-    # they are built once here; the returned draw is one frame's clutter and
-    # warns about an empty map at most once per sampler.
     segments = np.asarray(static_map.all_edges(), dtype=float).reshape(-1, 2, 2)  # (S, 2, 2)
     seg_a, seg_b = segments[:, 0].copy(), segments[:, 1].copy()
     lo, hi = np.array([[bounds.x_min, bounds.y_min], [bounds.x_max, bounds.y_max]])
@@ -383,7 +362,7 @@ def _clutter_sampler(
         xy = np.empty((k, 2))
         if n_edge:
             pts = edge_points(n_edge, rng)
-            for _ in range(max_resample_rounds):
+            for _ in range(_RESAMPLE_ROUNDS):
                 inside = (lo <= pts) & (pts <= hi)
                 if inside.all():
                     break
@@ -411,7 +390,7 @@ def _realize(scenario: Scenario, steps: Sequence[int], rng: np.random.Generator)
 
     p_det, sigma_r = scenario.p_det, scenario.noise.sigma_range
     random, normal = rng.random, rng.standard_normal
-    draw_clutter = _clutter_sampler(scenario.clutter, scenario.static_map, bounds, _RESAMPLE_ROUNDS)
+    draw_clutter = _clutter_sampler(scenario.clutter, scenario.static_map, bounds)
     hit_at: list[int] = []  # flat (step, SE, target) index of each hit
     hit_r: list[float] = []  # sampled range, redrawn while non-positive
     hit_zb: list[float] = []  # the bearing's standard normal draw

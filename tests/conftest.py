@@ -1,9 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sensefuse.geometry import Rect, StaticMap, WorldPoint
+from sensefuse.harness import BASELINE_G, CSV_HEADER, SweepRow
 from sensefuse.measurement import Cov2, DetectionColumns, WorldDetection
 from sensefuse.scenario import Scenario, ScenarioConfig, build_scenario
 from sensefuse.sdsf_store import SdsfStore, SensingRecord
@@ -90,3 +92,47 @@ def brute_force_metrics(frames, static_map, fc):
     pd = {tid: successes[tid] / steps[tid] for tid in ids}
     pd_avg = float(np.mean([pd[tid] for tid in ids])) if pd else math.nan
     return pd, pd_avg, fa_total / len(frames)
+
+
+# -- sweep CSV ---------------------------------------------------------------------
+
+
+def read_csv(path: str | Path) -> list[SweepRow]:
+    with Path(path).open("r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n")
+        if header != CSV_HEADER:
+            raise ValueError(f"{path}: unexpected header {header!r}")
+        rows = []
+        for line in fh:
+            if not line.strip():
+                continue
+            parts = line.rstrip("\n").split(",")
+            if len(parts) != 7:
+                raise ValueError(f"{path}: malformed row {line!r}")
+            rows.append(
+                SweepRow(
+                    g=float(parts[0]),
+                    g_det=float(parts[1]),
+                    pd_mean=float(parts[2]),
+                    pd_std=float(parts[3]),
+                    fa_mean=float(parts[4]),
+                    fa_std=float(parts[5]),
+                    n=int(parts[6]),
+                )
+            )
+    return rows
+
+
+def baseline_row(rows: list[SweepRow], g_det: float) -> SweepRow:
+    """The mask-disabled row for a gate value."""
+    for r in rows:
+        if r.g == BASELINE_G and r.g_det == g_det:
+            return r
+    raise ValueError(f"no baseline row for g_det={g_det}")
+
+
+def cell_row(rows: list[SweepRow], g: float, g_det: float) -> SweepRow:
+    for r in rows:
+        if r.g == g and r.g_det == g_det:
+            return r
+    raise ValueError(f"no row for g={g}, g_det={g_det}")

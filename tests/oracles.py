@@ -6,13 +6,16 @@ derived as columns, and the fusion kernel reads flat distance arrays.  The
 functions here are the object-at-a-time forms of the same math:
 
 * the polar measurement model: :class:`PolarMeasurement`,
-  :func:`world_to_polar`, :func:`polar_to_world`, the samplers and the
-  per-detection covariances;
-* :func:`generate_frame`, one step of a realization as a ``Frame``, and
-  :func:`clutter_frame`, one frame's clutter drawn with nothing hoisted;
+  :func:`world_to_polar`, :func:`polar_to_world`, the samplers, the
+  per-detection covariances and :func:`cov_matrix`;
+* :func:`target_position`, a track's position at one step;
+* :func:`generate_frame`, one step of a realization as a ``Frame``,
+  :func:`generate_clutter`, one frame's clutter from a fresh sampler, and
+  :func:`clutter_frame`, the same draws with nothing hoisted;
 * :func:`precompute_distances`, which packs ``Frame`` lists into the fusion
   kernel's input;
-* point-to-map distances and the closed dilated-map membership spec;
+* :func:`rect_contains`, point-to-map distances and the closed dilated-map
+  membership spec;
 * :func:`read_trace`, the inverse of ``callflow.write_trace``;
 * :func:`query_availability` and :func:`fetch`, the store's read path with
   one coverage portion built and subtracted per overlapping record.
@@ -42,7 +45,15 @@ from sensefuse.measurement import (
     wrap_angle,
     wrap_angles,
 )
-from sensefuse.scenario import ClutterModel, Frame, Scenario, _frames, _realize
+from sensefuse.scenario import (
+    ClutterModel,
+    Frame,
+    Scenario,
+    TargetTrack,
+    _clutter_sampler,
+    _frames,
+    _realize,
+)
 from sensefuse.sdsf_store import Availability, SensingContext, SensingRecord, _subtract_window
 
 # -- measurement -----------------------------------------------------------------
@@ -158,6 +169,11 @@ def rotated_covariance(range_m: float, angle: float, noise: NoiseModel) -> Cov2:
     return Cov2(a * c * c + b * s * s, (a - b) * c * s, a * s * s + b * c * c)
 
 
+def cov_matrix(cov: Cov2) -> np.ndarray:
+    """The covariance as a full symmetric 2x2 matrix."""
+    return np.array([[cov.xx, cov.xy], [cov.xy, cov.yy]])
+
+
 def world_covariance(pose: Pose, z: PolarMeasurement, noise: NoiseModel) -> Cov2:
     """Propagated covariance expressed in the world frame.
 
@@ -186,6 +202,16 @@ def build_detection(
 # -- scenario ----------------------------------------------------------------------
 
 
+def target_position(track: TargetTrack, t: int) -> WorldPoint:
+    """Target position at integer step t >= 0."""
+    if t < 0:
+        raise ValueError(f"step index must be >= 0, got {t}")
+    return WorldPoint(
+        track.start.x + t * track.velocity[0],
+        track.start.y + t * track.velocity[1],
+    )
+
+
 def generate_frame(scenario: Scenario, t: int, rng: np.random.Generator) -> Frame:
     """Generate the frame for step ``t``.
 
@@ -196,6 +222,13 @@ def generate_frame(scenario: Scenario, t: int, rng: np.random.Generator) -> Fram
     viewing SE's covariance.
     """
     return replace(_frames(scenario, _realize(scenario, (t,), rng))[0], t=t)
+
+
+def generate_clutter(
+    clutter: ClutterModel, static_map: StaticMap, bounds: Rect, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw one frame's clutter positions as a (k, 2) array, with a fresh sampler."""
+    return _clutter_sampler(clutter, static_map, bounds)(rng)
 
 
 def clutter_frame(
@@ -268,6 +301,11 @@ def precompute_distances(
 
 
 # -- geometry ----------------------------------------------------------------------
+
+
+def rect_contains(rect: Rect, p: WorldPoint) -> bool:
+    """Closed-rectangle membership; boundary points count as inside."""
+    return rect.x_min <= p.x <= rect.x_max and rect.y_min <= p.y <= rect.y_max
 
 
 def rect_distance_sq(p: WorldPoint, rect: Rect) -> float:

@@ -359,23 +359,6 @@ def test_bus_rejects_unknown_receiver():
         bus.run()
 
 
-def test_se_buffers_previous_collection(flow_scenario):
-    world = SensingWorld(flow_scenario)
-    se = SensingEntity("se-0", world)
-
-    def request_at(epoch: int, max_age: int = 50):
-        msgs = se.handle(Message("SensingDataRequest", "sf", "se-0", 10, "stid-t", (epoch, max_age)))
-        return msgs[0].payload
-
-    first = request_at(0)
-    assert first.buffered is None and first.buffered_epoch is None
-    second = request_at(30)
-    assert second.buffered_epoch == 0
-    assert second.buffered == first.live
-    stale = request_at(200)  # 170 steps since the last collection, > max_age
-    assert stale.buffered is None and stale.buffered_epoch is None
-
-
 def test_kpi_miss_still_delivers_result(flow_scenario):
     store = SdsfStore()
     request = make_request(kpi=Kpi(pd_min=1.1, fa_max=0.0))

@@ -7,7 +7,9 @@ import pytest
 
 from sensefuse import __version__
 from sensefuse.cli import main
-from sensefuse.harness import read_csv
+from sensefuse.harness import BASELINE_G
+
+from conftest import read_csv
 
 SMALL_YAML = """\
 scenario:
@@ -51,7 +53,7 @@ def test_sweep_writes_csv(tmp_path, small_config, capsys):
     rows = read_csv(str(out))
     # one baseline row plus two margins, single gate
     assert len(rows) == 3
-    assert rows[0].is_baseline
+    assert rows[0].g == BASELINE_G
     assert [r.g for r in rows[1:]] == [0.0, 2.0]
     assert f"wrote 3 rows" in capsys.readouterr().out
 
@@ -145,6 +147,7 @@ def test_bad_config_key_exits_2(tmp_path, capsys):
         ("scenario:\n  sigma_r: .inf\n", "scenario.sigma_r"),
         ("demo:\n  mask_margin_g: .nan\n", "demo.mask_margin_g"),
         ("sweep:\n  g_values: [.nan]\n", "sweep.g_values[0]"),
+        ("sweep:\n  g_values: [1, 1.0]\n", "sweep.g_values[1]: duplicate of sweep.g_values[0]"),
     ],
 )
 def test_malformed_or_non_finite_config_exits_2(tmp_path, capsys, text, key):

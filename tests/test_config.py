@@ -270,6 +270,35 @@ def test_integers_too_large_for_a_float_name_their_key(raw, violation):
     assert err.value.violations == [violation]
 
 
+@pytest.mark.parametrize(
+    "sweep, violations",
+    [
+        (
+            {"g_values": [1.0, 1.0], "g_det_values": [3.0, 3.0]},
+            [
+                "sweep.g_values[1]: duplicate of sweep.g_values[0]",
+                "sweep.g_det_values[1]: duplicate of sweep.g_det_values[0]",
+            ],
+        ),
+        ({"g_values": [0, 2, 1, 2.0]}, ["sweep.g_values[3]: duplicate of sweep.g_values[1]"]),
+        (
+            {"g_det_values": [1, 3, 1.0, 1]},
+            [
+                "sweep.g_det_values[2]: duplicate of sweep.g_det_values[0]",
+                "sweep.g_det_values[3]: duplicate of sweep.g_det_values[0]",
+            ],
+        ),
+    ],
+    ids=["both", "int-and-float", "repeated"],
+)
+def test_duplicate_grid_values_are_config_errors(sweep, violations):
+    # A repeated value would pool two cells' realizations into one CSV row
+    # and write that row twice.
+    with pytest.raises(ConfigError) as err:
+        parse_config({"sweep": sweep})
+    assert err.value.violations == violations
+
+
 @pytest.mark.parametrize("t_steps", [2**63, 10**40], ids=["2**63", "10**40"])
 def test_t_steps_beyond_a_64_bit_index_is_a_config_error(t_steps):
     with pytest.raises(ConfigError) as err:

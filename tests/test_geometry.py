@@ -14,7 +14,13 @@ from sensefuse.geometry import (
     subtract_rects,
 )
 
-from oracles import in_dilated_map, min_distance_sq, rect_distance, rect_distance_sq
+from oracles import (
+    in_dilated_map,
+    min_distance_sq,
+    rect_contains,
+    rect_distance,
+    rect_distance_sq,
+)
 
 UNIT10 = Rect(0.0, 0.0, 10.0, 10.0)
 
@@ -34,10 +40,10 @@ def test_rect_rejects_degenerate_extents():
 
 
 def test_rect_contains_is_closed():
-    assert UNIT10.contains(WorldPoint(5.0, 5.0))
-    assert UNIT10.contains(WorldPoint(0.0, 0.0))
-    assert UNIT10.contains(WorldPoint(10.0, 10.0))
-    assert not UNIT10.contains(WorldPoint(10.000001, 5.0))
+    assert rect_contains(UNIT10, WorldPoint(5.0, 5.0))
+    assert rect_contains(UNIT10, WorldPoint(0.0, 0.0))
+    assert rect_contains(UNIT10, WorldPoint(10.0, 10.0))
+    assert not rect_contains(UNIT10, WorldPoint(10.000001, 5.0))
 
 
 def test_rect_intersects_requires_positive_area():
@@ -188,8 +194,8 @@ def _assert_partition(base: Rect, cut: Rect, pieces: list[Rect], rng):
     ys = rng.uniform(base.y_min, base.y_max, 300)
     for x, y in zip(xs, ys):
         p = WorldPoint(float(x), float(y))
-        hits = sum(piece.contains(p) for piece in pieces)
-        if cut.contains(p):
+        hits = sum(rect_contains(piece, p) for piece in pieces)
+        if rect_contains(cut, p):
             assert hits == 0 or rect_distance(p, cut) == 0.0
         else:
             assert hits >= 1
@@ -228,7 +234,7 @@ def test_subtract_rects_joint_cover(rng):
     ys = rng.uniform(0.0, 10.0, 400)
     for x, y in zip(xs, ys):
         p = WorldPoint(float(x), float(y))
-        in_remaining = any(r.contains(p) for r in remaining)
+        in_remaining = any(rect_contains(r, p) for r in remaining)
         uncovered = x > 6.0 and y > 9.0
         if 0.0 < x < 10.0 and 0.0 < y < 10.0 and x != 6.0 and y != 9.0:
             assert in_remaining == uncovered

@@ -14,19 +14,18 @@ from sensefuse.harness import (
     BASELINE_G,
     CSV_HEADER,
     SweepRow,
-    baseline_row,
     cell_keys,
-    cell_row,
     demo_callflow,
     preseed_partial_map,
-    read_csv,
     run_realization,
     run_sweep,
     write_csv,
 )
-from sensefuse.metrics import MetricResult, aggregate
+from sensefuse.metrics import MetricResult, aggregate_values
 from sensefuse.scenario import ClutterModel, ScenarioConfig, build_scenario
 from sensefuse.sdsf_store import SdsfStore
+
+from conftest import baseline_row, cell_row, read_csv
 
 SMALL_CFG = ScenarioConfig(t_steps=15, clutter=ClutterModel(lambda_fa=15.0), seed=5)
 SMALL_SWEEP = SweepSettings(
@@ -71,7 +70,7 @@ def test_rows_sorted_with_baseline_leading_each_gate(small_rows):
         (2.0, 3.0),
     ]
     assert all(r.n == 3 for r in small_rows)
-    assert small_rows[0].is_baseline and not small_rows[1].is_baseline
+    assert small_rows[0].g == BASELINE_G and small_rows[1].g != BASELINE_G
 
 
 def test_row_lookup_helpers(small_rows):
@@ -96,7 +95,8 @@ def test_row_composes_from_realizations(small_scenario, small_rows):
         run_realization(small_scenario, SMALL_SWEEP, ri)
         for ri in range(SMALL_SWEEP.n_realizations)
     ]
-    stats = aggregate(res[(2.0, 3.0)] for res in per_real)
+    cells = [res[(2.0, 3.0)] for res in per_real]
+    stats = aggregate_values([r.pd_avg for r in cells], [r.fa_avg for r in cells])
     row = cell_row(small_rows, 2.0, 3.0)
     assert (row.pd_mean, row.pd_std, row.fa_mean, row.fa_std) == (
         stats.pd_mean,

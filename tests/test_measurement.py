@@ -19,6 +19,7 @@ from sensefuse.measurement import (
 from oracles import (
     PolarMeasurement,
     build_detection,
+    cov_matrix,
     polar_to_world,
     rotated_covariance,
     sample_measurement,
@@ -263,7 +264,7 @@ def test_world_covariance_monte_carlo(rng):
     xs = pose.x + rr * np.cos(pose.theta + bb)
     ys = pose.y + rr * np.sin(pose.theta + bb)
     emp = np.cov(np.vstack([xs, ys]))
-    cov = world_covariance(pose, PolarMeasurement(r, b), NOISE).matrix
+    cov = cov_matrix(world_covariance(pose, PolarMeasurement(r, b), NOISE))
     rel = np.linalg.norm(emp - cov) / np.linalg.norm(cov)
     assert rel < 0.05
 

@@ -7,7 +7,7 @@ from sensefuse.errors import EmptyRunError
 from sensefuse.fusion import FilterConfig, fused_metrics
 from sensefuse.geometry import WorldPoint
 from sensefuse.measurement import NoiseModel
-from sensefuse.metrics import MetricResult, aggregate, result_from_counts
+from sensefuse.metrics import MetricResult, aggregate_values, result_from_counts
 from sensefuse.scenario import (
     ClutterModel,
     Frame,
@@ -89,12 +89,8 @@ def test_no_observable_targets_gives_nan_pd():
 # -- aggregation ------------------------------------------------------------------
 
 
-def result(pd: float, fa: float) -> MetricResult:
-    return MetricResult(pd_per_target={0: pd}, pd_avg=pd, fa_avg=fa)
-
-
 def test_aggregate_mean_and_sample_std():
-    stats = aggregate([result(0.8, 1.0), result(0.6, 3.0)])
+    stats = aggregate_values([0.8, 0.6], [1.0, 3.0])
     assert stats.pd_mean == pytest.approx(0.7)
     # Sample (n-1) standard deviation of [0.8, 0.6].
     assert stats.pd_std == pytest.approx(math.sqrt(0.02), rel=1e-12)
@@ -104,19 +100,19 @@ def test_aggregate_mean_and_sample_std():
 
 
 def test_aggregate_single_realization_has_zero_std():
-    stats = aggregate([result(0.9, 2.0)])
+    stats = aggregate_values([0.9], [2.0])
     assert stats.pd_std == 0.0 and stats.fa_std == 0.0 and stats.n == 1
 
 
 def test_aggregate_identical_realizations_have_zero_std():
-    stats = aggregate([result(0.9, 2.0)] * 50)
+    stats = aggregate_values([0.9] * 50, [2.0] * 50)
     assert stats.pd_std == pytest.approx(0.0, abs=1e-15)
     assert stats.fa_std == pytest.approx(0.0, abs=1e-15)
 
 
 def test_aggregate_rejects_empty():
     with pytest.raises(EmptyRunError):
-        aggregate([])
+        aggregate_values([], [])
 
 
 # -- end to end -------------------------------------------------------------------

@@ -19,21 +19,22 @@ from sensefuse.scenario import (
     TargetTrack,
     build_scenario,
     default_tracks,
-    generate_clutter,
     generate_frames,
     generate_realization,
     realization_detections,
     realization_rng,
-    target_position,
 )
 
 from oracles import (
     build_detection,
     clutter_frame,
+    generate_clutter,
     generate_frame,
     min_distance,
+    rect_contains,
     rotated_covariance,
     sample_measurement,
+    target_position,
     world_covariance,
     world_to_polar,
 )
@@ -91,7 +92,7 @@ def test_default_tracks_stay_in_bounds_and_clear_of_buildings():
         per_track = []
         for t in range(scenario.t_steps):
             pos = target_position(track, t)
-            assert scenario.bounds.contains(pos)
+            assert rect_contains(scenario.bounds, pos)
             per_track.append(min_distance(scenario.static_map, pos))
         clearances.append(min(per_track))
     # No lane enters a building and each keeps at least 5 m of clearance;
@@ -307,7 +308,7 @@ def scalar_frame(scenario, t, rng):
     truth = tuple(
         (track.id, pos)
         for track in scenario.tracks
-        if scenario.bounds.contains(pos := target_position(track, t))
+        if rect_contains(scenario.bounds, pos := target_position(track, t))
     )
     detections = []
     for se_id, pose in zip(scenario.se_ids, scenario.se_poses):
@@ -457,7 +458,7 @@ def test_clutter_respects_bounds_under_heavy_jitter():
     points = generate_clutter(clutter, static_map, bounds, rng)
     assert len(points) > 0
     for x, y in points.tolist():
-        assert bounds.contains(WorldPoint(x, y))
+        assert rect_contains(bounds, WorldPoint(x, y))
 
 
 def test_clutter_empty_map_falls_back_to_uniform(caplog):
@@ -469,7 +470,7 @@ def test_clutter_empty_map_falls_back_to_uniform(caplog):
         points = generate_clutter(clutter, static_map, bounds, rng)
     assert "empty static map" in caplog.text
     assert len(points) > 0
-    assert all(bounds.contains(WorldPoint(x, y)) for x, y in points.tolist())
+    assert all(rect_contains(bounds, WorldPoint(x, y)) for x, y in points.tolist())
 
 
 def test_empty_map_warns_once_per_realization(caplog):
