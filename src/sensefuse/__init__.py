@@ -10,7 +10,7 @@ from .errors import (
 )
 from .fusion import FilterConfig
 from .geometry import Rect, StaticMap, WorldPoint
-from .measurement import Cov2, DetectionColumns, NoiseModel, Pose, WorldDetection
+from .measurement import DetectionColumns, NoiseModel, Pose
 from .metrics import MetricResult
 from .scenario import (
     ClutterModel,
@@ -30,7 +30,6 @@ __all__ = [
     "Availability",
     "ClutterModel",
     "ConfigError",
-    "Cov2",
     "DegenerateGeometryError",
     "DetectionColumns",
     "EmptyRunError",
@@ -50,7 +49,6 @@ __all__ = [
     "StaticMap",
     "StoreCorruptError",
     "TargetTrack",
-    "WorldDetection",
     "WorldPoint",
     "build_scenario",
     "generate_frames",

@@ -28,7 +28,7 @@ import json
 import logging
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -73,7 +73,6 @@ class ServiceRequest:
     kpi: Kpi
     historical_consent: bool
     max_age: int
-    requester_kind: str
     target_type: str
     area: Rect
 
@@ -156,7 +155,7 @@ def write_trace(events: Sequence[TraceEvent], path: str | Path) -> None:
 # -- policy ------------------------------------------------------------------
 
 
-def evaluate_policy(area: Rect, requester_kind: str, rules: PolicyRules) -> PolicyDecision:
+def evaluate_policy(area: Rect, rules: PolicyRules) -> PolicyDecision:
     """Rule-table policy check for a sensing request over ``area``.
 
     Requests over any prohibited area are denied outright; otherwise charging
@@ -330,8 +329,7 @@ class PolicyControl:
     def handle(self, msg: Message) -> list[Message]:
         if msg.variant != "PolicyRequest":
             raise ProtocolError(f"PCF cannot handle {msg.variant}")
-        area, requester_kind = msg.payload
-        decision = evaluate_policy(area, requester_kind, self.rules)
+        decision = evaluate_policy(msg.payload, self.rules)
         return [
             Message(
                 variant="PolicyDecision",
@@ -353,8 +351,8 @@ class SdsfFrontend:
     def handle(self, msg: Message) -> list[Message]:
         if msg.variant == "AvailabilityQuery":
             ctx, max_age = msg.payload
-            availability = self.store.query_availability(ctx, msg.stid or "")
-            preview = self._metrics_preview(ctx, msg.stid or "", max_age)
+            availability = self.store.query_availability(ctx)
+            preview = self._metrics_preview(ctx, max_age)
             return [
                 Message(
                     variant="AvailabilityResponse",
@@ -367,7 +365,7 @@ class SdsfFrontend:
             ]
         if msg.variant == "HistoricalDataRequest":
             ctx, max_age = msg.payload
-            records = self.store.fetch(ctx, msg.stid or "", max_age)
+            records = self.store.fetch(ctx, max_age)
             return [
                 Message(
                     variant="HistoricalDataResponse",
@@ -389,10 +387,8 @@ class SdsfFrontend:
             return []
         raise ProtocolError(f"SDSF cannot handle {msg.variant}")
 
-    def _metrics_preview(
-        self, ctx: SensingContext, stid: Stid, max_age: float
-    ) -> MetricResult | None:
-        for record in self.store.fetch(ctx, stid, max_age):
+    def _metrics_preview(self, ctx: SensingContext, max_age: float) -> MetricResult | None:
+        for record in self.store.fetch(ctx, max_age):
             if record.kind == "high-level" and isinstance(record.payload, MetricResult):
                 return record.payload
         return None
@@ -545,7 +541,7 @@ class SensingFunction:
             receiver=PCF_NAME,
             step=4,
             stid=self.stid,
-            payload=(self.request.area, self.request.requester_kind),
+            payload=self.request.area,
         )
         self._advance(SfPhase.POLICY_PENDING)
         return [ack, policy_req]
@@ -655,10 +651,10 @@ class SensingFunction:
             )
         else:
             self.rows = self._merge_reports()
+            # Without consent nothing was fetched, so there is no mask.
             mask_map = self._historical_mask()
-            fc = self.fc if self.request.historical_consent else replace(self.fc, mask_enabled=False)
             result = run_sensing_task(
-                self.stid, self.world, self.rows, mask_map, fc, self.request.kpi, self.plan
+                self.stid, self.world, self.rows, mask_map, self.fc, self.request.kpi, self.plan
             )
         self.result = result
         self.bus.note(14, SF_NAME, "FusionCompleted", self.stid)

@@ -43,7 +43,6 @@ class DemoSettings:
     fa_max: float = 50.0
     historical_consent: bool = True
     max_age: int = 1000
-    requester_kind: str = "trusted-app"
     target_type: str = "vehicle"
     mask_margin_g: float = 2.0
     gate_g_det: float = 3.0
@@ -408,7 +407,8 @@ def _parse_demo(raw: object, problems: list[str]) -> DemoSettings:
     fa_max = _number(raw, "demo", "fa_max", 50.0, problems)
     historical_consent = _boolean(raw, "demo", "historical_consent", True, problems)
     max_age = _integer(raw, "demo", "max_age", 1000, problems)
-    requester_kind = _string(raw, "demo", "requester_kind", "trusted-app", problems)
+    # Still accepted and checked so that existing configs load; no policy rule reads it.
+    _string(raw, "demo", "requester_kind", "trusted-app", problems)
     target_type = _string(raw, "demo", "target_type", "vehicle", problems)
     mask_margin_g = _number(raw, "demo", "mask_margin_g", 2.0, problems)
     gate_g_det = _number(raw, "demo", "gate_g_det", 3.0, problems)
@@ -455,7 +455,6 @@ def _parse_demo(raw: object, problems: list[str]) -> DemoSettings:
         fa_max=max(fa_max, 0.0),
         historical_consent=historical_consent,
         max_age=max(max_age, 0),
-        requester_kind=requester_kind,
         target_type=target_type,
         mask_margin_g=max(mask_margin_g, 0.0),
         gate_g_det=max(gate_g_det, 1e-9),

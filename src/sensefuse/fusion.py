@@ -28,14 +28,18 @@ dilated-map membership spec the tests hold (``in_dilated_map`` in
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .errors import EmptyRunError
 from .geometry import StaticMap
-from .metrics import MetricResult, result_from_counts
+from .metrics import MetricResult
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,10 +117,20 @@ def grid_metrics(fd: FrameDistances, configs: Sequence[FilterConfig]) -> list[Me
     """Pd/FA of the frame sequence under each filter configuration.
 
     Configurations that share a gate are evaluated together in one pass.
+    Targets never inside the area are left out of Pd and listed in every
+    result's ``excluded_targets``, with one warning; ``pd_avg`` is NaN when
+    no target was inside.  Raises :class:`EmptyRunError` on zero frames.
     """
     steps, n_frames = fd.target_inbounds.sum(axis=0), len(fd.target_inbounds)
-    # Pd is a plain mean over targets only when every target was observed.
-    pd_arrays = n_frames > 0 and steps.size > 0 and bool(steps.all())
+    if n_frames == 0:
+        raise EmptyRunError("cannot compute metrics over zero frames")
+    observed = steps > 0
+    ids = [tid for tid, seen in zip(fd.target_ids, observed.tolist()) if seen]
+    excluded = tuple(tid for tid, seen in zip(fd.target_ids, observed.tolist()) if not seen)
+    if excluded:
+        log.warning(
+            "targets %s were never inside the sensing area; excluded from pd_avg", list(excluded)
+        )
     gates = list(dict.fromkeys(fc.gate_g_det for fc in configs))
     # The (detection, target) pairs inside the widest gate hold every
     # narrower gate's pairs, and a detection's nearest target among them
@@ -143,15 +157,12 @@ def grid_metrics(fd: FrameDistances, configs: Sequence[FilterConfig]) -> list[Me
         successes = (best > thresholds[:, None, None]).sum(axis=2)
         unmatched = map_sorted[nearest > gate * gate]
         false_alarms = len(unmatched) - np.searchsorted(unmatched, thresholds, side="right")
-        if pd_arrays:
-            pd = successes / steps
-            for i, row, pd_avg, fa in zip(
-                cells, pd.tolist(), pd.mean(axis=1).tolist(), (false_alarms / n_frames).tolist()
-            ):
-                results[i] = MetricResult(dict(zip(fd.target_ids, row)), pd_avg, fa)
-        else:
-            for i, s, fa in zip(cells, successes.tolist(), false_alarms.tolist()):
-                results[i] = result_from_counts(fd.target_ids, s, steps.tolist(), fa, n_frames)
+        # Selected columns come back column-major, where a row's mean sums
+        # in another order and can round differently: copy to row-major.
+        pd = np.ascontiguousarray(successes[:, observed]) / steps[observed]
+        pd_avg = pd.mean(axis=1).tolist() if ids else [math.nan] * len(cells)
+        for i, row, avg, fa in zip(cells, pd.tolist(), pd_avg, (false_alarms / n_frames).tolist()):
+            results[i] = MetricResult(dict(zip(ids, row)), avg, fa, excluded)
     return [results[i] for i in range(len(configs))]
 
 

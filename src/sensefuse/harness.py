@@ -93,12 +93,14 @@ def _run_realization_args(args: tuple[Scenario, SweepSettings, int]) -> dict[Cel
 def run_sweep(scenario: Scenario, sweep: SweepSettings, workers: int = 1) -> list[SweepRow]:
     """Run the full sweep and aggregate across realizations.
 
-    ``workers > 1`` distributes whole realizations over processes; the
+    ``workers > 1`` distributes whole realizations over processes, at most
+    one per realization, since a pool starts all of its workers at once; the
     aggregation order is fixed by realization index, so serial and parallel
     runs produce identical rows.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, sweep.n_realizations)
     jobs = [(scenario, sweep, ri) for ri in range(sweep.n_realizations)]
     keys = cell_keys(sweep)
     pd_avg: dict[CellKey, list[float]] = {key: [] for key in keys}
@@ -114,7 +116,7 @@ def run_sweep(scenario: Scenario, sweep: SweepSettings, workers: int = 1) -> lis
                 pd_avg[key].append(result.pd_avg)
                 fa_avg[key].append(result.fa_avg)
 
-    if workers == 1:
+    if workers <= 1:
         collect(run_realization(*job) for job in jobs)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -219,7 +221,6 @@ def demo_callflow(
         kpi=Kpi(pd_min=demo.pd_min, fa_max=demo.fa_max),
         historical_consent=demo.historical_consent,
         max_age=demo.max_age,
-        requester_kind=demo.requester_kind,
         target_type=demo.target_type,
         area=scenario.bounds,
     )

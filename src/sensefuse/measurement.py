@@ -10,11 +10,10 @@ the types it is stated in.  The one-point-at-a-time forms of the formulas
 (polar measurement, back-projection, covariance) are test oracles in
 ``tests/oracles.py``.
 
-A batch of world-frame detections travels as :class:`DetectionColumns`:
-one array per field, with covariances as ``(xx, xy, yy)`` rows validated in
-vectorized form by the same closed-form eigenvalue test as :class:`Cov2`.
-That is the form the SDSF archives; :meth:`DetectionColumns.detections`
-gives the per-detection object view.
+World-frame detections with covariances exist only as
+:class:`DetectionColumns`: one array per field, with covariances as
+``(xx, xy, yy)`` rows whose positive semidefiniteness is checked in closed
+form, all rows at once.  The SDSF's raw records hold this form.
 
 Conventions:
   * bearings are radians in (-pi, pi], measured in the SE's local frame;
@@ -29,8 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .geometry import WorldPoint
 
 TWO_PI = 2.0 * math.pi
 
@@ -79,59 +76,16 @@ class NoiseModel:
                 raise ValueError(f"{name} must be finite and > 0, got {v}")
 
 
-@dataclass(frozen=True, slots=True)
-class Cov2:
-    """Symmetric 2x2 covariance stored as its three independent entries.
-
-    Construction validates positive semidefiniteness up to a small slack so
-    round-off in propagated covariances is tolerated but genuinely indefinite
-    matrices are rejected.
-    """
-
-    xx: float
-    xy: float
-    yy: float
-
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.xx, self.xy, self.yy)):
-            raise ValueError(f"covariance entries must be finite, got {(self.xx, self.xy, self.yy)}")
-        if min(self.eigenvalues()) < -PSD_SLACK:
-            raise ValueError(
-                f"covariance must be positive semidefinite, got entries {(self.xx, self.xy, self.yy)}"
-            )
-
-    def eigenvalues(self) -> tuple[float, float]:
-        """Eigenvalues in ascending order (closed form for the symmetric 2x2 case)."""
-        mean = 0.5 * (self.xx + self.yy)
-        half_diff = 0.5 * (self.xx - self.yy)
-        radius = math.sqrt(half_diff * half_diff + self.xy * self.xy)
-        return (mean - radius, mean + radius)
-
-
-@dataclass(frozen=True, slots=True)
-class WorldDetection:
-    """A detection back-projected into the world frame.
-
-    ``is_clutter_truth`` records the generator's ground truth about the
-    detection's origin.  It exists only so evaluation code can audit the
-    simulation; the fusion pipeline never reads it.
-    """
-
-    point: WorldPoint
-    cov: Cov2
-    source_se: str
-    is_clutter_truth: bool = False
-
-
 @dataclass(frozen=True, eq=False)
 class DetectionColumns:
     """World-frame detections as columns: one row per detection.
 
     ``cov`` rows hold a covariance's ``(xx, xy, yy)`` entries and ``se_idx``
     indexes ``se_ids``.  Construction checks shapes, finiteness and positive
-    semidefiniteness of every row, as :class:`Cov2` does for one, and stores
-    read-only float/int/bool copies.  Two batches are equal when their rows
-    are: same positions, covariances, source SE ids and clutter flags.
+    semidefiniteness of every row, up to ``PSD_SLACK`` on the smaller
+    eigenvalue so that round-off in propagated covariances is tolerated, and
+    stores read-only float/int/bool copies.  Two batches are equal when their
+    rows are: same positions, covariances, source SE ids and clutter flags.
     """
 
     xy: np.ndarray  # (D, 2)
@@ -163,7 +117,7 @@ class DetectionColumns:
             raise ValueError(f"se_idx must index the {len(self.se_ids)} se_ids")
         _check_rows("xy", xy, np.isfinite(xy).all(axis=1), "finite")
         _check_rows("covariance", cov, np.isfinite(cov).all(axis=1), "finite")
-        # Cov2.eigenvalues in closed form; numpy's + - * sqrt round as math's do.
+        # The smaller eigenvalue of each symmetric 2x2 row, in closed form.
         xx, xy_, yy = cov.T
         mean = 0.5 * (xx + yy)
         half_diff = 0.5 * (xx - yy)
@@ -192,15 +146,6 @@ class DetectionColumns:
     def sources(self) -> list[str]:
         """Each row's source SE id."""
         return [self.se_ids[s] for s in self.se_idx.tolist()]
-
-    def detections(self) -> list[WorldDetection]:
-        """The rows as :class:`WorldDetection` objects, in row order."""
-        return [
-            WorldDetection(WorldPoint(x, y), Cov2(*cov), source, is_clutter)
-            for (x, y), cov, source, is_clutter in zip(
-                self.xy.tolist(), self.cov.tolist(), self.sources(), self.is_clutter.tolist()
-            )
-        ]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

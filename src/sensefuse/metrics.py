@@ -4,21 +4,18 @@ Per-target detection probability is the fraction of steps, among those where
 the target was inside the sensing area, in which it was detected.  The scalar
 summary averages those fractions over targets that were observable at least
 once; the false-alarm rate is total unmatched accepted detections divided by
-total steps.  Aggregation across Monte-Carlo realizations reports means and
-sample (n-1) standard deviations.
+total steps.  :func:`sensefuse.fusion.grid_metrics` computes both from
+counts, as arrays.  Aggregation across Monte-Carlo realizations reports
+means and sample (n-1) standard deviations.
 """
 from __future__ import annotations
 
-import logging
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyRunError
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -45,42 +42,6 @@ class AggregateStats:
     fa_mean: float
     fa_std: float
     n: int
-
-
-def result_from_counts(
-    target_ids: Sequence[int],
-    successes: Sequence[int],
-    steps: Sequence[int],
-    fa_total: int,
-    t_total: int,
-) -> MetricResult:
-    """Build a :class:`MetricResult` from raw counters.
-
-    Raises :class:`EmptyRunError` when no frame was counted.
-    """
-    if t_total <= 0:
-        raise EmptyRunError(f"t_total must be >= 1, got {t_total}")
-    pd_per_target: dict[int, float] = {}
-    excluded: list[int] = []
-    for tid, succ, n_steps in zip(target_ids, successes, steps):
-        if n_steps > 0:
-            pd_per_target[tid] = succ / n_steps
-        else:
-            excluded.append(tid)
-    if excluded:
-        log.warning(
-            "targets %s were never inside the sensing area; excluded from pd_avg", excluded
-        )
-    if pd_per_target:
-        pd_avg = float(np.mean([pd_per_target[tid] for tid in sorted(pd_per_target)]))
-    else:
-        pd_avg = math.nan
-    return MetricResult(
-        pd_per_target=pd_per_target,
-        pd_avg=pd_avg,
-        fa_avg=fa_total / t_total,
-        excluded_targets=tuple(excluded),
-    )
 
 
 def aggregate_values(pd_avg: Sequence[float], fa_avg: Sequence[float]) -> AggregateStats:

@@ -16,8 +16,7 @@ realization, bit-identical to the scalar formulas.  Covariances are derived,
 as arrays, only by :func:`realization_detections`, which returns chosen rows
 as :class:`DetectionColumns`: the call flow's raw archive record stores those
 columns, and the ``Frame`` view of :func:`generate_frames`, which serves
-tests and the acceptance criteria, builds its per-detection objects from
-them.
+tests and the acceptance criteria, holds one such batch per frame.
 
 Clutter points model spurious detections (multipath and ghost returns), so
 the sampled world position *is* the realized detection; the polar pipeline is
@@ -35,13 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateGeometryError
 from .geometry import Rect, StaticMap, WorldPoint
-from .measurement import (
-    DetectionColumns,
-    NoiseModel,
-    Pose,
-    WorldDetection,
-    wrap_angles,
-)
+from .measurement import DetectionColumns, NoiseModel, Pose, wrap_angles
 
 log = logging.getLogger(__name__)
 
@@ -146,7 +139,7 @@ class Frame:
     """One simulation step: pooled detections plus in-area ground truth."""
 
     t: int
-    detections: tuple[WorldDetection, ...]
+    detections: DetectionColumns
     truth: tuple[tuple[int, WorldPoint], ...]
 
 
@@ -510,7 +503,6 @@ def realization_detections(
 
 
 def _frames(scenario: Scenario, rz: Realization) -> list[Frame]:
-    dets = realization_detections(scenario, rz, np.arange(len(rz.frame_of))).detections()
     ends = np.searchsorted(rz.frame_of, np.arange(1, len(rz.truth_in) + 1)).tolist()
     frames = []
     for t, (start, end) in enumerate(zip([0, *ends], ends)):
@@ -519,7 +511,8 @@ def _frames(scenario: Scenario, rz: Realization) -> list[Frame]:
             for track, xy, inside in zip(scenario.tracks, rz.truth_xy[t].tolist(), rz.truth_in[t])
             if inside
         )
-        frames.append(Frame(t=t, detections=tuple(dets[start:end]), truth=truth))
+        detections = realization_detections(scenario, rz, np.arange(start, end))
+        frames.append(Frame(t=t, detections=detections, truth=truth))
     return frames
 
 

@@ -237,13 +237,12 @@ class SdsfStore:
 
     # -- read path -----------------------------------------------------------
 
-    def query_availability(self, ctx: SensingContext, stid: str = "") -> Availability:
+    def query_availability(self, ctx: SensingContext) -> Availability:
         """Coverage of ``ctx`` by the live (non-expired) records.
 
-        The stid identifies the asking task for logging and symmetry with the
-        data exchange; matching is purely by context, so one task can reuse
-        data archived by another.  Spatial and temporal coverage are computed
-        separately and intersected: full availability requires both.
+        Matching is purely by context, so one task can reuse data archived by
+        another.  Spatial and temporal coverage are computed separately and
+        intersected: full availability requires both.
         """
         relevant = self._overlapping(ctx)
         if not relevant:
@@ -303,9 +302,7 @@ class SdsfStore:
             missing_portions=tuple(missing),
         )
 
-    def fetch(
-        self, ctx: SensingContext, stid: str = "", max_age: float = math.inf
-    ) -> list[SensingRecord]:
+    def fetch(self, ctx: SensingContext, max_age: float = math.inf) -> list[SensingRecord]:
         """Records overlapping ``ctx`` whose age at the store clock is <= max_age.
 
         The age bound is inclusive.  Self-expired records (those past their

@@ -1,12 +1,13 @@
 import math
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
 
-from sensefuse.geometry import Rect, StaticMap, WorldPoint
+from sensefuse.geometry import Rect, StaticMap
 from sensefuse.harness import BASELINE_G, CSV_HEADER, SweepRow
-from sensefuse.measurement import Cov2, DetectionColumns, WorldDetection
+from sensefuse.measurement import DetectionColumns
 from sensefuse.scenario import Scenario, ScenarioConfig, build_scenario
 from sensefuse.sdsf_store import SdsfStore, SensingRecord
 
@@ -26,26 +27,25 @@ def unit_map() -> StaticMap:
     return StaticMap((Rect(0.0, 0.0, 10.0, 10.0),), Rect(-50.0, -50.0, 50.0, 50.0))
 
 
-def make_detection(
-    x: float, y: float, source_se: str = "se-0", is_clutter_truth: bool = False
-) -> WorldDetection:
-    return WorldDetection(
-        point=WorldPoint(x, y),
-        cov=Cov2(1.0, 0.0, 1.0),
-        source_se=source_se,
-        is_clutter_truth=is_clutter_truth,
-    )
+def columns_of(
+    points: Sequence[tuple[float, float]],
+    sources: Sequence[str] | None = None,
+    clutter: Sequence[bool] | None = None,
+) -> DetectionColumns:
+    """Detections at ``points`` with unit covariances, as one columnar batch.
 
-
-def columns_of(detections: list[WorldDetection]) -> DetectionColumns:
-    """The same detections as one columnar batch, SE ids in first-seen order."""
-    se_ids = tuple(dict.fromkeys(d.source_se for d in detections))
+    ``sources`` names each row's SE (default ``se-0``), kept as SE ids in
+    first-seen order; ``clutter`` flags rows (default none).
+    """
+    n = len(points)
+    sources = ["se-0"] * n if sources is None else list(sources)
+    se_ids = tuple(dict.fromkeys(sources))
     return DetectionColumns(
-        xy=np.array([(d.point.x, d.point.y) for d in detections]).reshape(-1, 2),
-        cov=np.array([(d.cov.xx, d.cov.xy, d.cov.yy) for d in detections]).reshape(-1, 3),
-        se_idx=np.array([se_ids.index(d.source_se) for d in detections], dtype=np.intp),
+        xy=np.array(points, dtype=float).reshape(-1, 2),
+        cov=np.tile([1.0, 0.0, 1.0], (n, 1)),
+        se_idx=np.array([se_ids.index(s) for s in sources], dtype=np.intp),
         se_ids=se_ids,
-        is_clutter=np.array([d.is_clutter_truth for d in detections], dtype=bool),
+        is_clutter=np.zeros(n, dtype=bool) if clutter is None else np.array(clutter, dtype=bool),
     )
 
 
@@ -68,25 +68,17 @@ def brute_force_metrics(frames, static_map, fc):
     fa_total = 0
     for frame in frames:
         kept = []
-        for det in frame.detections:
-            d2 = min(
-                (_hand_rect_d2(det.point.x, det.point.y, r) for r in static_map.rects),
-                default=math.inf,
-            )
+        for x, y in frame.detections.xy.tolist():
+            d2 = min((_hand_rect_d2(x, y, r) for r in static_map.rects), default=math.inf)
             if not (fc.mask_enabled and d2 <= fc.mask_margin_g * fc.mask_margin_g):
-                kept.append(det)
+                kept.append((x, y))
         gate2 = fc.gate_g_det * fc.gate_g_det
         for tid, pos in frame.truth:
             steps[tid] = steps.get(tid, 0) + 1
-            hit = any(
-                (d.point.x - pos.x) ** 2 + (d.point.y - pos.y) ** 2 <= gate2 for d in kept
-            )
+            hit = any((x - pos.x) ** 2 + (y - pos.y) ** 2 <= gate2 for x, y in kept)
             successes[tid] = successes.get(tid, 0) + (1 if hit else 0)
-        for d in kept:
-            if not any(
-                (d.point.x - pos.x) ** 2 + (d.point.y - pos.y) ** 2 <= gate2
-                for _, pos in frame.truth
-            ):
+        for x, y in kept:
+            if not any((x - pos.x) ** 2 + (y - pos.y) ** 2 <= gate2 for _, pos in frame.truth):
                 fa_total += 1
     ids = sorted(steps)
     pd = {tid: successes[tid] / steps[tid] for tid in ids}

@@ -7,13 +7,15 @@ functions here are the object-at-a-time forms of the same math:
 
 * the polar measurement model: :class:`PolarMeasurement`,
   :func:`world_to_polar`, :func:`polar_to_world`, the samplers, the
-  per-detection covariances and :func:`cov_matrix`;
+  per-detection covariances as ``(xx, xy, yy)`` tuples and
+  :func:`cov_matrix`;
 * :func:`target_position`, a track's position at one step;
 * :func:`generate_frame`, one step of a realization as a ``Frame``,
   :func:`generate_clutter`, one frame's clutter from a fresh sampler, and
   :func:`clutter_frame`, the same draws with nothing hoisted;
 * :func:`precompute_distances`, which packs ``Frame`` lists into the fusion
-  kernel's input;
+  kernel's input, and :func:`result_from_counts`, one cell's Pd/FA from
+  plain counters;
 * :func:`rect_contains`, point-to-map distances and the closed dilated-map
   membership spec;
 * :func:`read_trace`, the inverse of ``callflow.write_trace``;
@@ -26,6 +28,7 @@ the package imports it.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -34,17 +37,11 @@ from typing import Sequence
 import numpy as np
 
 from sensefuse.callflow import TraceEvent
-from sensefuse.errors import DegenerateGeometryError
+from sensefuse.errors import DegenerateGeometryError, EmptyRunError
 from sensefuse.fusion import FrameDistances, detection_distances
 from sensefuse.geometry import Rect, StaticMap, WorldPoint, subtract_rects
-from sensefuse.measurement import (
-    Cov2,
-    NoiseModel,
-    Pose,
-    WorldDetection,
-    wrap_angle,
-    wrap_angles,
-)
+from sensefuse.measurement import NoiseModel, Pose, wrap_angle, wrap_angles
+from sensefuse.metrics import MetricResult
 from sensefuse.scenario import (
     ClutterModel,
     Frame,
@@ -55,6 +52,9 @@ from sensefuse.scenario import (
     _realize,
 )
 from sensefuse.sdsf_store import Availability, SensingContext, SensingRecord, _subtract_window
+
+log = logging.getLogger(__name__)
+
 
 # -- measurement -----------------------------------------------------------------
 
@@ -154,7 +154,10 @@ def sample_measurements(
     return r, b
 
 
-def rotated_covariance(range_m: float, angle: float, noise: NoiseModel) -> Cov2:
+Cov = tuple[float, float, float]  # a symmetric 2x2 covariance's xx, xy, yy
+
+
+def rotated_covariance(range_m: float, angle: float, noise: NoiseModel) -> Cov:
     """The polar noise ellipse diag(sigma_r^2, (r*sigma_b)^2) rotated by ``angle``.
 
     With ``angle`` the bearing this is the first-order propagation
@@ -166,15 +169,16 @@ def rotated_covariance(range_m: float, angle: float, noise: NoiseModel) -> Cov2:
     b = rb * rb
     c = math.cos(angle)
     s = math.sin(angle)
-    return Cov2(a * c * c + b * s * s, (a - b) * c * s, a * s * s + b * c * c)
+    return (a * c * c + b * s * s, (a - b) * c * s, a * s * s + b * c * c)
 
 
-def cov_matrix(cov: Cov2) -> np.ndarray:
+def cov_matrix(cov: Cov) -> np.ndarray:
     """The covariance as a full symmetric 2x2 matrix."""
-    return np.array([[cov.xx, cov.xy], [cov.xy, cov.yy]])
+    xx, xy, yy = cov
+    return np.array([[xx, xy], [xy, yy]])
 
 
-def world_covariance(pose: Pose, z: PolarMeasurement, noise: NoiseModel) -> Cov2:
+def world_covariance(pose: Pose, z: PolarMeasurement, noise: NoiseModel) -> Cov:
     """Propagated covariance expressed in the world frame.
 
     The local ellipse rides with the line of sight, so the world-frame matrix
@@ -184,19 +188,10 @@ def world_covariance(pose: Pose, z: PolarMeasurement, noise: NoiseModel) -> Cov2
 
 
 def build_detection(
-    pose: Pose,
-    z: PolarMeasurement,
-    noise: NoiseModel,
-    *,
-    is_clutter_truth: bool = False,
-) -> WorldDetection:
-    """Assemble a world-frame detection from a polar measurement."""
-    return WorldDetection(
-        point=polar_to_world(pose, z),
-        cov=world_covariance(pose, z, noise),
-        source_se=z.source_se,
-        is_clutter_truth=is_clutter_truth,
-    )
+    pose: Pose, z: PolarMeasurement, noise: NoiseModel
+) -> tuple[WorldPoint, Cov]:
+    """A world-frame detection's position and covariance from a polar measurement."""
+    return polar_to_world(pose, z), world_covariance(pose, z, noise)
 
 
 # -- scenario ----------------------------------------------------------------------
@@ -295,9 +290,45 @@ def precompute_distances(
         for tid, p in frame.truth:
             truth_xy[t, col[tid]] = p.x, p.y
             truth_in[t, col[tid]] = True
-    xy = np.array([(d.point.x, d.point.y) for f in frames for d in f.detections]).reshape(-1, 2)
+    xy = np.concatenate([np.empty((0, 2))] + [f.detections.xy for f in frames])
     frame_of = np.repeat(np.arange(len(frames)), [len(f.detections) for f in frames])
     return detection_distances(xy, frame_of, truth_xy, truth_in, ids, static_map)
+
+
+def result_from_counts(
+    target_ids: Sequence[int],
+    successes: Sequence[int],
+    steps: Sequence[int],
+    fa_total: int,
+    t_total: int,
+) -> MetricResult:
+    """Build a ``MetricResult`` from raw counters.
+
+    Raises ``EmptyRunError`` when no frame was counted.
+    """
+    if t_total <= 0:
+        raise EmptyRunError(f"t_total must be >= 1, got {t_total}")
+    pd_per_target: dict[int, float] = {}
+    excluded: list[int] = []
+    for tid, succ, n_steps in zip(target_ids, successes, steps):
+        if n_steps > 0:
+            pd_per_target[tid] = succ / n_steps
+        else:
+            excluded.append(tid)
+    if excluded:
+        log.warning(
+            "targets %s were never inside the sensing area; excluded from pd_avg", excluded
+        )
+    if pd_per_target:
+        pd_avg = float(np.mean([pd_per_target[tid] for tid in sorted(pd_per_target)]))
+    else:
+        pd_avg = math.nan
+    return MetricResult(
+        pd_per_target=pd_per_target,
+        pd_avg=pd_avg,
+        fa_avg=fa_total / t_total,
+        excluded_targets=tuple(excluded),
+    )
 
 
 # -- geometry ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import baseline_row, brute_force_metrics, cell_row, make_detection
+from conftest import baseline_row, brute_force_metrics, cell_row, columns_of
 from oracles import (
     PolarMeasurement,
     cov_matrix,
@@ -204,15 +204,18 @@ def _micro_instance(rng: np.random.Generator):
             x, y = (float(v) for v in rng.uniform(-6.0, 46.0, size=2))
             if rect_contains(bounds, WorldPoint(x, y)):
                 truth.append((tid, WorldPoint(x, y)))
-        detections = []
+        detections = []  # (point, source SE, clutter flag)
         for tid, pos in truth:
             if rng.random() < 0.7:
                 dx, dy = (float(v) for v in rng.normal(0.0, 1.2, size=2))
-                detections.append(make_detection(pos.x + dx, pos.y + dy, source_se=f"se-{tid % 2}"))
+                detections.append(((pos.x + dx, pos.y + dy), f"se-{tid % 2}", False))
         for _ in range(int(rng.integers(0, 4))):
             cx, cy = (float(v) for v in rng.uniform(0.0, 40.0, size=2))
-            detections.append(make_detection(cx, cy, source_se="se-0", is_clutter_truth=True))
-        frames.append(Frame(t=t, detections=tuple(detections[:10]), truth=tuple(truth)))
+            detections.append(((cx, cy), "se-0", True))
+        points, sources, clutter = zip(*detections[:10]) if detections else ((), (), ())
+        frames.append(
+            Frame(t=t, detections=columns_of(points, sources, clutter), truth=tuple(truth))
+        )
     return frames, static_map, fc
 
 

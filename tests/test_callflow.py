@@ -29,15 +29,14 @@ from sensefuse.callflow import (
 from sensefuse.errors import NoSensingEntityError, ProtocolError
 from sensefuse.fusion import FilterConfig
 from sensefuse.geometry import Rect, StaticMap, WorldPoint
-from sensefuse.measurement import Cov2, WorldDetection
 from sensefuse.metrics import MetricResult
 from sensefuse.scenario import (
     ClutterModel,
     Frame,
     ScenarioConfig,
     build_scenario,
-    generate_frames,
     generate_realization,
+    realization_detections,
     realization_rng,
 )
 from sensefuse.sdsf_store import SdsfStore, SensingContext
@@ -106,7 +105,6 @@ def make_request(**overrides) -> ServiceRequest:
         kpi=Kpi(pd_min=0.0, fa_max=math.inf),
         historical_consent=True,
         max_age=1000,
-        requester_kind="trusted-app",
         target_type="vehicle",
         area=Rect(0.0, 0.0, 120.0, 120.0),
     )
@@ -222,7 +220,7 @@ def test_trace_round_trips_through_jsonl(flow_scenario, tmp_path):
 
 
 def test_policy_permit_without_rules():
-    decision = evaluate_policy(Rect(0.0, 0.0, 10.0, 10.0), "trusted-app", PolicyRules())
+    decision = evaluate_policy(Rect(0.0, 0.0, 10.0, 10.0), PolicyRules())
     assert decision.verdict == "permit"
     assert decision.obligations == ()
     assert decision.permits()
@@ -230,14 +228,14 @@ def test_policy_permit_without_rules():
 
 def test_policy_denies_prohibited_overlap():
     rules = PolicyRules(prohibited_areas=(Rect(5.0, 5.0, 15.0, 15.0),))
-    decision = evaluate_policy(Rect(0.0, 0.0, 10.0, 10.0), "trusted-app", rules)
+    decision = evaluate_policy(Rect(0.0, 0.0, 10.0, 10.0), rules)
     assert decision.verdict == "deny"
     assert not decision.permits()
 
 
 def test_policy_charging_obligations_attach():
     rules = PolicyRules(charging_rules=("per-task-tariff",))
-    decision = evaluate_policy(Rect(0.0, 0.0, 10.0, 10.0), "trusted-app", rules)
+    decision = evaluate_policy(Rect(0.0, 0.0, 10.0, 10.0), rules)
     assert decision.verdict == "permit-with-obligations"
     assert decision.obligations == ("per-task-tariff",)
     assert decision.permits()
@@ -442,16 +440,14 @@ def test_live_request_without_raw_archive_builds_no_detection_objects(
     def boom(self, *args, **kwargs):
         raise AssertionError(f"{type(self).__name__} built on a live request")
 
-    for cls in (WorldDetection, Cov2, Frame):
-        monkeypatch.setattr(cls, "__init__", boom)
+    monkeypatch.setattr(Frame, "__init__", boom)
     sf, raw = run_with_ses(flow_scenario, flow_scenario.se_ids, archive_raw=False)
     assert raw == []
     assert len(sf.rows) == len(sf.world.realization.xy)
 
 
 def test_raw_archive_builds_pooled_objects_once(flow_scenario, monkeypatch):
-    detections = _count_constructions(monkeypatch, WorldDetection)
-    covariances = _count_constructions(monkeypatch, Cov2)
+    frames = _count_constructions(monkeypatch, Frame)
     merges = [0]
     merge = SensingFunction._merge_reports
 
@@ -463,24 +459,25 @@ def test_raw_archive_builds_pooled_objects_once(flow_scenario, monkeypatch):
     sf, raw = run_with_ses(flow_scenario, flow_scenario.se_ids, archive_raw=True)
     assert len(raw) == 1
     assert merges[0] == 1
-    assert detections[0] == covariances[0] == 0
+    assert frames[0] == 0
     assert len(raw[0].payload) == len(sf.rows)
 
 
 @pytest.mark.parametrize("se_order", [("se-1", "se-0"), ("se-1",), ("se-0",)])
 def test_raw_record_pools_registered_ses_in_registration_order(flow_scenario, se_order):
     _, raw = run_with_ses(flow_scenario, se_order, archive_raw=True)
-    frames = generate_frames(flow_scenario, realization_rng(flow_scenario.seed, 0))
+    rz = generate_realization(flow_scenario, realization_rng(flow_scenario.seed, 0))
     # Per frame, each registered SE's detections, in registration order.
-    expected = [
-        d
-        for frame in frames
+    rows = [
+        row
+        for t in range(flow_scenario.t_steps)
         for se_id in se_order
-        for d in frame.detections
-        if d.source_se == se_id
+        for row in np.flatnonzero(
+            (rz.frame_of == t) & (rz.se_idx == flow_scenario.se_ids.index(se_id))
+        )
     ]
     assert len(raw) == 1
-    assert raw[0].payload.detections() == expected
+    assert raw[0].payload == realization_detections(flow_scenario, rz, np.array(rows))
 
 
 def test_raw_archive_and_reopen_build_no_detection_objects(flow_scenario, monkeypatch, tmp_path):
@@ -491,8 +488,7 @@ def test_raw_archive_and_reopen_build_no_detection_objects(flow_scenario, monkey
     def boom(self, *args, **kwargs):
         raise AssertionError(f"{type(self).__name__} built for the raw archive")
 
-    for cls in (WorldDetection, Cov2, WorldPoint):
-        monkeypatch.setattr(cls, "__init__", boom)
+    monkeypatch.setattr(WorldPoint, "__init__", boom)
     path = tmp_path / "store.jsonl"
     run = run_flow(flow_scenario, SdsfStore(path), archive_raw=True)
     assert run.result is not None and run.result.data_source == "live-only"

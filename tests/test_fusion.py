@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sensefuse.errors import EmptyRunError
 from sensefuse.fusion import FilterConfig, FrameDistances, fused_metrics, grid_metrics
 from sensefuse.geometry import Rect, StaticMap, WorldPoint
-from sensefuse.metrics import result_from_counts
 from sensefuse.scenario import (
     ClutterModel,
     Frame,
@@ -19,8 +19,8 @@ from sensefuse.scenario import (
     realization_rng,
 )
 
-from conftest import brute_force_metrics, make_detection
-from oracles import precompute_distances
+from conftest import brute_force_metrics, columns_of
+from oracles import precompute_distances, result_from_counts
 
 
 def frame_outcome(frame, static_map=None, fc=FilterConfig()):
@@ -29,14 +29,14 @@ def frame_outcome(frame, static_map=None, fc=FilterConfig()):
     return {tid: pd == 1.0 for tid, pd in result.pd_per_target.items()}, int(result.fa_avg)
 
 
-def outcome(detections, truth=(), static_map=None, fc=FilterConfig()):
-    frame = Frame(t=0, detections=tuple(detections), truth=tuple(truth))
+def outcome(points, truth=(), static_map=None, fc=FilterConfig()):
+    frame = Frame(t=0, detections=columns_of(points), truth=tuple(truth))
     return frame_outcome(frame, static_map, fc)
 
 
-def kept(detections, static_map, g):
+def kept(points, static_map, g):
     """Per-detection mask survival, each detection in its own target-free frame."""
-    return [outcome([d], (), static_map, FilterConfig(g, 3.0))[1] == 1 for d in detections]
+    return [outcome([p], (), static_map, FilterConfig(g, 3.0))[1] == 1 for p in points]
 
 
 # -- FilterConfig ---------------------------------------------------------------
@@ -58,27 +58,25 @@ def test_filter_config_validation():
 
 def test_mask_boundary_tie_is_rejected(unit_map):
     # (13, 5) is exactly 3 m from the building; distance <= g counts inside.
-    tie = make_detection(13.0, 5.0)
+    tie = (13.0, 5.0)
     assert kept([tie], unit_map, 3.0) == [False]
     assert kept([tie], unit_map, 2.999) == [True]
 
 
 def test_mask_keeps_outside_and_preserves_order(unit_map):
-    far = make_detection(30.0, 30.0)
-    inside = make_detection(5.0, 5.0)
-    near = make_detection(11.0, 5.0)
+    far, inside, near = (30.0, 30.0), (5.0, 5.0), (11.0, 5.0)
     assert kept([far, inside, near], unit_map, 0.5) == [True, False, True]
 
 
 def test_mask_removes_building_center_at_any_margin(unit_map):
-    center = make_detection(5.0, 5.0)
+    center = (5.0, 5.0)
     for g in (0.0, 0.1, 2.0, 10.0):
         assert kept([center], unit_map, g) == [False]
 
 
 def test_mask_with_empty_map_is_a_no_op():
     empty = StaticMap((), Rect(-50.0, -50.0, 50.0, 50.0))
-    dets = [make_detection(0.0, 0.0), make_detection(10.0, 10.0)]
+    dets = [(0.0, 0.0), (10.0, 10.0)]
     assert kept(dets, empty, 100.0) == [True, True]
     assert kept(dets, None, 100.0) == [True, True]
 
@@ -88,31 +86,31 @@ def test_mask_with_empty_map_is_a_no_op():
 
 def test_gate_match_within_radius():
     truth = [(0, WorldPoint(10.0, 10.5))]
-    out = outcome([make_detection(10.0, 10.0)], truth, fc=FilterConfig(0.0, 1.0))
+    out = outcome([(10.0, 10.0)], truth, fc=FilterConfig(0.0, 1.0))
     assert out == ({0: True}, 0)
 
 
 def test_gate_miss_counts_false_alarm():
     truth = [(0, WorldPoint(20.0, 20.0))]
-    out = outcome([make_detection(10.0, 10.0)], truth, fc=FilterConfig(0.0, 1.0))
+    out = outcome([(10.0, 10.0)], truth, fc=FilterConfig(0.0, 1.0))
     assert out == ({0: False}, 1)
 
 
 def test_gate_mixed_match_and_false_alarm():
-    dets = [make_detection(0.0, 0.0), make_detection(3.0, 0.0)]
+    dets = [(0.0, 0.0), (3.0, 0.0)]
     out = outcome(dets, [(0, WorldPoint(0.0, 0.0))], fc=FilterConfig(0.0, 2.0))
     assert out == ({0: True}, 1)
 
 
 def test_gate_boundary_tie_is_inside():
     truth = [(0, WorldPoint(0.0, 0.0))]
-    out = outcome([make_detection(2.0, 0.0)], truth, fc=FilterConfig(0.0, 2.0))
+    out = outcome([(2.0, 0.0)], truth, fc=FilterConfig(0.0, 2.0))
     assert out == ({0: True}, 0)
 
 
 def test_gate_one_detection_can_cover_two_targets():
     truth = [(0, WorldPoint(0.0, 0.0)), (1, WorldPoint(1.0, 0.0))]
-    out = outcome([make_detection(0.5, 0.0)], truth, fc=FilterConfig(0.0, 1.0))
+    out = outcome([(0.5, 0.0)], truth, fc=FilterConfig(0.0, 1.0))
     assert out == ({0: True, 1: True}, 0)
 
 
@@ -122,7 +120,7 @@ def test_gate_one_detection_can_cover_two_targets():
 def test_mask_runs_before_gate(unit_map):
     # The detection is within the gate of the target but also within the
     # dilated building, so masking removes it before gating can match it.
-    dets = [make_detection(10.5, 5.0)]
+    dets = [(10.5, 5.0)]
     truth = [(0, WorldPoint(12.0, 5.0))]
     masked = outcome(dets, truth, unit_map, FilterConfig(1.0, 3.0, mask_enabled=True))
     assert masked == ({0: False}, 0)
@@ -139,8 +137,8 @@ def test_mask_disabled_equals_plain_gating(default_scenario):
 
 
 def test_clutter_inside_building_is_masked_at_zero_margin(unit_map):
-    clutter = make_detection(5.0, 5.0, is_clutter_truth=True)
-    assert outcome([clutter], (), unit_map, FilterConfig(0.0, 3.0)) == ({}, 0)
+    clutter = Frame(t=0, detections=columns_of([(5.0, 5.0)], clutter=[True]), truth=())
+    assert frame_outcome(clutter, unit_map, FilterConfig(0.0, 3.0)) == ({}, 0)
 
 
 def test_mask_survival_matches_area_ratio(default_scenario, rng):
@@ -148,8 +146,7 @@ def test_mask_survival_matches_area_ratio(default_scenario, rng):
     # 1 - 2100 / 14400.  Binomial three-sigma band around that.
     n = 1_000
     xy = rng.uniform((0.0, 0.0), (120.0, 120.0), (n, 2))
-    dets = [make_detection(float(x), float(y)) for x, y in xy]
-    _, n_kept = outcome(dets, (), default_scenario.static_map, FilterConfig(0.0, 3.0))
+    _, n_kept = outcome(xy, (), default_scenario.static_map, FilterConfig(0.0, 3.0))
     p = 1.0 - 2100.0 / 14400.0
     sigma = math.sqrt(p * (1.0 - p) / n)
     assert abs(n_kept / n - p) <= 3.0 * sigma
@@ -162,7 +159,7 @@ def _mixed_frames() -> list[Frame]:
     cfg = ScenarioConfig(t_steps=10, clutter=ClutterModel(lambda_fa=20.0))
     scenario = build_scenario(cfg)
     frames = generate_frames(scenario, realization_rng(scenario.seed, 1))
-    frames[3] = Frame(t=3, detections=(), truth=frames[3].truth)
+    frames[3] = Frame(t=3, detections=columns_of([]), truth=frames[3].truth)
     frames[6] = Frame(t=6, detections=frames[6].detections, truth=())
     return frames
 
@@ -198,7 +195,7 @@ def test_precompute_shapes_and_padding():
     assert fd.map_dist_sq.shape == (n_det,)
     assert fd.target_dist_sq.shape == (n_det, len(fd.target_ids))
     assert fd.target_inbounds.shape == (10, len(fd.target_ids))
-    assert fd.frame_of.tolist() == [t for t, f in enumerate(frames) for _ in f.detections]
+    assert fd.frame_of.tolist() == [t for t, f in enumerate(frames) for _ in f.detections.xy]
     for d, t in enumerate(fd.frame_of.tolist()):
         in_frame = {tid for tid, _ in frames[t].truth}
         for n, tid in enumerate(fd.target_ids):
@@ -209,7 +206,7 @@ def test_precompute_shapes_and_padding():
 
 
 def test_precompute_empty_frames():
-    frames = [Frame(t=0, detections=(), truth=()), Frame(t=1, detections=(), truth=())]
+    frames = [Frame(t=t, detections=columns_of([]), truth=()) for t in (0, 1)]
     static_map = StaticMap((), Rect(-10.0, -10.0, 10.0, 10.0))
     fd = precompute_distances(frames, static_map)
     assert fd.map_dist_sq.shape == (0,)
@@ -255,7 +252,7 @@ def test_grid_kernel_matches_one_cell_kernel_and_brute_force(raw_frames, use_map
     frames = [
         Frame(
             t=t,
-            detections=tuple(make_detection(x, y) for x, y in dets),
+            detections=columns_of(dets),
             truth=tuple((tid, WorldPoint(x, y)) for tid, (x, y) in sorted(truth.items())),
         )
         for t, (dets, truth) in enumerate(raw_frames)
@@ -373,3 +370,16 @@ def test_grid_excludes_a_target_with_no_steps(caplog):
     assert result.pd_per_target == {3: 1.0, 9: 1.0}
     assert result.pd_avg == 1.0 and result.fa_avg == 0.5
     assert "excluded from pd_avg" in caplog.text
+
+
+@pytest.mark.parametrize("n_cells", [0, 2])
+def test_grid_on_zero_frames_raises(n_cells):
+    fd = FrameDistances(
+        map_dist_sq=np.empty(0),
+        target_dist_sq=np.empty((0, 0)),
+        frame_of=np.empty(0, dtype=np.intp),
+        target_inbounds=np.empty((0, 0), dtype=bool),
+        target_ids=(),
+    )
+    with pytest.raises(EmptyRunError):
+        grid_metrics(fd, [FilterConfig(0.0, 3.0), FilterConfig(1.0, 2.0)][:n_cells])

@@ -160,6 +160,31 @@ def test_workers_validation(small_scenario):
         run_sweep(small_scenario, SMALL_SWEEP, workers=0)
 
 
+def test_workers_capped_at_realization_count(small_scenario, small_rows, monkeypatch):
+    # A fork pool starts all of its workers at the first submit, so the pool
+    # is never sized past the jobs, and one job runs without a pool.
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return None
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    assert run_sweep(small_scenario, SMALL_SWEEP, workers=64) == small_rows
+    one = dataclasses.replace(SMALL_SWEEP, n_realizations=1)
+    assert run_sweep(small_scenario, one, workers=8) == run_sweep(small_scenario, one)
+    assert sizes == [SMALL_SWEEP.n_realizations]
+
+
 # -- CSV --------------------------------------------------------------------------
 
 

@@ -7,11 +7,9 @@ from sensefuse.errors import DegenerateGeometryError
 from sensefuse.geometry import WorldPoint
 from sensefuse.measurement import (
     PSD_SLACK,
-    Cov2,
     DetectionColumns,
     NoiseModel,
     Pose,
-    WorldDetection,
     wrap_angle,
     wrap_angles,
 )
@@ -86,23 +84,6 @@ def test_polar_measurement_requires_positive_range():
         PolarMeasurement(0.0, 0.0)
     with pytest.raises(ValueError):
         PolarMeasurement(-1.0, 0.0)
-
-
-def test_cov2_eigenvalues_match_numpy(rng):
-    for _ in range(100):
-        a = rng.normal(size=(2, 2))
-        m = a @ a.T + 1e-6 * np.eye(2)
-        cov = Cov2(m[0, 0], m[0, 1], m[1, 1])
-        lo, hi = cov.eigenvalues()
-        ref = np.linalg.eigvalsh(m)
-        assert lo == pytest.approx(ref[0], rel=1e-9, abs=1e-12)
-        assert hi == pytest.approx(ref[1], rel=1e-9, abs=1e-12)
-
-
-def test_cov2_rejects_indefinite_and_asymmetric():
-    # Cov2 holds one off-diagonal entry, so it is symmetric by construction.
-    with pytest.raises(ValueError):
-        Cov2(1.0, 2.0, 1.0)  # det < 0
 
 
 # -- polar <-> world -----------------------------------------------------------
@@ -206,10 +187,10 @@ def test_jacobian_determinant_is_range(rng):
 
 
 def test_propagate_covariance_boresight_example():
-    cov = rotated_covariance(10.0, 0.0, NOISE)
-    assert cov.xx == pytest.approx(SIGMA_R**2, rel=1e-12)  # 0.64
-    assert cov.xy == pytest.approx(0.0, abs=1e-15)
-    assert cov.yy == pytest.approx((10.0 * SIGMA_B) ** 2, rel=1e-12)  # ~0.1218
+    xx, xy, yy = rotated_covariance(10.0, 0.0, NOISE)
+    assert xx == pytest.approx(SIGMA_R**2, rel=1e-12)  # 0.64
+    assert xy == pytest.approx(0.0, abs=1e-15)
+    assert yy == pytest.approx((10.0 * SIGMA_B) ** 2, rel=1e-12)  # ~0.1218
 
 
 def test_propagate_covariance_matches_numpy_oracle(rng):
@@ -217,18 +198,15 @@ def test_propagate_covariance_matches_numpy_oracle(rng):
         r = float(rng.uniform(0.5, 200.0))
         b = float(rng.uniform(-math.pi, math.pi))
         noise = NoiseModel(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.001, 0.2)))
-        cov = rotated_covariance(r, b, noise)
-        expected = _numpy_propagated(r, b, noise)
-        assert cov.xx == pytest.approx(expected[0, 0], rel=1e-9, abs=1e-12)
-        assert cov.xy == pytest.approx(expected[0, 1], rel=1e-9, abs=1e-12)
-        assert cov.yy == pytest.approx(expected[1, 1], rel=1e-9, abs=1e-12)
+        cov = cov_matrix(rotated_covariance(r, b, noise))
+        assert cov == pytest.approx(_numpy_propagated(r, b, noise), rel=1e-9, abs=1e-12)
 
 
 def test_propagate_covariance_eigenvalues(rng):
     for _ in range(100):
         r = float(rng.uniform(0.5, 200.0))
         b = float(rng.uniform(-math.pi, math.pi))
-        lo, hi = rotated_covariance(r, b, NOISE).eigenvalues()
+        lo, hi = np.linalg.eigvalsh(cov_matrix(rotated_covariance(r, b, NOISE)))
         expected = sorted([SIGMA_R**2, (r * SIGMA_B) ** 2])
         assert lo == pytest.approx(expected[0], rel=1e-9)
         assert hi == pytest.approx(expected[1], rel=1e-9)
@@ -237,7 +215,7 @@ def test_propagate_covariance_eigenvalues(rng):
 
 
 def test_lateral_std_grows_linearly_with_range():
-    lo, hi = rotated_covariance(50.0, 0.3, NOISE).eigenvalues()
+    lo, hi = np.linalg.eigvalsh(cov_matrix(rotated_covariance(50.0, 0.3, NOISE)))
     assert math.sqrt(hi) == pytest.approx(50.0 * SIGMA_B, rel=1e-9)
 
 
@@ -246,11 +224,9 @@ def test_world_covariance_matches_numpy_oracle(rng):
         pose = Pose(*rng.uniform(-50, 50, 2), float(rng.uniform(-math.pi, math.pi)))
         r = float(rng.uniform(0.5, 150.0))
         b = float(rng.uniform(-math.pi, math.pi))
-        cov = world_covariance(pose, PolarMeasurement(r, b), NOISE)
+        cov = cov_matrix(world_covariance(pose, PolarMeasurement(r, b), NOISE))
         expected = _numpy_propagated(r, pose.theta + b, NOISE)
-        assert cov.xx == pytest.approx(expected[0, 0], rel=1e-9, abs=1e-12)
-        assert cov.xy == pytest.approx(expected[0, 1], rel=1e-9, abs=1e-12)
-        assert cov.yy == pytest.approx(expected[1, 1], rel=1e-9, abs=1e-12)
+        assert cov == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
 def test_world_covariance_monte_carlo(rng):
@@ -272,12 +248,9 @@ def test_world_covariance_monte_carlo(rng):
 def test_build_detection_back_projects_the_measurement():
     pose = Pose(10.0, 20.0, 0.3)
     z = PolarMeasurement(25.0, -0.4, source_se="se-1")
-    det = build_detection(pose, z, NOISE)
-    expected = polar_to_world(pose, z)
-    assert det.point == expected
-    assert det.source_se == "se-1"
-    assert not det.is_clutter_truth
-    assert det.cov == world_covariance(pose, z, NOISE)
+    point, cov = build_detection(pose, z, NOISE)
+    assert point == polar_to_world(pose, z)
+    assert cov == world_covariance(pose, z, NOISE)
 
 
 # -- detection columns -------------------------------------------------------------
@@ -299,9 +272,8 @@ def test_detection_columns_detections_view():
     cols = columns()
     assert len(cols) == 3
     assert cols.sources() == ["se-1", "se-0", "se-1"]
-    assert cols.detections()[1] == WorldDetection(
-        WorldPoint(3.0, -4.0), Cov2(2.0, 0.5, 1.0), "se-0", True
-    )
+    assert cols.xy[1].tolist() == [3.0, -4.0] and cols.cov[1].tolist() == [2.0, 0.5, 1.0]
+    assert cols.is_clutter.tolist() == [False, True, False]
     assert not cols.xy.flags.writeable and not cols.cov.flags.writeable
 
 
@@ -332,13 +304,27 @@ def test_detection_columns_validation(overrides, match):
         columns(**overrides)
 
 
-def test_detection_columns_psd_slack_matches_cov2():
+def test_detection_columns_psd_slack():
     # Smallest eigenvalue 1 - xy: just inside, then outside, the slack.
     inside = [1.0, 1.0 + PSD_SLACK / 2, 1.0]
     outside = [1.0, 1.0 + 4 * PSD_SLACK, 1.0]
-    Cov2(*inside)
     assert len(columns(cov=[inside] * 3)) == 3
     with pytest.raises(ValueError, match="semidefinite"):
-        Cov2(*outside)
-    with pytest.raises(ValueError, match="semidefinite"):
         columns(cov=[inside, inside, outside])
+
+
+def test_detection_columns_psd_check_matches_numpy_eigenvalues(rng):
+    # Random symmetric matrices, about half of them indefinite: a row is
+    # accepted exactly when numpy's smaller eigenvalue clears the slack.
+    for _ in range(200):
+        a = rng.normal(size=(2, 2))
+        m = a @ a.T - float(rng.uniform(0.0, 1.0)) * np.trace(a @ a.T) / 2 * np.eye(2)
+        lo = np.linalg.eigvalsh(m)[0]
+        if abs(lo) < 1e-9:
+            continue  # too close to the boundary for the two eigenvalue routines to agree
+        row = [m[0, 0], m[0, 1], m[1, 1]]
+        if lo >= 0.0:
+            assert len(columns(cov=[row] * 3)) == 3
+        else:
+            with pytest.raises(ValueError, match="semidefinite"):
+                columns(cov=[row] * 3)

@@ -1,13 +1,14 @@
 import logging
 import math
 
+import numpy as np
 import pytest
 
 from sensefuse.errors import EmptyRunError
-from sensefuse.fusion import FilterConfig, fused_metrics
+from sensefuse.fusion import FilterConfig, FrameDistances, fused_metrics
 from sensefuse.geometry import WorldPoint
 from sensefuse.measurement import NoiseModel
-from sensefuse.metrics import MetricResult, aggregate_values, result_from_counts
+from sensefuse.metrics import MetricResult, aggregate_values
 from sensefuse.scenario import (
     ClutterModel,
     Frame,
@@ -17,7 +18,7 @@ from sensefuse.scenario import (
     realization_rng,
 )
 
-from conftest import make_detection
+from conftest import columns_of
 from oracles import precompute_distances
 
 
@@ -28,9 +29,9 @@ def frame(detected: dict[int, bool], unmatched: int = 0) -> Frame:
     alarm a detection far from every target.
     """
     truth = tuple((tid, WorldPoint(10.0 * tid, 0.0)) for tid in detected)
-    hits = [make_detection(10.0 * tid, 0.0) for tid, hit in detected.items() if hit]
-    misses = [make_detection(1000.0 + 10.0 * i, 1000.0) for i in range(unmatched)]
-    return Frame(t=0, detections=tuple(hits + misses), truth=truth)
+    hits = [(10.0 * tid, 0.0) for tid, hit in detected.items() if hit]
+    misses = [(1000.0 + 10.0 * i, 1000.0) for i in range(unmatched)]
+    return Frame(t=0, detections=columns_of(hits + misses), truth=truth)
 
 
 def metrics(frames: list[Frame]) -> MetricResult:
@@ -67,21 +68,29 @@ def test_out_of_area_steps_do_not_dilute_pd():
 def test_finalize_requires_frames():
     with pytest.raises(EmptyRunError):
         metrics([])
-    with pytest.raises(EmptyRunError):
-        result_from_counts([], [], [], 0, 0)
 
 
 def test_never_observable_target_excluded_with_warning(caplog):
+    # Target 0 is in the area for 4 frames and detected in 3; target 1 never is.
+    fd = FrameDistances(
+        map_dist_sq=np.full(3, np.inf),
+        target_dist_sq=np.array([[0.0, np.inf]] * 3),
+        frame_of=np.arange(3),
+        target_inbounds=np.array([[True, False]] * 4),
+        target_ids=(0, 1),
+    )
     with caplog.at_level(logging.WARNING):
-        result = result_from_counts([0, 1], [3, 0], [4, 0], 0, 4)
+        result = fused_metrics(fd, FilterConfig(0.0, 1.0))
     assert result.pd_per_target == {0: 0.75}
     assert result.excluded_targets == (1,)
     assert result.pd_avg == 0.75
+    assert result.fa_avg == 0.0
     assert "never inside" in caplog.text
 
 
 def test_no_observable_targets_gives_nan_pd():
-    result = result_from_counts([], [], [], 10, 5)
+    result = metrics([frame({}, unmatched=2)] * 5)
+    assert result.pd_per_target == {}
     assert math.isnan(result.pd_avg)
     assert result.fa_avg == 2.0
 

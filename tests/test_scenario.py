@@ -10,7 +10,7 @@ from scipy import stats
 
 from sensefuse.errors import ConfigError, DegenerateGeometryError
 from sensefuse.geometry import Rect, StaticMap, WorldPoint
-from sensefuse.measurement import NoiseModel, Pose, WorldDetection
+from sensefuse.measurement import DetectionColumns, NoiseModel, Pose
 from sensefuse.scenario import (
     DEFAULT_BOUNDS,
     ClutterModel,
@@ -38,25 +38,6 @@ from oracles import (
     world_covariance,
     world_to_polar,
 )
-
-
-def frames_equal(a, b):
-    if len(a) != len(b):
-        return False
-    for fa, fb in zip(a, b):
-        if fa.t != fb.t or fa.truth != fb.truth:
-            return False
-        if len(fa.detections) != len(fb.detections):
-            return False
-        for da, db in zip(fa.detections, fb.detections):
-            if (
-                da.point != db.point
-                or da.cov != db.cov
-                or da.source_se != db.source_se
-                or da.is_clutter_truth != db.is_clutter_truth
-            ):
-                return False
-    return True
 
 
 # -- tracks ---------------------------------------------------------------------
@@ -183,14 +164,14 @@ def test_generate_frames_bitwise_reproducible():
     scenario = build_scenario(ScenarioConfig(t_steps=20))
     a = generate_frames(scenario, realization_rng(scenario.seed, 3))
     b = generate_frames(scenario, realization_rng(scenario.seed, 3))
-    assert frames_equal(a, b)
+    assert a == b
 
 
 def test_generate_frames_differ_across_realizations():
     scenario = build_scenario(ScenarioConfig(t_steps=5))
     a = generate_frames(scenario, realization_rng(scenario.seed, 3))
     b = generate_frames(scenario, realization_rng(scenario.seed, 4))
-    assert not frames_equal(a, b)
+    assert a != b
 
 
 def test_perfect_detection_yields_one_detection_per_se():
@@ -200,28 +181,28 @@ def test_perfect_detection_yields_one_detection_per_se():
     for frame in frames:
         assert len(frame.truth) == 1
         assert len(frame.detections) == 2
-        assert {d.source_se for d in frame.detections} == {"se-0", "se-1"}
-        assert all(not d.is_clutter_truth for d in frame.detections)
+        assert set(frame.detections.sources()) == {"se-0", "se-1"}
+        assert not frame.detections.is_clutter.any()
 
 
 def test_zero_detection_probability_leaves_only_clutter():
     scenario = build_scenario(ScenarioConfig(p_det=0.0))
     frames = generate_frames(scenario, realization_rng(scenario.seed, 0))
     assert all(len(f.truth) == 8 for f in frames)
-    assert all(d.is_clutter_truth for f in frames for d in f.detections)
+    assert all(f.detections.is_clutter.all() for f in frames)
 
 
 def test_zero_targets_yield_empty_truth():
     scenario = build_scenario(ScenarioConfig(n_targets=0))
     frames = generate_frames(scenario, realization_rng(scenario.seed, 0))
     assert all(f.truth == () for f in frames)
-    assert all(d.is_clutter_truth for f in frames for d in f.detections)
+    assert all(f.detections.is_clutter.all() for f in frames)
 
 
 def test_zero_clutter_rate_yields_no_clutter():
     scenario = build_scenario(ScenarioConfig(clutter=ClutterModel(lambda_fa=0.0)))
     frames = generate_frames(scenario, realization_rng(scenario.seed, 0))
-    assert all(not d.is_clutter_truth for f in frames for d in f.detections)
+    assert not any(f.detections.is_clutter.any() for f in frames)
 
 
 def test_truth_excludes_targets_after_they_leave():
@@ -233,7 +214,7 @@ def test_truth_excludes_targets_after_they_leave():
     frame0 = generate_frame(scenario, 0, rng)
     frame1 = generate_frame(scenario, 1, rng)
     assert len(frame0.truth) == 1 and len(frame0.detections) == 2
-    assert frame1.truth == () and frame1.detections == ()
+    assert frame1.truth == () and len(frame1.detections) == 0
 
 
 def frame_counts(scenario, rng, n_frames):
@@ -304,26 +285,33 @@ EDGE_CASES = [
 
 
 def scalar_frame(scenario, t, rng):
-    """Oracle: one frame built object by object, one covariance per detection."""
+    """Oracle: one frame built point by point, one covariance per detection."""
     truth = tuple(
         (track.id, pos)
         for track in scenario.tracks
         if rect_contains(scenario.bounds, pos := target_position(track, t))
     )
-    detections = []
-    for se_id, pose in zip(scenario.se_ids, scenario.se_poses):
+    rows = []  # (x, y, covariance, SE index, clutter flag) per detection
+    for s, pose in enumerate(scenario.se_poses):
         for _, pos in truth:
             if rng.random() < scenario.p_det:
-                z = sample_measurement(pose, pos, scenario.noise, rng, source_se=se_id)
-                detections.append(build_detection(pose, z, scenario.noise))
+                z = sample_measurement(pose, pos, scenario.noise, rng)
+                point, cov = build_detection(pose, z, scenario.noise)
+                rows.append((point.x, point.y, cov, s, False))
     xy = generate_clutter(scenario.clutter, scenario.static_map, scenario.bounds, rng)
     for i, (x, y) in enumerate(xy.tolist()):
-        se_idx = i % len(scenario.se_poses)
-        pose, point = scenario.se_poses[se_idx], WorldPoint(x, y)
-        z = world_to_polar(pose, point)
-        cov = world_covariance(pose, z, scenario.noise)
-        detections.append(WorldDetection(point, cov, scenario.se_ids[se_idx], True))
-    return Frame(t=t, detections=tuple(detections), truth=truth)
+        s = i % len(scenario.se_poses)
+        pose = scenario.se_poses[s]
+        cov = world_covariance(pose, world_to_polar(pose, WorldPoint(x, y)), scenario.noise)
+        rows.append((x, y, cov, s, True))
+    detections = DetectionColumns(
+        xy=np.array([(x, y) for x, y, *_ in rows]).reshape(-1, 2),
+        cov=np.array([cov for _, _, cov, _, _ in rows]).reshape(-1, 3),
+        se_idx=np.array([s for *_, s, _ in rows], dtype=np.intp),
+        se_ids=scenario.se_ids,
+        is_clutter=np.array([flag for *_, flag in rows], dtype=bool),
+    )
+    return Frame(t=t, detections=detections, truth=truth)
 
 
 @pytest.mark.parametrize("seed,cfg", AGREEMENT_CASES)
@@ -336,10 +324,9 @@ def test_realization_columns_match_frames(seed, cfg):
     for i, frame in enumerate(frames):
         rows = np.flatnonzero(rz.frame_of == i)
         dets = frame.detections
-        xy = np.array([(d.point.x, d.point.y) for d in dets]).reshape(-1, 2)
-        assert xy.tobytes() == rz.xy[rows].tobytes()
-        assert [d.source_se for d in dets] == [scenario.se_ids[s] for s in rz.se_idx[rows]]
-        assert [d.is_clutter_truth for d in dets] == rz.is_clutter[rows].tolist()
+        assert dets.xy.tobytes() == rz.xy[rows].tobytes()
+        assert dets.sources() == [scenario.se_ids[s] for s in rz.se_idx[rows]]
+        assert dets.is_clutter.tolist() == rz.is_clutter[rows].tolist()
         assert np.isnan(rz.range_m[rows]).tolist() == rz.is_clutter[rows].tolist()
         truth = tuple(
             (track.id, WorldPoint(x, y))
@@ -392,7 +379,7 @@ def test_columnar_covariances_match_scalar_oracle_bitwise(seed):
             cov = world_covariance(pose, world_to_polar(pose, WorldPoint(x, y)), scenario.noise)
         else:
             cov = rotated_covariance(r, pose.theta + b, scenario.noise)
-        expected.append((cov.xx, cov.xy, cov.yy))
+        expected.append(cov)
     assert rz.is_clutter.any() and not rz.is_clutter.all()
     assert cols.cov.tobytes() == np.array(expected).tobytes()
     assert cols.xy.tobytes() == rz.xy[rows].tobytes()

@@ -32,7 +32,7 @@ from sensefuse.sdsf_store import (
 )
 
 import oracles
-from conftest import columns_of, live_record, make_detection
+from conftest import columns_of, live_record
 
 AREA = Rect(0.0, 0.0, 120.0, 120.0)
 
@@ -135,7 +135,7 @@ def test_store_rejects_unsupported_payload_and_bad_fields():
 
 def test_detection_list_is_raw_kind():
     store = SdsfStore()
-    rid = store.store("stid-1", "raw", ctx(), columns_of([make_detection(1.0, 2.0)]), 0, 50)
+    rid = store.store("stid-1", "raw", ctx(), columns_of([(1.0, 2.0)]), 0, 50)
     record = live_record(store, rid)
     assert record is not None and record.kind == "raw"
 
@@ -263,7 +263,7 @@ def test_log_round_trip_restores_records_and_clock(tmp_path):
     store.store("stid-1", "processed", ctx(), demo_map(), 0, 1000)
     store.set_now(30)
     store.store("stid-2", "high-level", ctx(window=(0, 30)), metrics_payload(), 30, 1000)
-    store.store("stid-3", "raw", ctx(), columns_of([make_detection(1.0, 2.0)]), 30, 1000)
+    store.store("stid-3", "raw", ctx(), columns_of([(1.0, 2.0)]), 30, 1000)
 
     reloaded = SdsfStore(path)
     assert len(reloaded) == 3
@@ -357,19 +357,19 @@ def _lines(path) -> list[bytes]:
 def test_list_payload_is_rejected():
     store = SdsfStore()
     with pytest.raises(ValueError, match="unsupported payload type list"):
-        store.store("stid-1", "raw", ctx(), [make_detection(1.0, 2.0)], 0, 50)
+        store.store("stid-1", "raw", ctx(), [(1.0, 2.0)], 0, 50)
 
 
 def test_raw_record_line_is_json_dumps_of_its_detections(tmp_path):
     # Quote, backslash and non-ASCII SE ids exercise json's string escaping.
-    dets = [
-        make_detection(1.0, -0.0, source_se='se "north"'),
-        make_detection(1e-300, 123456.789, source_se="se-é\\", is_clutter_truth=True),
-        make_detection(0.1, 2.0 / 3.0, source_se='se "north"'),
-    ]
+    points = [(1.0, -0.0), (1e-300, 123456.789), (0.1, 2.0 / 3.0)]
+    sources = ['se "north"', "se-é\\", 'se "north"']
+    clutter = [False, True, False]
     path = tmp_path / "store.jsonl"
     store = SdsfStore(path)
-    store.store("stid-1", "raw", ctx(), columns_of(dets), 0, 50, metadata={"k": "v"})
+    store.store(
+        "stid-1", "raw", ctx(), columns_of(points, sources, clutter), 0, 50, metadata={"k": "v"}
+    )
     expected = {
         "record_id": "rec-000001",
         "stid": "stid-1",
@@ -383,14 +383,8 @@ def test_raw_record_line_is_json_dumps_of_its_detections(tmp_path):
         "payload": {
             "type": "detections",
             "items": [
-                {
-                    "x": d.point.x,
-                    "y": d.point.y,
-                    "cov": [d.cov.xx, d.cov.xy, d.cov.yy],
-                    "source_se": d.source_se,
-                    "clutter": d.is_clutter_truth,
-                }
-                for d in dets
+                {"x": x, "y": y, "cov": [1.0, 0.0, 1.0], "source_se": se_id, "clutter": flag}
+                for (x, y), se_id, flag in zip(points, sources, clutter)
             ],
         },
         "created_at": 0,
@@ -589,7 +583,7 @@ def test_empty_raw_record_round_trips(tmp_path):
 def test_corrupt_raw_record_raises_store_corrupt_error(tmp_path, field, value):
     path = _two_record_log(tmp_path)
     store = SdsfStore(path)
-    store.store("stid-2", "raw", ctx(), columns_of([make_detection(1.0, 2.0)] * 3), 0, 1000)
+    store.store("stid-2", "raw", ctx(), columns_of([(1.0, 2.0)] * 3), 0, 1000)
     store.store("stid-3", "processed", ctx(window=(0, 5)), demo_map(), 0, 1000)
     lines = _lines(path)
     record = json.loads(lines[3])
