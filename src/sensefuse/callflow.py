@@ -79,20 +79,18 @@ class ServiceRequest:
 
 @dataclass(frozen=True)
 class PolicyDecision:
-    verdict: str  # permit | deny | permit-with-obligations
-    obligations: tuple[str, ...] = ()
+    verdict: str  # permit | deny
     reason: str = ""
 
     def permits(self) -> bool:
-        return self.verdict in ("permit", "permit-with-obligations")
+        return self.verdict == "permit"
 
 
 @dataclass(frozen=True)
 class PolicyRules:
-    """PCF rule table: spatial prohibitions and charging obligations."""
+    """PCF rule table: spatial prohibitions."""
 
     prohibited_areas: tuple[Rect, ...] = ()
-    charging_rules: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -158,8 +156,7 @@ def write_trace(events: Sequence[TraceEvent], path: str | Path) -> None:
 def evaluate_policy(area: Rect, rules: PolicyRules) -> PolicyDecision:
     """Rule-table policy check for a sensing request over ``area``.
 
-    Requests over any prohibited area are denied outright; otherwise charging
-    rules, when configured, attach as obligations.
+    Requests over any prohibited area are denied; all others are permitted.
     """
     for prohibited in rules.prohibited_areas:
         if area.intersects(prohibited):
@@ -167,12 +164,6 @@ def evaluate_policy(area: Rect, rules: PolicyRules) -> PolicyDecision:
                 verdict="deny",
                 reason=f"requested area intersects prohibited zone {prohibited.as_tuple()}",
             )
-    if rules.charging_rules:
-        return PolicyDecision(
-            verdict="permit-with-obligations",
-            obligations=tuple(rules.charging_rules),
-            reason="charging obligations apply",
-        )
     return PolicyDecision(verdict="permit")
 
 
@@ -481,7 +472,6 @@ class SensingFunction:
         self.rows: np.ndarray | None = None  # pooled realization rows, set at fusion
         self.result: SensingResult | None = None
         self._stid_seq = 0
-        self._consent_revoked = False
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -494,19 +484,9 @@ class SensingFunction:
         if self.phase == SfPhase.IDLE:
             self._advance(SfPhase.REGISTERED)
 
-    def revoke_consent(self) -> None:
-        """Withdraw historical-data consent; takes effect at the next message."""
-        self._consent_revoked = True
-
     # -- message handling --------------------------------------------------------
 
     def handle(self, msg: Message) -> list[Message]:
-        if self._consent_revoked and self.phase not in (
-            SfPhase.IDLE,
-            SfPhase.DONE,
-            SfPhase.ABORTED,
-        ):
-            return self._abort("historical-data consent revoked")
         if msg.variant == "ServiceRequest":
             return self._on_service_request(msg)
         if msg.variant == "PolicyDecision":
@@ -743,7 +723,7 @@ class SensingFunction:
             items.append(("raw", metrics_ctx, detections, "pooled-detections"))
         return end, self.aging_policy, tuple(items)
 
-    def _abort(self, reason: str, step: int = 15) -> list[Message]:
+    def _abort(self, reason: str, step: int) -> list[Message]:
         self._advance(SfPhase.ABORTED)
         log.info("sensing task %s aborted: %s", self.stid, reason)
         return [

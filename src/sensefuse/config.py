@@ -1,26 +1,26 @@
 """YAML configuration for the sweep harness and the call-flow demo.
 
-Every setting has a default matching the reference scenario, so an empty (or
+``KEYS`` is the one table of settings: each key's kind, default and check.
+Every key has a default matching the reference scenario, so an empty (or
 absent) file is a complete configuration.  Validation collects all problems
-before raising, reporting each offending key by its dotted path.
+before raising, naming each offending key by its dotted path, in one order:
+unknown sections, then per section its unknown keys, its keys in table order,
+and its cross-key checks.  Settings are built only when there is no problem.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 import yaml
 
 from .errors import ConfigError
 from .geometry import Rect, StaticMap
 from .measurement import NoiseModel, Pose
-from .scenario import (
-    DEFAULT_BOUNDS,
-    DEFAULT_BUILDINGS,
-    ClutterModel,
-    ScenarioConfig,
-)
+from .scenario import DEFAULT_BOUNDS, DEFAULT_BUILDINGS, ClutterModel, ScenarioConfig
+from .sdsf_store import TARGET_TYPES
 
 DEFAULT_G_DET_VALUES = (1.0, 2.0, 3.0, 4.0, 5.0, 10.0)
 
@@ -30,27 +30,26 @@ class SweepSettings:
     """Margin/gate grid and Monte-Carlo depth for the sweep harness."""
 
     g_values: tuple[float, ...]
-    g_det_values: tuple[float, ...] = DEFAULT_G_DET_VALUES
-    n_realizations: int = 50
-    include_baseline: bool = True
+    g_det_values: tuple[float, ...]
+    n_realizations: int
+    include_baseline: bool
 
 
 @dataclass(frozen=True)
 class DemoSettings:
     """Service request, filter, and policy knobs for the call-flow demo."""
 
-    pd_min: float = 0.75
-    fa_max: float = 50.0
-    historical_consent: bool = True
-    max_age: int = 1000
-    target_type: str = "vehicle"
-    mask_margin_g: float = 2.0
-    gate_g_det: float = 3.0
-    prohibited_areas: tuple[Rect, ...] = ()
-    charging_rules: tuple[str, ...] = ()
-    preseed_partial_map: bool = True
-    aging_policy: int = 100_000
-    archive_raw: bool = False
+    pd_min: float
+    fa_max: float
+    historical_consent: bool
+    max_age: int
+    target_type: str
+    mask_margin_g: float
+    gate_g_det: float
+    prohibited_areas: tuple[Rect, ...]
+    preseed_partial_map: bool
+    aging_policy: int
+    archive_raw: bool
 
 
 @dataclass(frozen=True)
@@ -60,15 +59,12 @@ class AppConfig:
     demo: DemoSettings
 
 
-def default_g_values(g_min: float = 0.0, g_max: float = 5.0, g_step: float = 0.25) -> tuple[float, ...]:
-    """Inclusive arithmetic grid of mask margins."""
-    if g_step <= 0:
-        raise ConfigError("sweep.g_step: must be > 0")
+def default_g_values(
+    g_min: float = 0.0, g_max: float = 5.0, g_step: float = 0.25
+) -> tuple[float, ...]:
+    """Inclusive arithmetic grid of mask margins; needs ``g_step > 0`` and ``g_max >= g_min``."""
     n = int(math.floor((g_max - g_min) / g_step + 0.5)) + 1
-    if n < 1:
-        raise ConfigError("sweep.g_max: must be >= sweep.g_min")
-    values = tuple(round(g_min + i * g_step, 12) for i in range(n))
-    return values
+    return tuple(round(g_min + i * g_step, 12) for i in range(n))
 
 
 def load_config(path: str | Path | None) -> AppConfig:
@@ -94,373 +90,238 @@ def load_config(path: str | Path | None) -> AppConfig:
     return parse_config(raw)
 
 
-def parse_config(raw: dict) -> AppConfig:
-    problems: list[str] = []
-    known_sections = {"scenario", "sweep", "demo"}
-    for key in raw:
-        if key not in known_sections:
-            problems.append(f"{key}: unknown section")
-    scenario = _parse_scenario(raw.get("scenario") or {}, problems)
-    sweep = _parse_sweep(raw.get("sweep") or {}, problems)
-    demo = _parse_demo(raw.get("demo") or {}, problems)
-    if problems:
-        raise ConfigError(problems)
-    return AppConfig(scenario=scenario, sweep=sweep, demo=demo)
+Kind = Callable[[Any, str], tuple[Any, list[str]]]  # (value, dotted name) -> (value, problems)
+Check = Callable[[Any], str | None]  # parsed value -> problem, or None
 
 
-def _section(raw: object, name: str, problems: list[str]) -> dict:
-    if not isinstance(raw, dict):
-        problems.append(f"{name}: expected a mapping")
-        return {}
-    return raw
-
-
-def _as_float(value: int | float) -> float | None:
-    """``float(value)``, or None when that is infinite, NaN, or too large to convert."""
+def _number(value: object, name: str) -> tuple[Any, list[str]]:
+    """A finite number (not a bool) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None, [f"{name}: expected a number, got {value!r}"]
     try:
         x = float(value)
     except OverflowError:
-        return None
-    return x if math.isfinite(x) else None
+        return None, [f"{name}: must fit a 64-bit float, got a {value.bit_length()}-bit integer"]
+    if not math.isfinite(x):
+        return None, [f"{name}: must be finite, got {value!r}"]
+    return x, []
 
 
-def _finite(value: object) -> bool:
-    """A real number (not a bool) that is a finite float."""
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and _as_float(value) is not None
-    )
+def _typed(noun: str, accepts: Callable[[object], bool]) -> Kind:
+    """A kind that takes a value as it is, when ``accepts`` it."""
+
+    def kind(value: object, name: str) -> tuple[Any, list[str]]:
+        if accepts(value):
+            return value, []
+        return None, [f"{name}: expected {noun}, got {value!r}"]
+
+    return kind
 
 
-def _number(raw: dict, section: str, key: str, default: float, problems: list[str]) -> float:
-    value = raw.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        problems.append(f"{section}.{key}: expected a number, got {value!r}")
-        return default
-    x = _as_float(value)
-    if x is None and isinstance(value, int):
-        problems.append(
-            f"{section}.{key}: must fit a 64-bit float, got a {value.bit_length()}-bit integer"
-        )
-        return default
-    if x is None:
-        problems.append(f"{section}.{key}: must be finite, got {value!r}")
-        return default
-    return x
+_integer = _typed("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_boolean = _typed("a boolean", lambda v: isinstance(v, bool))
+_string = _typed("a string", lambda v: isinstance(v, str))
 
 
-def _integer(raw: dict, section: str, key: str, default: int, problems: list[str]) -> int:
-    value = raw.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        problems.append(f"{section}.{key}: expected an integer, got {value!r}")
-        return default
-    return value
-
-
-def _boolean(raw: dict, section: str, key: str, default: bool, problems: list[str]) -> bool:
-    value = raw.get(key, default)
-    if not isinstance(value, bool):
-        problems.append(f"{section}.{key}: expected a boolean, got {value!r}")
-        return default
-    return value
-
-
-def _string(raw: dict, section: str, key: str, default: str, problems: list[str]) -> str:
-    value = raw.get(key, default)
-    if not isinstance(value, str):
-        problems.append(f"{section}.{key}: expected a string, got {value!r}")
-        return default
-    return value
-
-
-def _rect(value: object, where: str, problems: list[str]) -> Rect | None:
+def _rect(value: object, name: str) -> tuple[Any, list[str]]:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 4
         or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
     ):
-        problems.append(f"{where}: expected [x_min, y_min, x_max, y_max]")
-        return None
+        return None, [f"{name}: expected [x_min, y_min, x_max, y_max]"]
     try:
-        return Rect(*(float(v) for v in value))
+        return Rect(*(float(v) for v in value)), []
     except (ValueError, OverflowError) as exc:
-        problems.append(f"{where}: {exc}")
-        return None
+        return None, [f"{name}: {exc}"]
 
 
-def _check_keys(raw: dict, section: str, allowed: set[str], problems: list[str]) -> None:
-    for key in raw:
-        if key not in allowed:
-            problems.append(f"{section}.{key}: unknown key")
+def _pose(value: object, name: str) -> tuple[Any, list[str]]:
+    if isinstance(value, (list, tuple)) and len(value) == 3:
+        x, y, theta_deg = [_number(v, name)[0] for v in value]
+        if None not in (x, y, theta_deg):
+            return Pose(x, y, math.radians(theta_deg)), []
+    return None, [f"{name}: expected finite [x, y, theta_deg]"]
 
 
-def _parse_scenario(raw: object, problems: list[str]) -> ScenarioConfig:
-    raw = _section(raw, "scenario", problems)
-    _check_keys(
-        raw,
-        "scenario",
-        {
-            "bounds",
-            "buildings",
-            "se_poses",
-            "sigma_r",
-            "sigma_beta_deg",
-            "p_det",
-            "n_targets",
-            "lambda_fa",
-            "edge_fraction",
-            "edge_jitter_sigma",
-            "t_steps",
-            "seed",
-        },
-        problems,
-    )
+def _list_of(entry: Kind, expected: str, non_empty: bool) -> Kind:
+    """A list (non-empty if asked) of ``entry`` values, each problem named by its index."""
 
-    bounds = DEFAULT_BOUNDS
-    if "bounds" in raw:
-        parsed = _rect(raw["bounds"], "scenario.bounds", problems)
-        if parsed is not None:
-            bounds = parsed
+    def kind(value: object, name: str) -> tuple[Any, list[str]]:
+        if not isinstance(value, list) or (non_empty and not value):
+            return None, [f"{name}: expected {expected}"]
+        parsed = [entry(v, f"{name}[{i}]") for i, v in enumerate(value)]
+        return tuple(v for v, _ in parsed), [p for _, problems in parsed for p in problems]
 
-    buildings = DEFAULT_BUILDINGS
-    if "buildings" in raw:
-        value = raw["buildings"]
-        if not isinstance(value, list):
-            problems.append("scenario.buildings: expected a list of rectangles")
-        else:
-            rects = []
-            for i, entry in enumerate(value):
-                parsed = _rect(entry, f"scenario.buildings[{i}]", problems)
-                if parsed is not None:
-                    rects.append(parsed)
-            buildings = tuple(rects)
-
-    se_poses: tuple[Pose, ...] | None = None
-    if "se_poses" in raw:
-        value = raw["se_poses"]
-        if not isinstance(value, list) or not value:
-            problems.append("scenario.se_poses: expected a non-empty list of [x, y, theta_deg]")
-        else:
-            poses = []
-            for i, entry in enumerate(value):
-                if (
-                    not isinstance(entry, (list, tuple))
-                    or len(entry) != 3
-                    or not all(_finite(v) for v in entry)
-                ):
-                    problems.append(f"scenario.se_poses[{i}]: expected finite [x, y, theta_deg]")
-                    continue
-                poses.append(Pose(float(entry[0]), float(entry[1]), math.radians(float(entry[2]))))
-            if poses:
-                se_poses = tuple(poses)
-
-    sigma_r = _number(raw, "scenario", "sigma_r", 0.8, problems)
-    sigma_beta_deg = _number(raw, "scenario", "sigma_beta_deg", 2.0, problems)
-    p_det = _number(raw, "scenario", "p_det", 0.95, problems)
-    n_targets = _integer(raw, "scenario", "n_targets", 8, problems)
-    lambda_fa = _number(raw, "scenario", "lambda_fa", 60.0, problems)
-    edge_fraction = _number(raw, "scenario", "edge_fraction", 0.7, problems)
-    edge_jitter_sigma = _number(raw, "scenario", "edge_jitter_sigma", 1.0, problems)
-    t_steps = _integer(raw, "scenario", "t_steps", 100, problems)
-    seed = _integer(raw, "scenario", "seed", 7, problems)
-
-    if sigma_r <= 0:
-        problems.append("scenario.sigma_r: must be > 0")
-    if sigma_beta_deg <= 0:
-        problems.append("scenario.sigma_beta_deg: must be > 0")
-    elif math.radians(sigma_beta_deg) == 0.0:
-        problems.append(
-            f"scenario.sigma_beta_deg: must be > 0 in radians, got {sigma_beta_deg!r} degrees"
-        )
-    if problems:
-        # Noise values already reported; keep placeholders valid for the return.
-        sigma_r = max(sigma_r, 1e-9)
-        sigma_beta_deg = max(sigma_beta_deg, 1e-9)
-
-    try:
-        static_map: StaticMap | None = StaticMap(buildings, bounds)
-    except ValueError as exc:
-        problems.append(f"scenario.buildings: {exc}")
-        static_map = None
-    if lambda_fa < 0:
-        problems.append("scenario.lambda_fa: must be >= 0")
-    if not 0.0 <= edge_fraction <= 1.0:
-        problems.append("scenario.edge_fraction: must be in [0, 1]")
-    if edge_jitter_sigma <= 0:
-        problems.append("scenario.edge_jitter_sigma: must be > 0")
-    if t_steps < 1:
-        problems.append("scenario.t_steps: must be >= 1")
-    elif t_steps >= 2**63:  # the steps are indexed by numpy int64
-        problems.append(
-            f"scenario.t_steps: must be <= 2**63 - 1, got a {t_steps.bit_length()}-bit integer"
-        )
-    if seed < 0:
-        problems.append("scenario.seed: must be >= 0")
-    # Bad values are reported above and replaced by valid placeholders.
-    return ScenarioConfig(
-        bounds=bounds,
-        static_map=static_map,
-        se_poses=se_poses or ScenarioConfig.se_poses,
-        noise=NoiseModel(sigma_range=sigma_r, sigma_bearing=math.radians(sigma_beta_deg)),
-        p_det=p_det,
-        n_targets=n_targets,
-        clutter=ClutterModel(
-            lambda_fa=max(lambda_fa, 0.0),
-            edge_fraction=min(max(edge_fraction, 0.0), 1.0),
-            edge_jitter_sigma=edge_jitter_sigma if edge_jitter_sigma > 0 else 1.0,
-        ),
-        t_steps=max(t_steps, 1),
-        seed=max(seed, 0),
-    )
+    return kind
 
 
-def _grid_values(raw: dict, key: str, positive: bool, problems: list[str]) -> tuple[float, ...]:
-    """The valid values of ``sweep.<key>`` as floats, with a problem per bad entry.
+_rects = _list_of(_rect, "a list of rectangles", non_empty=False)
+_poses = _list_of(_pose, "a non-empty list of [x, y, theta_deg]", non_empty=True)
 
-    Values must be finite and ``>= 0`` (``> 0`` when ``positive``).  Cells are
-    keyed by value, so entries equal as floats (``1`` and ``1.0``) would pool
-    their results: they are duplicates.
+
+def _grid(positive: bool) -> Kind:
+    """A non-empty list of finite numbers ``>= 0`` (``> 0`` when ``positive``), as floats.
+
+    Cells are keyed by value, so entries equal as floats (``1`` and ``1.0``)
+    would pool their results: they are duplicates.
     """
-    name = f"sweep.{key}"
-    value = raw[key]
-    if not isinstance(value, list) or not value:
-        problems.append(f"{name}: expected a non-empty list of numbers")
-        return ()
     bound = "> 0" if positive else ">= 0"
-    first: dict[float, int] = {}
-    for i, v in enumerate(value):
-        if not _finite(v) or v < 0 or (positive and v == 0):
-            problems.append(f"{name}[{i}]: expected a finite number {bound}")
-        elif (j := first.setdefault(float(v), i)) != i:
-            problems.append(f"{name}[{i}]: duplicate of {name}[{j}]")
-    return tuple(first)
+
+    def kind(value: object, name: str) -> tuple[Any, list[str]]:
+        if not isinstance(value, list) or not value:
+            return None, [f"{name}: expected a non-empty list of numbers"]
+        problems = []
+        first: dict[float, int] = {}
+        for i, v in enumerate(value):
+            x, bad = _number(v, name)
+            if bad or x < 0 or (positive and x == 0):
+                problems.append(f"{name}[{i}]: expected a finite number {bound}")
+            elif (j := first.setdefault(x, i)) != i:
+                problems.append(f"{name}[{i}]: duplicate of {name}[{j}]")
+        return tuple(first), problems
+
+    return kind
 
 
-def _parse_sweep(raw: object, problems: list[str]) -> SweepSettings:
-    raw = _section(raw, "sweep", problems)
-    _check_keys(
-        raw,
-        "sweep",
-        {"g_min", "g_max", "g_step", "g_values", "g_det_values", "n_realizations", "baseline"},
-        problems,
-    )
-    g_min = _number(raw, "sweep", "g_min", 0.0, problems)
-    g_max = _number(raw, "sweep", "g_max", 5.0, problems)
-    g_step = _number(raw, "sweep", "g_step", 0.25, problems)
-
-    g_values: tuple[float, ...]
-    if "g_values" in raw:
-        g_values = _grid_values(raw, "g_values", False, problems) or default_g_values()
-    else:
-        if g_min < 0:
-            problems.append("sweep.g_min: must be >= 0")
-        if g_step <= 0:
-            problems.append("sweep.g_step: must be > 0")
-        if g_max < g_min:
-            problems.append("sweep.g_max: must be >= sweep.g_min")
-        if problems:
-            g_values = default_g_values()
-        else:
-            g_values = default_g_values(g_min, g_max, g_step)
-
-    g_det_values: tuple[float, ...] = DEFAULT_G_DET_VALUES
-    if "g_det_values" in raw:
-        g_det_values = _grid_values(raw, "g_det_values", True, problems) or DEFAULT_G_DET_VALUES
-
-    n_realizations = _integer(raw, "sweep", "n_realizations", 50, problems)
-    if n_realizations < 1:
-        problems.append("sweep.n_realizations: must be >= 1")
-        n_realizations = 1
-    include_baseline = _boolean(raw, "sweep", "baseline", True, problems)
-    return SweepSettings(
-        g_values=g_values,
-        g_det_values=g_det_values,
-        n_realizations=n_realizations,
-        include_baseline=include_baseline,
-    )
+def _check(holds: Callable[[Any], bool], problem: str) -> Check:
+    return lambda x: None if holds(x) else problem
 
 
-def _parse_demo(raw: object, problems: list[str]) -> DemoSettings:
-    raw = _section(raw, "demo", problems)
-    _check_keys(
-        raw,
-        "demo",
-        {
-            "pd_min",
-            "fa_max",
-            "historical_consent",
-            "max_age",
-            "requester_kind",
-            "target_type",
-            "mask_margin_g",
-            "gate_g_det",
-            "prohibited_areas",
-            "charging_rules",
-            "preseed_partial_map",
-            "aging_policy",
-            "archive_raw",
-        },
-        problems,
-    )
-    pd_min = _number(raw, "demo", "pd_min", 0.75, problems)
-    fa_max = _number(raw, "demo", "fa_max", 50.0, problems)
-    historical_consent = _boolean(raw, "demo", "historical_consent", True, problems)
-    max_age = _integer(raw, "demo", "max_age", 1000, problems)
-    # Still accepted and checked so that existing configs load; no policy rule reads it.
-    _string(raw, "demo", "requester_kind", "trusted-app", problems)
-    target_type = _string(raw, "demo", "target_type", "vehicle", problems)
-    mask_margin_g = _number(raw, "demo", "mask_margin_g", 2.0, problems)
-    gate_g_det = _number(raw, "demo", "gate_g_det", 3.0, problems)
-    preseed_partial_map = _boolean(raw, "demo", "preseed_partial_map", True, problems)
-    aging_policy = _integer(raw, "demo", "aging_policy", 100_000, problems)
-    archive_raw = _boolean(raw, "demo", "archive_raw", False, problems)
+_positive = _check(lambda x: x > 0, "must be > 0")
+_non_negative = _check(lambda x: x >= 0, "must be >= 0")
+_at_least_one = _check(lambda n: n >= 1, "must be >= 1")
+_unit = _check(lambda x: 0.0 <= x <= 1.0, "must be in [0, 1]")
 
-    prohibited: tuple[Rect, ...] = ()
-    if "prohibited_areas" in raw:
-        value = raw["prohibited_areas"]
-        if not isinstance(value, list):
-            problems.append("demo.prohibited_areas: expected a list of rectangles")
-        else:
-            rects = []
-            for i, entry in enumerate(value):
-                parsed = _rect(entry, f"demo.prohibited_areas[{i}]", problems)
-                if parsed is not None:
-                    rects.append(parsed)
-            prohibited = tuple(rects)
 
-    charging: tuple[str, ...] = ()
-    if "charging_rules" in raw:
-        value = raw["charging_rules"]
-        if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
-            problems.append("demo.charging_rules: expected a list of strings")
-        else:
-            charging = tuple(value)
+def _positive_in_radians(degrees: float) -> str | None:
+    if degrees > 0 and math.radians(degrees) == 0.0:
+        return f"must be > 0 in radians, got {degrees!r} degrees"
+    return _positive(degrees)
 
-    if not 0.0 <= pd_min <= 1.0:
-        problems.append("demo.pd_min: must be in [0, 1]")
-    if fa_max < 0:
-        problems.append("demo.fa_max: must be >= 0")
-    if max_age < 0:
-        problems.append("demo.max_age: must be >= 0")
-    if mask_margin_g < 0:
-        problems.append("demo.mask_margin_g: must be >= 0")
-    if gate_g_det <= 0:
-        problems.append("demo.gate_g_det: must be > 0")
-    if aging_policy < 0:
-        problems.append("demo.aging_policy: must be >= 0")
 
-    return DemoSettings(
-        pd_min=min(max(pd_min, 0.0), 1.0),
-        fa_max=max(fa_max, 0.0),
-        historical_consent=historical_consent,
-        max_age=max(max_age, 0),
-        target_type=target_type,
-        mask_margin_g=max(mask_margin_g, 0.0),
-        gate_g_det=max(gate_g_det, 1e-9),
-        prohibited_areas=prohibited,
-        charging_rules=charging,
-        preseed_partial_map=preseed_partial_map,
-        aging_policy=max(aging_policy, 0),
-        archive_raw=archive_raw,
+def _step_count(t: int) -> str | None:
+    if t >= 2**63:  # the steps are indexed by numpy int64
+        return f"must be <= 2**63 - 1, got a {t.bit_length()}-bit integer"
+    return _at_least_one(t)
+
+
+def _target_type(value: str) -> str | None:
+    return None if value in TARGET_TYPES else f"must be one of {TARGET_TYPES}, got {value!r}"
+
+
+KEYS: dict[str, dict[str, tuple[Kind, Any, Check | None]]] = {
+    # section: {key: (kind, default, check)}
+    "scenario": {
+        "bounds": (_rect, DEFAULT_BOUNDS, None),
+        "buildings": (_rects, DEFAULT_BUILDINGS, None),
+        "se_poses": (_poses, ScenarioConfig.se_poses, None),
+        "sigma_r": (_number, 0.8, _positive),
+        "sigma_beta_deg": (_number, 2.0, _positive_in_radians),
+        "p_det": (_number, 0.95, None),  # build_scenario checks p_det and n_targets
+        "n_targets": (_integer, 8, None),
+        "lambda_fa": (_number, 60.0, _non_negative),
+        "edge_fraction": (_number, 0.7, _unit),
+        "edge_jitter_sigma": (_number, 1.0, _positive),
+        "t_steps": (_integer, 100, _step_count),
+        "seed": (_integer, 7, _non_negative),
+    },
+    "sweep": {
+        "g_min": (_number, 0.0, None),  # the grid keys are checked together
+        "g_max": (_number, 5.0, None),
+        "g_step": (_number, 0.25, None),
+        "g_values": (_grid(positive=False), None, None),  # None: the g_min/g_max/g_step grid
+        "g_det_values": (_grid(positive=True), DEFAULT_G_DET_VALUES, None),
+        "n_realizations": (_integer, 50, _at_least_one),
+        "baseline": (_boolean, True, None),
+    },
+    "demo": {
+        "pd_min": (_number, 0.75, _unit),
+        "fa_max": (_number, 50.0, _non_negative),
+        "historical_consent": (_boolean, True, None),
+        "max_age": (_integer, 1000, _non_negative),
+        "requester_kind": (_string, "trusted-app", None),  # accepted; nothing reads it
+        "target_type": (_string, "vehicle", _target_type),
+        "mask_margin_g": (_number, 2.0, _non_negative),
+        "gate_g_det": (_number, 3.0, _positive),
+        "prohibited_areas": (_rects, (), None),
+        "preseed_partial_map": (_boolean, True, None),
+        "aging_policy": (_integer, 100_000, _non_negative),
+        "archive_raw": (_boolean, False, None),
+    },
+}
+
+
+# -- cross-key checks: run once every key they read is free of problems ----------
+
+
+def _map_fits(bounds: Rect, buildings: tuple[Rect, ...]) -> list[str]:
+    try:
+        StaticMap(buildings, bounds)
+    except ValueError as exc:
+        return [f"scenario.buildings: {exc}"]
+    return []
+
+
+def _grid_fits(g_min: float, g_max: float, g_step: float, g_values: object) -> list[str]:
+    if g_values is not None:
+        return []  # an explicit list replaces the grid
+    problems = []
+    if g_min < 0:
+        problems.append("sweep.g_min: must be >= 0")
+    if g_step <= 0:
+        problems.append("sweep.g_step: must be > 0")
+    if g_max < g_min:
+        problems.append("sweep.g_max: must be >= sweep.g_min")
+    if not problems and not math.isfinite(count := (g_max - g_min) / g_step):
+        problems.append(f"sweep.g_step: (g_max - g_min) / g_step must be finite, got {count!r}")
+    return problems
+
+
+_CROSS_CHECKS = (
+    # section, keys read, check
+    ("scenario", ("bounds", "buildings"), _map_fits),
+    ("sweep", ("g_min", "g_max", "g_step", "g_values"), _grid_fits),
+)
+
+
+def parse_config(raw: dict) -> AppConfig:
+    problems = [f"{key}: unknown section" for key in raw if key not in KEYS]
+    values: dict[str, dict[str, Any]] = {}
+    for section, rows in KEYS.items():
+        given = raw.get(section) or {}
+        if not isinstance(given, dict):
+            problems.append(f"{section}: expected a mapping")
+            given = {}
+        problems += [f"{section}.{key}: unknown key" for key in given if key not in rows]
+        parsed = values[section] = {}
+        for key, (kind, default, check) in rows.items():
+            value, found = kind(given[key], f"{section}.{key}") if key in given else (default, [])
+            if not found and check is not None and (message := check(value)) is not None:
+                found = [f"{section}.{key}: {message}"]
+            problems += found
+            if not found:
+                parsed[key] = value
+        for cross_section, keys, cross_check in _CROSS_CHECKS:
+            if cross_section == section and all(key in parsed for key in keys):
+                problems += cross_check(*(parsed[key] for key in keys))
+    if problems:
+        raise ConfigError(problems)
+    sc, sw, demo = values["scenario"], values["sweep"], values["demo"]
+    del demo["requester_kind"]  # no DemoSettings field
+    return AppConfig(
+        scenario=ScenarioConfig(
+            bounds=sc["bounds"],
+            static_map=StaticMap(sc["buildings"], sc["bounds"]),
+            noise=NoiseModel(sc["sigma_r"], math.radians(sc["sigma_beta_deg"])),
+            clutter=ClutterModel(sc["lambda_fa"], sc["edge_fraction"], sc["edge_jitter_sigma"]),
+            **{key: sc[key] for key in ("se_poses", "p_det", "n_targets", "t_steps", "seed")},
+        ),
+        sweep=SweepSettings(
+            g_values=sw["g_values"] or default_g_values(sw["g_min"], sw["g_max"], sw["g_step"]),
+            g_det_values=sw["g_det_values"],
+            n_realizations=sw["n_realizations"],
+            include_baseline=sw["baseline"],
+        ),
+        demo=DemoSettings(**demo),
     )

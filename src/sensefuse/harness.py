@@ -224,9 +224,7 @@ def demo_callflow(
         target_type=demo.target_type,
         area=scenario.bounds,
     )
-    rules = PolicyRules(
-        prohibited_areas=demo.prohibited_areas, charging_rules=demo.charging_rules
-    )
+    rules = PolicyRules(prohibited_areas=demo.prohibited_areas)
     fc = FilterConfig(
         mask_margin_g=demo.mask_margin_g, gate_g_det=demo.gate_g_det, mask_enabled=True
     )

@@ -222,7 +222,6 @@ def test_trace_round_trips_through_jsonl(flow_scenario, tmp_path):
 def test_policy_permit_without_rules():
     decision = evaluate_policy(Rect(0.0, 0.0, 10.0, 10.0), PolicyRules())
     assert decision.verdict == "permit"
-    assert decision.obligations == ()
     assert decision.permits()
 
 
@@ -231,14 +230,6 @@ def test_policy_denies_prohibited_overlap():
     decision = evaluate_policy(Rect(0.0, 0.0, 10.0, 10.0), rules)
     assert decision.verdict == "deny"
     assert not decision.permits()
-
-
-def test_policy_charging_obligations_attach():
-    rules = PolicyRules(charging_rules=("per-task-tariff",))
-    decision = evaluate_policy(Rect(0.0, 0.0, 10.0, 10.0), rules)
-    assert decision.verdict == "permit-with-obligations"
-    assert decision.obligations == ("per-task-tariff",)
-    assert decision.permits()
 
 
 def test_kpi_verdict_rejects_nan():
@@ -286,35 +277,6 @@ def test_consent_with_map_lowers_false_alarms(flow_scenario):
     assert masked.result is not None and unmasked.result is not None
     # Same realization, same gate; the historical map strictly removes clutter.
     assert masked.result.metrics.fa_avg < unmasked.result.metrics.fa_avg
-
-
-def test_revoked_consent_aborts_at_next_message(flow_scenario):
-    bus = MessageBus()
-    world = SensingWorld(flow_scenario)
-    sf = SensingFunction(bus, world, FilterConfig(), epoch=0, aging_policy=100)
-    consumer = ServiceConsumer(make_request())
-    pcf = PolicyControl(PolicyRules())
-    sdsf = SdsfFrontend(SdsfStore())
-
-    def policy_then_revoke(msg):
-        out = pcf.handle(msg)
-        sf.revoke_consent()  # withdrawn while the decision is in flight
-        return out
-
-    bus.register_actor("sf", sf.handle)
-    bus.register_actor("ssc", consumer.handle)
-    bus.register_actor("pcf", policy_then_revoke)
-    bus.register_actor("sdsf", sdsf.handle)
-    for se_id in flow_scenario.se_ids:
-        bus.register_actor(se_id, SensingEntity(se_id, world).handle)
-        sf.register_se(se_id)
-
-    bus.post(consumer.initial_message())
-    bus.run()
-
-    assert consumer.result is None
-    assert consumer.abort_reason == "historical-data consent revoked"
-    assert sf.phase == SfPhase.ABORTED
 
 
 # -- component behavior ---------------------------------------------------------------

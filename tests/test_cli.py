@@ -148,6 +148,16 @@ def test_bad_config_key_exits_2(tmp_path, capsys):
         ("demo:\n  mask_margin_g: .nan\n", "demo.mask_margin_g"),
         ("sweep:\n  g_values: [.nan]\n", "sweep.g_values[0]"),
         ("sweep:\n  g_values: [1, 1.0]\n", "sweep.g_values[1]: duplicate of sweep.g_values[0]"),
+        (
+            "demo:\n  target_type: person\n",
+            "demo.target_type: must be one of ('pedestrian', 'vehicle', 'lorry', 'cyclist',"
+            " 'motorcyclist', 'unknown'), got 'person'",
+        ),
+        (
+            "sweep: {g_min: 0, g_max: 1.0e+300, g_step: 1.0e-300}\n",
+            "sweep.g_step: (g_max - g_min) / g_step must be finite, got inf",
+        ),
+        ("demo:\n  charging_rules: []\n", "demo.charging_rules: unknown key"),
     ],
 )
 def test_malformed_or_non_finite_config_exits_2(tmp_path, capsys, text, key):

@@ -1,10 +1,13 @@
 import math
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
 from sensefuse.config import (
     DEFAULT_G_DET_VALUES,
+    KEYS,
     default_g_values,
     load_config,
     parse_config,
@@ -102,16 +105,9 @@ def test_buildings_override_and_empty_map():
 
 def test_demo_policy_fields_parse():
     cfg = parse_config(
-        {
-            "demo": {
-                "prohibited_areas": [[0, 0, 10, 10]],
-                "charging_rules": ["flat-rate"],
-                "historical_consent": False,
-            }
-        }
+        {"demo": {"prohibited_areas": [[0, 0, 10, 10]], "historical_consent": False}}
     )
     assert cfg.demo.prohibited_areas == (Rect(0.0, 0.0, 10.0, 10.0),)
-    assert cfg.demo.charging_rules == ("flat-rate",)
     assert cfg.demo.historical_consent is False
 
 
@@ -310,3 +306,135 @@ def test_t_steps_beyond_a_64_bit_index_is_a_config_error(t_steps):
 
 def test_largest_64_bit_t_steps_parses():
     assert parse_config({"scenario": {"t_steps": 2**63 - 1}}).scenario.t_steps == 2**63 - 1
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        {"g_min": 0, "g_max": 1.0e300, "g_step": 1.0e-300},
+        {"g_min": 0, "g_max": 1, "g_step": 5e-324},
+    ],
+    ids=["huge-range", "subnormal-step"],
+)
+def test_grid_count_past_float_range_is_a_config_error(sweep):
+    # Only counts past float range are tested: a huge finite grid would be built.
+    with pytest.raises(ConfigError) as err:
+        parse_config({"sweep": sweep})
+    assert err.value.violations == [
+        "sweep.g_step: (g_max - g_min) / g_step must be finite, got inf"
+    ]
+
+
+def test_every_key_reports_once_in_table_order():
+    # Unknown sections first; then per section its unknown keys, then its keys
+    # in table order, each with its kind problem or its check problem.
+    raw = {
+        "plots": {},
+        "scenario": {
+            "bounds": [0, 0, 1],
+            "buildings": [[5, 5, 1, 1]],
+            "se_poses": [[0, 0]],
+            "sigma_r": 0,
+            "sigma_beta_deg": 5e-324,
+            "p_det": "high",
+            "n_targets": 2.5,
+            "lambda_fa": -1,
+            "edge_fraction": 2,
+            "edge_jitter_sigma": math.inf,
+            "t_steps": 2**63,
+            "seed": -1,
+            "colour": "red",
+        },
+        "sweep": {
+            "g_min": True,
+            "g_max": 10**400,
+            "g_step": "fine",
+            "g_values": [1, 1.0],
+            "g_det_values": [0],
+            "n_realizations": 0,
+            "baseline": "yes",
+            "g": 1,
+        },
+        "demo": {
+            "pd_min": 1.5,
+            "fa_max": -1,
+            "historical_consent": "no",
+            "max_age": -1,
+            "requester_kind": 7,
+            "target_type": ["vehicle"],
+            "mask_margin_g": -0.5,
+            "gate_g_det": 0,
+            "prohibited_areas": "north",
+            "preseed_partial_map": 1,
+            "aging_policy": 1.5,
+            "archive_raw": None,
+            "colour": "blue",
+        },
+    }
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.violations == [
+        "plots: unknown section",
+        "scenario.colour: unknown key",
+        "scenario.bounds: expected [x_min, y_min, x_max, y_max]",
+        "scenario.buildings[0]: rect must satisfy x_min < x_max and y_min < y_max,"
+        " got (5.0, 5.0, 1.0, 1.0)",
+        "scenario.se_poses[0]: expected finite [x, y, theta_deg]",
+        "scenario.sigma_r: must be > 0",
+        "scenario.sigma_beta_deg: must be > 0 in radians, got 5e-324 degrees",
+        "scenario.p_det: expected a number, got 'high'",
+        "scenario.n_targets: expected an integer, got 2.5",
+        "scenario.lambda_fa: must be >= 0",
+        "scenario.edge_fraction: must be in [0, 1]",
+        "scenario.edge_jitter_sigma: must be finite, got inf",
+        "scenario.t_steps: must be <= 2**63 - 1, got a 64-bit integer",
+        "scenario.seed: must be >= 0",
+        "sweep.g: unknown key",
+        "sweep.g_min: expected a number, got True",
+        "sweep.g_max: must fit a 64-bit float, got a 1329-bit integer",
+        "sweep.g_step: expected a number, got 'fine'",
+        "sweep.g_values[1]: duplicate of sweep.g_values[0]",
+        "sweep.g_det_values[0]: expected a finite number > 0",
+        "sweep.n_realizations: must be >= 1",
+        "sweep.baseline: expected a boolean, got 'yes'",
+        "demo.colour: unknown key",
+        "demo.pd_min: must be in [0, 1]",
+        "demo.fa_max: must be >= 0",
+        "demo.historical_consent: expected a boolean, got 'no'",
+        "demo.max_age: must be >= 0",
+        "demo.requester_kind: expected a string, got 7",
+        "demo.target_type: expected a string, got ['vehicle']",
+        "demo.mask_margin_g: must be >= 0",
+        "demo.gate_g_det: must be > 0",
+        "demo.prohibited_areas: expected a list of rectangles",
+        "demo.preseed_partial_map: expected a boolean, got 1",
+        "demo.aging_policy: expected an integer, got 1.5",
+        "demo.archive_raw: expected a boolean, got None",
+    ]
+
+
+def test_cross_key_checks_run_after_the_keys_they_read():
+    raw = {"scenario": {"buildings": [[200, 200, 210, 210]], "seed": -1}}
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.violations == [
+        "scenario.seed: must be >= 0",
+        "scenario.buildings: static map rects must intersect the bounds"
+        " (0.0, 0.0, 120.0, 120.0); offending rects: [(200.0, 200.0, 210.0, 210.0)]",
+    ]
+    # A key with a problem is reported on its own; no cross-key check reads it.
+    raw = {"scenario": {"bounds": [0, 0, 1], "buildings": [[200, 200, 210, 210]]}}
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.violations == ["scenario.bounds: expected [x_min, y_min, x_max, y_max]"]
+
+
+def test_readme_key_tables_match_the_config_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    for section, rows in KEYS.items():
+        heading = rf"^### `{section}`\n\n\| key .*\n\| --- .*\n((?:\|.*\n)+)"
+        table = re.search(heading, readme, re.M)
+        assert table is not None, f"README has no key table for {section}"
+        cells = [line.split("|")[1] for line in table.group(1).splitlines()]
+        documented = [key.strip(" `") for cell in cells for key in cell.split(" / ")]
+        assert sorted(documented) == sorted(rows), section

@@ -49,6 +49,10 @@ MOVED_OR_DELETED = [
     ("metrics", "result_from_counts"),
     ("callflow", "ServiceRequest.requester_kind"),
     ("config", "DemoSettings.requester_kind"),
+    ("config", "DemoSettings.charging_rules"),
+    ("callflow", "PolicyRules.charging_rules"),
+    ("callflow", "PolicyDecision.obligations"),
+    ("callflow", "SensingFunction.revoke_consent"),
 ]
 
 
