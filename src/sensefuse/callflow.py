@@ -334,16 +334,21 @@ class PolicyControl:
 
 
 class SdsfFrontend:
-    """Message front-end over the sensing data store."""
+    """Message front-end over the sensing data store.
+
+    The records fetched for step 7's metrics preview answer step 12's request
+    for the same ``(context, max_age)``; a ``StorageUpdate`` drops them.
+    """
 
     def __init__(self, store: SdsfStore):
         self.store = store
+        self._fetched: tuple[tuple[SensingContext, float], list[SensingRecord]] | None = None
 
     def handle(self, msg: Message) -> list[Message]:
         if msg.variant == "AvailabilityQuery":
             ctx, max_age = msg.payload
             availability = self.store.query_availability(ctx)
-            preview = self._metrics_preview(ctx, max_age)
+            preview = self._metrics_preview(self._fetch(ctx, max_age))
             return [
                 Message(
                     variant="AvailabilityResponse",
@@ -355,8 +360,7 @@ class SdsfFrontend:
                 )
             ]
         if msg.variant == "HistoricalDataRequest":
-            ctx, max_age = msg.payload
-            records = self.store.fetch(ctx, max_age)
+            records = self._fetch(*msg.payload)
             return [
                 Message(
                     variant="HistoricalDataResponse",
@@ -369,6 +373,7 @@ class SdsfFrontend:
             ]
         if msg.variant == "StorageUpdate":
             created_at, aging_policy, items = msg.payload
+            self._fetched = None
             self.store.set_now(created_at)
             for kind, context, payload, content in items:
                 metadata = {"source": "sensing-run", "content": content}
@@ -378,8 +383,14 @@ class SdsfFrontend:
             return []
         raise ProtocolError(f"SDSF cannot handle {msg.variant}")
 
-    def _metrics_preview(self, ctx: SensingContext, max_age: float) -> MetricResult | None:
-        for record in self.store.fetch(ctx, max_age):
+    def _fetch(self, ctx: SensingContext, max_age: float) -> list[SensingRecord]:
+        if self._fetched is None or self._fetched[0] != (ctx, max_age):
+            self._fetched = ((ctx, max_age), self.store.fetch(ctx, max_age))
+        return self._fetched[1]
+
+    @staticmethod
+    def _metrics_preview(records: list[SensingRecord]) -> MetricResult | None:
+        for record in records:
             if record.kind == "high-level" and isinstance(record.payload, MetricResult):
                 return record.payload
         return None

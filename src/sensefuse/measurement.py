@@ -1,26 +1,19 @@
 """Range-bearing measurement model.
 
 A sensing entity (SE) at a known pose observes a world point as a range and a
-bearing corrupted by independent zero-mean Gaussian noise.  Back-projection to
-the world frame and a first-order (Jacobian) propagation of the polar noise
-covariance give each detection a position uncertainty ellipse whose principal
-axes are the radial and cross-range directions.  The generator in
+bearing corrupted by independent zero-mean Gaussian noise, and the detection
+is that measurement back-projected to the world frame.  The generator in
 :mod:`sensefuse.scenario` does that math on its own rows; this module holds
 the types it is stated in.  The one-point-at-a-time forms of the formulas
-(polar measurement, back-projection, covariance) are test oracles in
-``tests/oracles.py``.
+(polar measurement, back-projection, and the first-order covariance a
+detection would carry) are test oracles in ``tests/oracles.py``.
 
-World-frame detections with covariances exist only as
-:class:`DetectionColumns`: one array per field, with covariances as
-``(xx, xy, yy)`` rows whose positive semidefiniteness is checked in closed
-form, all rows at once.  The SDSF's raw records hold this form.
+World-frame detections exist only as :class:`DetectionColumns`: one array
+per field.  Fusion reads positions only (a distance to the map and a
+Euclidean gate), so no covariance is carried.  The SDSF's raw records hold
+this form.
 
-Conventions:
-  * bearings are radians in (-pi, pi], measured in the SE's local frame;
-  * the polar-to-world Jacobian at range r and bearing b factors as
-    R(b) @ diag(1, r), so the propagated covariance has eigenvalues
-    sigma_range^2 (radial) and (r * sigma_bearing)^2 (cross-range), and the
-    world-frame ellipse is the same ellipse rotated by (pose heading + b).
+Bearings are radians in (-pi, pi], measured in the SE's local frame.
 """
 from __future__ import annotations
 
@@ -30,9 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-# Eigenvalue slack accepted when validating positive semidefiniteness.
-PSD_SLACK = 1e-12
 
 
 def wrap_angle(angle: float) -> float:
@@ -80,30 +70,24 @@ class NoiseModel:
 class DetectionColumns:
     """World-frame detections as columns: one row per detection.
 
-    ``cov`` rows hold a covariance's ``(xx, xy, yy)`` entries and ``se_idx``
-    indexes ``se_ids``.  Construction checks shapes, finiteness and positive
-    semidefiniteness of every row, up to ``PSD_SLACK`` on the smaller
-    eigenvalue so that round-off in propagated covariances is tolerated, and
-    stores read-only float/int/bool copies.  Two batches are equal when their
-    rows are: same positions, covariances, source SE ids and clutter flags.
+    ``se_idx`` indexes ``se_ids``.  Construction checks shapes and the
+    finiteness of every position, and stores read-only float/int/bool copies.
+    Two batches are equal when their rows are: same positions, source SE ids
+    and clutter flags.
     """
 
     xy: np.ndarray  # (D, 2)
-    cov: np.ndarray  # (D, 3) xx, xy, yy
     se_idx: np.ndarray  # (D,)
     se_ids: tuple[str, ...]
     is_clutter: np.ndarray  # (D,) bool
 
     def __post_init__(self) -> None:
         xy = np.array(self.xy, dtype=float)
-        cov = np.array(self.cov, dtype=float)
         se_idx = np.array(self.se_idx)
         is_clutter = np.array(self.is_clutter)
         n = len(xy)
         if xy.shape != (n, 2):
             raise ValueError(f"xy must have shape (D, 2), got {xy.shape}")
-        if cov.shape != (n, 3):
-            raise ValueError(f"cov must have shape ({n}, 3), got {cov.shape}")
         # An empty column carries no dtype worth checking (np.array([]) is float).
         if se_idx.shape != (n,) or (n and se_idx.dtype.kind not in "iu"):
             raise ValueError(f"se_idx must be ({n},) integers, got {se_idx.shape} {se_idx.dtype}")
@@ -115,16 +99,11 @@ class DetectionColumns:
             raise ValueError(f"se_ids must be strings, got {self.se_ids}")
         if n and not (se_idx.min() >= 0 and se_idx.max() < len(self.se_ids)):
             raise ValueError(f"se_idx must index the {len(self.se_ids)} se_ids")
-        _check_rows("xy", xy, np.isfinite(xy).all(axis=1), "finite")
-        _check_rows("covariance", cov, np.isfinite(cov).all(axis=1), "finite")
-        # The smaller eigenvalue of each symmetric 2x2 row, in closed form.
-        xx, xy_, yy = cov.T
-        mean = 0.5 * (xx + yy)
-        half_diff = 0.5 * (xx - yy)
-        radius = np.sqrt(half_diff * half_diff + xy_ * xy_)
-        _check_rows("covariance", cov, mean - radius >= -PSD_SLACK, "positive semidefinite")
+        finite = np.isfinite(xy).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise ValueError(f"xy must be finite, got {xy[row].tolist()} at row {row}")
         object.__setattr__(self, "xy", _frozen(xy))
-        object.__setattr__(self, "cov", _frozen(cov))
         object.__setattr__(self, "se_idx", _frozen(se_idx.astype(np.intp, copy=False)))
         object.__setattr__(self, "se_ids", tuple(self.se_ids))
         object.__setattr__(self, "is_clutter", _frozen(is_clutter.astype(bool, copy=False)))
@@ -138,7 +117,6 @@ class DetectionColumns:
         return (
             len(self) == len(other)
             and np.array_equal(self.xy, other.xy)
-            and np.array_equal(self.cov, other.cov)
             and np.array_equal(self.is_clutter, other.is_clutter)
             and self.sources() == other.sources()
         )
@@ -152,8 +130,3 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
-
-def _check_rows(name: str, values: np.ndarray, ok: np.ndarray, what: str) -> None:
-    if not ok.all():
-        row = int(np.argmin(ok))
-        raise ValueError(f"{name} must be {what}, got {values[row].tolist()} at row {row}")

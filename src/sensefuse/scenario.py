@@ -12,16 +12,15 @@ order of the one-frame-at-a-time oracle ``generate_frame`` in
 then the frame's clutter comes from a sampler that holds the map's edge
 segments and the bounds for the whole realization.  Truth, the noise-free
 geometry and the back-projection of every hit are array math done once per
-realization, bit-identical to the scalar formulas.  Covariances are derived,
-as arrays, only by :func:`realization_detections`, which returns chosen rows
-as :class:`DetectionColumns`: the call flow's raw archive record stores those
+realization, bit-identical to the scalar formulas.
+:func:`realization_detections` returns chosen rows as
+:class:`DetectionColumns`: the call flow's raw archive record stores those
 columns, and the ``Frame`` view of :func:`generate_frames`, which serves
 tests and the acceptance criteria, holds one such batch per frame.
 
 Clutter points model spurious detections (multipath and ghost returns), so
-the sampled world position *is* the realized detection; the polar pipeline is
-still consulted for the source SE's viewing geometry and covariance, but no
-second noise draw is applied on top of the spatial jitter.
+the sampled world position *is* the realized detection: no second noise draw
+is applied on top of the spatial jitter.
 """
 from __future__ import annotations
 
@@ -148,18 +147,15 @@ class Realization:
     """Frames of one realization as flat detection columns.
 
     Detections are grouped by frame; within a frame the target detections
-    come first (SE-major, then track order) and clutter last.  ``range_m`` and
-    ``bearing`` are a target detection's sampled measurement and NaN for
-    clutter.  Truth is (T, N) in scenario track order, ``truth_in`` flagging
-    the targets inside the closed bounds.
+    come first (SE-major, then track order) and clutter last.  Truth is
+    (T, N) in scenario track order, ``truth_in`` flagging the targets inside
+    the closed bounds.
     """
 
     xy: np.ndarray  # (D, 2)
     frame_of: np.ndarray  # (D,) frame index
     se_idx: np.ndarray  # (D,)
     is_clutter: np.ndarray  # (D,) bool
-    range_m: np.ndarray  # (D,)
-    bearing: np.ndarray  # (D,)
     truth_xy: np.ndarray  # (T, N, 2)
     truth_in: np.ndarray  # (T, N)
 
@@ -433,7 +429,6 @@ def _realize(scenario: Scenario, steps: Sequence[int], rng: np.random.Generator)
     n_clutter = sum(counts)
     # Clutter is assigned to SEs round-robin within each frame.
     clutter_se = (np.arange(n_clutter) - np.repeat(np.cumsum(counts) - counts, counts)) % n_se
-    nan = np.full(n_clutter, np.nan)
     frame_of = np.concatenate([step_of, np.repeat(np.arange(len(counts)), counts)])
     # Stable on frame index: each frame's target detections precede its clutter.
     order = np.argsort(frame_of, kind="stable")
@@ -442,8 +437,6 @@ def _realize(scenario: Scenario, steps: Sequence[int], rng: np.random.Generator)
         frame_of=frame_of[order],
         se_idx=np.concatenate([se_of, clutter_se])[order],
         is_clutter=np.repeat([False, True], [len(at), n_clutter])[order],
-        range_m=np.concatenate([range_m, nan])[order],
-        bearing=np.concatenate([bearing, nan])[order],
         truth_xy=truth_xy,
         truth_in=truth_in,
     )
@@ -465,41 +458,10 @@ def generate_realization(scenario: Scenario, rng: np.random.Generator) -> Realiz
 def realization_detections(
     scenario: Scenario, rz: Realization, rows: np.ndarray
 ) -> DetectionColumns:
-    """The realization's detections at ``rows`` as columns, in that order.
-
-    Covariances exist only here: a target detection's from its sampled
-    (range, bearing), a clutter point's from the noise-free view of its
-    position by its SE.  They are bit-identical to the scalar oracles
-    ``rotated_covariance``/``world_covariance`` in ``tests/oracles.py``:
-    numpy's ``+ - *``, ``sqrt`` and ``mod`` round as Python's do, and the
-    transcendental functions are Python's ``math`` ones mapped over the column.
-    """
-    xy = rz.xy.take(rows, axis=0)
-    se_idx = rz.se_idx[rows]
-    clutter = rz.is_clutter[rows]
-    pose = np.array([(p.x, p.y, p.theta) for p in scenario.se_poses]).take(se_idx, axis=0)
-    # Copies: their clutter rows are filled in below.
-    range_m = np.array(rz.range_m[rows])
-    bearing = np.array(rz.bearing[rows])
-
-    # Clutter: the noise-free (range, bearing) of the point from its SE.
-    d = xy[clutter] - pose[clutter, :2]
-    dx, dy = d[:, 0], d[:, 1]
-    r = np.sqrt(dx * dx + dy * dy)
-    if np.any(r == 0.0):
-        raise DegenerateGeometryError("cannot take a bearing to a point at the SE position")
-    range_m[clutter] = r
-    bearing[clutter] = wrap_angles(_mapped(math.atan2, dy, dx) - pose[clutter, 2])
-
-    # diag(sigma_r^2, (r * sigma_b)^2) rotated by heading + bearing, in the
-    # scalar formula's evaluation order.
-    angle = pose[:, 2] + bearing
-    c, s = _mapped(math.cos, angle), _mapped(math.sin, angle)
-    a = scenario.noise.sigma_range * scenario.noise.sigma_range
-    rb = range_m * scenario.noise.sigma_bearing
-    b = rb * rb
-    cov = np.column_stack([a * c * c + b * s * s, (a - b) * c * s, a * s * s + b * c * c])
-    return DetectionColumns(xy, cov, se_idx, scenario.se_ids, clutter)
+    """The realization's detections at ``rows`` as columns, in that order."""
+    return DetectionColumns(
+        rz.xy.take(rows, axis=0), rz.se_idx[rows], scenario.se_ids, rz.is_clutter[rows]
+    )
 
 
 def _frames(scenario: Scenario, rz: Realization) -> list[Frame]:

@@ -10,13 +10,17 @@ A stid/time/context-indexed store for sensing records with three duties:
 
 Time is the simulator's integer step clock; the store never consults wall
 clock time.  Persistence is a single append-only JSON-lines log with a header
-line, replayed into the in-memory index on load.  A log that cannot be
-replayed raises :class:`StoreCorruptError` naming the file and line.
+line, replayed into the in-memory index on load.  Each line is written with
+its ``"\n"`` last, so a final line without one is torn by an interrupted
+append: replay drops it with a warning, and the next append first cuts the
+log back to its last complete line.  Any other line that cannot be replayed,
+and a torn header, raise :class:`StoreCorruptError` naming the file and line.
 
 Every log line is strict JSON, ``json.dumps(..., sort_keys=True)`` of the
 record: a non-finite metric is written as ``null`` and read back as NaN.  A
-raw record's payload is :class:`DetectionColumns`.  Its line has the same
-bytes as ``json.dumps`` of one object per detection, but is assembled from
+raw record's payload is :class:`DetectionColumns`, one item
+``{"clutter", "source_se", "x", "y"}`` per detection.  Its line has the same
+bytes as ``json.dumps`` of those items, but is assembled from
 the columns, 1024 rows at a time: orjson formats a chunk's floats in one
 call (``repr`` formats the few whose magnitude puts ``repr`` in exponent
 form), one join builds the chunk's rows, and the line is written to the log
@@ -33,8 +37,8 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass
-from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterator, TypeVar, Union
@@ -154,6 +158,7 @@ class SdsfStore:
         self._dedup: dict[tuple, str] = {}
         self._next_id = 1
         self._now = 0
+        self._torn_at: int | None = None  # log offset of a torn final line
         if self._path is not None and self._path.exists():
             self._load()
 
@@ -355,9 +360,11 @@ class SdsfStore:
 
     def _append_to_log(self, record: SensingRecord) -> None:
         assert self._path is not None
-        new_file = not self._path.exists()
+        if self._torn_at is not None:
+            os.truncate(self._path, self._torn_at)
+            self._torn_at = None
         with self._path.open("a", encoding="utf-8") as fh:
-            if new_file:
+            if not fh.tell():
                 fh.write(_dumps({"magic": LOG_MAGIC, "version": LOG_FORMAT_VERSION}) + "\n")
             fh.writelines([*_record_pieces(record), "\n"])
 
@@ -368,6 +375,8 @@ class SdsfStore:
             header_line = fh.readline()
             if not header_line.strip():
                 return  # empty file behaves like a fresh store
+            if not header_line.endswith(b"\n"):
+                raise StoreCorruptError(self._path, 1, "torn header")
             try:
                 header = json.loads(header_line)
             except ValueError:
@@ -382,7 +391,13 @@ class SdsfStore:
             rects: dict[bytes | str, Rect] = {}
             maps: dict[bytes | str, StaticMap] = {}
             entries = []
+            end = len(header_line)
             for lineno, line in enumerate(fh, start=2):
+                if not line.endswith(b"\n"):
+                    log.warning("%s:%d: dropped a torn final line", self._path, lineno)
+                    self._torn_at = end
+                    break
+                end += len(line)
                 if not line.strip():
                     continue
                 try:
@@ -542,48 +557,43 @@ _ROWS_PER_CHUNK = 1024
 def _detections_chunks(cols: DetectionColumns) -> Iterator[str]:
     """``json.dumps(..., sort_keys=True)`` of the detections payload, in chunks of rows.
 
-    Each item is ``{"clutter", "cov", "source_se", "x", "y"}``.  For each
-    chunk the floats come from :func:`_float_strings`, each row is ten pieces
-    slotted into one list by stride, and one join makes the chunk's text.
+    Each item is ``{"clutter", "source_se", "x", "y"}``.  For each chunk the
+    floats come from :func:`_float_strings`, each row is five pieces slotted
+    into one list by stride, and one join makes the chunk's text.
     """
-    heads = ('}, {"clutter": false, "cov": [', '}, {"clutter": true, "cov": [')
-    sources = [f'], "source_se": {json.dumps(se_id)}, "x": ' for se_id in cols.se_ids]
+    heads = ('}, {"clutter": false, "source_se": ', '}, {"clutter": true, "source_se": ')
+    sources = [f'{json.dumps(se_id)}, "x": ' for se_id in cols.se_ids]
     yield '{"items": ['
     for start in range(0, len(cols), _ROWS_PER_CHUNK):
         rows = slice(start, start + _ROWS_PER_CHUNK)
-        floats = _float_strings(np.concatenate((cols.cov[rows], cols.xy[rows]), axis=1).ravel())
+        floats = _float_strings(cols.xy[rows].ravel())
         n = min(_ROWS_PER_CHUNK, len(cols) - start)
-        pieces = [", "] * (10 * n)
-        pieces[0::10] = [heads[c] for c in cols.is_clutter[rows].tolist()]
-        pieces[1::10] = floats[0::5]  # xx
-        pieces[3::10] = floats[1::5]  # xy
-        pieces[5::10] = floats[2::5]  # yy
-        pieces[6::10] = [sources[s] for s in cols.se_idx[rows].tolist()]
-        pieces[7::10] = floats[3::5]  # x
-        pieces[8::10] = [', "y": '] * n
-        pieces[9::10] = floats[4::5]  # y
+        pieces = [', "y": '] * (5 * n)
+        pieces[0::5] = [heads[c] for c in cols.is_clutter[rows].tolist()]
+        pieces[1::5] = [sources[s] for s in cols.se_idx[rows].tolist()]
+        pieces[2::5] = floats[0::2]  # x
+        pieces[4::5] = floats[1::2]  # y
         if not start:
             pieces[0] = pieces[0][3:]  # no "}, " before the first row
         yield "".join(pieces)
     yield '}], "type": "detections"}' if len(cols) else '], "type": "detections"}'
 
 
-_ITEM_FIELDS = itemgetter("x", "y", "cov", "source_se", "clutter")
+_ITEM_FIELDS = itemgetter("x", "y", "source_se", "clutter")
 
 
 def _columns_from_json(items: list[dict]) -> DetectionColumns:
-    """The detections payload's items as columns, read in one pass over the items."""
+    """The detections payload's items as columns, read in one pass over the items.
+
+    Logs written while detections carried a covariance also hold a
+    ``"cov"`` per item; it is not read.
+    """
     n = len(items)
-    xs, ys, covs, sources, clutter = zip(*map(_ITEM_FIELDS, items)) if n else ((),) * 5
-    if set(map(len, covs)) - {3}:
-        i = next(i for i, row in enumerate(covs) if len(row) != 3)
-        raise ValueError(f"item {i}: cov must hold (xx, xy, yy), got {covs[i]}")
+    xs, ys, sources, clutter = zip(*map(_ITEM_FIELDS, items)) if n else ((),) * 4
     se_ids = tuple(dict.fromkeys(sources))
     index = {se_id: i for i, se_id in enumerate(se_ids)}
     return DetectionColumns(
         xy=np.array((xs, ys), dtype=float).T.copy(),
-        # numpy converts a flat list of floats much faster than a list of rows.
-        cov=np.array(list(chain.from_iterable(covs)), dtype=float).reshape(n, 3),
         se_idx=np.fromiter(map(index.__getitem__, sources), dtype=np.intp, count=n),
         se_ids=se_ids,
         is_clutter=np.array(clutter),

@@ -32,7 +32,7 @@ def columns_of(
     sources: Sequence[str] | None = None,
     clutter: Sequence[bool] | None = None,
 ) -> DetectionColumns:
-    """Detections at ``points`` with unit covariances, as one columnar batch.
+    """Detections at ``points``, as one columnar batch.
 
     ``sources`` names each row's SE (default ``se-0``), kept as SE ids in
     first-seen order; ``clutter`` flags rows (default none).
@@ -42,7 +42,6 @@ def columns_of(
     se_ids = tuple(dict.fromkeys(sources))
     return DetectionColumns(
         xy=np.array(points, dtype=float).reshape(-1, 2),
-        cov=np.tile([1.0, 0.0, 1.0], (n, 1)),
         se_idx=np.array([se_ids.index(s) for s in sources], dtype=np.intp),
         se_ids=se_ids,
         is_clutter=np.zeros(n, dtype=bool) if clutter is None else np.array(clutter, dtype=bool),

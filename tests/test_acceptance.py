@@ -354,7 +354,7 @@ def test_criterion_10_sweep_csv_byte_identical(tmp_path):
 # an archive_raw demo's store log and trace must keep these bytes.
 
 DEFAULT_SWEEP_CSV_SHA256 = "6d258243f9caef82ad193831cc4ce54f36986f88c5cde4b555aff3ad4454c580"
-ARCHIVE_RAW_STORE_SHA256 = "89a5bef972e4d38fefee2434ea0fbcfabbd7b1803521f192774c2bf947d12bf2"
+ARCHIVE_RAW_STORE_SHA256 = "bce1a52caf1526a10a35cb30f84f8ac0cecc3abadce9f619de8d41f890c1a74b"
 ARCHIVE_RAW_TRACE_SHA256 = "8e9ea2133cb16e4606421bb69dde763107fc744d79f41d38aa024aff0f5409e4"
 # Three default demos on one fresh store: one live run, then two served
 # historical-only, whose map and metrics records are appended to the same log.
@@ -378,7 +378,7 @@ def test_archive_raw_demo_golden_digests(tmp_path):
     scenario = build_scenario(cfg.scenario)
     report = demo_callflow(cfg, scenario, tmp_path / "run.jsonl", tmp_path / "demo.store")
     store = report.store_path.read_bytes()
-    assert len(store) == 1_190_654
+    assert len(store) == 675_283
     assert hashlib.sha256(store).hexdigest() == ARCHIVE_RAW_STORE_SHA256
     assert hashlib.sha256(report.trace_path.read_bytes()).hexdigest() == ARCHIVE_RAW_TRACE_SHA256
 

@@ -26,9 +26,11 @@ from sensefuse.callflow import (
     run_sensing_task,
     write_trace,
 )
+from sensefuse.config import parse_config
 from sensefuse.errors import NoSensingEntityError, ProtocolError
 from sensefuse.fusion import FilterConfig
 from sensefuse.geometry import Rect, StaticMap, WorldPoint
+from sensefuse.harness import demo_callflow
 from sensefuse.metrics import MetricResult
 from sensefuse.scenario import (
     ClutterModel,
@@ -476,3 +478,41 @@ def test_finished_request_is_freed_without_cyclic_gc(flow_scenario, monkeypatch)
         assert len(worlds) == 1 and worlds[0]() is None
     finally:
         gc.enable()
+
+
+def test_each_request_fetches_from_the_store_once(monkeypatch, tmp_path):
+    # Step 13 answers with the records that step 7's metrics preview fetched.
+    fetched: list[list[int]] = []
+    fetch = SdsfStore.fetch
+
+    def counting_fetch(self, ctx, max_age=math.inf):
+        records = fetch(self, ctx, max_age)
+        fetched[-1].append(len(records))
+        return records
+
+    monkeypatch.setattr(SdsfStore, "fetch", counting_fetch)
+    cfg = parse_config({})
+    scenario = build_scenario(cfg.scenario)
+    sources = []
+    for run in range(3):
+        fetched.append([])
+        report = demo_callflow(cfg, scenario, tmp_path / f"{run}.jsonl", tmp_path / "demo.store")
+        sources.append(report.run.result.data_source)
+    assert sources == ["live+historical", "historical-only", "historical-only"]
+    assert fetched == [[1], [3], [5]]
+
+
+def test_storage_update_drops_the_reused_fetch():
+    store = SdsfStore()
+    sdsf = SdsfFrontend(store)
+    query = (SensingContext(Rect(0.0, 0.0, 10.0, 10.0), (0, 5)), math.inf)
+
+    def ask(variant, payload, step):
+        return sdsf.handle(Message(variant, "sf", "sdsf", step, "stid-1", payload))
+
+    (availability,) = ask("AvailabilityQuery", query, 6)
+    assert availability.payload[1] is None
+    metrics = MetricResult(pd_per_target={0: 1.0}, pd_avg=1.0, fa_avg=0.0)
+    assert ask("StorageUpdate", (0, 10, [("high-level", query[0], metrics, "m")]), 16) == []
+    (response,) = ask("HistoricalDataRequest", query, 12)
+    assert [r.payload for r in response.payload] == [metrics]

@@ -172,8 +172,9 @@ def test_malformed_or_non_finite_config_exits_2(tmp_path, capsys, text, key):
 
 
 def _torn(path):
+    # A cut inside the header line: a torn tail after it would be dropped.
     data = path.read_bytes()
-    path.write_bytes(data[: len(data) - 20])
+    path.write_bytes(data[: data.index(b"\n") // 2])
 
 
 @pytest.mark.parametrize(
@@ -195,6 +196,23 @@ def test_corrupt_store_exits_1(tmp_path, small_config, capsys, corrupt):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"store error: {store}:") and err.count("\n") == 1
+
+
+def test_torn_store_tail_is_dropped_and_the_demo_runs(tmp_path, small_config, capsys):
+    trace = tmp_path / "run.jsonl"
+    store = tmp_path / "run.store"
+    argv = ["demo", "--config", small_config, "--trace", str(trace), "--store", str(store)]
+    assert main(argv) == 0
+    data = store.read_bytes()
+    store.write_bytes(data[: len(data) - 20])
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert "source=" in capsys.readouterr().out
+    # The torn line is gone; the lines before it are kept as written.
+    kept = data[: data.rindex(b"\n", 0, len(data) - 1) + 1]
+    assert store.read_bytes().startswith(kept) and store.read_bytes().endswith(b"\n")
+    assert main(argv) == 0
+    assert "torn" not in capsys.readouterr().err
 
 
 def test_unwritable_output_exits_1(tmp_path, small_config, capsys):

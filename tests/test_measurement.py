@@ -6,7 +6,6 @@ import pytest
 from sensefuse.errors import DegenerateGeometryError
 from sensefuse.geometry import WorldPoint
 from sensefuse.measurement import (
-    PSD_SLACK,
     DetectionColumns,
     NoiseModel,
     Pose,
@@ -259,7 +258,6 @@ def test_build_detection_back_projects_the_measurement():
 def columns(**overrides) -> DetectionColumns:
     fields = dict(
         xy=[[1.0, 2.0], [3.0, -4.0], [0.5, 0.25]],
-        cov=[[1.0, 0.0, 1.0], [2.0, 0.5, 1.0], [0.64, -0.1, 0.3]],
         se_idx=[1, 0, 1],
         se_ids=("se-0", "se-1"),
         is_clutter=[False, True, False],
@@ -272,27 +270,27 @@ def test_detection_columns_detections_view():
     cols = columns()
     assert len(cols) == 3
     assert cols.sources() == ["se-1", "se-0", "se-1"]
-    assert cols.xy[1].tolist() == [3.0, -4.0] and cols.cov[1].tolist() == [2.0, 0.5, 1.0]
+    assert cols.xy[1].tolist() == [3.0, -4.0]
     assert cols.is_clutter.tolist() == [False, True, False]
-    assert not cols.xy.flags.writeable and not cols.cov.flags.writeable
+    assert not cols.xy.flags.writeable
 
 
 def test_detection_columns_equality_is_by_rows():
     # Same rows under another se_ids order are the same detections.
     assert columns() == columns(se_idx=[0, 1, 0], se_ids=("se-1", "se-0"))
     assert columns() != columns(is_clutter=[False, False, False])
-    assert columns() != columns(cov=[[1.0, 0.0, 1.0], [2.0, 0.5, 1.0], [0.64, -0.1, 0.31]])
+    assert columns() != columns(xy=[[1.0, 2.0], [3.0, -4.0], [0.5, 0.26]])
 
 
 @pytest.mark.parametrize(
     "overrides,match",
     [
-        ({"xy": [[1.0, 2.0], [3.0, 4.0]]}, "cov must have shape"),
+        ({"xy": [[1.0, 2.0], [3.0, 4.0]]}, "se_idx must be"),
         ({"xy": [1.0, 2.0, 3.0]}, "xy must have shape"),
-        ({"cov": [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]}, "cov must have shape"),
+        ({"se_idx": [0, 1]}, "se_idx must be"),
         ({"xy": [[1.0, 2.0], [math.inf, 0.0], [0.5, 0.25]]}, "xy must be finite.*row 1"),
-        ({"cov": [[1.0, 0.0, 1.0], [math.nan, 0.0, 1.0], [1.0, 0.0, 1.0]]}, "finite.*row 1"),
-        ({"cov": [[1.0, 0.0, 1.0], [1.0, 0.0, 1.0], [1.0, 2.0, 1.0]]}, "semidefinite.*row 2"),
+        ({"xy": [[1.0, 2.0], [3.0, math.nan], [0.5, 0.25]]}, "finite.*row 1"),
+        ({"is_clutter": [False, True]}, "is_clutter must be"),
         ({"se_idx": [0, 2, 1]}, "se_idx must index"),
         ({"se_idx": [0.0, 1.0, 1.0]}, "se_idx must be"),
         ({"is_clutter": [0, 1, 0]}, "is_clutter must be"),
@@ -302,29 +300,3 @@ def test_detection_columns_equality_is_by_rows():
 def test_detection_columns_validation(overrides, match):
     with pytest.raises(ValueError, match=match):
         columns(**overrides)
-
-
-def test_detection_columns_psd_slack():
-    # Smallest eigenvalue 1 - xy: just inside, then outside, the slack.
-    inside = [1.0, 1.0 + PSD_SLACK / 2, 1.0]
-    outside = [1.0, 1.0 + 4 * PSD_SLACK, 1.0]
-    assert len(columns(cov=[inside] * 3)) == 3
-    with pytest.raises(ValueError, match="semidefinite"):
-        columns(cov=[inside, inside, outside])
-
-
-def test_detection_columns_psd_check_matches_numpy_eigenvalues(rng):
-    # Random symmetric matrices, about half of them indefinite: a row is
-    # accepted exactly when numpy's smaller eigenvalue clears the slack.
-    for _ in range(200):
-        a = rng.normal(size=(2, 2))
-        m = a @ a.T - float(rng.uniform(0.0, 1.0)) * np.trace(a @ a.T) / 2 * np.eye(2)
-        lo = np.linalg.eigvalsh(m)[0]
-        if abs(lo) < 1e-9:
-            continue  # too close to the boundary for the two eigenvalue routines to agree
-        row = [m[0, 0], m[0, 1], m[1, 1]]
-        if lo >= 0.0:
-            assert len(columns(cov=[row] * 3)) == 3
-        else:
-            with pytest.raises(ValueError, match="semidefinite"):
-                columns(cov=[row] * 3)

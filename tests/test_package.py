@@ -53,6 +53,10 @@ MOVED_OR_DELETED = [
     ("callflow", "PolicyRules.charging_rules"),
     ("callflow", "PolicyDecision.obligations"),
     ("callflow", "SensingFunction.revoke_consent"),
+    ("measurement", "DetectionColumns.cov"),
+    ("scenario", "Realization.range_m"),
+    ("scenario", "Realization.bearing"),
+    ("measurement", "PSD_SLACK"),
 ]
 
 

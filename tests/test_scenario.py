@@ -21,7 +21,6 @@ from sensefuse.scenario import (
     default_tracks,
     generate_frames,
     generate_realization,
-    realization_detections,
     realization_rng,
 )
 
@@ -32,11 +31,8 @@ from oracles import (
     generate_frame,
     min_distance,
     rect_contains,
-    rotated_covariance,
     sample_measurement,
     target_position,
-    world_covariance,
-    world_to_polar,
 )
 
 
@@ -285,28 +281,24 @@ EDGE_CASES = [
 
 
 def scalar_frame(scenario, t, rng):
-    """Oracle: one frame built point by point, one covariance per detection."""
+    """Oracle: one frame built point by point."""
     truth = tuple(
         (track.id, pos)
         for track in scenario.tracks
         if rect_contains(scenario.bounds, pos := target_position(track, t))
     )
-    rows = []  # (x, y, covariance, SE index, clutter flag) per detection
+    rows = []  # (x, y, SE index, clutter flag) per detection
     for s, pose in enumerate(scenario.se_poses):
         for _, pos in truth:
             if rng.random() < scenario.p_det:
                 z = sample_measurement(pose, pos, scenario.noise, rng)
-                point, cov = build_detection(pose, z, scenario.noise)
-                rows.append((point.x, point.y, cov, s, False))
+                point, _ = build_detection(pose, z, scenario.noise)
+                rows.append((point.x, point.y, s, False))
     xy = generate_clutter(scenario.clutter, scenario.static_map, scenario.bounds, rng)
     for i, (x, y) in enumerate(xy.tolist()):
-        s = i % len(scenario.se_poses)
-        pose = scenario.se_poses[s]
-        cov = world_covariance(pose, world_to_polar(pose, WorldPoint(x, y)), scenario.noise)
-        rows.append((x, y, cov, s, True))
+        rows.append((x, y, i % len(scenario.se_poses), True))
     detections = DetectionColumns(
         xy=np.array([(x, y) for x, y, *_ in rows]).reshape(-1, 2),
-        cov=np.array([cov for _, _, cov, _, _ in rows]).reshape(-1, 3),
         se_idx=np.array([s for *_, s, _ in rows], dtype=np.intp),
         se_ids=scenario.se_ids,
         is_clutter=np.array([flag for *_, flag in rows], dtype=bool),
@@ -327,7 +319,6 @@ def test_realization_columns_match_frames(seed, cfg):
         assert dets.xy.tobytes() == rz.xy[rows].tobytes()
         assert dets.sources() == [scenario.se_ids[s] for s in rz.se_idx[rows]]
         assert dets.is_clutter.tolist() == rz.is_clutter[rows].tolist()
-        assert np.isnan(rz.range_m[rows]).tolist() == rz.is_clutter[rows].tolist()
         truth = tuple(
             (track.id, WorldPoint(x, y))
             for track, (x, y), inside in zip(scenario.tracks, rz.truth_xy[i].tolist(), rz.truth_in[i])
@@ -338,8 +329,7 @@ def test_realization_columns_match_frames(seed, cfg):
 
 @pytest.mark.parametrize("seed,cfg", AGREEMENT_CASES + EDGE_CASES)
 def test_frames_match_scalar_oracle(seed, cfg):
-    # Same points to the bit, and each covariance equals world_covariance of
-    # the sampled measurement (targets) or of the point's geometry (clutter).
+    # Same points to the bit.
     scenario = build_scenario(cfg)
     rng = realization_rng(seed, 0)
     expected = [scalar_frame(scenario, t, rng) for t in range(cfg.t_steps)]
@@ -356,35 +346,6 @@ def test_range_redraws_match_scalar_oracle():
     rng = realization_rng(5, 0)
     expected = [scalar_frame(scenario, t, rng) for t in range(10)]
     assert generate_frames(scenario, realization_rng(5, 0)) == expected
-
-
-@pytest.mark.parametrize("seed", [3, 7, 2026])
-def test_columnar_covariances_match_scalar_oracle_bitwise(seed):
-    # Headings away from 0 make the clutter bearings wrap.
-    poses = (Pose(0.0, 0.0, 2.5), Pose(120.0, 0.0, -math.pi / 2), Pose(60.0, 120.0, 0.0))
-    scenario = build_scenario(ScenarioConfig(t_steps=30, seed=seed, se_poses=poses))
-    rz = generate_realization(scenario, realization_rng(seed, 0))
-    rows = np.random.default_rng(seed).permutation(len(rz.xy))
-    cols = realization_detections(scenario, rz, rows)
-    expected = []
-    for (x, y), s, clutter, r, b in zip(
-        rz.xy[rows].tolist(),
-        rz.se_idx[rows].tolist(),
-        rz.is_clutter[rows].tolist(),
-        rz.range_m[rows].tolist(),
-        rz.bearing[rows].tolist(),
-    ):
-        pose = scenario.se_poses[s]
-        if clutter:
-            cov = world_covariance(pose, world_to_polar(pose, WorldPoint(x, y)), scenario.noise)
-        else:
-            cov = rotated_covariance(r, pose.theta + b, scenario.noise)
-        expected.append(cov)
-    assert rz.is_clutter.any() and not rz.is_clutter.all()
-    assert cols.cov.tobytes() == np.array(expected).tobytes()
-    assert cols.xy.tobytes() == rz.xy[rows].tobytes()
-    assert cols.sources() == [scenario.se_ids[s] for s in rz.se_idx[rows]]
-    assert cols.is_clutter.tolist() == rz.is_clutter[rows].tolist()
 
 
 # -- clutter --------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ import oracles
 from conftest import columns_of, live_record
 
 AREA = Rect(0.0, 0.0, 120.0, 120.0)
+FIXTURE = Path(__file__).parent / "data" / "pre-cov-drop.store"
 
 
 def ctx(area: Rect = AREA, window: tuple[int, int] = (0, 100), target_type: str = "vehicle"):
@@ -316,12 +319,68 @@ def _two_record_log(tmp_path):
 
 
 def test_torn_last_line_raises_store_corrupt_error(tmp_path):
+    # When the torn last line is the header, there is no prefix to keep.
+    path = _two_record_log(tmp_path)
+    data = path.read_bytes()
+    path.write_bytes(data[: data.index(b"\n") - 5])
+    with pytest.raises(StoreCorruptError, match=r"store\.jsonl:1: torn header") as err:
+        SdsfStore(path)
+    assert err.value.lineno == 1
+
+
+def test_torn_last_line_is_dropped_and_cut_by_the_next_append(tmp_path, caplog):
     path = _two_record_log(tmp_path)
     data = path.read_bytes()
     path.write_bytes(data[: len(data) - 20])
-    with pytest.raises(StoreCorruptError, match=r"store\.jsonl:3: bad record") as err:
-        SdsfStore(path)
-    assert err.value.lineno == 3
+    store = SdsfStore(path)
+    assert sorted(store._records) == ["rec-000001"]
+    assert [r.getMessage() for r in caplog.records] == [f"{path}:3: dropped a torn final line"]
+    store.store("stid-2", "high-level", ctx(), metrics_payload(), 0, 1000)
+    lines = _lines(path)
+    assert b"".join(lines[:2]) == data[: data.index(b"\n", data.index(b"\n") + 1) + 1]
+    assert len(lines) == 3 and json.loads(lines[2])["stid"] == "stid-2"
+    assert sorted(SdsfStore(path)._records) == ["rec-000001", "rec-000002"]
+    assert len(caplog.records) == 1
+
+
+def _reopen_after_cut(path, data: bytes, cut: int, expected: dict) -> None:
+    """Reopen ``data[:cut]``: its complete lines' records, then one more appended."""
+    path.write_bytes(data[:cut])
+    header_end = data.index(b"\n") + 1
+    if 0 < cut < header_end:
+        with pytest.raises(StoreCorruptError, match=r":1: torn header"):
+            SdsfStore(path)
+        return
+    complete = data[:cut].count(b"\n") - 1
+    prefix = dict(list(expected.items())[: max(complete, 0)])
+    store = SdsfStore(path)
+    assert store._records == prefix, cut
+    record_id = store.store("stid-9", "processed", ctx(window=(0, 7)), demo_map(), 0, 1000)
+    reopened = SdsfStore(path)._records
+    assert list(reopened) == [*prefix, record_id], cut
+    assert reopened[record_id].stid == "stid-9" and path.read_bytes().endswith(b"\n")
+
+
+def test_log_cut_at_any_byte_reopens_to_its_complete_lines(tmp_path):
+    path = _two_record_log(tmp_path)
+    data = path.read_bytes()
+    expected = SdsfStore(path)._records
+    cuts = tmp_path / "cut.jsonl"
+    for cut in range(len(data) + 1):
+        _reopen_after_cut(cuts, data, cut, expected)
+
+
+def test_raw_line_cut_inside_reopens_to_the_lines_before_it(tmp_path):
+    path = tmp_path / "store.jsonl"
+    store = SdsfStore(path)
+    store.store("stid-1", "processed", ctx(), demo_map(), 0, 1000)
+    store.store("stid-1", "raw", ctx(), columns_of([(1.0, 2.0), (3.5, -4.0), (0.1, 0.2)]), 0, 50)
+    data = path.read_bytes()
+    expected = SdsfStore(path)._records
+    raw_start = data.index(b"\n", data.index(b"\n") + 1) + 1
+    cuts = tmp_path / "cut.jsonl"
+    for cut in (raw_start + 1, raw_start + 40, (raw_start + len(data)) // 2, len(data) - 1):
+        _reopen_after_cut(cuts, data, cut, expected)
 
 
 @pytest.mark.parametrize("content", [b"garbage\n", b"\xff\xfegarbage\n"], ids=["text", "binary"])
@@ -383,7 +442,7 @@ def test_raw_record_line_is_json_dumps_of_its_detections(tmp_path):
         "payload": {
             "type": "detections",
             "items": [
-                {"x": x, "y": y, "cov": [1.0, 0.0, 1.0], "source_se": se_id, "clutter": flag}
+                {"x": x, "y": y, "source_se": se_id, "clutter": flag}
                 for (x, y), se_id, flag in zip(points, sources, clutter)
             ],
         },
@@ -422,16 +481,6 @@ def _floats(limit: float) -> st.SearchStrategy[float]:
     )
 
 
-def _cov_row(u: float, w: float) -> tuple[float, float, float]:
-    """A PSD ``(xx, xy, yy)`` row, ``xx = yy >= |xy|``, from two floats below 1e150.
-
-    DetectionColumns' closed-form smallest eigenvalue is then ``xx - sqrt(xy * xy)``:
-    no step overflows, and only a square that underflows can round it below 0,
-    by far less than ``PSD_SLACK``.
-    """
-    return max(abs(u), abs(w)), math.copysign(min(abs(u), abs(w)), w), max(abs(u), abs(w))
-
-
 @st.composite
 def _columns(draw) -> DetectionColumns:
     se_ids = draw(
@@ -444,10 +493,8 @@ def _columns(draw) -> DetectionColumns:
     )
     n = draw(st.integers(0, 50))
     position = st.tuples(_floats(sys.float_info.max), _floats(sys.float_info.max))
-    cov = st.builds(_cov_row, _floats(1e149), _floats(1e149))
     return DetectionColumns(
         xy=np.array(draw(st.lists(position, min_size=n, max_size=n))).reshape(n, 2),
-        cov=np.array(draw(st.lists(cov, min_size=n, max_size=n))).reshape(n, 3),
         se_idx=np.array(draw(st.lists(st.integers(0, len(se_ids) - 1), min_size=n, max_size=n))),
         se_ids=tuple(se_ids),
         is_clutter=np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool),
@@ -457,9 +504,9 @@ def _columns(draw) -> DetectionColumns:
 def _raw_line_spec(payload: DetectionColumns) -> bytes:
     """The raw record's log line as ``json.dumps`` writes its dict form."""
     items = [
-        {"x": x, "y": y, "cov": cov, "source_se": se_id, "clutter": clutter}
-        for (x, y), cov, se_id, clutter in zip(
-            payload.xy.tolist(), payload.cov.tolist(), payload.sources(), payload.is_clutter.tolist()
+        {"x": x, "y": y, "source_se": se_id, "clutter": clutter}
+        for (x, y), se_id, clutter in zip(
+            payload.xy.tolist(), payload.sources(), payload.is_clutter.tolist()
         )
     ]
     expected = {
@@ -490,16 +537,13 @@ def test_raw_record_line_is_json_dumps_for_every_float_class(tmp_path_factory, p
     record = live_record(SdsfStore(path), "rec-000001")
     assert record is not None and record.payload == payload
     assert record.payload.xy.tobytes() == payload.xy.tobytes()
-    assert record.payload.cov.tobytes() == payload.cov.tobytes()
 
 
 @pytest.mark.parametrize("n", [1023, 1024, 1025, 2049])
 def test_raw_record_line_is_json_dumps_across_row_chunks(tmp_path, n):
     rng = np.random.default_rng(n)
-    var = rng.uniform(0.5, 4.0, size=n)
     payload = DetectionColumns(
         xy=rng.normal(60.0, 40.0, size=(n, 2)),
-        cov=np.stack([var, 0.5 * rng.uniform(-var, var), var], axis=1),
         se_idx=rng.integers(0, 2, size=n),
         se_ids=("se-0", "se-1"),
         is_clutter=rng.random(n) < 0.3,
@@ -550,7 +594,6 @@ def test_raw_record_round_trips_as_columns(tmp_path):
     assert isinstance(record.payload, DetectionColumns)
     assert record.payload == payload
     assert record.payload.xy.tobytes() == payload.xy.tobytes()
-    assert record.payload.cov.tobytes() == payload.cov.tobytes()
     assert record.payload.sources() == payload.sources()
     assert record.payload.is_clutter.tolist() == payload.is_clutter.tolist()
 
@@ -570,15 +613,69 @@ def test_empty_raw_record_round_trips(tmp_path):
     assert json.loads(_lines(path)[1])["payload"] == {"items": [], "type": "detections"}
 
 
+def _raw_log(path, items: list[dict]):
+    record = {
+        "aging_policy": 50,
+        "context": {
+            "area": list(AREA.as_tuple()),
+            "time_window": [0, 100],
+            "target_type": "vehicle",
+            "conditions": [],
+        },
+        "created_at": 0,
+        "kind": "raw",
+        "metadata": [],
+        "payload": {"items": items, "type": "detections"},
+        "record_id": "rec-000001",
+        "stid": "stid-1",
+    }
+    header = {"magic": LOG_MAGIC, "version": 1}
+    path.write_text(f"{json.dumps(header)}\n{json.dumps(record, sort_keys=True)}\n")
+    return live_record(SdsfStore(path), "rec-000001")
+
+
+def test_raw_line_with_covariances_reopens_as_the_line_without_them(tmp_path):
+    # Logs written before detections dropped their covariance carry a "cov"
+    # per item; replay ignores it.
+    items = [
+        {"clutter": False, "cov": [0.64, 0.01, 0.5], "source_se": "se-1", "x": 1.5, "y": -2.0},
+        {"clutter": True, "cov": [1.0, 0.0, 1.0], "source_se": "se-0", "x": 0.25, "y": 3.0},
+        {"clutter": False, "cov": [2.0, -0.5, 1.0], "source_se": "se-1", "x": 7.0, "y": 8.125},
+    ]
+    old = _raw_log(tmp_path / "old.jsonl", items)
+    without = [{k: v for k, v in item.items() if k != "cov"} for item in items]
+    new = _raw_log(tmp_path / "new.jsonl", without)
+    assert old is not None and new is not None
+    assert old.payload == new.payload
+    assert old.payload.xy.tobytes() == new.payload.xy.tobytes()
+    assert old.payload == columns_of(
+        [(1.5, -2.0), (0.25, 3.0), (7.0, 8.125)], ["se-1", "se-0", "se-1"], [False, True, False]
+    )
+
+
+def test_log_written_with_covariances_replays_and_rewrites_without_them(tmp_path):
+    # An archive_raw demo's store (t_steps 2, lambda_fa 2) as written while
+    # raw items carried a "cov": re-storing its raw record into a copy of the
+    # lines before it writes the old line with only the "cov" fields gone.
+    lines = _lines(FIXTURE)
+    assert len(lines) == 5 and b'"cov": [' in lines[4]
+    raw = live_record(SdsfStore(FIXTURE), "rec-000004")
+    assert raw is not None and raw.kind == "raw" and len(raw.payload) == 35
+    path = tmp_path / "store.jsonl"
+    path.write_bytes(b"".join(lines[:4]))
+    SdsfStore(path).store(
+        raw.stid, raw.kind, raw.context, raw.payload, raw.created_at, raw.aging_policy,
+        dict(raw.metadata),
+    )
+    assert _lines(path)[4] == re.sub(rb'"cov": \[[^]]*\], ', b"", lines[4])
+
+
 @pytest.mark.parametrize(
     "field,value",
     [
-        ("cov", [1.0, math.nan, 1.0]),
-        ("cov", [1.0, 2.0, 1.0]),
-        ("cov", [1.0, 0.0]),
         ("x", None),
     ],
-    ids=["nan-cov", "indefinite-cov", "short-cov", "missing-field"],
+    ids=["missing-field"],
 )
 def test_corrupt_raw_record_raises_store_corrupt_error(tmp_path, field, value):
     path = _two_record_log(tmp_path)
@@ -645,7 +742,6 @@ def _typed(value):
         return (
             "DetectionColumns",
             value.xy.tobytes(),
-            value.cov.tobytes(),
             value.se_idx.tolist(),
             _typed(value.se_ids),
             value.is_clutter.tolist(),
