@@ -12,6 +12,7 @@ import hashlib
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,3 +396,47 @@ def test_warm_demo_golden_digests(tmp_path):
     assert (len(store), store.count(b"\n")) == (3300, 8)
     assert hashlib.sha256(store).hexdigest() == WARM_STORE_SHA256
     assert hashlib.sha256(report.trace_path.read_bytes()).hexdigest() == WARM_THIRD_TRACE_SHA256
+
+
+# Call-flow paths the three digests above leave unpinned, each run through the
+# CLI from a fresh directory: ``(config per demo, store, last trace, last
+# stdout)``.  Every demo but the last only warms the store.
+CALL_FLOW_PATH_DIGESTS = {
+    # Live-only: without consent the SDSF is never read, nor its preseeded map.
+    "no-consent": (
+        ["demo:\n  historical_consent: false\n"],
+        "715b176eb7525ede134e2eee332b37a5ea776d16efed3735a9d0a92a7e8c36ec",
+        "55c189972a71b0bc554176096059a41feba9debcbda601871f62cfea68014846",
+        "9bc00a7a11f6ff40699d842550ffefdfb4067a74899f006685b802442375d5b8",
+    ),
+    # Consent on an empty store: availability "missing", so live-only after 6-7.
+    "empty-store-missing": (
+        ["demo:\n  preseed_partial_map: false\n"],
+        "095dbe226b5c916f0852376b21224ddd4661fe56a45bc38423180a3db1b20580",
+        "801f7c961901d37dd0a3152109c844768e6436391bd029fefbde4b5218cc2215",
+        "605b66d78a3a55e33722edab895dad278c788fbcbce9c898e375e2c8098af5cf",
+    ),
+    # Coverage "exists" but the archived Pd (0.8625) misses the KPI, so the
+    # second demo senses live+historical.
+    "warm-store-kpi-miss": (
+        ["", "demo:\n  pd_min: 1.0\n"],
+        "7e35552a51fc6a0cdb827c4372db7f2418816fbd042db640316281f2092a0c63",
+        "c554a350c9fc0fecf232d7746b75831145eceab4f223fe1a7690a68da383ebfc",
+        "7818483981dfcfbf15859e585360da44cc112a51c9e6f5212a1501dc16386db1",
+    ),
+}
+
+
+@pytest.mark.parametrize("path", sorted(CALL_FLOW_PATH_DIGESTS))
+def test_call_flow_path_golden_digests(path, tmp_path, monkeypatch, capsys):
+    configs, store_sha, trace_sha, stdout_sha = CALL_FLOW_PATH_DIGESTS[path]
+    monkeypatch.chdir(tmp_path)
+    for i, text in enumerate(configs):
+        Path(f"cfg{i}.yaml").write_text(text)
+        capsys.readouterr()
+        argv = ["demo", "--config", f"cfg{i}.yaml", "--trace", f"run{i}.jsonl"]
+        assert cli_main([*argv, "--store", "demo.store"]) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(Path("demo.store").read_bytes()).hexdigest() == store_sha
+    assert hashlib.sha256(Path(f"run{i}.jsonl").read_bytes()).hexdigest() == trace_sha
+    assert hashlib.sha256(stdout).hexdigest() == stdout_sha

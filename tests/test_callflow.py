@@ -178,6 +178,19 @@ def test_trace_second_run_reuses_archive_golden(flow_scenario):
     assert second.stid == "stid-000020-01"
 
 
+def test_historical_only_request_generates_no_realization(flow_scenario, monkeypatch):
+    store = SdsfStore()
+    run_flow(flow_scenario, store)
+
+    def boom(scenario, rng):
+        raise AssertionError("a historical-only request generated a realization")
+
+    monkeypatch.setattr(callflow, "generate_realization", boom)
+    second = run_flow(flow_scenario, store)
+    assert second.result is not None
+    assert second.result.data_source == "historical-only"
+
+
 def test_existing_archive_below_kpi_forces_live_collection(flow_scenario):
     store = SdsfStore()
     run_flow(flow_scenario, store)

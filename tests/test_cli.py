@@ -253,6 +253,8 @@ def test_sweep_requires_out_path(small_config):
         ("scenario:\n  t_steps: 1" + "0" * 40 + "\n", "scenario.t_steps: must be <= 2**63 - 1"),
         # Past Python's int-string limit PyYAML cannot read the integer at all.
         ("scenario: {sigma_r: 1" + "0" * 5000 + "}\n", HUGE_INT_PROBLEM),
+        # The call flow tasks every SE of the scenario, so there is at least one.
+        ("scenario:\n  se_poses: []\n", "scenario.se_poses: expected a non-empty list"),
     ],
     ids=[
         "jitter-zero",
@@ -263,6 +265,7 @@ def test_sweep_requires_out_path(small_config):
         "sigma-r-huge-integer",
         "t-steps-huge-integer",
         "sigma-r-past-digit-limit",
+        "no-se",
     ],
 )
 def test_bad_scenario_exits_2_on_both_commands(tmp_path, capsys, command, text, key):

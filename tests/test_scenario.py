@@ -114,6 +114,12 @@ def test_build_scenario_rejects_pose_outside_bounds():
         build_scenario(cfg)
 
 
+def test_build_scenario_requires_a_sensing_entity():
+    # The call flow tasks every SE of the scenario and never checks for none.
+    with pytest.raises(ConfigError, match="at least one pose"):
+        build_scenario(ScenarioConfig(se_poses=()))
+
+
 def test_build_scenario_rejects_duplicate_track_ids():
     track = TargetTrack(0, WorldPoint(1.0, 1.0), (1.0, 0.0), "horizontal")
     with pytest.raises(ConfigError, match="unique"):
