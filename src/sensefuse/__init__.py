@@ -4,8 +4,6 @@ from .errors import (
     ConfigError,
     DegenerateGeometryError,
     EmptyRunError,
-    NoSensingEntityError,
-    ProtocolError,
     StoreCorruptError,
 )
 from .fusion import FilterConfig
@@ -36,10 +34,8 @@ __all__ = [
     "FilterConfig",
     "Frame",
     "MetricResult",
-    "NoSensingEntityError",
     "NoiseModel",
     "Pose",
-    "ProtocolError",
     "Rect",
     "Scenario",
     "ScenarioConfig",

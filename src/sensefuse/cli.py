@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from . import __version__
 from .config import load_config
-from .errors import ConfigError, ProtocolError, StoreCorruptError
+from .errors import ConfigError, StoreCorruptError
 from .harness import demo_callflow, run_sweep, write_csv
 from .scenario import build_scenario
 
@@ -111,9 +111,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except ProtocolError as exc:
-        print(f"protocol error: {exc}", file=sys.stderr)
-        return 1
     except StoreCorruptError as exc:
         print(f"store error: {exc}", file=sys.stderr)
         return 1

@@ -19,7 +19,13 @@ import yaml
 from .errors import ConfigError
 from .geometry import Rect, StaticMap
 from .measurement import NoiseModel, Pose
-from .scenario import DEFAULT_BOUNDS, DEFAULT_BUILDINGS, ClutterModel, ScenarioConfig
+from .scenario import (
+    DEFAULT_BOUNDS,
+    DEFAULT_BUILDINGS,
+    POISSON_LAM_MAX,
+    ClutterModel,
+    ScenarioConfig,
+)
 from .sdsf_store import TARGET_TYPES
 
 DEFAULT_G_DET_VALUES = (1.0, 2.0, 3.0, 4.0, 5.0, 10.0)
@@ -206,6 +212,12 @@ def _step_count(t: int) -> str | None:
     return _at_least_one(t)
 
 
+def _poisson_mean(lam: float) -> str | None:
+    if lam > POISSON_LAM_MAX:
+        return f"must be <= {POISSON_LAM_MAX!r}, the clutter sampler's limit, got {lam!r}"
+    return _non_negative(lam)
+
+
 def _target_type(value: str) -> str | None:
     return None if value in TARGET_TYPES else f"must be one of {TARGET_TYPES}, got {value!r}"
 
@@ -220,7 +232,7 @@ KEYS: dict[str, dict[str, tuple[Kind, Any, Check | None]]] = {
         "sigma_beta_deg": (_number, 2.0, _positive_in_radians),
         "p_det": (_number, 0.95, None),  # build_scenario checks p_det and n_targets
         "n_targets": (_integer, 8, None),
-        "lambda_fa": (_number, 60.0, _non_negative),
+        "lambda_fa": (_number, 60.0, _poisson_mean),
         "edge_fraction": (_number, 0.7, _unit),
         "edge_jitter_sigma": (_number, 1.0, _positive),
         "t_steps": (_integer, 100, _step_count),

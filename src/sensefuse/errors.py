@@ -20,14 +20,6 @@ class DegenerateGeometryError(ValueError):
     """A polar conversion was attempted at zero range, where bearing is undefined."""
 
 
-class ProtocolError(RuntimeError):
-    """A call-flow message arrived in a phase that cannot accept it."""
-
-
-class NoSensingEntityError(ProtocolError):
-    """Live sensing was required but no sensing entity is registered."""
-
-
 class StoreCorruptError(ValueError):
     """A sensing store log cannot be replayed; names the file and line."""
 

@@ -43,6 +43,9 @@ DEFAULT_BOUNDS = Rect(0.0, 0.0, 120.0, 120.0)
 DEFAULT_BUILDINGS = (Rect(20.0, 45.0, 55.0, 75.0), Rect(65.0, 45.0, 100.0, 75.0))
 DEFAULT_SPEED = 1.2  # meters per step
 _RESAMPLE_ROUNDS = 10  # for edge clutter jittered out of the bounds, before clamping
+# The largest mean numpy's Poisson sampler accepts; past it, it raises
+# "lam value too large".
+POISSON_LAM_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 # Default lanes as (orientation, cross-axis position as a fraction of the
 # bounds, direction sign).  On the default map these are street positions
@@ -87,8 +90,8 @@ class ClutterModel:
     edge_jitter_sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lambda_fa) and self.lambda_fa >= 0.0):
-            raise ValueError(f"lambda_fa must be finite and >= 0, got {self.lambda_fa}")
+        if not (0.0 <= self.lambda_fa <= POISSON_LAM_MAX):
+            raise ValueError(f"lambda_fa must be in [0, {POISSON_LAM_MAX!r}], got {self.lambda_fa}")
         if not (0.0 <= self.edge_fraction <= 1.0):
             raise ValueError(f"edge_fraction must be in [0, 1], got {self.edge_fraction}")
         if not (math.isfinite(self.edge_jitter_sigma) and self.edge_jitter_sigma > 0.0):

@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,18 +9,8 @@ import pytest
 from sensefuse import callflow
 from sensefuse.callflow import (
     Kpi,
-    Message,
-    MessageBus,
-    PolicyControl,
-    PolicyDecision,
     PolicyRules,
-    SdsfFrontend,
-    SensingEntity,
-    SensingFunction,
-    SensingWorld,
-    ServiceConsumer,
     ServiceRequest,
-    SfPhase,
     evaluate_policy,
     kpi_verdict,
     run_call_flow,
@@ -27,10 +18,10 @@ from sensefuse.callflow import (
     write_trace,
 )
 from sensefuse.config import parse_config
-from sensefuse.errors import NoSensingEntityError, ProtocolError
 from sensefuse.fusion import FilterConfig
 from sensefuse.geometry import Rect, StaticMap, WorldPoint
 from sensefuse.harness import demo_callflow
+from sensefuse.measurement import Pose
 from sensefuse.metrics import MetricResult
 from sensefuse.scenario import (
     ClutterModel,
@@ -147,7 +138,6 @@ def test_trace_partial_availability_golden(flow_scenario):
     assert run.result is not None and run.result.data_source == "live+historical"
     assert run.abort_reason is None
     assert run.stid == "stid-000000-01"
-    assert run.phases[-1] == SfPhase.DONE
     assert run.trace[0].sender == "se-0" and run.trace[1].sender == "se-1"
 
 
@@ -158,7 +148,6 @@ def test_trace_policy_deny_golden(flow_scenario):
     assert steps_and_variants(run) == DENY_TRACE
     assert run.result is None
     assert run.abort_reason is not None and "policy denied" in run.abort_reason
-    assert run.phases[-1] == SfPhase.ABORTED
     assert run.trace[-1].receiver == "ssc"
     assert len(store) == 0
 
@@ -269,11 +258,10 @@ def test_no_consent_runs_live_only_unmasked(flow_scenario):
     assert "HistoricalDataRequest" not in variants
 
     # Identical metrics to gating the same realization without any mask.
-    world = SensingWorld(flow_scenario)
     expected = run_sensing_task(
         "stid-x",
-        world,
-        np.arange(len(world.realization.xy)),
+        flow_scenario,
+        generate_realization(flow_scenario, realization_rng(flow_scenario.seed, 0)),
         None,
         FilterConfig(mask_margin_g=2.0, gate_g_det=3.0, mask_enabled=False),
         request.kpi,
@@ -297,50 +285,12 @@ def test_consent_with_map_lowers_false_alarms(flow_scenario):
 # -- component behavior ---------------------------------------------------------------
 
 
-def test_duplicate_se_registration_rejected(flow_scenario):
-    bus = MessageBus()
-    world = SensingWorld(flow_scenario)
-    sf = SensingFunction(bus, world, FilterConfig(), epoch=0, aging_policy=100)
-    sf.register_se("se-0")
-    with pytest.raises(ValueError, match="already registered"):
-        sf.register_se("se-0")
-    assert list(sf.registered_ses) == ["se-0"]
-
-
-def test_live_plan_without_ses_raises(flow_scenario):
-    bus = MessageBus()
-    world = SensingWorld(flow_scenario)
-    sf = SensingFunction(bus, world, FilterConfig(), epoch=0, aging_policy=100)
-    request = make_request(historical_consent=False)
-    sf.handle(Message("ServiceRequest", "ssc", "sf", 2, None, request))
-    with pytest.raises(NoSensingEntityError):
-        sf.handle(Message("PolicyDecision", "pcf", "sf", 5, sf.stid, PolicyDecision("permit")))
-
-
-def test_out_of_phase_message_raises(flow_scenario):
-    bus = MessageBus()
-    world = SensingWorld(flow_scenario)
-    sf = SensingFunction(bus, world, FilterConfig(), epoch=0, aging_policy=100)
-    with pytest.raises(ProtocolError):
-        sf.handle(Message("PolicyDecision", "pcf", "sf", 5, None, PolicyDecision("permit")))
-    with pytest.raises(ProtocolError):
-        sf.handle(Message("NoSuchVariant", "pcf", "sf", 5, None, None))
-
-
-def test_bus_rejects_unknown_receiver():
-    bus = MessageBus()
-    bus.post(Message("Ping", "a", "nobody", 1, None, None))
-    with pytest.raises(ProtocolError, match="unknown actor"):
-        bus.run()
-
-
 def test_kpi_miss_still_delivers_result(flow_scenario):
     store = SdsfStore()
     request = make_request(kpi=Kpi(pd_min=1.1, fa_max=0.0))
     run = run_flow(flow_scenario, store, request=request)
     assert run.result is not None
     assert run.result.kpi_satisfied is False
-    assert run.phases[-1] == SfPhase.DONE
 
 
 def test_archive_contents_and_clock(flow_scenario):
@@ -387,28 +337,22 @@ def _count_constructions(monkeypatch, cls) -> list[int]:
     return calls
 
 
-def run_with_ses(scenario, se_order, *, archive_raw):
-    """One live call flow with only ``se_order`` registered, in that order."""
-    store = SdsfStore()
-    bus = MessageBus()
-    world = SensingWorld(scenario)
-    sf = SensingFunction(
-        bus, world, FilterConfig(), epoch=0, aging_policy=100, archive_raw=archive_raw
-    )
-    consumer = ServiceConsumer(make_request())
-    bus.register_actor("sf", sf.handle)
-    bus.register_actor("ssc", consumer.handle)
-    bus.register_actor("pcf", PolicyControl(PolicyRules()).handle)
-    bus.register_actor("sdsf", SdsfFrontend(store).handle)
-    for se_id in se_order:
-        bus.register_actor(se_id, SensingEntity(se_id, world).handle)
-        sf.register_se(se_id)
-    bus.post(consumer.initial_message())
-    bus.run()
-    assert consumer.result is not None and consumer.result.data_source == "live-only"
+def count_realizations(monkeypatch) -> list:
+    """Patch the call flow's realization generator to record what it returns."""
+    made = []
+    generate = callflow.generate_realization
+
+    def recording_generate(scenario, rng):
+        made.append(generate(scenario, rng))
+        return made[-1]
+
+    monkeypatch.setattr(callflow, "generate_realization", recording_generate)
+    return made
+
+
+def raw_records(store: SdsfStore) -> list:
     everything = SensingContext(Rect(0.0, 0.0, 120.0, 120.0), (0, 10_000), "vehicle")
-    raw = [r for r in store.fetch(everything) if r.kind == "raw"]
-    return sf, raw
+    return [r for r in store.fetch(everything) if r.kind == "raw"]
 
 
 def test_live_request_without_raw_archive_builds_no_detection_objects(
@@ -418,43 +362,51 @@ def test_live_request_without_raw_archive_builds_no_detection_objects(
         raise AssertionError(f"{type(self).__name__} built on a live request")
 
     monkeypatch.setattr(Frame, "__init__", boom)
-    sf, raw = run_with_ses(flow_scenario, flow_scenario.se_ids, archive_raw=False)
-    assert raw == []
-    assert len(sf.rows) == len(sf.world.realization.xy)
+    made = count_realizations(monkeypatch)
+    store = SdsfStore()
+    run = run_flow(flow_scenario, store)
+    assert run.result is not None and run.result.data_source == "live-only"
+    assert len(made) == 1
+    assert raw_records(store) == []
 
 
 def test_raw_archive_builds_pooled_objects_once(flow_scenario, monkeypatch):
     frames = _count_constructions(monkeypatch, Frame)
-    merges = [0]
-    merge = SensingFunction._merge_reports
-
-    def counting_merge(self):
-        merges[0] += 1
-        return merge(self)
-
-    monkeypatch.setattr(SensingFunction, "_merge_reports", counting_merge)
-    sf, raw = run_with_ses(flow_scenario, flow_scenario.se_ids, archive_raw=True)
+    made = count_realizations(monkeypatch)
+    store = SdsfStore()
+    run_flow(flow_scenario, store, archive_raw=True)
+    raw = raw_records(store)
     assert len(raw) == 1
-    assert merges[0] == 1
+    assert len(made) == 1
     assert frames[0] == 0
-    assert len(raw[0].payload) == len(sf.rows)
+    assert len(raw[0].payload) == len(made[0].xy)
 
 
-@pytest.mark.parametrize("se_order", [("se-1", "se-0"), ("se-1",), ("se-0",)])
-def test_raw_record_pools_registered_ses_in_registration_order(flow_scenario, se_order):
-    _, raw = run_with_ses(flow_scenario, se_order, archive_raw=True)
-    rz = generate_realization(flow_scenario, realization_rng(flow_scenario.seed, 0))
-    # Per frame, each registered SE's detections, in registration order.
+@pytest.mark.parametrize(
+    "se_poses",
+    [
+        (Pose(0.0, 0.0, 0.0),),
+        (Pose(0.0, 0.0, 0.0), Pose(120.0, 0.0, 0.0)),
+        (Pose(0.0, 0.0, 0.0), Pose(120.0, 0.0, 0.0), Pose(120.0, 120.0, 180.0)),
+    ],
+    ids=["1-se", "2-se", "3-se"],
+)
+def test_raw_record_pools_detections_frame_by_frame_then_se_by_se(se_poses):
+    scenario = build_scenario(replace(SCENARIO_CFG, se_poses=se_poses))
+    store = SdsfStore()
+    run_flow(scenario, store, archive_raw=True)
+    rz = generate_realization(scenario, realization_rng(scenario.seed, 0))
+    # Per frame, each SE's detections in SE order; clutter goes to the SEs
+    # round-robin, so with more than one SE this is not the row order.
     rows = [
         row
-        for t in range(flow_scenario.t_steps)
-        for se_id in se_order
-        for row in np.flatnonzero(
-            (rz.frame_of == t) & (rz.se_idx == flow_scenario.se_ids.index(se_id))
-        )
+        for t in range(scenario.t_steps)
+        for s in range(len(se_poses))
+        for row in np.flatnonzero((rz.frame_of == t) & (rz.se_idx == s))
     ]
-    assert len(raw) == 1
-    assert raw[0].payload == realization_detections(flow_scenario, rz, np.array(rows))
+    assert (rows != list(range(len(rows)))) == (len(se_poses) > 1)
+    (raw,) = raw_records(store)
+    assert raw.payload == realization_detections(scenario, rz, np.array(rows))
 
 
 def test_raw_archive_and_reopen_build_no_detection_objects(flow_scenario, monkeypatch, tmp_path):
@@ -475,20 +427,21 @@ def test_raw_archive_and_reopen_build_no_detection_objects(flow_scenario, monkey
 
 
 def test_finished_request_is_freed_without_cyclic_gc(flow_scenario, monkeypatch):
-    worlds = []
+    realizations = []
+    generate = callflow.generate_realization
 
-    class TrackedWorld(SensingWorld):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            worlds.append(weakref.ref(self))
+    def tracked_generate(scenario, rng):
+        rz = generate(scenario, rng)
+        realizations.append(weakref.ref(rz))
+        return rz
 
-    monkeypatch.setattr(callflow, "SensingWorld", TrackedWorld)
+    monkeypatch.setattr(callflow, "generate_realization", tracked_generate)
     gc.collect()
     gc.disable()
     try:
         run = run_flow(flow_scenario, SdsfStore(), archive_raw=True)
         assert run.result is not None
-        assert len(worlds) == 1 and worlds[0]() is None
+        assert len(realizations) == 1 and realizations[0]() is None
     finally:
         gc.enable()
 
@@ -513,19 +466,3 @@ def test_each_request_fetches_from_the_store_once(monkeypatch, tmp_path):
         sources.append(report.run.result.data_source)
     assert sources == ["live+historical", "historical-only", "historical-only"]
     assert fetched == [[1], [3], [5]]
-
-
-def test_storage_update_drops_the_reused_fetch():
-    store = SdsfStore()
-    sdsf = SdsfFrontend(store)
-    query = (SensingContext(Rect(0.0, 0.0, 10.0, 10.0), (0, 5)), math.inf)
-
-    def ask(variant, payload, step):
-        return sdsf.handle(Message(variant, "sf", "sdsf", step, "stid-1", payload))
-
-    (availability,) = ask("AvailabilityQuery", query, 6)
-    assert availability.payload[1] is None
-    metrics = MetricResult(pd_per_target={0: 1.0}, pd_avg=1.0, fa_avg=0.0)
-    assert ask("StorageUpdate", (0, 10, [("high-level", query[0], metrics, "m")]), 16) == []
-    (response,) = ask("HistoricalDataRequest", query, 12)
-    assert [r.payload for r in response.payload] == [metrics]

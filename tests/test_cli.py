@@ -255,6 +255,8 @@ def test_sweep_requires_out_path(small_config):
         ("scenario: {sigma_r: 1" + "0" * 5000 + "}\n", HUGE_INT_PROBLEM),
         # The call flow tasks every SE of the scenario, so there is at least one.
         ("scenario:\n  se_poses: []\n", "scenario.se_poses: expected a non-empty list"),
+        # Past numpy's Poisson limit the clutter sampler would raise.
+        ("scenario: {lambda_fa: 1.0e+300, t_steps: 1}\n", "scenario.lambda_fa: must be <="),
     ],
     ids=[
         "jitter-zero",
@@ -266,6 +268,7 @@ def test_sweep_requires_out_path(small_config):
         "t-steps-huge-integer",
         "sigma-r-past-digit-limit",
         "no-se",
+        "bad-lambda",
     ],
 )
 def test_bad_scenario_exits_2_on_both_commands(tmp_path, capsys, command, text, key):

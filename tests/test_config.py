@@ -14,7 +14,7 @@ from sensefuse.config import (
 )
 from sensefuse.errors import ConfigError
 from sensefuse.geometry import Rect
-from sensefuse.scenario import DEFAULT_BOUNDS, DEFAULT_BUILDINGS
+from sensefuse.scenario import DEFAULT_BOUNDS, DEFAULT_BUILDINGS, POISSON_LAM_MAX
 
 
 # -- defaults ---------------------------------------------------------------------
@@ -302,6 +302,19 @@ def test_t_steps_beyond_a_64_bit_index_is_a_config_error(t_steps):
     assert err.value.violations == [
         f"scenario.t_steps: must be <= 2**63 - 1, got a {t_steps.bit_length()}-bit integer"
     ]
+
+
+def test_clutter_mean_past_the_sampler_limit_is_a_config_error():
+    # Only the bounds are parsed here: no clutter is ever drawn at such a mean.
+    above = math.nextafter(POISSON_LAM_MAX, math.inf)
+    with pytest.raises(ConfigError) as err:
+        parse_config({"scenario": {"lambda_fa": above}})
+    assert err.value.violations == [
+        f"scenario.lambda_fa: must be <= {POISSON_LAM_MAX!r}, the clutter sampler's limit,"
+        f" got {above!r}"
+    ]
+    cfg = parse_config({"scenario": {"lambda_fa": POISSON_LAM_MAX}})
+    assert cfg.scenario.clutter.lambda_fa == POISSON_LAM_MAX
 
 
 def test_largest_64_bit_t_steps_parses():

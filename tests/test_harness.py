@@ -3,9 +3,7 @@ import gc
 
 import pytest
 
-import numpy as np
-
-from sensefuse.callflow import Kpi, SensingWorld, run_sensing_task
+from sensefuse.callflow import Kpi, run_sensing_task
 from sensefuse.config import SweepSettings, parse_config
 from sensefuse.errors import ConfigError
 from sensefuse.fusion import FilterConfig
@@ -22,7 +20,13 @@ from sensefuse.harness import (
     write_csv,
 )
 from sensefuse.metrics import MetricResult, aggregate_values
-from sensefuse.scenario import ClutterModel, ScenarioConfig, build_scenario
+from sensefuse.scenario import (
+    ClutterModel,
+    ScenarioConfig,
+    build_scenario,
+    generate_realization,
+    realization_rng,
+)
 from sensefuse.sdsf_store import SdsfStore
 
 from conftest import baseline_row, cell_row, read_csv
@@ -141,16 +145,15 @@ def test_call_flow_and_sweep_share_one_kernel(default_scenario):
     # metrics for the same cell; without a map it gives the baseline cell.
     sweep = parse_config({}).sweep
     cells = run_realization(default_scenario, sweep, 0)
-    world = SensingWorld(default_scenario, realization=0)
-    rows = np.arange(len(world.realization.xy))
+    rz = generate_realization(default_scenario, realization_rng(default_scenario.seed, 0))
     kpi = Kpi(pd_min=0.0, fa_max=1e9)
     for g, g_det in ((0.0, 1.0), (2.0, 3.0), (5.0, 10.0)):
         fc = FilterConfig(mask_margin_g=g, gate_g_det=g_det)
         res = run_sensing_task(
-            "stid", world, rows, default_scenario.static_map, fc, kpi, "live-only"
+            "stid", default_scenario, rz, default_scenario.static_map, fc, kpi, "live-only"
         )
         assert res.mask_enabled and res.metrics == cells[(g, g_det)]
-        unmasked = run_sensing_task("stid", world, rows, None, fc, kpi, "live-only")
+        unmasked = run_sensing_task("stid", default_scenario, rz, None, fc, kpi, "live-only")
         assert not unmasked.mask_enabled
         assert unmasked.metrics == cells[(BASELINE_G, g_det)]
 

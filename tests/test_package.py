@@ -57,6 +57,19 @@ MOVED_OR_DELETED = [
     ("scenario", "Realization.range_m"),
     ("scenario", "Realization.bearing"),
     ("measurement", "PSD_SLACK"),
+    ("callflow", "Message"),
+    ("callflow", "MessageBus"),
+    ("callflow", "SeReport"),
+    ("callflow", "SensingWorld"),
+    ("callflow", "SensingEntity"),
+    ("callflow", "PolicyControl"),
+    ("callflow", "SdsfFrontend"),
+    ("callflow", "ServiceConsumer"),
+    ("callflow", "SfPhase"),
+    ("callflow", "SensingFunction"),
+    ("callflow", "CallFlowRun.phases"),
+    ("errors", "ProtocolError"),
+    ("errors", "NoSensingEntityError"),
 ]
 
 

@@ -13,6 +13,7 @@ from sensefuse.geometry import Rect, StaticMap, WorldPoint
 from sensefuse.measurement import DetectionColumns, NoiseModel, Pose
 from sensefuse.scenario import (
     DEFAULT_BOUNDS,
+    POISSON_LAM_MAX,
     ClutterModel,
     Frame,
     ScenarioConfig,
@@ -492,9 +493,20 @@ def test_scaled_unit_draws_equal_rng_uniform(seed, n, lo, span):
     assert rng_b.bit_generator.state == rng_a.bit_generator.state
 
 
+def test_poisson_lam_max_is_the_sampler_limit():
+    # size=0 checks the mean and draws nothing.
+    rng = np.random.default_rng(0)
+    assert rng.poisson(POISSON_LAM_MAX, size=0).shape == (0,)
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(math.nextafter(POISSON_LAM_MAX, math.inf), size=0)
+
+
 def test_clutter_model_validation():
     with pytest.raises(ValueError):
         ClutterModel(lambda_fa=-1.0)
+    with pytest.raises(ValueError):
+        ClutterModel(lambda_fa=math.nextafter(POISSON_LAM_MAX, math.inf))
+    ClutterModel(lambda_fa=POISSON_LAM_MAX)
     with pytest.raises(ValueError):
         ClutterModel(edge_fraction=1.5)
     with pytest.raises(ValueError):
