@@ -77,17 +77,17 @@ def load_config(path: str | Path | None) -> AppConfig:
     """Load a YAML config file; ``None`` or an empty file means all defaults."""
     raw: object = {}
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
         try:
-            raw = yaml.safe_load(text)
+            raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             where = f" at line {mark.line + 1}" if mark is not None else ""
             problem = getattr(exc, "problem", None) or exc
             raise ConfigError(f"{path}: invalid YAML{where}: {problem}") from exc
         except ValueError as exc:
-            # PyYAML converts scalars itself: an integer literal past Python's
-            # int-string digit limit, or an impossible date, raises here.
+            # A file that is not UTF-8 raises here, and so does a scalar PyYAML
+            # converts: an integer past Python's int-string digit limit, or an
+            # impossible date.
             raise ConfigError(f"{path}: unreadable YAML value: {exc}") from exc
         if raw is None:
             raw = {}

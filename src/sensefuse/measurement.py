@@ -71,7 +71,7 @@ class DetectionColumns:
     """World-frame detections as columns: one row per detection.
 
     ``se_idx`` indexes ``se_ids``.  Construction checks shapes and the
-    finiteness of every position, and stores read-only float/int/bool copies.
+    finiteness of every position, and stores read-only C-order float/int/bool copies.
     Two batches are equal when their rows are: same positions, source SE ids
     and clutter flags.
     """
@@ -82,7 +82,7 @@ class DetectionColumns:
     is_clutter: np.ndarray  # (D,) bool
 
     def __post_init__(self) -> None:
-        xy = np.array(self.xy, dtype=float)
+        xy = np.array(self.xy, dtype=float, order="C")
         se_idx = np.array(self.se_idx)
         is_clutter = np.array(self.is_clutter)
         n = len(xy)

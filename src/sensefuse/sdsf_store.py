@@ -16,21 +16,17 @@ append: replay drops it with a warning, and the next append first cuts the
 log back to its last complete line.  Any other line that cannot be replayed,
 and a torn header, raise :class:`StoreCorruptError` naming the file and line.
 
-Every log line is strict JSON, ``json.dumps(..., sort_keys=True)`` of the
-record: a non-finite metric is written as ``null`` and read back as NaN.  A
-raw record's payload is :class:`DetectionColumns`, one item
-``{"clutter", "source_se", "x", "y"}`` per detection.  Its line has the same
-bytes as ``json.dumps`` of those items, but is assembled from
-the columns, 1024 rows at a time: orjson formats a chunk's floats in one
-call (``repr`` formats the few whose magnitude puts ``repr`` in exponent
-form), one join builds the chunk's rows, and the line is written to the log
-in pieces.
+Every line, the header included, is ``orjson.dumps`` of its JSON form with
+sorted keys; a non-finite metric is written as ``null`` and read back as
+NaN.  A raw record's payload is stored as the columns of
+:class:`DetectionColumns`.  A record orjson cannot encode (an integer
+beyond 64 bits, a lone surrogate) is written by stdlib ``json``.
 
-Replay reads each line with orjson and falls back to stdlib ``json`` only
-where the two would differ (see :func:`_decode_line`), so every record equals
-what ``json.loads`` of its line decodes to.  Within one replay, equal area
-rects and equal static maps are built once and shared; a raw record's items
-are read into columns in one pass, with the same validation.
+Replay reads each line with orjson, and with stdlib ``json`` only where the
+two would differ (see :func:`_decode_line`).  Within one replay, equal area
+rects and equal static maps are shared.  Raw lines of older logs, one item
+per detection, are read into the same columns.  Every replayed record
+passes the checks ``store()`` makes.
 """
 from __future__ import annotations
 
@@ -41,7 +37,7 @@ import os
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterator, TypeVar, Union
+from typing import Any, Callable, TypeVar, Union
 
 import numpy as np
 import orjson
@@ -60,6 +56,7 @@ TARGET_TYPES = ("pedestrian", "vehicle", "lorry", "cyclist", "motorcyclist", "un
 RECORD_KINDS = ("raw", "processed", "high-level")
 
 Payload = Union[StaticMap, DetectionColumns, MetricResult]
+_PAYLOAD_KINDS = {StaticMap: "processed", MetricResult: "high-level", DetectionColumns: "raw"}
 T = TypeVar("T")
 
 
@@ -195,37 +192,8 @@ class SdsfStore:
         Idempotent on (stid, kind, context, created_at): re-storing the same
         logical record returns the existing id without appending a duplicate.
         """
-        problems = []
-        if not stid:
-            problems.append("stid: must be non-empty")
-        if kind not in RECORD_KINDS:
-            problems.append(f"kind: must be one of {RECORD_KINDS}, got {kind!r}")
-        if created_at > self._now:
-            problems.append(f"created_at: {created_at} is in the future (now={self._now})")
-        if created_at < 0:
-            problems.append(f"created_at: must be >= 0, got {created_at}")
-        if aging_policy < 0:
-            problems.append(f"aging_policy: must be >= 0, got {aging_policy}")
-        expected_kind = _payload_kind(payload)
-        if expected_kind is None:
-            problems.append(f"payload: unsupported payload type {type(payload).__name__}")
-        elif kind in RECORD_KINDS and kind != expected_kind:
-            problems.append(
-                f"kind: {kind!r} does not match payload type {type(payload).__name__} "
-                f"(expected {expected_kind!r})"
-            )
-        if problems:
-            raise ValueError("record rejected: " + "; ".join(problems))
-
-        dedup_key = (stid, kind, context.key(), created_at)
-        existing = self._dedup.get(dedup_key)
-        if existing is not None:
-            return existing
-
-        record_id = f"rec-{self._next_id:06d}"
-        self._next_id += 1
         record = SensingRecord(
-            record_id=record_id,
+            record_id=f"rec-{self._next_id:06d}",
             stid=stid,
             kind=kind,
             context=context,
@@ -234,11 +202,21 @@ class SdsfStore:
             aging_policy=aging_policy,
             metadata=tuple(sorted((metadata or {}).items())),
         )
-        self._records[record_id] = record
-        self._dedup[dedup_key] = record_id
+        problems = _record_problems(record, self._now)
+        if problems:
+            raise ValueError("record rejected: " + "; ".join(problems))
+
+        dedup_key = (stid, kind, context.key(), created_at)
+        existing = self._dedup.get(dedup_key)
+        if existing is not None:
+            return existing
+
+        self._next_id += 1
+        self._records[record.record_id] = record
+        self._dedup[dedup_key] = record.record_id
         if self._path is not None:
             self._append_to_log(record)
-        return record_id
+        return record.record_id
 
     # -- read path -----------------------------------------------------------
 
@@ -360,13 +338,15 @@ class SdsfStore:
 
     def _append_to_log(self, record: SensingRecord) -> None:
         assert self._path is not None
+        # Built before the log is touched, so a formatting error cannot tear a line.
+        line = _log_line(_record_to_json(record))
         if self._torn_at is not None:
             os.truncate(self._path, self._torn_at)
             self._torn_at = None
-        with self._path.open("a", encoding="utf-8") as fh:
+        with self._path.open("ab") as fh:
             if not fh.tell():
-                fh.write(_dumps({"magic": LOG_MAGIC, "version": LOG_FORMAT_VERSION}) + "\n")
-            fh.writelines([*_record_pieces(record), "\n"])
+                fh.write(_log_line({"magic": LOG_MAGIC, "version": LOG_FORMAT_VERSION}))
+            fh.write(line)
 
     def _load(self) -> None:
         assert self._path is not None
@@ -402,8 +382,11 @@ class SdsfStore:
                     continue
                 try:
                     record = _record_from_json(_decode_line(line), rects, maps)
+                    problems = _record_problems(record, math.inf)
+                    if problems:
+                        raise ValueError("; ".join(problems))
                     num = int(record.record_id.split("-")[-1])
-                except (ValueError, TypeError, KeyError, AttributeError) as exc:
+                except (ValueError, TypeError, KeyError, AttributeError, OverflowError) as exc:
                     raise StoreCorruptError(self._path, lineno, f"bad record: {exc}") from exc
                 entries.append((record, num))
         for record, num in entries:
@@ -418,14 +401,39 @@ class SdsfStore:
         self.apply_aging(self._now)
 
 
-def _payload_kind(payload: Payload) -> str | None:
-    if isinstance(payload, StaticMap):
-        return "processed"
-    if isinstance(payload, MetricResult):
-        return "high-level"
-    if isinstance(payload, DetectionColumns):
-        return "raw"
-    return None
+def _record_problems(record: SensingRecord, now: float) -> list[str]:
+    """What makes ``record`` unfit to store: the one check of ``store()`` and of replay.
+
+    ``created_at`` and ``aging_policy`` must be of type ``int`` (so not bool).
+    Replay passes ``now=math.inf`` (a log's clock is its newest record), and
+    has read a metrics payload's ``null`` numbers back as NaN.
+    """
+    stid, kind, payload, created_at = record.stid, record.kind, record.payload, record.created_at
+    problems = []
+    if type(stid) is not str or not stid:
+        problems.append(f"stid: must be a non-empty string, got {stid!r}")
+    if kind not in RECORD_KINDS:
+        problems.append(f"kind: must be one of {RECORD_KINDS}, got {kind!r}")
+    if type(created_at) is not int or created_at < 0:
+        problems.append(f"created_at: must be an integer >= 0, got {created_at!r}")
+    elif created_at > now:
+        problems.append(f"created_at: {created_at} is in the future (now={now})")
+    if type(record.aging_policy) is not int or record.aging_policy < 0:
+        problems.append(f"aging_policy: must be an integer >= 0, got {record.aging_policy!r}")
+    expected_kind = _PAYLOAD_KINDS.get(type(payload))
+    if expected_kind is None:
+        problems.append(f"payload: unsupported payload type {type(payload).__name__}")
+    elif kind != expected_kind and kind in RECORD_KINDS:
+        problems.append(
+            f"kind: {kind!r} does not match payload type {type(payload).__name__} "
+            f"(expected {expected_kind!r})"
+        )
+    elif expected_kind == "high-level" and not all(
+        isinstance(v, float) or type(v) is int
+        for v in (payload.pd_avg, payload.fa_avg, *payload.pd_per_target.values())
+    ):
+        problems.append("payload: metrics must be numbers or null")
+    return problems
 
 
 # -- JSON codecs -------------------------------------------------------------
@@ -448,10 +456,6 @@ def _context_from_json(d: dict, rects: dict | None = None) -> SensingContext:
         target_type=d["target_type"],
         conditions=tuple(map(tuple, d["conditions"])),
     )
-
-
-def _dumps(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, allow_nan=False)
 
 
 def _finite_or_none(v: float) -> float | None:
@@ -505,9 +509,9 @@ def _decode_line(line: bytes) -> Any:
     ``NaN``/``Infinity`` of logs written before metrics were stored as
     ``null``, or a lone-surrogate escape.  Or orjson has read an integer
     literal outside 64 bits as a float where ``json.loads`` keeps an ``int``:
-    the fields the log writes as integers are checked for floats.  Every
-    other number in a record is written as a float literal, which both
-    decoders read to the same float.
+    the integer fields that can hold one are checked for floats.  Every other
+    number is a float, or a raw payload's ``se_idx`` (64-bit by construction),
+    which both decoders read alike.
     """
     try:
         d = orjson.loads(line)
@@ -516,7 +520,15 @@ def _decode_line(line: bytes) -> Any:
     return json.loads(line) if _float_in_int_fields(d) else d
 
 
-def _payload_to_json(payload: StaticMap | MetricResult) -> dict:
+def _payload_to_json(payload: Payload) -> dict:
+    if isinstance(payload, DetectionColumns):
+        return {
+            "type": "detections",
+            "se_ids": payload.se_ids,
+            "se_idx": payload.se_idx,
+            "xy": payload.xy,
+            "clutter": payload.is_clutter,
+        }
     if isinstance(payload, StaticMap):
         return {
             "type": "static_map",
@@ -530,53 +542,6 @@ def _payload_to_json(payload: StaticMap | MetricResult) -> dict:
         "fa_avg": _finite_or_none(payload.fa_avg),
         "excluded_targets": list(payload.excluded_targets),
     }
-
-
-def _float_strings(values: np.ndarray) -> list[str]:
-    """``repr`` of each float in a C-contiguous 1-D float64 array, in one orjson call.
-
-    orjson writes the same shortest round-trip digits as ``repr`` for zero and
-    for magnitudes in ``[1e-4, 1e16)``.  Outside that range ``repr`` switches
-    to exponent form (``1e-05``, ``1e+16``) where orjson does not, so those
-    few values are formatted by ``repr`` itself.
-    """
-    if not len(values):
-        return []
-    strings = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    magnitude = np.abs(values)
-    exponent_form = np.flatnonzero((magnitude >= 1e16) | ((magnitude < 1e-4) & (magnitude > 0)))
-    for i, x in zip(exponent_form.tolist(), values[exponent_form].tolist()):
-        strings[i] = repr(x)
-    return strings
-
-
-# Rows formatted per float-formatting call: bounds the per-float strings alive at once.
-_ROWS_PER_CHUNK = 1024
-
-
-def _detections_chunks(cols: DetectionColumns) -> Iterator[str]:
-    """``json.dumps(..., sort_keys=True)`` of the detections payload, in chunks of rows.
-
-    Each item is ``{"clutter", "source_se", "x", "y"}``.  For each chunk the
-    floats come from :func:`_float_strings`, each row is five pieces slotted
-    into one list by stride, and one join makes the chunk's text.
-    """
-    heads = ('}, {"clutter": false, "source_se": ', '}, {"clutter": true, "source_se": ')
-    sources = [f'{json.dumps(se_id)}, "x": ' for se_id in cols.se_ids]
-    yield '{"items": ['
-    for start in range(0, len(cols), _ROWS_PER_CHUNK):
-        rows = slice(start, start + _ROWS_PER_CHUNK)
-        floats = _float_strings(cols.xy[rows].ravel())
-        n = min(_ROWS_PER_CHUNK, len(cols) - start)
-        pieces = [', "y": '] * (5 * n)
-        pieces[0::5] = [heads[c] for c in cols.is_clutter[rows].tolist()]
-        pieces[1::5] = [sources[s] for s in cols.se_idx[rows].tolist()]
-        pieces[2::5] = floats[0::2]  # x
-        pieces[4::5] = floats[1::2]  # y
-        if not start:
-            pieces[0] = pieces[0][3:]  # no "}, " before the first row
-        yield "".join(pieces)
-    yield '}], "type": "detections"}' if len(cols) else '], "type": "detections"}'
 
 
 _ITEM_FIELDS = itemgetter("x", "y", "source_se", "clutter")
@@ -619,33 +584,37 @@ def _payload_from_json(d: dict, maps: dict | None = None) -> Payload:
             excluded_targets=tuple(d["excluded_targets"]),
         )
     if d["type"] == "detections":
-        return _columns_from_json(d["items"])
+        if "items" in d:
+            return _columns_from_json(d["items"])
+        xy = np.array(d["xy"], dtype=float).reshape(len(d["xy"]), 2)
+        return DetectionColumns(xy, d["se_idx"], d["se_ids"], d["clutter"])
     raise ValueError(f"unknown payload type {d.get('type')!r}")
 
 
-def _record_pieces(record: SensingRecord) -> list[str]:
-    """The record's log line, ``json.dumps`` of its JSON form with sorted keys, in pieces.
-
-    A detections payload is formatted by :func:`_detections_chunks` and
-    placed at its sorted key position, between ``metadata`` and
-    ``record_id``.  The pieces are written in order, so the whole line is
-    never built as one string; all of them exist before the first is
-    written, so a formatting error cannot leave a torn line in the log.
-    """
-    fields = {
+def _record_to_json(record: SensingRecord) -> dict:
+    return {
         "record_id": record.record_id,
         "stid": record.stid,
         "kind": record.kind,
         "context": _context_to_json(record.context),
+        "payload": _payload_to_json(record.payload),
         "created_at": record.created_at,
         "aging_policy": record.aging_policy,
         "metadata": [list(m) for m in record.metadata],
     }
-    if not isinstance(record.payload, DetectionColumns):
-        return [_dumps({**fields, "payload": _payload_to_json(record.payload)})]
-    before = _dumps({k: v for k, v in fields.items() if k < "payload"})
-    after = _dumps({k: v for k, v in fields.items() if k > "payload"})
-    return [f'{before[:-1]}, "payload": ', *_detections_chunks(record.payload), f", {after[1:]}"]
+
+
+def _log_line(obj: dict) -> bytes:
+    """``obj`` as one log line: its JSON with sorted keys, then ``"\\n"``.
+
+    orjson cannot encode an integer beyond 64 bits or a lone surrogate; a
+    line holding one is written by stdlib ``json``.
+    """
+    try:
+        return orjson.dumps(obj, option=orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY) + b"\n"
+    except orjson.JSONEncodeError:
+        text = json.dumps(obj, sort_keys=True, allow_nan=False, default=np.ndarray.tolist)
+        return text.encode() + b"\n"
 
 
 def _record_from_json(

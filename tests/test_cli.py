@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 from __future__ import annotations
 
+import json
 import sys
 
 import pytest
@@ -198,6 +199,35 @@ def test_corrupt_store_exits_1(tmp_path, small_config, capsys, corrupt):
     assert err.startswith(f"store error: {store}:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda record: record.update(created_at="x"),
+        lambda record: record.update(aging_policy="z"),
+        lambda record: record.update(created_at=1.5),
+        lambda record: record["payload"].update(pd_avg="hi"),
+        lambda record: record.update(kind="raw"),
+    ],
+    ids=["created-at-text", "aging-policy-text", "created-at-float", "pd-avg-text", "metrics-as-raw"],
+)
+def test_record_failing_the_store_checks_exits_1(tmp_path, small_config, capsys, edit):
+    # Each edit of the metrics record is one that store() would have refused.
+    trace = tmp_path / "run.jsonl"
+    store = tmp_path / "run.store"
+    argv = ["demo", "--config", small_config, "--trace", str(trace), "--store", str(store)]
+    assert main(argv) == 0
+    lines = store.read_bytes().splitlines(keepends=True)
+    lineno = next(i for i, line in enumerate(lines[1:], 2) if b'"high-level"' in line)
+    record = json.loads(lines[lineno - 1])
+    edit(record)
+    lines[lineno - 1] = (json.dumps(record, sort_keys=True) + "\n").encode()
+    store.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"store error: {store}:{lineno}: bad record: ") and err.count("\n") == 1
+
+
 def test_torn_store_tail_is_dropped_and_the_demo_runs(tmp_path, small_config, capsys):
     trace = tmp_path / "run.jsonl"
     store = tmp_path / "run.store"
@@ -257,6 +287,7 @@ def test_sweep_requires_out_path(small_config):
         ("scenario:\n  se_poses: []\n", "scenario.se_poses: expected a non-empty list"),
         # Past numpy's Poisson limit the clutter sampler would raise.
         ("scenario: {lambda_fa: 1.0e+300, t_steps: 1}\n", "scenario.lambda_fa: must be <="),
+        (b"\xff\xfe\x00bad", "unreadable YAML value: 'utf-8' codec can't decode"),
     ],
     ids=[
         "jitter-zero",
@@ -269,11 +300,12 @@ def test_sweep_requires_out_path(small_config):
         "sigma-r-past-digit-limit",
         "no-se",
         "bad-lambda",
+        "not-utf-8",
     ],
 )
 def test_bad_scenario_exits_2_on_both_commands(tmp_path, capsys, command, text, key):
     path = tmp_path / "bad.yaml"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     out = tmp_path / "out"
     target = ["--out", str(out)] if command == "sweep" else ["--trace", str(out)]
     assert main([command, "--config", str(path), *target]) == 2

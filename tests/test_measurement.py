@@ -273,6 +273,9 @@ def test_detection_columns_detections_view():
     assert cols.xy[1].tolist() == [3.0, -4.0]
     assert cols.is_clutter.tolist() == [False, True, False]
     assert not cols.xy.flags.writeable
+    # A column-major input is stored C-contiguous, the layout orjson encodes.
+    transposed = columns(xy=np.array([[1.0, 3.0, 0.5], [2.0, -4.0, 0.25]]).T)
+    assert transposed == cols and transposed.xy.flags.c_contiguous
 
 
 def test_detection_columns_equality_is_by_rows():

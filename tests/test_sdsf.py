@@ -4,12 +4,14 @@ import math
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sensefuse import sdsf_store
 from sensefuse.cli import main
 from sensefuse.config import parse_config
 from sensefuse.errors import StoreCorruptError
@@ -29,7 +31,6 @@ from sensefuse.sdsf_store import (
     Availability,
     SdsfStore,
     SensingContext,
-    _float_strings,
     _record_from_json,
 )
 
@@ -419,43 +420,9 @@ def test_list_payload_is_rejected():
         store.store("stid-1", "raw", ctx(), [(1.0, 2.0)], 0, 50)
 
 
-def test_raw_record_line_is_json_dumps_of_its_detections(tmp_path):
-    # Quote, backslash and non-ASCII SE ids exercise json's string escaping.
-    points = [(1.0, -0.0), (1e-300, 123456.789), (0.1, 2.0 / 3.0)]
-    sources = ['se "north"', "se-é\\", 'se "north"']
-    clutter = [False, True, False]
-    path = tmp_path / "store.jsonl"
-    store = SdsfStore(path)
-    store.store(
-        "stid-1", "raw", ctx(), columns_of(points, sources, clutter), 0, 50, metadata={"k": "v"}
-    )
-    expected = {
-        "record_id": "rec-000001",
-        "stid": "stid-1",
-        "kind": "raw",
-        "context": {
-            "area": list(AREA.as_tuple()),
-            "time_window": [0, 100],
-            "target_type": "vehicle",
-            "conditions": [],
-        },
-        "payload": {
-            "type": "detections",
-            "items": [
-                {"x": x, "y": y, "source_se": se_id, "clutter": flag}
-                for (x, y), se_id, flag in zip(points, sources, clutter)
-            ],
-        },
-        "created_at": 0,
-        "aging_policy": 50,
-        "metadata": [["k", "v"]],
-    }
-    assert _lines(path)[1] == (json.dumps(expected, sort_keys=True) + "\n").encode()
-
-
-# Every class of double the float formatter treats differently: both zeros,
-# subnormals, the neighbours of 1e-4 and 1e16 (where repr switches to exponent
-# form) and the largest finite values.
+# Every class of double whose shortest spelling differs between formatters:
+# both zeros, subnormals, the neighbours of 1e-4 and 1e16 (where repr switches
+# to exponent form and orjson does not) and the largest finite values.
 _EDGE_FLOATS = [
     0.0,
     5e-324,
@@ -501,92 +468,12 @@ def _columns(draw) -> DetectionColumns:
     )
 
 
-def _raw_line_spec(payload: DetectionColumns) -> bytes:
-    """The raw record's log line as ``json.dumps`` writes its dict form."""
-    items = [
-        {"x": x, "y": y, "source_se": se_id, "clutter": clutter}
-        for (x, y), se_id, clutter in zip(
-            payload.xy.tolist(), payload.sources(), payload.is_clutter.tolist()
-        )
-    ]
-    expected = {
-        "record_id": "rec-000001",
-        "stid": "stid-1",
-        "kind": "raw",
-        "context": {
-            "area": list(AREA.as_tuple()),
-            "time_window": [0, 100],
-            "target_type": "vehicle",
-            "conditions": [],
-        },
-        "payload": {"type": "detections", "items": items},
-        "created_at": 0,
-        "aging_policy": 50,
-        "metadata": [["k", "v"]],
-    }
-    return (json.dumps(expected, sort_keys=True) + "\n").encode()
-
-
+# Every float class of ``_columns``, and a generated batch of realistic size.
 @settings(max_examples=100, deadline=None)
 @given(payload=_columns())
-def test_raw_record_line_is_json_dumps_for_every_float_class(tmp_path_factory, payload):
+@example(payload=raw_payload())
+def test_raw_record_round_trips_as_columns(tmp_path_factory, payload):
     path = tmp_path_factory.mktemp("raw") / "store.jsonl"
-    SdsfStore(path).store("stid-1", "raw", ctx(), payload, 0, 50, metadata={"k": "v"})
-    assert _lines(path)[1] == _raw_line_spec(payload)
-
-    record = live_record(SdsfStore(path), "rec-000001")
-    assert record is not None and record.payload == payload
-    assert record.payload.xy.tobytes() == payload.xy.tobytes()
-
-
-@pytest.mark.parametrize("n", [1023, 1024, 1025, 2049])
-def test_raw_record_line_is_json_dumps_across_row_chunks(tmp_path, n):
-    rng = np.random.default_rng(n)
-    payload = DetectionColumns(
-        xy=rng.normal(60.0, 40.0, size=(n, 2)),
-        se_idx=rng.integers(0, 2, size=n),
-        se_ids=("se-0", "se-1"),
-        is_clutter=rng.random(n) < 0.3,
-    )
-    path = tmp_path / "store.jsonl"
-    SdsfStore(path).store("stid-1", "raw", ctx(), payload, 0, 50, metadata={"k": "v"})
-    assert _lines(path)[1] == _raw_line_spec(payload)
-
-
-def _assert_formats_as_repr(values: np.ndarray) -> None:
-    got = _float_strings(values)
-    want = list(map(repr, values.tolist()))
-    if got != want:
-        mismatches = [(w, g) for g, w in zip(got, want) if g != w] or [(len(want), len(got))]
-        pytest.fail(f"{len(mismatches)} floats differ from repr, first: {mismatches[:5]}")
-
-
-def test_float_formatter_equals_repr_on_random_bit_patterns():
-    bits = np.random.default_rng(20261018).integers(0, 2**64, size=1_100_000, dtype=np.uint64)
-    values = bits.view(np.float64)
-    finite = values[np.isfinite(values)]
-    assert len(finite) >= 1_000_000
-    _assert_formats_as_repr(finite)
-
-
-def test_float_formatter_equals_repr_from_1e_minus_5_to_1e17():
-    rng = np.random.default_rng(17)
-    dense = 10.0 ** rng.uniform(-5.0, 17.0, size=500_000)
-    decades = 10.0 ** np.arange(-5, 18, dtype=float)
-    neighbours = np.concatenate(
-        [np.nextafter(decades, 0.0), decades, np.nextafter(decades, np.inf)]
-    )
-    values = np.concatenate([dense, -dense, neighbours, -neighbours])
-    _assert_formats_as_repr(values)
-
-
-def test_float_formatter_of_no_floats_is_empty():
-    assert _float_strings(np.empty(0)) == []
-
-
-def test_raw_record_round_trips_as_columns(tmp_path):
-    payload = raw_payload()
-    path = tmp_path / "store.jsonl"
     SdsfStore(path).store("stid-1", "raw", ctx(), payload, 0, 50)
 
     record = live_record(SdsfStore(path), "rec-000001")
@@ -597,7 +484,7 @@ def test_raw_record_round_trips_as_columns(tmp_path):
     assert record.payload.sources() == payload.sources()
     assert record.payload.is_clutter.tolist() == payload.is_clutter.tolist()
 
-    again = tmp_path / "again.jsonl"
+    again = path.with_name("again.jsonl")
     SdsfStore(again).store(
         record.stid, record.kind, record.context, record.payload, record.created_at,
         record.aging_policy,
@@ -605,15 +492,64 @@ def test_raw_record_round_trips_as_columns(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+def _raw_line_spec(payload: DetectionColumns) -> str:
+    """The raw record's column form as ``json.dumps`` writes it."""
+    expected = {
+        "record_id": "rec-000001",
+        "stid": "stid-1",
+        "kind": "raw",
+        "context": {
+            "area": list(AREA.as_tuple()),
+            "time_window": [0, 100],
+            "target_type": "vehicle",
+            "conditions": [],
+        },
+        "payload": {
+            "type": "detections",
+            "se_ids": list(payload.se_ids),
+            "se_idx": payload.se_idx.tolist(),
+            "xy": payload.xy.tolist(),
+            "clutter": payload.is_clutter.tolist(),
+        },
+        "created_at": 0,
+        "aging_policy": 50,
+        "metadata": [["k", "v"]],
+    }
+    return json.dumps(expected, sort_keys=True)
+
+
+# The line's float spelling is orjson's, so it is compared as ``json.loads``
+# reads it: re-dumped without ``sort_keys``, it must equal ``json.dumps`` of
+# the column form, which holds only if its keys are already sorted and every
+# float reads back to the same double (``repr`` tells -0.0 from 0.0).
+@settings(max_examples=100, deadline=None)
+@given(payload=_columns())
+def test_raw_record_line_is_json_dumps_for_every_float_class(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("raw") / "store.jsonl"
+    SdsfStore(path).store("stid-1", "raw", ctx(), payload, 0, 50, metadata={"k": "v"})
+    assert json.dumps(json.loads(_lines(path)[1])) == _raw_line_spec(payload)
+
+    record = live_record(SdsfStore(path), "rec-000001")
+    assert record is not None and record.payload == payload
+    assert record.payload.xy.tobytes() == payload.xy.tobytes()
+
+
 def test_empty_raw_record_round_trips(tmp_path):
     path = tmp_path / "store.jsonl"
     SdsfStore(path).store("stid-1", "raw", ctx(), columns_of([]), 0, 50)
     record = live_record(SdsfStore(path), "rec-000001")
     assert record is not None and len(record.payload) == 0
-    assert json.loads(_lines(path)[1])["payload"] == {"items": [], "type": "detections"}
+    assert json.loads(_lines(path)[1])["payload"] == {
+        "clutter": [],
+        "se_ids": [],
+        "se_idx": [],
+        "type": "detections",
+        "xy": [],
+    }
 
 
-def _raw_log(path, items: list[dict]):
+def _raw_log(path, payload: dict):
+    """A log of one raw record with ``payload``, written as ``json.dumps`` writes it."""
     record = {
         "aging_policy": 50,
         "context": {
@@ -625,7 +561,7 @@ def _raw_log(path, items: list[dict]):
         "created_at": 0,
         "kind": "raw",
         "metadata": [],
-        "payload": {"items": items, "type": "detections"},
+        "payload": {**payload, "type": "detections"},
         "record_id": "rec-000001",
         "stid": "stid-1",
     }
@@ -636,18 +572,28 @@ def _raw_log(path, items: list[dict]):
 
 def test_raw_line_with_covariances_reopens_as_the_line_without_them(tmp_path):
     # Logs written before detections dropped their covariance carry a "cov"
-    # per item; replay ignores it.
+    # per item; replay ignores it.  Logs written before raw payloads were
+    # stored as columns carry one item per detection.
     items = [
         {"clutter": False, "cov": [0.64, 0.01, 0.5], "source_se": "se-1", "x": 1.5, "y": -2.0},
         {"clutter": True, "cov": [1.0, 0.0, 1.0], "source_se": "se-0", "x": 0.25, "y": 3.0},
         {"clutter": False, "cov": [2.0, -0.5, 1.0], "source_se": "se-1", "x": 7.0, "y": 8.125},
     ]
-    old = _raw_log(tmp_path / "old.jsonl", items)
+    old = _raw_log(tmp_path / "old.jsonl", {"items": items})
     without = [{k: v for k, v in item.items() if k != "cov"} for item in items]
-    new = _raw_log(tmp_path / "new.jsonl", without)
-    assert old is not None and new is not None
-    assert old.payload == new.payload
-    assert old.payload.xy.tobytes() == new.payload.xy.tobytes()
+    new = _raw_log(tmp_path / "new.jsonl", {"items": without})
+    columns = _raw_log(
+        tmp_path / "columns.jsonl",
+        {
+            "clutter": [False, True, False],
+            "se_ids": ["se-1", "se-0"],
+            "se_idx": [0, 1, 0],
+            "xy": [[1.5, -2.0], [0.25, 3.0], [7.0, 8.125]],
+        },
+    )
+    assert old is not None and new is not None and columns is not None
+    assert old.payload == new.payload == columns.payload
+    assert old.payload.xy.tobytes() == new.payload.xy.tobytes() == columns.payload.xy.tobytes()
     assert old.payload == columns_of(
         [(1.5, -2.0), (0.25, 3.0), (7.0, 8.125)], ["se-1", "se-0", "se-1"], [False, True, False]
     )
@@ -656,7 +602,7 @@ def test_raw_line_with_covariances_reopens_as_the_line_without_them(tmp_path):
 def test_log_written_with_covariances_replays_and_rewrites_without_them(tmp_path):
     # An archive_raw demo's store (t_steps 2, lambda_fa 2) as written while
     # raw items carried a "cov": re-storing its raw record into a copy of the
-    # lines before it writes the old line with only the "cov" fields gone.
+    # lines before it writes the same record with its items as columns.
     lines = _lines(FIXTURE)
     assert len(lines) == 5 and b'"cov": [' in lines[4]
     raw = live_record(SdsfStore(FIXTURE), "rec-000004")
@@ -667,28 +613,69 @@ def test_log_written_with_covariances_replays_and_rewrites_without_them(tmp_path
         raw.stid, raw.kind, raw.context, raw.payload, raw.created_at, raw.aging_policy,
         dict(raw.metadata),
     )
-    assert _lines(path)[4] == re.sub(rb'"cov": \[[^]]*\], ', b"", lines[4])
+    expected = json.loads(lines[4])
+    items = expected["payload"]["items"]
+    se_ids = list(dict.fromkeys(item["source_se"] for item in items))
+    expected["payload"] = {
+        "clutter": [item["clutter"] for item in items],
+        "se_ids": se_ids,
+        "se_idx": [se_ids.index(item["source_se"]) for item in items],
+        "type": "detections",
+        "xy": [[item["x"], item["y"]] for item in items],
+    }
+    rewritten = _lines(path)
+    assert rewritten[:4] == lines[:4] and b'"cov"' not in rewritten[4]
+    assert json.loads(rewritten[4]) == expected
+    assert live_record(SdsfStore(path), "rec-000004") == raw
+
+
+def _without(key):
+    return lambda payload: {k: v for k, v in payload.items() if k != key}
+
+
+def _with(key, row, value):
+    return lambda payload: {**payload, key: [*payload[key][:row], value, *payload[key][row + 1 :]]}
 
 
 @pytest.mark.parametrize(
-    "field,value",
+    "corrupt",
     [
-        ("x", None),
+        # The one-item-per-detection form of older logs, its second item without "x".
+        lambda payload: {
+            "items": [
+                {"clutter": False, "source_se": "se-0", "x": 1.0, "y": 2.0},
+                {"clutter": False, "source_se": "se-0", "y": 2.0},
+            ],
+            "type": "detections",
+        },
+        _without("xy"),
+        _with("xy", 1, [1.0]),
+        lambda payload: {**payload, "se_idx": payload["se_idx"][:2]},
+        _with("se_idx", 1, 1),
+        _with("clutter", 1, 0),
+        _with("xy", 1, [None, 2.0]),
+        # Past float range: orjson rejects the line, and json.loads reads an int.
+        _with("xy", 1, [10**400, 2.0]),
     ],
-    ids=["missing-field"],
+    ids=[
+        "missing-field",
+        "missing-xy",
+        "ragged-row",
+        "length-mismatch",
+        "se-idx-out-of-range",
+        "non-bool-clutter",
+        "null-coordinate",
+        "huge-integer-coordinate",
+    ],
 )
-def test_corrupt_raw_record_raises_store_corrupt_error(tmp_path, field, value):
+def test_corrupt_raw_record_raises_store_corrupt_error(tmp_path, corrupt):
     path = _two_record_log(tmp_path)
     store = SdsfStore(path)
     store.store("stid-2", "raw", ctx(), columns_of([(1.0, 2.0)] * 3), 0, 1000)
     store.store("stid-3", "processed", ctx(window=(0, 5)), demo_map(), 0, 1000)
     lines = _lines(path)
     record = json.loads(lines[3])
-    item = record["payload"]["items"][1]
-    if value is None:
-        del item[field]
-    else:
-        item[field] = value
+    record["payload"] = corrupt(record["payload"])
     lines[3] = (json.dumps(record, sort_keys=True) + "\n").encode()
     path.write_bytes(b"".join(lines))
     with pytest.raises(StoreCorruptError, match=r"store\.jsonl:4: bad record") as err:
@@ -860,6 +847,19 @@ def test_replay_reads_bare_nan_of_older_logs(tmp_path):
     assert record is not None
     assert _typed(record) == _typed(_record_from_json(json.loads(_lines(path)[1])))
     assert math.isnan(record.payload.pd_avg) and record.payload.excluded_targets == (3,)
+
+
+def test_archive_raw_demo_never_falls_back_to_json_dumps(tmp_path, monkeypatch):
+    def fallback(*args, **kwargs):
+        raise AssertionError("a log line was written by json.dumps")
+
+    monkeypatch.setattr(sdsf_store, "json", SimpleNamespace(dumps=fallback, loads=json.loads))
+    cfg = parse_config({"demo": {"archive_raw": True}})
+    store_path = tmp_path / "store.jsonl"
+    demo_callflow(cfg, build_scenario(cfg.scenario), tmp_path / "t.jsonl", store_path)
+    assert [json.loads(line)["kind"] for line in _lines(store_path)[1:]] == [
+        "processed", "processed", "high-level", "raw"
+    ]
 
 
 def test_integers_beyond_64_bits_reopen_as_int_after_two_demos(tmp_path, capsys):
