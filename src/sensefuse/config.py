@@ -206,10 +206,17 @@ def _positive_in_radians(degrees: float) -> str | None:
     return _positive(degrees)
 
 
+def _past_int64(n: int) -> str | None:
+    # Steps are indexed by numpy int64, and the store holds 64-bit integers.
+    return f"must be <= 2**63 - 1, got a {n.bit_length()}-bit integer" if n >= 2**63 else None
+
+
 def _step_count(t: int) -> str | None:
-    if t >= 2**63:  # the steps are indexed by numpy int64
-        return f"must be <= 2**63 - 1, got a {t.bit_length()}-bit integer"
-    return _at_least_one(t)
+    return _past_int64(t) or _at_least_one(t)
+
+
+def _aging_steps(a: int) -> str | None:
+    return _past_int64(a) or _non_negative(a)
 
 
 def _poisson_mean(lam: float) -> str | None:
@@ -258,7 +265,7 @@ KEYS: dict[str, dict[str, tuple[Kind, Any, Check | None]]] = {
         "gate_g_det": (_number, 3.0, _positive),
         "prohibited_areas": (_rects, (), None),
         "preseed_partial_map": (_boolean, True, None),
-        "aging_policy": (_integer, 100_000, _non_negative),
+        "aging_policy": (_integer, 100_000, _aging_steps),
         "archive_raw": (_boolean, False, None),
     },
 }

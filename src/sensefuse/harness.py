@@ -214,6 +214,12 @@ def demo_callflow(
     """
     demo = cfg.demo
     store = SdsfStore(store_path)
+    # The last window this run stores ends at the clock + t_steps + aging_policy.
+    if store.now + scenario.t_steps + demo.aging_policy > 2**63 - 1:
+        raise ConfigError(
+            f"demo.aging_policy: the store clock {store.now} + t_steps {scenario.t_steps}"
+            f" + aging_policy {demo.aging_policy} must be <= 2**63 - 1"
+        )
     preseeded = False
     if demo.preseed_partial_map:
         preseeded = preseed_partial_map(store, scenario, demo.aging_policy)

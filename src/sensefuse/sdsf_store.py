@@ -19,14 +19,18 @@ and a torn header, raise :class:`StoreCorruptError` naming the file and line.
 Every line, the header included, is ``orjson.dumps`` of its JSON form with
 sorted keys; a non-finite metric is written as ``null`` and read back as
 NaN.  A raw record's payload is stored as the columns of
-:class:`DetectionColumns`.  A record orjson cannot encode (an integer
-beyond 64 bits, a lone surrogate) is written by stdlib ``json``.
+:class:`DetectionColumns`.  :class:`SensingContext` and :class:`SensingRecord`
+check their own fields, so window ends, ``created_at`` and ``aging_policy``
+are integers within int64, which orjson writes and reads exactly.  A record
+orjson cannot encode (a lone surrogate, an integer past 64 bits elsewhere)
+is rejected by ``store()`` before the log or the index changes.
 
-Replay reads each line with orjson, and with stdlib ``json`` only where the
-two would differ (see :func:`_decode_line`).  Within one replay, equal area
-rects and equal static maps are shared.  Raw lines of older logs, one item
-per detection, are read into the same columns.  Every replayed record
-passes the checks ``store()`` makes.
+Replay reads each line with orjson, and with stdlib ``json`` only for what
+older logs hold and orjson rejects (see :func:`_decode_line`).  It builds
+every record with the same constructors as ``store()``, so a replayed record
+passes the same checks.  Within one replay, equal area rects and equal static
+maps are shared.  Raw lines of older logs, one item per detection, are read
+into the same columns.
 """
 from __future__ import annotations
 
@@ -71,8 +75,13 @@ class SensingContext:
 
     def __post_init__(self) -> None:
         start, end = self.time_window
+        # No generator: replay and query_availability build many contexts.
+        if type(start) is not int or type(end) is not int:
+            raise ValueError(f"time_window ends must be integers, got {self.time_window!r}")
         if start > end:
             raise ValueError(f"time_window start must be <= end, got {self.time_window}")
+        if start < -(2**63) or end > 2**63 - 1:
+            raise ValueError(f"time_window ends must be within int64, got {self.time_window}")
         if self.target_type not in TARGET_TYPES:
             raise ValueError(
                 f"target_type must be one of {TARGET_TYPES}, got {self.target_type!r}"
@@ -95,6 +104,37 @@ class SensingRecord:
     created_at: int
     aging_policy: int  # steps the record stays valid after creation
     metadata: tuple[tuple[str, str], ...] = ()
+
+    def __post_init__(self) -> None:
+        """The checks ``store()`` and replay share; ``store()`` adds only its clock.
+
+        A metrics payload's numbers may be NaN: replay reads the ``null`` of a
+        non-finite metric back as NaN.
+        """
+        stid, kind, payload = self.stid, self.kind, self.payload
+        problems = []
+        if type(stid) is not str or not stid:
+            problems.append(f"stid: must be a non-empty string, got {stid!r}")
+        if kind not in RECORD_KINDS:
+            problems.append(f"kind: must be one of {RECORD_KINDS}, got {kind!r}")
+        for name, value in (("created_at", self.created_at), ("aging_policy", self.aging_policy)):
+            if type(value) is not int or not 0 <= value <= 2**63 - 1:
+                problems.append(f"{name}: must be an integer in [0, 2**63 - 1], got {value!r}")
+        expected_kind = _PAYLOAD_KINDS.get(type(payload))
+        if expected_kind is None:
+            problems.append(f"payload: unsupported payload type {type(payload).__name__}")
+        elif kind != expected_kind and kind in RECORD_KINDS:
+            problems.append(
+                f"kind: {kind!r} does not match payload type {type(payload).__name__} "
+                f"(expected {expected_kind!r})"
+            )
+        elif expected_kind == "high-level" and not all(
+            isinstance(v, float) or type(v) is int
+            for v in (payload.pd_avg, payload.fa_avg, *payload.pd_per_target.values())
+        ):
+            problems.append("payload: metrics must be numbers or null")
+        if problems:
+            raise ValueError("; ".join(problems))
 
     def age(self, now: int) -> int:
         return now - self.created_at
@@ -191,6 +231,7 @@ class SdsfStore:
 
         Idempotent on (stid, kind, context, created_at): re-storing the same
         logical record returns the existing id without appending a duplicate.
+        A record is indexed only once its log line is appended.
         """
         record = SensingRecord(
             record_id=f"rec-{self._next_id:06d}",
@@ -202,20 +243,21 @@ class SdsfStore:
             aging_policy=aging_policy,
             metadata=tuple(sorted((metadata or {}).items())),
         )
-        problems = _record_problems(record, self._now)
-        if problems:
-            raise ValueError("record rejected: " + "; ".join(problems))
+        if created_at > self._now:
+            raise ValueError(
+                f"record rejected: created_at: {created_at} is in the future (now={self._now})"
+            )
 
         dedup_key = (stid, kind, context.key(), created_at)
         existing = self._dedup.get(dedup_key)
         if existing is not None:
             return existing
 
+        if self._path is not None:
+            self._append_to_log(record)
         self._next_id += 1
         self._records[record.record_id] = record
         self._dedup[dedup_key] = record.record_id
-        if self._path is not None:
-            self._append_to_log(record)
         return record.record_id
 
     # -- read path -----------------------------------------------------------
@@ -338,8 +380,12 @@ class SdsfStore:
 
     def _append_to_log(self, record: SensingRecord) -> None:
         assert self._path is not None
-        # Built before the log is touched, so a formatting error cannot tear a line.
-        line = _log_line(_record_to_json(record))
+        # Built before the log is touched, so a record orjson cannot encode
+        # (a lone surrogate, an integer past 64 bits) leaves the log as it was.
+        try:
+            line = _log_line(_record_to_json(record))
+        except orjson.JSONEncodeError as exc:
+            raise ValueError(f"record rejected: {exc}") from None
         if self._torn_at is not None:
             os.truncate(self._path, self._torn_at)
             self._torn_at = None
@@ -358,8 +404,8 @@ class SdsfStore:
             if not header_line.endswith(b"\n"):
                 raise StoreCorruptError(self._path, 1, "torn header")
             try:
-                header = json.loads(header_line)
-            except ValueError:
+                header = orjson.loads(header_line)
+            except orjson.JSONDecodeError:
                 header = None
             if not isinstance(header, dict) or header.get("magic") != LOG_MAGIC:
                 raise StoreCorruptError(self._path, 1, "not a sensing store log (bad magic)")
@@ -368,8 +414,8 @@ class SdsfStore:
                     self._path, 1, f"unsupported log version {header.get('version')!r}"
                 )
             # Equal area rects and equal maps decoded in this replay share one object.
-            rects: dict[bytes | str, Rect] = {}
-            maps: dict[bytes | str, StaticMap] = {}
+            rects: dict[bytes, Rect] = {}
+            maps: dict[bytes, StaticMap] = {}
             entries = []
             end = len(header_line)
             for lineno, line in enumerate(fh, start=2):
@@ -382,9 +428,6 @@ class SdsfStore:
                     continue
                 try:
                     record = _record_from_json(_decode_line(line), rects, maps)
-                    problems = _record_problems(record, math.inf)
-                    if problems:
-                        raise ValueError("; ".join(problems))
                     num = int(record.record_id.split("-")[-1])
                 except (ValueError, TypeError, KeyError, AttributeError, OverflowError) as exc:
                     raise StoreCorruptError(self._path, lineno, f"bad record: {exc}") from exc
@@ -399,41 +442,6 @@ class SdsfStore:
         # Records already past their policy relative to the recovered clock
         # stay out of the index, matching what apply_aging would have done.
         self.apply_aging(self._now)
-
-
-def _record_problems(record: SensingRecord, now: float) -> list[str]:
-    """What makes ``record`` unfit to store: the one check of ``store()`` and of replay.
-
-    ``created_at`` and ``aging_policy`` must be of type ``int`` (so not bool).
-    Replay passes ``now=math.inf`` (a log's clock is its newest record), and
-    has read a metrics payload's ``null`` numbers back as NaN.
-    """
-    stid, kind, payload, created_at = record.stid, record.kind, record.payload, record.created_at
-    problems = []
-    if type(stid) is not str or not stid:
-        problems.append(f"stid: must be a non-empty string, got {stid!r}")
-    if kind not in RECORD_KINDS:
-        problems.append(f"kind: must be one of {RECORD_KINDS}, got {kind!r}")
-    if type(created_at) is not int or created_at < 0:
-        problems.append(f"created_at: must be an integer >= 0, got {created_at!r}")
-    elif created_at > now:
-        problems.append(f"created_at: {created_at} is in the future (now={now})")
-    if type(record.aging_policy) is not int or record.aging_policy < 0:
-        problems.append(f"aging_policy: must be an integer >= 0, got {record.aging_policy!r}")
-    expected_kind = _PAYLOAD_KINDS.get(type(payload))
-    if expected_kind is None:
-        problems.append(f"payload: unsupported payload type {type(payload).__name__}")
-    elif kind != expected_kind and kind in RECORD_KINDS:
-        problems.append(
-            f"kind: {kind!r} does not match payload type {type(payload).__name__} "
-            f"(expected {expected_kind!r})"
-        )
-    elif expected_kind == "high-level" and not all(
-        isinstance(v, float) or type(v) is int
-        for v in (payload.pd_avg, payload.fa_avg, *payload.pd_per_target.values())
-    ):
-        problems.append("payload: metrics must be numbers or null")
-    return problems
 
 
 # -- JSON codecs -------------------------------------------------------------
@@ -466,7 +474,7 @@ def _nan_if_none(v: float | None) -> float:
     return math.nan if v is None else v
 
 
-def _interned(cache: dict[bytes | str, T] | None, coords: object, build: Callable[[], T]) -> T:
+def _interned(cache: dict[bytes, T] | None, coords: object, build: Callable[[], T]) -> T:
     """``build()``, or the object that equal JSON ``coords`` built earlier into ``cache``.
 
     The key is the JSON text of ``coords``, so ``0`` and ``0.0``, or ``0.0``
@@ -474,50 +482,25 @@ def _interned(cache: dict[bytes | str, T] | None, coords: object, build: Callabl
     """
     if cache is None:
         return build()
-    try:
-        key: bytes | str = orjson.dumps(coords)
-    except TypeError:  # an integer beyond 64 bits from a json.loads line
-        key = repr(coords)
+    key = orjson.dumps(coords)
     obj = cache.get(key)
     if obj is None:
         obj = cache[key] = build()
     return obj
 
 
-def _float_in_int_fields(d: Any) -> bool:
-    """True when a field the log writes as integers decoded to a float.
-
-    Those fields are ``created_at``, ``aging_policy``, ``time_window`` and a
-    metrics payload's ``excluded_targets``.  A value that is not shaped like
-    a record also answers True, so that the record decoder reports its fault
-    on what ``json.loads`` reads.
-    """
-    try:
-        ints = [d["created_at"], d["aging_policy"], *d["context"]["time_window"]]
-        payload = d["payload"]
-        if "excluded_targets" in payload:
-            ints += payload["excluded_targets"]
-    except (KeyError, TypeError, AttributeError):
-        return True
-    return float in map(type, ints)
-
-
 def _decode_line(line: bytes) -> Any:
-    """One log line as ``json.loads`` decodes it, parsed by orjson where that is the same.
+    """One log line as ``json.loads`` decodes it, parsed by orjson where orjson can.
 
-    A line goes to ``json.loads`` in two cases.  orjson rejects it: the bare
-    ``NaN``/``Infinity`` of logs written before metrics were stored as
-    ``null``, or a lone-surrogate escape.  Or orjson has read an integer
-    literal outside 64 bits as a float where ``json.loads`` keeps an ``int``:
-    the integer fields that can hold one are checked for floats.  Every other
-    number is a float, or a raw payload's ``se_idx`` (64-bit by construction),
-    which both decoders read alike.
+    orjson rejects what only older logs hold: the bare ``NaN``/``Infinity`` of
+    logs written before metrics were stored as ``null``, and lone-surrogate
+    escapes.  Those lines go to ``json.loads``.  Every integer ``store()``
+    writes is within 64 bits, where the two decoders agree.
     """
     try:
-        d = orjson.loads(line)
+        return orjson.loads(line)
     except orjson.JSONDecodeError:
         return json.loads(line)
-    return json.loads(line) if _float_in_int_fields(d) else d
 
 
 def _payload_to_json(payload: Payload) -> dict:
@@ -605,16 +588,8 @@ def _record_to_json(record: SensingRecord) -> dict:
 
 
 def _log_line(obj: dict) -> bytes:
-    """``obj`` as one log line: its JSON with sorted keys, then ``"\\n"``.
-
-    orjson cannot encode an integer beyond 64 bits or a lone surrogate; a
-    line holding one is written by stdlib ``json``.
-    """
-    try:
-        return orjson.dumps(obj, option=orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY) + b"\n"
-    except orjson.JSONEncodeError:
-        text = json.dumps(obj, sort_keys=True, allow_nan=False, default=np.ndarray.tolist)
-        return text.encode() + b"\n"
+    """``obj`` as one log line: its JSON with sorted keys, then ``"\\n"``."""
+    return orjson.dumps(obj, option=orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY) + b"\n"
 
 
 def _record_from_json(

@@ -8,7 +8,9 @@ import pytest
 
 from sensefuse import __version__
 from sensefuse.cli import main
+from sensefuse.geometry import Rect, StaticMap
 from sensefuse.harness import BASELINE_G
+from sensefuse.sdsf_store import SdsfStore, SensingContext
 
 from conftest import read_csv
 
@@ -207,8 +209,20 @@ def test_corrupt_store_exits_1(tmp_path, small_config, capsys, corrupt):
         lambda record: record.update(created_at=1.5),
         lambda record: record["payload"].update(pd_avg="hi"),
         lambda record: record.update(kind="raw"),
+        lambda record: record["context"].update(time_window=["a", "b"]),
+        lambda record: record["context"].update(time_window=[0, 2**63]),
+        lambda record: record.update(aging_policy=10**30),
     ],
-    ids=["created-at-text", "aging-policy-text", "created-at-float", "pd-avg-text", "metrics-as-raw"],
+    ids=[
+        "created-at-text",
+        "aging-policy-text",
+        "created-at-float",
+        "pd-avg-text",
+        "metrics-as-raw",
+        "time-window-text",
+        "time-window-past-int64",
+        "aging-policy-past-int64",
+    ],
 )
 def test_record_failing_the_store_checks_exits_1(tmp_path, small_config, capsys, edit):
     # Each edit of the metrics record is one that store() would have refused.
@@ -288,6 +302,8 @@ def test_sweep_requires_out_path(small_config):
         # Past numpy's Poisson limit the clutter sampler would raise.
         ("scenario: {lambda_fa: 1.0e+300, t_steps: 1}\n", "scenario.lambda_fa: must be <="),
         (b"\xff\xfe\x00bad", "unreadable YAML value: 'utf-8' codec can't decode"),
+        # Past int64 the store could not hold a window end.
+        ("demo: {aging_policy: 9223372036854775808}\n", "demo.aging_policy: must be <= 2**63 - 1"),
     ],
     ids=[
         "jitter-zero",
@@ -301,6 +317,7 @@ def test_sweep_requires_out_path(small_config):
         "no-se",
         "bad-lambda",
         "not-utf-8",
+        "aging-policy-past-int64",
     ],
 )
 def test_bad_scenario_exits_2_on_both_commands(tmp_path, capsys, command, text, key):
@@ -313,3 +330,30 @@ def test_bad_scenario_exits_2_on_both_commands(tmp_path, capsys, command, text, 
     assert err.startswith("configuration error: ") and key in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fresh", [True, False], ids=["fresh-store-largest-aging", "late-clock"])
+def test_demo_window_past_int64_exits_2(tmp_path, capsys, fresh):
+    store = tmp_path / "s.log"
+    argv = ["demo", "--trace", str(tmp_path / "t.jsonl"), "--store", str(store)]
+    if fresh:
+        # The largest aging_policy config accepts, on a store whose clock is 0.
+        clock = 0
+        config = tmp_path / "age.yaml"
+        config.write_text(f"demo:\n  aging_policy: {2**63 - 1}\n")
+        argv += ["--config", str(config)]
+    else:
+        # The default config, on a store whose newest created_at is 200 short of int64's end.
+        clock = 2**63 - 200
+        records = SdsfStore(store)
+        records.set_now(clock)
+        area = Rect(0.0, 0.0, 60.0, 120.0)
+        context = SensingContext(area, (clock, 2**63 - 1), "unknown")
+        records.store("stid-1", "processed", context, StaticMap((), area), clock, 199)
+    before = store.read_bytes() if store.exists() else None
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: demo.aging_policy: the store clock {clock} ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "t.jsonl").exists()
+    assert (store.read_bytes() if store.exists() else None) == before

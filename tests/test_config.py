@@ -304,6 +304,16 @@ def test_t_steps_beyond_a_64_bit_index_is_a_config_error(t_steps):
     ]
 
 
+@pytest.mark.parametrize("aging_policy", [2**63, 10**30], ids=["2**63", "10**30"])
+def test_aging_policy_past_int64_is_a_config_error(aging_policy):
+    with pytest.raises(ConfigError) as err:
+        parse_config({"demo": {"aging_policy": aging_policy}})
+    assert err.value.violations == [
+        f"demo.aging_policy: must be <= 2**63 - 1, got a {aging_policy.bit_length()}-bit integer"
+    ]
+    assert parse_config({"demo": {"aging_policy": 2**63 - 1}}).demo.aging_policy == 2**63 - 1
+
+
 def test_clutter_mean_past_the_sampler_limit_is_a_config_error():
     # Only the bounds are parsed here: no clutter is ever drawn at such a mean.
     above = math.nextafter(POISSON_LAM_MAX, math.inf)

@@ -4,14 +4,12 @@ import math
 import re
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sensefuse import sdsf_store
 from sensefuse.cli import main
 from sensefuse.config import parse_config
 from sensefuse.errors import StoreCorruptError
@@ -452,7 +450,9 @@ def _floats(limit: float) -> st.SearchStrategy[float]:
 def _columns(draw) -> DetectionColumns:
     se_ids = draw(
         st.lists(
-            st.text(st.sampled_from('se-0"\\é€😀') | st.characters(), max_size=6),
+            st.text(
+                st.sampled_from('se-0"\\é€😀') | st.characters(codec="utf-8"), max_size=6
+            ),
             min_size=1,
             max_size=4,
             unique=True,
@@ -753,15 +753,13 @@ _RECT_POOL = [
     Rect(20.0, 45.0, 55.0, 75.0),
     Rect(2**-20, 1 / 3, 0.1, 1e300),
 ]
-# Non-ASCII, quote and backslash characters, and lone surrogates, which
-# ``json.dumps`` escapes as ``\ud800`` and only ``json.loads`` reads back.
+# Non-ASCII, quote and backslash characters, but no lone surrogate, which
+# UTF-8 cannot encode and ``store()`` rejects.
 _TEXT = st.text(
-    st.sampled_from('ab"\\é€😀\ud800\udfff') | st.characters(), min_size=1, max_size=6
+    st.sampled_from('ab"\\é€😀') | st.characters(codec="utf-8"), min_size=1, max_size=6
 )
-# Integers on both sides of the 64-bit range that orjson keeps exact.
-_INTS = st.one_of(
-    st.integers(0, 10**6), st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64, 10**30])
-)
+# Small integers, and the top of the int64 range that a record's integers keep to.
+_INTS = st.one_of(st.integers(0, 10**6), st.sampled_from([2**62, 2**63 - 2, 2**63 - 1]))
 _METRIC = st.one_of(st.just(math.nan), st.floats(0.0, 1.0), st.floats(-1e300, 1e300))
 
 
@@ -778,7 +776,7 @@ def _metric_results(draw) -> MetricResult:
         pd_per_target=draw(st.dictionaries(st.integers(-5, 2**70), _METRIC, max_size=4)),
         pd_avg=draw(_METRIC),
         fa_avg=draw(_METRIC),
-        excluded_targets=tuple(draw(st.lists(st.integers(-(2**70), 2**70), max_size=3))),
+        excluded_targets=tuple(draw(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=3))),
     )
 
 
@@ -791,13 +789,12 @@ def _record_specs(draw) -> dict:
             st.tuples(st.just("raw"), _columns()),
         )
     )
-    start = draw(_INTS)
     return {
         "stid": draw(_TEXT),
         "kind": kind,
         "context": SensingContext(
             area=draw(st.sampled_from(_RECT_POOL)),
-            time_window=(start, start + draw(_INTS)),
+            time_window=tuple(sorted((draw(_INTS), draw(_INTS)))),
             target_type=draw(st.sampled_from(["vehicle", "unknown"])),
             conditions=tuple(draw(st.lists(st.tuples(_TEXT, _TEXT), max_size=2))),
         ),
@@ -822,8 +819,8 @@ def test_replay_decodes_every_line_as_json_loads_does(tmp_path_factory, specs):
             spec["context"],
             spec["payload"],
             spec["created_at"],
-            # Old enough to stay live at the replayed clock.
-            aging_policy=now - spec["created_at"] + spec["extra_age"],
+            # Old enough to stay live at the replayed clock, and within int64.
+            aging_policy=min(now - spec["created_at"] + spec["extra_age"], 2**63 - 1),
             metadata=spec["metadata"],
         )
     expected = [_record_from_json(json.loads(line)) for line in _lines(path)[1:]]
@@ -849,22 +846,107 @@ def test_replay_reads_bare_nan_of_older_logs(tmp_path):
     assert math.isnan(record.payload.pd_avg) and record.payload.excluded_targets == (3,)
 
 
-def test_archive_raw_demo_never_falls_back_to_json_dumps(tmp_path, monkeypatch):
-    def fallback(*args, **kwargs):
-        raise AssertionError("a log line was written by json.dumps")
+def _older_metrics_log(
+    stid: str = "stid-1",
+    area: str = "0.0, 0.0, 120.0, 120.0",
+    created_at: str = "0",
+    pd_avg: str = "0.5",
+) -> str:
+    """A log of one metrics record as ``json.dumps`` wrote it, with fields spelled as given."""
+    return (
+        json.dumps({"magic": LOG_MAGIC, "version": 1})
+        + "\n"
+        + f'{{"aging_policy": 50, "context": {{"area": [{area}], '
+        '"conditions": [], "target_type": "vehicle", "time_window": [0, 100]}, '
+        f'"created_at": {created_at}, "kind": "high-level", "metadata": [], "payload": '
+        f'{{"excluded_targets": [], "fa_avg": 2.0, "pd_avg": {pd_avg}, '
+        '"pd_per_target": {"0": 0.5}, "type": "metrics"}, '
+        f'"record_id": "rec-000001", "stid": "{stid}"}}\n'
+    )
 
-    monkeypatch.setattr(sdsf_store, "json", SimpleNamespace(dumps=fallback, loads=json.loads))
-    cfg = parse_config({"demo": {"archive_raw": True}})
-    store_path = tmp_path / "store.jsonl"
-    demo_callflow(cfg, build_scenario(cfg.scenario), tmp_path / "t.jsonl", store_path)
-    assert [json.loads(line)["kind"] for line in _lines(store_path)[1:]] == [
-        "processed", "processed", "high-level", "raw"
-    ]
+
+def test_replay_reads_lone_surrogates_of_older_logs(tmp_path):
+    # ``json.dumps`` wrote a lone surrogate as an escape that orjson rejects.
+    path = tmp_path / "store.jsonl"
+    path.write_text(_older_metrics_log(stid="stid-\\ud800"))
+    record = live_record(SdsfStore(path), "rec-000001")
+    assert record is not None and record.stid == "stid-\ud800"
+    assert _typed(record) == _typed(_record_from_json(json.loads(_lines(path)[1])))
 
 
-def test_integers_beyond_64_bits_reopen_as_int_after_two_demos(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"area": "0.0, 0.0, 1000000000000000000000000000000, 120.0"},
+        {"created_at": "1000000000000000000000000000000"},
+        {"created_at": "9223372036854775808"},
+    ],
+    ids=["area-10**30", "created-at-10**30", "created-at-2**63"],
+)
+def test_older_line_with_an_integer_past_int64_is_a_bad_record(tmp_path, fields):
+    # The bare NaN sends the line to ``json.loads``, which reads the integer exactly.
+    path = tmp_path / "store.jsonl"
+    path.write_text(_older_metrics_log(pd_avg="NaN", **fields))
+    with pytest.raises(StoreCorruptError, match=r"store\.jsonl:2: bad record: "):
+        SdsfStore(path)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"stid": "stid-\ud800"},
+        {"metadata": {"source": "\udfff"}},
+        {
+            "kind": "raw",
+            "payload": DetectionColumns(np.zeros((1, 2)), [0], ("se-\ud800",), [False]),
+        },
+        {
+            "kind": "high-level",
+            "payload": MetricResult({0: 0.9}, 0.9, 1.5, excluded_targets=(2**64,)),
+        },
+        {"context": ctx(area=Rect(0.0, 0.0, 2**70, 120.0))},
+    ],
+    ids=[
+        "surrogate-stid",
+        "surrogate-metadata",
+        "surrogate-se-id",
+        "excluded-2**64",
+        "rect-2**70",
+    ],
+)
+def test_store_rejects_a_record_orjson_cannot_encode(tmp_path, fields):
+    path = tmp_path / "store.jsonl"
+    store = SdsfStore(path)
+    store.store("stid-1", "processed", ctx(), demo_map(), 0, 50)
+    before = path.read_bytes()
+    record = {"stid": "stid-2", "kind": "processed", "context": ctx(), "payload": demo_map()}
+    with pytest.raises(ValueError, match="^record rejected: "):
+        store.store(**{**record, **fields}, created_at=0, aging_policy=50)
+    assert len(store) == 1 and path.read_bytes() == before
+    # The rejected record used up no id.
+    assert store.store(**record, created_at=0, aging_policy=50) == "rec-000002"
+    assert list(SdsfStore(path)._records) == ["rec-000001", "rec-000002"]
+
+
+def test_failed_append_indexes_nothing(tmp_path):
+    folder = tmp_path / "gone"
+    folder.mkdir()
+    store = SdsfStore(folder / "s.log")
+    folder.rmdir()
+    with pytest.raises(FileNotFoundError):
+        store.store("stid-1", "processed", ctx(), demo_map(), 0, 50)
+    assert len(store) == 0
+    folder.mkdir()
+    assert store.store("stid-1", "processed", ctx(), demo_map(), 0, 50) == "rec-000001"
+    assert len(store) == 1
+    assert list(SdsfStore(folder / "s.log")._records) == ["rec-000001"]
+
+
+def test_largest_aging_policy_reopens_exact_after_two_demos(tmp_path, capsys):
+    # Two default demos (t_steps 100) end their last windows at 2**63 - 1.
+    aging = 2**63 - 1 - 200
     config = tmp_path / "age.yaml"
-    config.write_text("demo:\n  aging_policy: 1000000000000000000000000000000\n")
+    config.write_text(f"demo:\n  aging_policy: {aging}\n")
     store_path = tmp_path / "run.store"
     argv = ["demo", "--config", str(config), "--trace", str(tmp_path / "t.jsonl")]
     for _ in range(2):
@@ -873,11 +955,17 @@ def test_integers_beyond_64_bits_reopen_as_int_after_two_demos(tmp_path, capsys)
     records = list(SdsfStore(store_path)._records.values())
     assert len(records) == 5
     for record in records:
-        assert type(record.aging_policy) is int and record.aging_policy == 10**30
+        assert type(record.aging_policy) is int and record.aging_policy == aging
         assert all(type(t) is int for t in record.context.time_window)
-        assert record.context.time_window[1] == record.created_at + 10**30
+        assert record.context.time_window[1] == record.created_at + aging
+    assert max(r.context.time_window[1] for r in records) == 2**63 - 1
     expected = [_record_from_json(json.loads(line)) for line in _lines(store_path)[1:]]
     assert [_typed(r) for r in records] == [_typed(r) for r in expected]
+    # A third demo would store a window ending past int64.
+    before = store_path.read_bytes()
+    assert main([*argv, "--store", str(store_path)]) == 2
+    assert "demo.aging_policy: the store clock 200 + t_steps 100" in capsys.readouterr().err
+    assert store_path.read_bytes() == before
 
 
 def _duplicate_log(tmp_path, copies: int = 40):
