@@ -190,7 +190,7 @@ def kpi_verdict(metrics: MetricResult, kpi: Kpi) -> bool:
 
 def _metrics_preview(records: list[SensingRecord]) -> MetricResult | None:
     for record in records:
-        if record.kind == "high-level" and isinstance(record.payload, MetricResult):
+        if isinstance(record.payload, MetricResult):
             return record.payload
     return None
 
@@ -319,16 +319,11 @@ def run_call_flow(
     metrics_ctx = SensingContext(
         area=request.area, time_window=window, target_type=request.target_type
     )
-    items = [
-        ("processed", map_ctx, scenario.static_map, "static-map"),
-        ("high-level", metrics_ctx, result.metrics, "fused-metrics"),
-    ]
+    items = [(map_ctx, scenario.static_map), (metrics_ctx, result.metrics)]
     if archive_raw and rz is not None:
         pooled = np.lexsort((rz.se_idx, rz.frame_of))
-        detections = realization_detections(scenario, rz, pooled)
-        items.append(("raw", metrics_ctx, detections, "pooled-detections"))
+        items.append((metrics_ctx, realization_detections(scenario, rz, pooled)))
     store.set_now(end)
-    for kind, context, payload, content in items:
-        metadata = {"source": "sensing-run", "content": content}
-        store.store(stid, kind, context, payload, end, aging_policy, metadata)
+    for context, payload in items:
+        store.store(stid, context, payload, end, aging_policy)
     return CallFlowRun(result=result, abort_reason=None, trace=tuple(trace), stid=stid)

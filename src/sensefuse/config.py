@@ -297,9 +297,24 @@ def _grid_fits(g_min: float, g_max: float, g_step: float, g_values: object) -> l
     return problems
 
 
+# Expected clutter detections per realization, which a realization holds in
+# memory at once; the default config expects 60 * 100 = 6,000.
+CLUTTER_PER_REALIZATION_MAX = 10**7
+
+
+def _clutter_fits(lambda_fa: float, t_steps: int) -> list[str]:
+    if (expected := lambda_fa * t_steps) <= CLUTTER_PER_REALIZATION_MAX:
+        return []
+    return [
+        f"scenario.lambda_fa: lambda_fa * t_steps, the expected clutter detections per"
+        f" realization, must be <= {CLUTTER_PER_REALIZATION_MAX}, got {expected!r}"
+    ]
+
+
 _CROSS_CHECKS = (
     # section, keys read, check
     ("scenario", ("bounds", "buildings"), _map_fits),
+    ("scenario", ("lambda_fa", "t_steps"), _clutter_fits),
     ("sweep", ("g_min", "g_max", "g_step", "g_values"), _grid_fits),
 )
 

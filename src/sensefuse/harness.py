@@ -193,12 +193,10 @@ def preseed_partial_map(store: SdsfStore, scenario: Scenario, aging_policy: int)
     )
     store.store(
         stid="stid-preseed",
-        kind="processed",
         context=ctx,
         payload=StaticMap(known, bounds),
         created_at=store.now,
         aging_policy=aging_policy,
-        metadata={"source": "preseed", "content": "static-map"},
     )
     return True
 

@@ -18,19 +18,24 @@ and a torn header, raise :class:`StoreCorruptError` naming the file and line.
 
 Every line, the header included, is ``orjson.dumps`` of its JSON form with
 sorted keys; a non-finite metric is written as ``null`` and read back as
-NaN.  A raw record's payload is stored as the columns of
-:class:`DetectionColumns`.  :class:`SensingContext` and :class:`SensingRecord`
-check their own fields, so window ends, ``created_at`` and ``aging_policy``
-are integers within int64, which orjson writes and reads exactly.  A record
-orjson cannot encode (a lone surrogate, an integer past 64 bits elsewhere)
-is rejected by ``store()`` before the log or the index changes.
+NaN.  A record line holds each fact once: its id, stid, context (area, time
+window, target type), payload, ``created_at`` and ``aging_policy``.  The
+payload's ``"type"`` gives the record's kind.  A raw record's payload is
+stored as the columns of :class:`DetectionColumns`.  :class:`SensingContext`
+and :class:`SensingRecord` check their own fields, so window ends,
+``created_at``, ``aging_policy`` and excluded targets are integers within
+int64, which orjson writes and reads exactly.  A record orjson cannot encode
+(a lone surrogate, an integer past 64 bits elsewhere) is rejected by
+``store()`` before the log or the index changes.
 
 Replay reads each line with orjson, and with stdlib ``json`` only for what
 older logs hold and orjson rejects (see :func:`_decode_line`).  It builds
 every record with the same constructors as ``store()``, so a replayed record
 passes the same checks.  Within one replay, equal area rects and equal static
 maps are shared.  Raw lines of older logs, one item per detection, are read
-into the same columns.
+into the same columns.  Lines of older logs also hold a ``"kind"``, which
+must be the payload's, and ``"conditions"`` and ``"metadata"``, which replay
+ignores.
 """
 from __future__ import annotations
 
@@ -57,7 +62,6 @@ LOG_MAGIC = "sensefuse-sdsf-log"
 LOG_FORMAT_VERSION = 1
 
 TARGET_TYPES = ("pedestrian", "vehicle", "lorry", "cyclist", "motorcyclist", "unknown")
-RECORD_KINDS = ("raw", "processed", "high-level")
 
 Payload = Union[StaticMap, DetectionColumns, MetricResult]
 _PAYLOAD_KINDS = {StaticMap: "processed", MetricResult: "high-level", DetectionColumns: "raw"}
@@ -71,7 +75,6 @@ class SensingContext:
     area: Rect
     time_window: tuple[int, int]
     target_type: str = "unknown"
-    conditions: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
         start, end = self.time_window
@@ -86,24 +89,18 @@ class SensingContext:
             raise ValueError(
                 f"target_type must be one of {TARGET_TYPES}, got {self.target_type!r}"
             )
-        object.__setattr__(self, "conditions", tuple(sorted(self.conditions)))
-
-    def key(self) -> tuple:
-        return (self.area.as_tuple(), self.time_window, self.target_type, self.conditions)
 
 
 @dataclass(frozen=True)
 class SensingRecord:
-    """One stored unit of sensing data."""
+    """One stored unit of sensing data; its kind follows from its payload's type."""
 
     record_id: str
     stid: str
-    kind: str  # raw | processed | high-level
     context: SensingContext
     payload: Payload
     created_at: int
     aging_policy: int  # steps the record stays valid after creation
-    metadata: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
         """The checks ``store()`` and replay share; ``store()`` adds only its clock.
@@ -111,36 +108,38 @@ class SensingRecord:
         A metrics payload's numbers may be NaN: replay reads the ``null`` of a
         non-finite metric back as NaN.
         """
-        stid, kind, payload = self.stid, self.kind, self.payload
+        stid, payload = self.stid, self.payload
         problems = []
         if type(stid) is not str or not stid:
             problems.append(f"stid: must be a non-empty string, got {stid!r}")
-        if kind not in RECORD_KINDS:
-            problems.append(f"kind: must be one of {RECORD_KINDS}, got {kind!r}")
         for name, value in (("created_at", self.created_at), ("aging_policy", self.aging_policy)):
             if type(value) is not int or not 0 <= value <= 2**63 - 1:
                 problems.append(f"{name}: must be an integer in [0, 2**63 - 1], got {value!r}")
-        expected_kind = _PAYLOAD_KINDS.get(type(payload))
-        if expected_kind is None:
+        if type(payload) not in _PAYLOAD_KINDS:
             problems.append(f"payload: unsupported payload type {type(payload).__name__}")
-        elif kind != expected_kind and kind in RECORD_KINDS:
-            problems.append(
-                f"kind: {kind!r} does not match payload type {type(payload).__name__} "
-                f"(expected {expected_kind!r})"
-            )
-        elif expected_kind == "high-level" and not all(
-            isinstance(v, float) or type(v) is int
-            for v in (payload.pd_avg, payload.fa_avg, *payload.pd_per_target.values())
-        ):
-            problems.append("payload: metrics must be numbers or null")
+        elif isinstance(payload, MetricResult):
+            if not all(
+                isinstance(v, float) or type(v) is int
+                for v in (payload.pd_avg, payload.fa_avg, *payload.pd_per_target.values())
+            ):
+                problems.append("payload: metrics must be numbers or null")
+            if not all(
+                type(t) is int and -(2**63) <= t <= 2**63 - 1 for t in payload.excluded_targets
+            ):
+                problems.append(
+                    "payload: excluded_targets must be integers within int64, "
+                    f"got {payload.excluded_targets!r}"
+                )
         if problems:
             raise ValueError("; ".join(problems))
 
-    def age(self, now: int) -> int:
-        return now - self.created_at
+    @property
+    def kind(self) -> str:
+        """``raw``, ``processed`` or ``high-level``."""
+        return _PAYLOAD_KINDS[type(self.payload)]
 
     def expired(self, now: int) -> bool:
-        return self.age(now) > self.aging_policy
+        return now - self.created_at > self.aging_policy
 
 
 @dataclass(frozen=True)
@@ -220,35 +219,30 @@ class SdsfStore:
     def store(
         self,
         stid: str,
-        kind: str,
         context: SensingContext,
         payload: Payload,
         created_at: int,
         aging_policy: int,
-        metadata: dict[str, str] | None = None,
     ) -> str:
         """Persist one record and return its id.
 
-        Idempotent on (stid, kind, context, created_at): re-storing the same
-        logical record returns the existing id without appending a duplicate.
-        A record is indexed only once its log line is appended.
+        Idempotent on (stid, kind, context, created_at), where the kind is the
+        payload's: re-storing the same logical record returns the existing id
+        without appending a duplicate.  A record is indexed only once its log
+        line is appended.
         """
-        record = SensingRecord(
-            record_id=f"rec-{self._next_id:06d}",
-            stid=stid,
-            kind=kind,
-            context=context,
-            payload=payload,
-            created_at=created_at,
-            aging_policy=aging_policy,
-            metadata=tuple(sorted((metadata or {}).items())),
-        )
+        try:
+            record = SensingRecord(
+                f"rec-{self._next_id:06d}", stid, context, payload, created_at, aging_policy
+            )
+        except ValueError as exc:
+            raise ValueError(f"record rejected: {exc}") from None
         if created_at > self._now:
             raise ValueError(
                 f"record rejected: created_at: {created_at} is in the future (now={self._now})"
             )
 
-        dedup_key = (stid, kind, context.key(), created_at)
+        dedup_key = (stid, record.kind, context, created_at)
         existing = self._dedup.get(dedup_key)
         if existing is not None:
             return existing
@@ -301,7 +295,6 @@ class SdsfStore:
                     area=inter_area,
                     time_window=(w0, w1),
                     target_type=ctx.target_type,
-                    conditions=ctx.conditions,
                 )
             overlaps.append(portion)
 
@@ -315,12 +308,8 @@ class SdsfStore:
         if not uncovered_rects and not uncovered_windows:
             return Availability(status="exists", available_portions=tuple(overlaps))
         missing = [
-            SensingContext(rect, ctx.time_window, ctx.target_type, ctx.conditions)
-            for rect in uncovered_rects
-        ] + [
-            SensingContext(ctx.area, win, ctx.target_type, ctx.conditions)
-            for win in uncovered_windows
-        ]
+            SensingContext(rect, ctx.time_window, ctx.target_type) for rect in uncovered_rects
+        ] + [SensingContext(ctx.area, win, ctx.target_type) for win in uncovered_windows]
         return Availability(
             status="partial",
             available_portions=tuple(overlaps),
@@ -369,9 +358,7 @@ class SdsfStore:
         expired = [rid for rid, r in self._records.items() if r.expired(now)]
         for rid in expired:
             record = self._records.pop(rid)
-            self._dedup.pop(
-                (record.stid, record.kind, record.context.key(), record.created_at), None
-            )
+            self._dedup.pop((record.stid, record.kind, record.context, record.created_at), None)
         if expired:
             log.info("aged out %d record(s) at step %d", len(expired), now)
         return len(expired)
@@ -435,7 +422,7 @@ class SdsfStore:
         for record, num in entries:
             self._records[record.record_id] = record
             self._dedup[
-                (record.stid, record.kind, record.context.key(), record.created_at)
+                (record.stid, record.kind, record.context, record.created_at)
             ] = record.record_id
             self._now = max(self._now, record.created_at)
             self._next_id = max(self._next_id, num + 1)
@@ -452,7 +439,6 @@ def _context_to_json(ctx: SensingContext) -> dict:
         "area": list(ctx.area.as_tuple()),
         "time_window": list(ctx.time_window),
         "target_type": ctx.target_type,
-        "conditions": [list(c) for c in ctx.conditions],
     }
 
 
@@ -462,7 +448,6 @@ def _context_from_json(d: dict, rects: dict | None = None) -> SensingContext:
         area=_interned(rects, coords, lambda: Rect(*coords)),
         time_window=tuple(d["time_window"]),
         target_type=d["target_type"],
-        conditions=tuple(map(tuple, d["conditions"])),
     )
 
 
@@ -578,12 +563,10 @@ def _record_to_json(record: SensingRecord) -> dict:
     return {
         "record_id": record.record_id,
         "stid": record.stid,
-        "kind": record.kind,
         "context": _context_to_json(record.context),
         "payload": _payload_to_json(record.payload),
         "created_at": record.created_at,
         "aging_policy": record.aging_policy,
-        "metadata": [list(m) for m in record.metadata],
     }
 
 
@@ -595,14 +578,19 @@ def _log_line(obj: dict) -> bytes:
 def _record_from_json(
     d: dict, rects: dict | None = None, maps: dict | None = None
 ) -> SensingRecord:
-    """The record a decoded log line holds; ``rects`` and ``maps`` intern its area and map."""
-    return SensingRecord(
+    """The record a decoded log line holds; ``rects`` and ``maps`` intern its area and map.
+
+    An older line's ``"kind"`` must be its payload's; its ``"conditions"`` and
+    ``"metadata"`` never took part in matching and are not read.
+    """
+    record = SensingRecord(
         record_id=d["record_id"],
         stid=d["stid"],
-        kind=d["kind"],
         context=_context_from_json(d["context"], rects),
         payload=_payload_from_json(d["payload"], maps),
         created_at=d["created_at"],
         aging_policy=d["aging_policy"],
-        metadata=tuple(map(tuple, d["metadata"])),
     )
+    if "kind" in d and d["kind"] != record.kind:
+        raise ValueError(f"kind: {d['kind']!r} does not match payload kind {record.kind!r}")
+    return record

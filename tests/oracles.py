@@ -426,7 +426,6 @@ def query_availability(
                 min(r.context.time_window[1], ctx.time_window[1]),
             ),
             target_type=ctx.target_type,
-            conditions=ctx.conditions,
         )
         for r in relevant
     ]
@@ -435,12 +434,8 @@ def query_availability(
     if not uncovered_rects and not uncovered_windows:
         return Availability(status="exists", available_portions=tuple(overlaps))
     missing = [
-        SensingContext(rect, ctx.time_window, ctx.target_type, ctx.conditions)
-        for rect in uncovered_rects
-    ] + [
-        SensingContext(ctx.area, win, ctx.target_type, ctx.conditions)
-        for win in uncovered_windows
-    ]
+        SensingContext(rect, ctx.time_window, ctx.target_type) for rect in uncovered_rects
+    ] + [SensingContext(ctx.area, win, ctx.target_type) for win in uncovered_windows]
     return Availability(
         status="partial", available_portions=tuple(overlaps), missing_portions=tuple(missing)
     )
@@ -450,5 +445,5 @@ def fetch(
     records: Sequence[SensingRecord], ctx: SensingContext, now: int, max_age: float
 ) -> list[SensingRecord]:
     """``SdsfStore.fetch``: overlapping live records no older than ``max_age``, newest first."""
-    hits = [r for r in _overlapping(records, ctx, now) if r.age(now) <= max_age]
+    hits = [r for r in _overlapping(records, ctx, now) if now - r.created_at <= max_age]
     return sorted(hits, key=lambda r: (-r.created_at, r.record_id))

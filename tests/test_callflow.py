@@ -109,7 +109,7 @@ def preseed_west_half(store: SdsfStore) -> None:
     west = Rect(0.0, 0.0, 60.0, 120.0)
     ctx = SensingContext(area=west, time_window=(0, 10_000), target_type="unknown")
     payload = StaticMap((Rect(20.0, 45.0, 55.0, 75.0),), west)
-    store.store("stid-preseed", "processed", ctx, payload, created_at=0, aging_policy=100_000)
+    store.store("stid-preseed", ctx, payload, created_at=0, aging_policy=100_000)
 
 
 def steps_and_variants(run) -> list[tuple[int, str]]:

@@ -212,6 +212,8 @@ def test_corrupt_store_exits_1(tmp_path, small_config, capsys, corrupt):
         lambda record: record["context"].update(time_window=["a", "b"]),
         lambda record: record["context"].update(time_window=[0, 2**63]),
         lambda record: record.update(aging_policy=10**30),
+        # orjson reads an integer past 64 bits as a float.
+        lambda record: record["payload"].update(excluded_targets=[2**64, 1.5, -3]),
     ],
     ids=[
         "created-at-text",
@@ -222,16 +224,17 @@ def test_corrupt_store_exits_1(tmp_path, small_config, capsys, corrupt):
         "time-window-text",
         "time-window-past-int64",
         "aging-policy-past-int64",
+        "excluded-targets",
     ],
 )
 def test_record_failing_the_store_checks_exits_1(tmp_path, small_config, capsys, edit):
-    # Each edit of the metrics record is one that store() would have refused.
+    # Each edit of the metrics record makes a line that store() could not have written.
     trace = tmp_path / "run.jsonl"
     store = tmp_path / "run.store"
     argv = ["demo", "--config", small_config, "--trace", str(trace), "--store", str(store)]
     assert main(argv) == 0
     lines = store.read_bytes().splitlines(keepends=True)
-    lineno = next(i for i, line in enumerate(lines[1:], 2) if b'"high-level"' in line)
+    lineno = next(i for i, line in enumerate(lines[1:], 2) if b'"type":"metrics"' in line)
     record = json.loads(lines[lineno - 1])
     edit(record)
     lines[lineno - 1] = (json.dumps(record, sort_keys=True) + "\n").encode()
@@ -304,6 +307,12 @@ def test_sweep_requires_out_path(small_config):
         (b"\xff\xfe\x00bad", "unreadable YAML value: 'utf-8' codec can't decode"),
         # Past int64 the store could not hold a window end.
         ("demo: {aging_policy: 9223372036854775808}\n", "demo.aging_policy: must be <= 2**63 - 1"),
+        # The clutter of one realization would not fit in memory.
+        (
+            "scenario: {lambda_fa: 1.0e+12}\n",
+            "scenario.lambda_fa: lambda_fa * t_steps, the expected clutter detections per"
+            " realization, must be <= 10000000, got 100000000000000.0",
+        ),
     ],
     ids=[
         "jitter-zero",
@@ -318,6 +327,7 @@ def test_sweep_requires_out_path(small_config):
         "bad-lambda",
         "not-utf-8",
         "aging-policy-past-int64",
+        "clutter-past-memory",
     ],
 )
 def test_bad_scenario_exits_2_on_both_commands(tmp_path, capsys, command, text, key):
@@ -349,7 +359,7 @@ def test_demo_window_past_int64_exits_2(tmp_path, capsys, fresh):
         records.set_now(clock)
         area = Rect(0.0, 0.0, 60.0, 120.0)
         context = SensingContext(area, (clock, 2**63 - 1), "unknown")
-        records.store("stid-1", "processed", context, StaticMap((), area), clock, 199)
+        records.store("stid-1", context, StaticMap((), area), clock, 199)
     before = store.read_bytes() if store.exists() else None
     assert main(argv) == 2
     err = capsys.readouterr().err

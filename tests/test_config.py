@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from sensefuse.config import (
+    CLUTTER_PER_REALIZATION_MAX,
     DEFAULT_G_DET_VALUES,
     KEYS,
     default_g_values,
@@ -323,12 +324,44 @@ def test_clutter_mean_past_the_sampler_limit_is_a_config_error():
         f"scenario.lambda_fa: must be <= {POISSON_LAM_MAX!r}, the clutter sampler's limit,"
         f" got {above!r}"
     ]
-    cfg = parse_config({"scenario": {"lambda_fa": POISSON_LAM_MAX}})
-    assert cfg.scenario.clutter.lambda_fa == POISSON_LAM_MAX
+    # The limit itself passes the key's check; the cross check then refuses it.
+    with pytest.raises(ConfigError) as err:
+        parse_config({"scenario": {"lambda_fa": POISSON_LAM_MAX, "t_steps": 1}})
+    assert err.value.violations == [
+        "scenario.lambda_fa: lambda_fa * t_steps, the expected clutter detections per"
+        f" realization, must be <= {CLUTTER_PER_REALIZATION_MAX}, got {POISSON_LAM_MAX!r}"
+    ]
+
+
+@pytest.mark.parametrize(
+    "lambda_fa, t_steps, fits",
+    [
+        (60.0, 100, True),
+        (100_000.0, 100, True),
+        (math.nextafter(100_000, math.inf), 100, False),
+        (1.0e12, 100, False),
+        (1.0, 10**7, True),
+        (1.0, 10**7 + 1, False),
+    ],
+    ids=["default", "at-limit", "past-limit", "terabytes", "long-run", "long-run-past-limit"],
+)
+def test_clutter_per_realization_is_bounded(lambda_fa, t_steps, fits):
+    raw = {"scenario": {"lambda_fa": lambda_fa, "t_steps": t_steps}}
+    if fits:
+        assert parse_config(raw).scenario.t_steps == t_steps
+        return
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.violations == [
+        "scenario.lambda_fa: lambda_fa * t_steps, the expected clutter detections per"
+        f" realization, must be <= {CLUTTER_PER_REALIZATION_MAX}, got {lambda_fa * t_steps!r}"
+    ]
 
 
 def test_largest_64_bit_t_steps_parses():
-    assert parse_config({"scenario": {"t_steps": 2**63 - 1}}).scenario.t_steps == 2**63 - 1
+    # Without clutter, as any other clutter rate would exceed the per-realization bound.
+    raw = {"scenario": {"t_steps": 2**63 - 1, "lambda_fa": 0}}
+    assert parse_config(raw).scenario.t_steps == 2**63 - 1
 
 
 @pytest.mark.parametrize(

@@ -70,6 +70,11 @@ MOVED_OR_DELETED = [
     ("callflow", "CallFlowRun.phases"),
     ("errors", "ProtocolError"),
     ("errors", "NoSensingEntityError"),
+    ("sdsf_store", "SensingContext.conditions"),
+    ("sdsf_store", "SensingContext.key"),
+    ("sdsf_store", "SensingRecord.metadata"),
+    ("sdsf_store", "SensingRecord.age"),
+    ("sdsf_store", "RECORD_KINDS"),
 ]
 
 

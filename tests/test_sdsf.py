@@ -37,6 +37,7 @@ from conftest import columns_of, live_record
 
 AREA = Rect(0.0, 0.0, 120.0, 120.0)
 FIXTURE = Path(__file__).parent / "data" / "pre-cov-drop.store"
+TRIMMED_FIXTURE = Path(__file__).parent / "data" / "pre-schema-trim.store"
 
 
 def ctx(area: Rect = AREA, window: tuple[int, int] = (0, 100), target_type: str = "vehicle"):
@@ -67,10 +68,14 @@ def test_context_validation():
         ctx(target_type="starship")
 
 
-def test_context_conditions_are_canonically_sorted():
-    a = SensingContext(AREA, (0, 1), "vehicle", (("b", "2"), ("a", "1")))
-    b = SensingContext(AREA, (0, 1), "vehicle", (("a", "1"), ("b", "2")))
-    assert a == b and a.key() == b.key()
+def test_contexts_equal_in_value_are_one_dedup_key():
+    # Areas equal as numbers, with coordinates of another type or sign.
+    a = ctx(area=Rect(0.0, 0.0, 120.0, 120.0))
+    b = ctx(area=Rect(-0.0, 0, 120, 120.0))
+    assert a == b and hash(a) == hash(b)
+    store = SdsfStore()
+    rid = store.store("stid-1", a, demo_map(), 0, 50)
+    assert store.store("stid-1", b, demo_map(), 0, 50) == rid and len(store) == 1
 
 
 def test_availability_invariants():
@@ -87,7 +92,7 @@ def test_availability_invariants():
 
 def test_store_and_get_round_trip():
     store = SdsfStore()
-    rid = store.store("stid-1", "processed", ctx(), demo_map(), created_at=0, aging_policy=50)
+    rid = store.store("stid-1", ctx(), demo_map(), created_at=0, aging_policy=50)
     record = live_record(store, rid)
     assert record is not None
     assert record.stid == "stid-1"
@@ -97,16 +102,16 @@ def test_store_and_get_round_trip():
 
 def test_store_is_idempotent_on_logical_identity():
     store = SdsfStore()
-    rid1 = store.store("stid-1", "processed", ctx(), demo_map(), 0, 50)
-    rid2 = store.store("stid-1", "processed", ctx(), demo_map(), 0, 50)
+    rid1 = store.store("stid-1", ctx(), demo_map(), 0, 50)
+    rid2 = store.store("stid-1", ctx(), demo_map(), 0, 50)
     assert rid1 == rid2
     assert len(store) == 1
 
 
 def test_same_context_different_kinds_are_distinct_records():
     store = SdsfStore()
-    rid1 = store.store("stid-1", "processed", ctx(), demo_map(), 0, 50)
-    rid2 = store.store("stid-1", "high-level", ctx(), metrics_payload(), 0, 50)
+    rid1 = store.store("stid-1", ctx(), demo_map(), 0, 50)
+    rid2 = store.store("stid-1", ctx(), metrics_payload(), 0, 50)
     assert rid1 != rid2
     assert len(store) == 2
 
@@ -114,30 +119,27 @@ def test_same_context_different_kinds_are_distinct_records():
 def test_store_rejects_future_created_at():
     store = SdsfStore()
     with pytest.raises(ValueError, match="future"):
-        store.store("stid-1", "processed", ctx(), demo_map(), created_at=5, aging_policy=50)
-
-
-def test_store_rejects_kind_payload_mismatch():
-    store = SdsfStore()
-    with pytest.raises(ValueError, match="does not match"):
-        store.store("stid-1", "raw", ctx(), demo_map(), 0, 50)
-    with pytest.raises(ValueError, match="does not match"):
-        store.store("stid-1", "processed", ctx(), metrics_payload(), 0, 50)
+        store.store("stid-1", ctx(), demo_map(), created_at=5, aging_policy=50)
 
 
 def test_store_rejects_unsupported_payload_and_bad_fields():
     store = SdsfStore()
     with pytest.raises(ValueError, match="unsupported payload"):
-        store.store("stid-1", "processed", ctx(), "not a payload", 0, 50)
+        store.store("stid-1", ctx(), "not a payload", 0, 50)
     with pytest.raises(ValueError, match="stid"):
-        store.store("", "processed", ctx(), demo_map(), 0, 50)
+        store.store("", ctx(), demo_map(), 0, 50)
     with pytest.raises(ValueError, match="aging_policy"):
-        store.store("stid-1", "processed", ctx(), demo_map(), 0, -1)
+        store.store("stid-1", ctx(), demo_map(), 0, -1)
+    for excluded in ((1.5,), (True,), (-(2**63) - 1,)):
+        metrics = MetricResult({0: 0.9}, 0.9, 1.5, excluded_targets=excluded)
+        with pytest.raises(ValueError, match="excluded_targets must be integers within int64"):
+            store.store("stid-1", ctx(), metrics, 0, 50)
+    assert len(store) == 0
 
 
 def test_detection_list_is_raw_kind():
     store = SdsfStore()
-    rid = store.store("stid-1", "raw", ctx(), columns_of([(1.0, 2.0)]), 0, 50)
+    rid = store.store("stid-1", ctx(), columns_of([(1.0, 2.0)]), 0, 50)
     record = live_record(store, rid)
     assert record is not None and record.kind == "raw"
 
@@ -154,7 +156,7 @@ def test_availability_empty_store_is_missing():
 
 def test_availability_full_cover_is_exists():
     store = SdsfStore()
-    store.store("stid-1", "processed", ctx(window=(0, 200)), demo_map(), 0, 1000)
+    store.store("stid-1", ctx(window=(0, 200)), demo_map(), 0, 1000)
     result = store.query_availability(ctx(window=(10, 90)))
     assert result.status == "exists"
     assert result.available_portions[0].time_window == (10, 90)
@@ -163,7 +165,7 @@ def test_availability_full_cover_is_exists():
 def test_availability_spatial_partial_reports_both_portions():
     store = SdsfStore()
     west = Rect(0.0, 0.0, 60.0, 120.0)
-    store.store("stid-1", "processed", ctx(area=west), demo_map(west), 0, 1000)
+    store.store("stid-1", ctx(area=west), demo_map(west), 0, 1000)
     result = store.query_availability(ctx())
     assert result.status == "partial"
     assert [c.area for c in result.available_portions] == [west]
@@ -172,7 +174,7 @@ def test_availability_spatial_partial_reports_both_portions():
 
 def test_availability_temporal_partial():
     store = SdsfStore()
-    store.store("stid-1", "processed", ctx(window=(0, 50)), demo_map(), 0, 1000)
+    store.store("stid-1", ctx(window=(0, 50)), demo_map(), 0, 1000)
     result = store.query_availability(ctx(window=(0, 100)))
     assert result.status == "partial"
     assert [c.time_window for c in result.missing_portions] == [(51, 100)]
@@ -180,17 +182,17 @@ def test_availability_temporal_partial():
 
 def test_availability_type_matching():
     store = SdsfStore()
-    store.store("stid-1", "processed", ctx(target_type="unknown"), demo_map(), 0, 1000)
+    store.store("stid-1", ctx(target_type="unknown"), demo_map(), 0, 1000)
     # Type-agnostic stored data satisfies a vehicle request, not vice versa.
     assert store.query_availability(ctx(target_type="vehicle")).status == "exists"
     store2 = SdsfStore()
-    store2.store("stid-1", "processed", ctx(target_type="pedestrian"), demo_map(), 0, 1000)
+    store2.store("stid-1", ctx(target_type="pedestrian"), demo_map(), 0, 1000)
     assert store2.query_availability(ctx(target_type="vehicle")).status == "missing"
 
 
 def test_availability_ignores_expired_records():
     store = SdsfStore()
-    store.store("stid-1", "processed", ctx(), demo_map(), 0, aging_policy=10)
+    store.store("stid-1", ctx(), demo_map(), 0, aging_policy=10)
     store.set_now(11)
     assert store.query_availability(ctx()).status == "missing"
 
@@ -200,7 +202,7 @@ def test_availability_ignores_expired_records():
 
 def test_fetch_age_bound_is_inclusive():
     store = SdsfStore()
-    store.store("stid-1", "processed", ctx(), demo_map(), 0, 1000)
+    store.store("stid-1", ctx(), demo_map(), 0, 1000)
     store.set_now(5)
     assert len(store.fetch(ctx(), max_age=5)) == 1
     store.set_now(10)
@@ -209,9 +211,9 @@ def test_fetch_age_bound_is_inclusive():
 
 def test_fetch_filters_stale_and_orders_newest_first():
     store = SdsfStore()
-    store.store("stid-1", "processed", ctx(), demo_map(), 0, 1000)
+    store.store("stid-1", ctx(), demo_map(), 0, 1000)
     store.set_now(80)
-    store.store("stid-2", "processed", ctx(), demo_map(), 80, 1000)
+    store.store("stid-2", ctx(), demo_map(), 80, 1000)
     fresh = store.fetch(ctx(), max_age=30)
     assert [r.stid for r in fresh] == ["stid-2"]
     both = store.fetch(ctx())
@@ -220,21 +222,21 @@ def test_fetch_filters_stale_and_orders_newest_first():
 
 def test_fetch_never_returns_self_expired_records():
     store = SdsfStore()
-    store.store("stid-1", "processed", ctx(), demo_map(), 0, aging_policy=10)
+    store.store("stid-1", ctx(), demo_map(), 0, aging_policy=10)
     store.set_now(20)
     assert store.fetch(ctx()) == []
 
 
 def test_get_expired_returns_none():
     store = SdsfStore()
-    rid = store.store("stid-1", "processed", ctx(), demo_map(), 0, aging_policy=10)
+    rid = store.store("stid-1", ctx(), demo_map(), 0, aging_policy=10)
     store.set_now(11)
     assert live_record(store, rid) is None
 
 
 def test_apply_aging_removes_and_is_idempotent():
     store = SdsfStore()
-    store.store("stid-1", "processed", ctx(), demo_map(), 0, aging_policy=100)
+    store.store("stid-1", ctx(), demo_map(), 0, aging_policy=100)
     assert store.apply_aging(100) == 0  # age 100 is not past a policy of 100
     assert store.apply_aging(101) == 1
     assert store.apply_aging(101) == 0
@@ -243,9 +245,9 @@ def test_apply_aging_removes_and_is_idempotent():
 
 def test_aged_out_record_can_be_stored_again():
     store = SdsfStore()
-    rid1 = store.store("stid-1", "processed", ctx(), demo_map(), 0, aging_policy=10)
+    rid1 = store.store("stid-1", ctx(), demo_map(), 0, aging_policy=10)
     store.apply_aging(50)
-    rid2 = store.store("stid-1", "processed", ctx(), demo_map(), 50, aging_policy=10)
+    rid2 = store.store("stid-1", ctx(), demo_map(), 50, aging_policy=10)
     assert rid1 != rid2
 
 
@@ -262,10 +264,10 @@ def test_clock_cannot_move_backwards():
 def test_log_round_trip_restores_records_and_clock(tmp_path):
     path = tmp_path / "store.jsonl"
     store = SdsfStore(path)
-    store.store("stid-1", "processed", ctx(), demo_map(), 0, 1000)
+    store.store("stid-1", ctx(), demo_map(), 0, 1000)
     store.set_now(30)
-    store.store("stid-2", "high-level", ctx(window=(0, 30)), metrics_payload(), 30, 1000)
-    store.store("stid-3", "raw", ctx(), columns_of([(1.0, 2.0)]), 30, 1000)
+    store.store("stid-2", ctx(window=(0, 30)), metrics_payload(), 30, 1000)
+    store.store("stid-3", ctx(), columns_of([(1.0, 2.0)]), 30, 1000)
 
     reloaded = SdsfStore(path)
     assert len(reloaded) == 3
@@ -273,16 +275,16 @@ def test_log_round_trip_restores_records_and_clock(tmp_path):
     for rid in ("rec-000001", "rec-000002", "rec-000003"):
         assert live_record(reloaded, rid) == live_record(store, rid)
     # Fresh ids continue after the persisted ones.
-    rid = reloaded.store("stid-4", "processed", ctx(), demo_map(), 30, 1000)
+    rid = reloaded.store("stid-4", ctx(), demo_map(), 30, 1000)
     assert rid == "rec-000004"
 
 
 def test_reload_ages_out_stale_records(tmp_path):
     path = tmp_path / "store.jsonl"
     store = SdsfStore(path)
-    store.store("stid-1", "processed", ctx(), demo_map(), 0, aging_policy=10)
+    store.store("stid-1", ctx(), demo_map(), 0, aging_policy=10)
     store.set_now(50)
-    store.store("stid-2", "processed", ctx(), demo_map(), 50, aging_policy=100)
+    store.store("stid-2", ctx(), demo_map(), 50, aging_policy=100)
     reloaded = SdsfStore(path)
     assert [r.stid for r in reloaded.fetch(ctx())] == ["stid-2"]
 
@@ -312,8 +314,8 @@ def test_bad_magic_and_version_are_rejected(tmp_path):
 def _two_record_log(tmp_path):
     path = tmp_path / "store.jsonl"
     store = SdsfStore(path)
-    store.store("stid-1", "processed", ctx(), demo_map(), 0, 1000)
-    store.store("stid-1", "high-level", ctx(), metrics_payload(), 0, 1000)
+    store.store("stid-1", ctx(), demo_map(), 0, 1000)
+    store.store("stid-1", ctx(), metrics_payload(), 0, 1000)
     return path
 
 
@@ -334,7 +336,7 @@ def test_torn_last_line_is_dropped_and_cut_by_the_next_append(tmp_path, caplog):
     store = SdsfStore(path)
     assert sorted(store._records) == ["rec-000001"]
     assert [r.getMessage() for r in caplog.records] == [f"{path}:3: dropped a torn final line"]
-    store.store("stid-2", "high-level", ctx(), metrics_payload(), 0, 1000)
+    store.store("stid-2", ctx(), metrics_payload(), 0, 1000)
     lines = _lines(path)
     assert b"".join(lines[:2]) == data[: data.index(b"\n", data.index(b"\n") + 1) + 1]
     assert len(lines) == 3 and json.loads(lines[2])["stid"] == "stid-2"
@@ -354,7 +356,7 @@ def _reopen_after_cut(path, data: bytes, cut: int, expected: dict) -> None:
     prefix = dict(list(expected.items())[: max(complete, 0)])
     store = SdsfStore(path)
     assert store._records == prefix, cut
-    record_id = store.store("stid-9", "processed", ctx(window=(0, 7)), demo_map(), 0, 1000)
+    record_id = store.store("stid-9", ctx(window=(0, 7)), demo_map(), 0, 1000)
     reopened = SdsfStore(path)._records
     assert list(reopened) == [*prefix, record_id], cut
     assert reopened[record_id].stid == "stid-9" and path.read_bytes().endswith(b"\n")
@@ -372,8 +374,8 @@ def test_log_cut_at_any_byte_reopens_to_its_complete_lines(tmp_path):
 def test_raw_line_cut_inside_reopens_to_the_lines_before_it(tmp_path):
     path = tmp_path / "store.jsonl"
     store = SdsfStore(path)
-    store.store("stid-1", "processed", ctx(), demo_map(), 0, 1000)
-    store.store("stid-1", "raw", ctx(), columns_of([(1.0, 2.0), (3.5, -4.0), (0.1, 0.2)]), 0, 50)
+    store.store("stid-1", ctx(), demo_map(), 0, 1000)
+    store.store("stid-1", ctx(), columns_of([(1.0, 2.0), (3.5, -4.0), (0.1, 0.2)]), 0, 50)
     data = path.read_bytes()
     expected = SdsfStore(path)._records
     raw_start = data.index(b"\n", data.index(b"\n") + 1) + 1
@@ -415,7 +417,7 @@ def _lines(path) -> list[bytes]:
 def test_list_payload_is_rejected():
     store = SdsfStore()
     with pytest.raises(ValueError, match="unsupported payload type list"):
-        store.store("stid-1", "raw", ctx(), [(1.0, 2.0)], 0, 50)
+        store.store("stid-1", ctx(), [(1.0, 2.0)], 0, 50)
 
 
 # Every class of double whose shortest spelling differs between formatters:
@@ -474,7 +476,7 @@ def _columns(draw) -> DetectionColumns:
 @example(payload=raw_payload())
 def test_raw_record_round_trips_as_columns(tmp_path_factory, payload):
     path = tmp_path_factory.mktemp("raw") / "store.jsonl"
-    SdsfStore(path).store("stid-1", "raw", ctx(), payload, 0, 50)
+    SdsfStore(path).store("stid-1", ctx(), payload, 0, 50)
 
     record = live_record(SdsfStore(path), "rec-000001")
     assert record is not None and record.kind == "raw"
@@ -486,8 +488,7 @@ def test_raw_record_round_trips_as_columns(tmp_path_factory, payload):
 
     again = path.with_name("again.jsonl")
     SdsfStore(again).store(
-        record.stid, record.kind, record.context, record.payload, record.created_at,
-        record.aging_policy,
+        record.stid, record.context, record.payload, record.created_at, record.aging_policy
     )
     assert again.read_bytes() == path.read_bytes()
 
@@ -497,12 +498,10 @@ def _raw_line_spec(payload: DetectionColumns) -> str:
     expected = {
         "record_id": "rec-000001",
         "stid": "stid-1",
-        "kind": "raw",
         "context": {
             "area": list(AREA.as_tuple()),
             "time_window": [0, 100],
             "target_type": "vehicle",
-            "conditions": [],
         },
         "payload": {
             "type": "detections",
@@ -513,7 +512,6 @@ def _raw_line_spec(payload: DetectionColumns) -> str:
         },
         "created_at": 0,
         "aging_policy": 50,
-        "metadata": [["k", "v"]],
     }
     return json.dumps(expected, sort_keys=True)
 
@@ -526,7 +524,7 @@ def _raw_line_spec(payload: DetectionColumns) -> str:
 @given(payload=_columns())
 def test_raw_record_line_is_json_dumps_for_every_float_class(tmp_path_factory, payload):
     path = tmp_path_factory.mktemp("raw") / "store.jsonl"
-    SdsfStore(path).store("stid-1", "raw", ctx(), payload, 0, 50, metadata={"k": "v"})
+    SdsfStore(path).store("stid-1", ctx(), payload, 0, 50)
     assert json.dumps(json.loads(_lines(path)[1])) == _raw_line_spec(payload)
 
     record = live_record(SdsfStore(path), "rec-000001")
@@ -536,7 +534,7 @@ def test_raw_record_line_is_json_dumps_for_every_float_class(tmp_path_factory, p
 
 def test_empty_raw_record_round_trips(tmp_path):
     path = tmp_path / "store.jsonl"
-    SdsfStore(path).store("stid-1", "raw", ctx(), columns_of([]), 0, 50)
+    SdsfStore(path).store("stid-1", ctx(), columns_of([]), 0, 50)
     record = live_record(SdsfStore(path), "rec-000001")
     assert record is not None and len(record.payload) == 0
     assert json.loads(_lines(path)[1])["payload"] == {
@@ -602,18 +600,17 @@ def test_raw_line_with_covariances_reopens_as_the_line_without_them(tmp_path):
 def test_log_written_with_covariances_replays_and_rewrites_without_them(tmp_path):
     # An archive_raw demo's store (t_steps 2, lambda_fa 2) as written while
     # raw items carried a "cov": re-storing its raw record into a copy of the
-    # lines before it writes the same record with its items as columns.
+    # lines before it writes the same record with its items as columns, and
+    # without the "kind", "conditions" and "metadata" that lines then held.
     lines = _lines(FIXTURE)
     assert len(lines) == 5 and b'"cov": [' in lines[4]
     raw = live_record(SdsfStore(FIXTURE), "rec-000004")
     assert raw is not None and raw.kind == "raw" and len(raw.payload) == 35
     path = tmp_path / "store.jsonl"
     path.write_bytes(b"".join(lines[:4]))
-    SdsfStore(path).store(
-        raw.stid, raw.kind, raw.context, raw.payload, raw.created_at, raw.aging_policy,
-        dict(raw.metadata),
-    )
+    SdsfStore(path).store(raw.stid, raw.context, raw.payload, raw.created_at, raw.aging_policy)
     expected = json.loads(lines[4])
+    del expected["kind"], expected["metadata"], expected["context"]["conditions"]
     items = expected["payload"]["items"]
     se_ids = list(dict.fromkeys(item["source_se"] for item in items))
     expected["payload"] = {
@@ -671,8 +668,8 @@ def _with(key, row, value):
 def test_corrupt_raw_record_raises_store_corrupt_error(tmp_path, corrupt):
     path = _two_record_log(tmp_path)
     store = SdsfStore(path)
-    store.store("stid-2", "raw", ctx(), columns_of([(1.0, 2.0)] * 3), 0, 1000)
-    store.store("stid-3", "processed", ctx(window=(0, 5)), demo_map(), 0, 1000)
+    store.store("stid-2", ctx(), columns_of([(1.0, 2.0)] * 3), 0, 1000)
+    store.store("stid-3", ctx(window=(0, 5)), demo_map(), 0, 1000)
     lines = _lines(path)
     record = json.loads(lines[3])
     record["payload"] = corrupt(record["payload"])
@@ -693,7 +690,7 @@ def _no_constants(name):
 def test_non_finite_metrics_are_written_as_null_and_read_as_nan(tmp_path):
     path = tmp_path / "store.jsonl"
     nan_metrics = MetricResult(pd_per_target={0: math.nan, 1: 0.5}, pd_avg=math.nan, fa_avg=2.0)
-    SdsfStore(path).store("stid-1", "high-level", ctx(), nan_metrics, 0, 50)
+    SdsfStore(path).store("stid-1", ctx(), nan_metrics, 0, 50)
     payload = json.loads(_lines(path)[1], parse_constant=_no_constants)["payload"]
     assert payload["pd_avg"] is None and payload["pd_per_target"] == {"0": None, "1": 0.5}
     record = live_record(SdsfStore(path), "rec-000001")
@@ -782,26 +779,16 @@ def _metric_results(draw) -> MetricResult:
 
 @st.composite
 def _record_specs(draw) -> dict:
-    kind, payload = draw(
-        st.one_of(
-            st.tuples(st.just("processed"), _static_maps()),
-            st.tuples(st.just("high-level"), _metric_results()),
-            st.tuples(st.just("raw"), _columns()),
-        )
-    )
     return {
         "stid": draw(_TEXT),
-        "kind": kind,
         "context": SensingContext(
             area=draw(st.sampled_from(_RECT_POOL)),
             time_window=tuple(sorted((draw(_INTS), draw(_INTS)))),
             target_type=draw(st.sampled_from(["vehicle", "unknown"])),
-            conditions=tuple(draw(st.lists(st.tuples(_TEXT, _TEXT), max_size=2))),
         ),
-        "payload": payload,
+        "payload": draw(st.one_of(_static_maps(), _metric_results(), _columns())),
         "created_at": draw(_INTS),
         "extra_age": draw(_INTS),
-        "metadata": draw(st.dictionaries(_TEXT, _TEXT, max_size=2)),
     }
 
 
@@ -815,13 +802,11 @@ def test_replay_decodes_every_line_as_json_loads_does(tmp_path_factory, specs):
     for spec in specs:
         store.store(
             spec["stid"],
-            spec["kind"],
             spec["context"],
             spec["payload"],
             spec["created_at"],
             # Old enough to stay live at the replayed clock, and within int64.
             aging_policy=min(now - spec["created_at"] + spec["extra_age"], 2**63 - 1),
-            metadata=spec["metadata"],
         )
     expected = [_record_from_json(json.loads(line)) for line in _lines(path)[1:]]
     replayed = list(SdsfStore(path)._records.values())
@@ -851,6 +836,7 @@ def _older_metrics_log(
     area: str = "0.0, 0.0, 120.0, 120.0",
     created_at: str = "0",
     pd_avg: str = "0.5",
+    kind: str = "high-level",
 ) -> str:
     """A log of one metrics record as ``json.dumps`` wrote it, with fields spelled as given."""
     return (
@@ -858,11 +844,53 @@ def _older_metrics_log(
         + "\n"
         + f'{{"aging_policy": 50, "context": {{"area": [{area}], '
         '"conditions": [], "target_type": "vehicle", "time_window": [0, 100]}, '
-        f'"created_at": {created_at}, "kind": "high-level", "metadata": [], "payload": '
+        f'"created_at": {created_at}, "kind": "{kind}", "metadata": [], "payload": '
         f'{{"excluded_targets": [], "fa_avg": 2.0, "pd_avg": {pd_avg}, '
         '"pd_per_target": {"0": 0.5}, "type": "metrics"}, '
         f'"record_id": "rec-000001", "stid": "{stid}"}}\n'
     )
+
+
+@pytest.mark.parametrize("kind", ["raw", "processed", "metrics"])
+def test_older_line_whose_kind_is_not_its_payloads_is_a_bad_record(tmp_path, kind):
+    path = tmp_path / "store.jsonl"
+    path.write_text(_older_metrics_log(kind=kind))
+    problem = f"kind: '{kind}' does not match payload kind 'high-level'"
+    with pytest.raises(StoreCorruptError, match=rf"store\.jsonl:2: bad record: {problem}$"):
+        SdsfStore(path)
+
+
+def test_log_written_before_the_schema_trim_serves_as_written(tmp_path, capsys):
+    # Two default demos' store as written while each line also held a
+    # "kind", a "conditions" and a "metadata".
+    lines = _lines(TRIMMED_FIXTURE)
+    assert len(lines) == 6 and all(b'"metadata"' in line for line in lines[1:])
+    old = list(SdsfStore(TRIMMED_FIXTURE)._records.values())
+    trimmed = tmp_path / "trimmed.store"
+    rewrite = SdsfStore(trimmed)
+    for r in old:
+        rewrite.set_now(r.created_at)
+        rewrite.store(r.stid, r.context, r.payload, r.created_at, r.aging_policy)
+    data = trimmed.read_bytes()
+    assert b'"kind"' not in data and b'"conditions"' not in data and b'"metadata"' not in data
+    assert [_typed(r) for r in SdsfStore(trimmed)._records.values()] == [_typed(r) for r in old]
+    # A third default demo on either store is served the same result from history.
+    untrimmed = tmp_path / "untrimmed.store"
+    untrimmed.write_bytes(TRIMMED_FIXTURE.read_bytes())
+    runs = []
+    for store in (untrimmed, trimmed):
+        trace = tmp_path / f"{store.stem}.jsonl"
+        capsys.readouterr()
+        assert main(["demo", "--trace", str(trace), "--store", str(store)]) == 0
+        runs.append((capsys.readouterr().out.splitlines()[2:], trace.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == [
+        "task stid-000200-01: source=historical-only, mask=off",
+        "  pd_avg=0.8625, fa_avg=43.24 -> KPI satisfied",
+    ]
+    assert untrimmed.read_bytes()[len(TRIMMED_FIXTURE.read_bytes()) :] == trimmed.read_bytes()[
+        len(data) :
+    ]
 
 
 def test_replay_reads_lone_surrogates_of_older_logs(tmp_path):
@@ -895,20 +923,12 @@ def test_older_line_with_an_integer_past_int64_is_a_bad_record(tmp_path, fields)
     "fields",
     [
         {"stid": "stid-\ud800"},
-        {"metadata": {"source": "\udfff"}},
-        {
-            "kind": "raw",
-            "payload": DetectionColumns(np.zeros((1, 2)), [0], ("se-\ud800",), [False]),
-        },
-        {
-            "kind": "high-level",
-            "payload": MetricResult({0: 0.9}, 0.9, 1.5, excluded_targets=(2**64,)),
-        },
+        {"payload": DetectionColumns(np.zeros((1, 2)), [0], ("se-\ud800",), [False])},
+        {"payload": MetricResult({0: 0.9}, 0.9, 1.5, excluded_targets=(2**64,))},
         {"context": ctx(area=Rect(0.0, 0.0, 2**70, 120.0))},
     ],
     ids=[
         "surrogate-stid",
-        "surrogate-metadata",
         "surrogate-se-id",
         "excluded-2**64",
         "rect-2**70",
@@ -917,9 +937,9 @@ def test_older_line_with_an_integer_past_int64_is_a_bad_record(tmp_path, fields)
 def test_store_rejects_a_record_orjson_cannot_encode(tmp_path, fields):
     path = tmp_path / "store.jsonl"
     store = SdsfStore(path)
-    store.store("stid-1", "processed", ctx(), demo_map(), 0, 50)
+    store.store("stid-1", ctx(), demo_map(), 0, 50)
     before = path.read_bytes()
-    record = {"stid": "stid-2", "kind": "processed", "context": ctx(), "payload": demo_map()}
+    record = {"stid": "stid-2", "context": ctx(), "payload": demo_map()}
     with pytest.raises(ValueError, match="^record rejected: "):
         store.store(**{**record, **fields}, created_at=0, aging_policy=50)
     assert len(store) == 1 and path.read_bytes() == before
@@ -934,10 +954,10 @@ def test_failed_append_indexes_nothing(tmp_path):
     store = SdsfStore(folder / "s.log")
     folder.rmdir()
     with pytest.raises(FileNotFoundError):
-        store.store("stid-1", "processed", ctx(), demo_map(), 0, 50)
+        store.store("stid-1", ctx(), demo_map(), 0, 50)
     assert len(store) == 0
     folder.mkdir()
-    assert store.store("stid-1", "processed", ctx(), demo_map(), 0, 50) == "rec-000001"
+    assert store.store("stid-1", ctx(), demo_map(), 0, 50) == "rec-000001"
     assert len(store) == 1
     assert list(SdsfStore(folder / "s.log")._records) == ["rec-000001"]
 
@@ -974,8 +994,8 @@ def _duplicate_log(tmp_path, copies: int = 40):
     store = SdsfStore(path)
     for t in range(copies):
         store.set_now(t)
-        store.store("stid-1", "processed", ctx(), demo_map(), t, 1000)
-        store.store("stid-1", "high-level", ctx(), metrics_payload(), t, 1000)
+        store.store("stid-1", ctx(), demo_map(), t, 1000)
+        store.store("stid-1", ctx(), metrics_payload(), t, 1000)
     return path
 
 
@@ -998,7 +1018,7 @@ def test_replay_keeps_equal_coordinates_of_other_type_or_sign_apart(tmp_path):
     store = SdsfStore(path)
     areas = [Rect(0.0, 0.0, 120.0, 120.0), Rect(-0.0, 0.0, 120.0, 120.0), Rect(0, 0, 120, 120)]
     for stid, area in zip(("stid-1", "stid-2", "stid-3"), areas):
-        store.store(stid, "processed", ctx(area=area), StaticMap((), area), 0, 1000)
+        store.store(stid, ctx(area=area), StaticMap((), area), 0, 1000)
     records = list(SdsfStore(path)._records.values())
     assert [_typed(r.context.area) for r in records] == [_typed(a) for a in areas]
     assert [_typed(r.payload.bounds) for r in records] == [_typed(a) for a in areas]
@@ -1067,9 +1087,9 @@ def test_read_path_equals_one_portion_per_record(
     store.set_now(12)
     for i, (rect, w0, width, kind, created_at, aging) in enumerate(stored):
         context = SensingContext(rect, (w0, w0 + width), kind)
-        store.store(f"stid-{i}", "high-level", context, metrics_payload(), created_at, aging)
+        store.store(f"stid-{i}", context, metrics_payload(), created_at, aging)
     records = list(store._records.values())
-    ctx = SensingContext(area, (start, start + length), target_type, (("k", "v"),))
+    ctx = SensingContext(area, (start, start + length), target_type)
     assert _typed(store.query_availability(ctx)) == _typed(
         oracles.query_availability(records, ctx, store.now)
     )
