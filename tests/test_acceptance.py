@@ -409,6 +409,15 @@ CALL_FLOW_PATH_DIGESTS = {
         "55c189972a71b0bc554176096059a41feba9debcbda601871f62cfea68014846",
         "9bc00a7a11f6ff40699d842550ffefdfb4067a74899f006685b802442375d5b8",
     ),
+    # The PCF denies a request whose area meets a prohibited zone: steps 1-5
+    # and a ServiceAbort, with only the preseed in the store.  The stdout
+    # names the first prohibited rect that intersects.
+    "policy-deny": (
+        ["demo:\n  prohibited_areas: [[0, 0, 10, 10]]\n"],
+        "3c1b2ab1c3614178190d5fc1c77740daa99c1553c3fa6507f990dd2bc7abe40b",
+        "9ffa66b450c05451f3b7b3d67c2e42081ab4a97cd8d1b6ab32ffbb6a70d3eb52",
+        "9bf321f38ab7bec5aa42e5110754ce657606471c4f488b9ef4f894952e7b5299",
+    ),
     # Consent on an empty store: availability "missing", so live-only after 6-7.
     "empty-store-missing": (
         ["demo:\n  preseed_partial_map: false\n"],

@@ -236,6 +236,19 @@ def test_policy_denies_prohibited_overlap():
     assert not decision.permits()
 
 
+def test_policy_deny_names_the_first_intersecting_zone(tmp_path):
+    cfg = parse_config({})
+    zones = (Rect(200.0, 200.0, 210.0, 210.0), Rect(50.0, 50.0, 60.0, 60.0), Rect(0, 0, 10, 10))
+    cfg = replace(cfg, demo=replace(cfg.demo, prohibited_areas=zones))
+    report = demo_callflow(
+        cfg, build_scenario(cfg.scenario), tmp_path / "t.jsonl", tmp_path / "s.store"
+    )
+    assert report.run.result is None
+    assert report.run.abort_reason == (
+        "policy denied: requested area intersects prohibited zone (50.0, 50.0, 60.0, 60.0)"
+    )
+
+
 def test_kpi_verdict_rejects_nan():
     nan_metrics = MetricResult(pd_per_target={}, pd_avg=math.nan, fa_avg=0.0)
     assert not kpi_verdict(nan_metrics, Kpi(pd_min=0.0, fa_max=math.inf))
