@@ -34,17 +34,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .fusion import FilterConfig, detection_distances, fused_metrics
+from .config import DemoSettings
+from .fusion import FilterConfig, realization_metrics
 from .geometry import Rect, StaticMap
 from .metrics import MetricResult
-from .scenario import Realization, Scenario, generate_realization, realization_detections
-from .scenario import realization_rng
+from .scenario import Scenario, generate_realization, realization_detections, realization_rng
 from .scenario import generate_frames  # noqa: F401  re-export; perfbench's tests bind it here
 from .sdsf_store import SdsfStore, SensingContext, SensingRecord
 
 log = logging.getLogger(__name__)
-
-Stid = str
 
 SF_NAME = "sf"
 SSC_NAME = "ssc"
@@ -56,45 +54,9 @@ SDSF_NAME = "sdsf"
 
 
 @dataclass(frozen=True)
-class Kpi:
-    """Service-level targets the consumer asks for."""
-
-    pd_min: float
-    fa_max: float
-
-
-@dataclass(frozen=True)
-class ServiceRequest:
-    """Step-2 payload: what to sense, how well, and whether history may be used."""
-
-    kpi: Kpi
-    historical_consent: bool
-    max_age: int
-    target_type: str
-    area: Rect
-
-
-@dataclass(frozen=True)
-class PolicyDecision:
-    verdict: str  # permit | deny
-    reason: str = ""
-
-    def permits(self) -> bool:
-        return self.verdict == "permit"
-
-
-@dataclass(frozen=True)
-class PolicyRules:
-    """PCF rule table: spatial prohibitions."""
-
-    prohibited_areas: tuple[Rect, ...] = ()
-
-
-@dataclass(frozen=True)
 class SensingResult:
     """Step-15 payload: fused metrics plus how they were obtained."""
 
-    stid: Stid
     metrics: MetricResult
     kpi_satisfied: bool
     mask_enabled: bool
@@ -107,7 +69,7 @@ class TraceEvent:
     sender: str
     receiver: str
     variant: str
-    stid: Stid | None
+    stid: str | None
 
     def to_json(self) -> str:
         return json.dumps(
@@ -128,63 +90,15 @@ def write_trace(events: Sequence[TraceEvent], path: str | Path) -> None:
             fh.write(ev.to_json() + "\n")
 
 
-# -- policy ------------------------------------------------------------------
+# -- KPI and history ---------------------------------------------------------
 
 
-def evaluate_policy(area: Rect, rules: PolicyRules) -> PolicyDecision:
-    """Rule-table policy check for a sensing request over ``area``.
-
-    Requests over any prohibited area are denied; all others are permitted.
-    """
-    for prohibited in rules.prohibited_areas:
-        if area.intersects(prohibited):
-            return PolicyDecision(
-                verdict="deny",
-                reason=f"requested area intersects prohibited zone {prohibited.as_tuple()}",
-            )
-    return PolicyDecision(verdict="permit")
-
-
-# -- fusion task -------------------------------------------------------------
-
-
-def run_sensing_task(
-    stid: Stid,
-    scenario: Scenario,
-    rz: Realization,
-    mask_map: StaticMap | None,
-    fc: FilterConfig,
-    kpi: Kpi,
-    data_source: str,
-) -> SensingResult:
-    """Fuse every detection of ``rz`` under the given mask and gate.
-
-    The mask is applied only when enabled and a non-empty map is actually
-    available; otherwise the run degrades to the live-only baseline.  The KPI
-    verdict never blocks the result: an unsatisfiable target simply reports
-    ``kpi_satisfied=False``.
-    """
-    mask_on = fc.mask_enabled and mask_map is not None and not mask_map.empty
-    ids = [track.id for track in scenario.tracks]
-    fd = detection_distances(
-        rz.xy, rz.frame_of, rz.truth_xy, rz.truth_in, ids, mask_map if mask_on else None
-    )
-    metrics = fused_metrics(fd, fc)
-    return SensingResult(
-        stid=stid,
-        metrics=metrics,
-        kpi_satisfied=kpi_verdict(metrics, kpi),
-        mask_enabled=mask_on,
-        data_source=data_source,
-    )
-
-
-def kpi_verdict(metrics: MetricResult, kpi: Kpi) -> bool:
+def kpi_verdict(metrics: MetricResult, demo: DemoSettings) -> bool:
     """True when the fused metrics meet the requested targets (NaN never does)."""
     return (
         not math.isnan(metrics.pd_avg)
-        and metrics.pd_avg >= kpi.pd_min
-        and metrics.fa_avg <= kpi.fa_max
+        and metrics.pd_avg >= demo.pd_min
+        and metrics.fa_avg <= demo.fa_max
     )
 
 
@@ -216,29 +130,22 @@ class CallFlowRun:
     result: SensingResult | None
     abort_reason: str | None
     trace: tuple[TraceEvent, ...]
-    stid: Stid | None
+    stid: str | None
 
 
 def run_call_flow(
-    scenario: Scenario,
-    request: ServiceRequest,
-    rules: PolicyRules,
-    store: SdsfStore,
-    fc: FilterConfig,
-    *,
-    aging_policy: int = 100_000,
-    realization: int = 0,
-    archive_raw: bool = False,
+    scenario: Scenario, demo: DemoSettings, store: SdsfStore, *, realization: int = 0
 ) -> CallFlowRun:
     """Execute the 16-step procedure once against the given store.
 
-    The epoch is the store clock at entry, so consecutive runs against the
-    same store occupy consecutive time windows and later runs can find
-    earlier runs' archives.
+    The consumer asks for the whole scenario area, with the KPI targets,
+    consent, filter and archive settings of ``demo``.  The epoch is the
+    store clock at entry, so consecutive runs against the same store occupy
+    consecutive time windows and later runs can find earlier runs' archives.
     """
     trace: list[TraceEvent] = []
 
-    def send(step: int, sender: str, receiver: str, variant: str, stid: Stid | None) -> None:
+    def send(step: int, sender: str, receiver: str, variant: str, stid: str | None) -> None:
         trace.append(TraceEvent(step, sender, receiver, variant, stid))
 
     epoch = store.now
@@ -251,10 +158,11 @@ def run_call_flow(
     send(3, SF_NAME, SSC_NAME, "ServiceAck", stid)
 
     send(4, SF_NAME, PCF_NAME, "PolicyRequest", stid)
-    policy = evaluate_policy(request.area, rules)
+    # The PCF denies a request over any prohibited zone; the first one met is named.
+    zone = next((z for z in demo.prohibited_areas if scenario.bounds.intersects(z)), None)
     send(5, PCF_NAME, SF_NAME, "PolicyDecision", stid)
-    if not policy.permits():
-        reason = f"policy denied: {policy.reason}"
+    if zone is not None:
+        reason = f"policy denied: requested area intersects prohibited zone {zone.as_tuple()}"
         log.info("sensing task %s aborted: %s", stid, reason)
         send(5, SF_NAME, SSC_NAME, "ServiceAbort", stid)
         return CallFlowRun(result=None, abort_reason=reason, trace=tuple(trace), stid=stid)
@@ -262,18 +170,18 @@ def run_call_flow(
     # Steps 6-8. Without consent the store's read side is never touched. The
     # records fetched for step 7's metrics preview also answer steps 12-13.
     task_ctx = SensingContext(
-        area=request.area,
+        area=scenario.bounds,
         time_window=(epoch, epoch + scenario.t_steps),
-        target_type=request.target_type,
+        target_type=demo.target_type,
     )
     plan, records, preview = "live-only", [], None
-    if request.historical_consent:
+    if demo.historical_consent:
         send(6, SF_NAME, SDSF_NAME, "AvailabilityQuery", stid)
         status = store.query_availability(task_ctx).status
-        records = store.fetch(task_ctx, request.max_age)
+        records = store.fetch(task_ctx, demo.max_age)
         preview = _metrics_preview(records)
         send(7, SDSF_NAME, SF_NAME, "AvailabilityResponse", stid)
-        if status == "exists" and preview is not None and kpi_verdict(preview, request.kpi):
+        if status == "exists" and preview is not None and kpi_verdict(preview, demo):
             # Complete coverage whose archived quality already meets the KPI:
             # history alone suffices, skip steps 9-11.
             plan = "historical-only"
@@ -294,18 +202,17 @@ def run_call_flow(
         send(12, SF_NAME, SDSF_NAME, "HistoricalDataRequest", stid)
         send(13, SDSF_NAME, SF_NAME, "HistoricalDataResponse", stid)
 
+    # Step 14. A live run masks only with a non-empty historical map, else it
+    # degrades to the live-only baseline. A KPI miss never blocks the result.
     if rz is None:
         assert preview is not None
-        result = SensingResult(
-            stid=stid,
-            metrics=preview,
-            kpi_satisfied=kpi_verdict(preview, request.kpi),
-            mask_enabled=False,
-            data_source=plan,
-        )
+        metrics, mask_on = preview, False
     else:
         mask_map = None if plan == "live-only" else _historical_mask(records, scenario.bounds)
-        result = run_sensing_task(stid, scenario, rz, mask_map, fc, request.kpi, plan)
+        mask_on = mask_map is not None and not mask_map.empty
+        fc = FilterConfig(demo.mask_margin_g, demo.gate_g_det)
+        (metrics,) = realization_metrics(scenario, rz, mask_map if mask_on else None, [fc])
+    result = SensingResult(metrics, kpi_verdict(metrics, demo), mask_on, plan)
     send(14, SF_NAME, SF_NAME, "FusionCompleted", stid)
     send(15, SF_NAME, SSC_NAME, "SensingResult", stid)
 
@@ -314,16 +221,16 @@ def run_call_flow(
     # by frame, then SE by SE.
     send(16, SF_NAME, SDSF_NAME, "StorageUpdate", stid)
     end = epoch + scenario.t_steps
-    window = (end, end + aging_policy)
+    window = (end, end + demo.aging_policy)
     map_ctx = SensingContext(area=scenario.bounds, time_window=window, target_type="unknown")
     metrics_ctx = SensingContext(
-        area=request.area, time_window=window, target_type=request.target_type
+        area=scenario.bounds, time_window=window, target_type=demo.target_type
     )
     items = [(map_ctx, scenario.static_map), (metrics_ctx, result.metrics)]
-    if archive_raw and rz is not None:
+    if demo.archive_raw and rz is not None:
         pooled = np.lexsort((rz.se_idx, rz.frame_of))
         items.append((metrics_ctx, realization_detections(scenario, rz, pooled)))
     store.set_now(end)
     for context, payload in items:
-        store.store(stid, context, payload, end, aging_policy)
+        store.store(stid, context, payload, end, demo.aging_policy)
     return CallFlowRun(result=result, abort_reason=None, trace=tuple(trace), stid=stid)

@@ -84,7 +84,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         return 0
     assert run.result is not None
     res = run.result
-    print(f"task {res.stid}: source={res.data_source}, mask={'on' if res.mask_enabled else 'off'}")
+    print(f"task {run.stid}: source={res.data_source}, mask={'on' if res.mask_enabled else 'off'}")
     print(
         f"  pd_avg={res.metrics.pd_avg:.4f}, fa_avg={res.metrics.fa_avg:.2f} "
         f"-> KPI {'satisfied' if res.kpi_satisfied else 'not satisfied'}"

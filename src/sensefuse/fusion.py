@@ -12,19 +12,18 @@ The pipeline is two hard decisions applied to each frame's pooled detections:
 Gating is a pure distance-threshold test per side; there is deliberately no
 one-to-one assignment between detections and targets.
 
-One kernel serves both the sweep and the call flow.  Distances are computed
-once per frame sequence by :func:`detection_distances` from a realization's
-flat arrays, which is what both of them call.  :func:`grid_metrics`
+One kernel serves both the sweep and the call flow, which both call
+:func:`realization_metrics`.  Distances are computed once per realization by
+:func:`detection_distances` from its flat arrays.  :func:`grid_metrics`
 then evaluates one gate for every mask margin at once in closed form: a
 target is detected at margin ``g`` when the detection inside its gate that
 lies farthest from the map is more than ``g`` from it, and the false alarms at
 ``g`` are the gate-unmatched detections more than ``g`` from the map.  The
 detection-target pairs inside the widest gate and one sort of the map
 distances serve every gate, and each gate's Pd is computed as arrays for all
-of its cells.  :func:`fused_metrics` is the one-cell case.  Distances are
-compared in squared form so the kernel agrees bit for bit with the scalar
-dilated-map membership spec the tests hold (``in_dilated_map`` in
-``tests/oracles.py``).
+of its cells.  Distances are compared in squared form so the kernel agrees
+bit for bit with the scalar dilated-map membership spec the tests hold
+(``in_dilated_map`` in ``tests/oracles.py``).
 """
 from __future__ import annotations
 
@@ -38,6 +37,7 @@ import numpy as np
 from .errors import EmptyRunError
 from .geometry import StaticMap
 from .metrics import MetricResult
+from .scenario import Realization, Scenario
 
 log = logging.getLogger(__name__)
 
@@ -166,6 +166,16 @@ def grid_metrics(fd: FrameDistances, configs: Sequence[FilterConfig]) -> list[Me
     return [results[i] for i in range(len(configs))]
 
 
-def fused_metrics(fd: FrameDistances, fc: FilterConfig) -> MetricResult:
-    """Pd/FA of the whole frame sequence under one filter configuration."""
-    return grid_metrics(fd, [fc])[0]
+def realization_metrics(
+    scenario: Scenario,
+    rz: Realization,
+    static_map: StaticMap | None,
+    configs: Sequence[FilterConfig],
+) -> list[MetricResult]:
+    """Pd/FA of one realization of ``scenario`` under each filter configuration.
+
+    ``static_map`` is the mask's map; ``None`` means no map.
+    """
+    ids = [track.id for track in scenario.tracks]
+    fd = detection_distances(rz.xy, rz.frame_of, rz.truth_xy, rz.truth_in, ids, static_map)
+    return grid_metrics(fd, configs)

@@ -19,17 +19,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .callflow import (
-    CallFlowRun,
-    Kpi,
-    PolicyRules,
-    ServiceRequest,
-    run_call_flow,
-    write_trace,
-)
+from .callflow import CallFlowRun, run_call_flow, write_trace
 from .config import AppConfig, SweepSettings
 from .errors import ConfigError
-from .fusion import FilterConfig, detection_distances, grid_metrics
+from .fusion import FilterConfig, realization_metrics
 from .geometry import Rect, StaticMap
 from .metrics import MetricResult, aggregate_values
 from .scenario import Scenario, generate_realization, realization_rng
@@ -76,14 +69,12 @@ def run_realization(
 ) -> dict[CellKey, MetricResult]:
     """Evaluate every grid cell on one realization, one kernel pass per gate."""
     rz = generate_realization(scenario, realization_rng(scenario.seed, realization))
-    ids = [track.id for track in scenario.tracks]
-    fd = detection_distances(rz.xy, rz.frame_of, rz.truth_xy, rz.truth_in, ids, scenario.static_map)
     keys = cell_keys(sweep)
     configs = [
         FilterConfig(0.0, g_det, mask_enabled=False) if g == BASELINE_G else FilterConfig(g, g_det)
         for g, g_det in keys
     ]
-    return dict(zip(keys, grid_metrics(fd, configs)))
+    return dict(zip(keys, realization_metrics(scenario, rz, scenario.static_map, configs)))
 
 
 def _run_realization_args(args: tuple[Scenario, SweepSettings, int]) -> dict[CellKey, MetricResult]:
@@ -137,7 +128,6 @@ def run_sweep(scenario: Scenario, sweep: SweepSettings, workers: int = 1) -> lis
                 n=stats.n,
             )
         )
-    rows.sort(key=lambda r: (r.g_det, r.g))
     return rows
 
 
@@ -218,29 +208,10 @@ def demo_callflow(
             f"demo.aging_policy: the store clock {store.now} + t_steps {scenario.t_steps}"
             f" + aging_policy {demo.aging_policy} must be <= 2**63 - 1"
         )
-    preseeded = False
-    if demo.preseed_partial_map:
-        preseeded = preseed_partial_map(store, scenario, demo.aging_policy)
-    request = ServiceRequest(
-        kpi=Kpi(pd_min=demo.pd_min, fa_max=demo.fa_max),
-        historical_consent=demo.historical_consent,
-        max_age=demo.max_age,
-        target_type=demo.target_type,
-        area=scenario.bounds,
+    preseeded = demo.preseed_partial_map and preseed_partial_map(
+        store, scenario, demo.aging_policy
     )
-    rules = PolicyRules(prohibited_areas=demo.prohibited_areas)
-    fc = FilterConfig(
-        mask_margin_g=demo.mask_margin_g, gate_g_det=demo.gate_g_det, mask_enabled=True
-    )
-    run = run_call_flow(
-        scenario,
-        request,
-        rules,
-        store,
-        fc,
-        aging_policy=demo.aging_policy,
-        archive_raw=demo.archive_raw,
-    )
+    run = run_call_flow(scenario, demo, store)
     write_trace(run.trace, trace_path)
     return DemoReport(
         run=run,

@@ -14,8 +14,8 @@ functions here are the object-at-a-time forms of the same math:
   :func:`generate_clutter`, one frame's clutter from a fresh sampler, and
   :func:`clutter_frame`, the same draws with nothing hoisted;
 * :func:`precompute_distances`, which packs ``Frame`` lists into the fusion
-  kernel's input, and :func:`result_from_counts`, one cell's Pd/FA from
-  plain counters;
+  kernel's input, :func:`fused_metrics`, the kernel's one-cell case, and
+  :func:`result_from_counts`, one cell's Pd/FA from plain counters;
 * :func:`rect_contains`, point-to-map distances and the closed dilated-map
   membership spec;
 * :func:`read_trace`, the inverse of ``callflow.write_trace``;
@@ -38,7 +38,7 @@ import numpy as np
 
 from sensefuse.callflow import TraceEvent
 from sensefuse.errors import DegenerateGeometryError, EmptyRunError
-from sensefuse.fusion import FrameDistances, detection_distances
+from sensefuse.fusion import FilterConfig, FrameDistances, detection_distances, grid_metrics
 from sensefuse.geometry import Rect, StaticMap, WorldPoint, subtract_rects
 from sensefuse.measurement import NoiseModel, Pose, wrap_angle, wrap_angles
 from sensefuse.metrics import MetricResult
@@ -293,6 +293,11 @@ def precompute_distances(
     xy = np.concatenate([np.empty((0, 2))] + [f.detections.xy for f in frames])
     frame_of = np.repeat(np.arange(len(frames)), [len(f.detections) for f in frames])
     return detection_distances(xy, frame_of, truth_xy, truth_in, ids, static_map)
+
+
+def fused_metrics(fd: FrameDistances, fc: FilterConfig) -> MetricResult:
+    """Pd/FA of the whole frame sequence under one filter configuration."""
+    return grid_metrics(fd, [fc])[0]
 
 
 def result_from_counts(

@@ -21,6 +21,7 @@ from conftest import baseline_row, brute_force_metrics, cell_row, columns_of
 from oracles import (
     PolarMeasurement,
     cov_matrix,
+    fused_metrics,
     generate_clutter,
     polar_to_world,
     precompute_distances,
@@ -31,7 +32,7 @@ from oracles import (
 )
 from sensefuse.cli import main as cli_main
 from sensefuse.config import parse_config
-from sensefuse.fusion import FilterConfig, fused_metrics
+from sensefuse.fusion import FilterConfig
 from sensefuse.geometry import Rect, StaticMap, WorldPoint
 from sensefuse.harness import demo_callflow, run_sweep, write_csv
 from sensefuse.measurement import NoiseModel, Pose

@@ -7,18 +7,9 @@ import numpy as np
 import pytest
 
 from sensefuse import callflow
-from sensefuse.callflow import (
-    Kpi,
-    PolicyRules,
-    ServiceRequest,
-    evaluate_policy,
-    kpi_verdict,
-    run_call_flow,
-    run_sensing_task,
-    write_trace,
-)
+from sensefuse.callflow import kpi_verdict, run_call_flow, write_trace
 from sensefuse.config import parse_config
-from sensefuse.fusion import FilterConfig
+from sensefuse.fusion import FilterConfig, realization_metrics
 from sensefuse.geometry import Rect, StaticMap, WorldPoint
 from sensefuse.harness import demo_callflow
 from sensefuse.measurement import Pose
@@ -37,6 +28,8 @@ from sensefuse.sdsf_store import SdsfStore, SensingContext
 from oracles import read_trace
 
 SCENARIO_CFG = ScenarioConfig(t_steps=20, clutter=ClutterModel(lambda_fa=10.0), seed=3)
+# The default demo settings with KPI targets any result meets.
+DEMO = replace(parse_config({}).demo, pd_min=0.0, fa_max=math.inf)
 
 RUN1_TRACE = [
     (1, "SeRegistration"),
@@ -93,18 +86,6 @@ def flow_scenario():
     return build_scenario(SCENARIO_CFG)
 
 
-def make_request(**overrides) -> ServiceRequest:
-    defaults = dict(
-        kpi=Kpi(pd_min=0.0, fa_max=math.inf),
-        historical_consent=True,
-        max_age=1000,
-        target_type="vehicle",
-        area=Rect(0.0, 0.0, 120.0, 120.0),
-    )
-    defaults.update(overrides)
-    return ServiceRequest(**defaults)
-
-
 def preseed_west_half(store: SdsfStore) -> None:
     west = Rect(0.0, 0.0, 60.0, 120.0)
     ctx = SensingContext(area=west, time_window=(0, 10_000), target_type="unknown")
@@ -116,15 +97,8 @@ def steps_and_variants(run) -> list[tuple[int, str]]:
     return [(e.step, e.variant) for e in run.trace]
 
 
-def run_flow(scenario, store, request=None, rules=PolicyRules(), fc=None, **kwargs):
-    return run_call_flow(
-        scenario,
-        request or make_request(),
-        rules,
-        store,
-        fc or FilterConfig(mask_margin_g=2.0, gate_g_det=3.0),
-        **kwargs,
-    )
+def run_flow(scenario, store, **overrides):
+    return run_call_flow(scenario, replace(DEMO, **overrides), store)
 
 
 # -- golden traces ----------------------------------------------------------------
@@ -143,8 +117,7 @@ def test_trace_partial_availability_golden(flow_scenario):
 
 def test_trace_policy_deny_golden(flow_scenario):
     store = SdsfStore()
-    rules = PolicyRules(prohibited_areas=(Rect(0.0, 0.0, 120.0, 120.0),))
-    run = run_flow(flow_scenario, store, rules=rules)
+    run = run_flow(flow_scenario, store, prohibited_areas=(Rect(0.0, 0.0, 120.0, 120.0),))
     assert steps_and_variants(run) == DENY_TRACE
     assert run.result is None
     assert run.abort_reason is not None and "policy denied" in run.abort_reason
@@ -183,8 +156,7 @@ def test_historical_only_request_generates_no_realization(flow_scenario, monkeyp
 def test_existing_archive_below_kpi_forces_live_collection(flow_scenario):
     store = SdsfStore()
     run_flow(flow_scenario, store)
-    request = make_request(kpi=Kpi(pd_min=1.1, fa_max=math.inf))
-    second = run_flow(flow_scenario, store, request=request)
+    second = run_flow(flow_scenario, store, pd_min=1.1)
     assert second.result is not None
     assert second.result.data_source == "live+historical"
     assert second.result.kpi_satisfied is False
@@ -223,17 +195,20 @@ def test_trace_round_trips_through_jsonl(flow_scenario, tmp_path):
 # -- policy -------------------------------------------------------------------------
 
 
-def test_policy_permit_without_rules():
-    decision = evaluate_policy(Rect(0.0, 0.0, 10.0, 10.0), PolicyRules())
-    assert decision.verdict == "permit"
-    assert decision.permits()
+def test_policy_permits_zones_outside_the_area(flow_scenario):
+    store = SdsfStore()
+    run = run_flow(flow_scenario, store, prohibited_areas=(Rect(200.0, 200.0, 210.0, 210.0),))
+    assert run.abort_reason is None and run.result is not None
+    assert steps_and_variants(run)[:6] == DENY_TRACE[:6]
 
 
-def test_policy_denies_prohibited_overlap():
-    rules = PolicyRules(prohibited_areas=(Rect(5.0, 5.0, 15.0, 15.0),))
-    decision = evaluate_policy(Rect(0.0, 0.0, 10.0, 10.0), rules)
-    assert decision.verdict == "deny"
-    assert not decision.permits()
+def test_policy_denies_prohibited_overlap(flow_scenario):
+    store = SdsfStore()
+    run = run_flow(flow_scenario, store, prohibited_areas=(Rect(5.0, 5.0, 15.0, 15.0),))
+    assert run.abort_reason == (
+        "policy denied: requested area intersects prohibited zone (5.0, 5.0, 15.0, 15.0)"
+    )
+    assert store.now == 0
 
 
 def test_policy_deny_names_the_first_intersecting_zone(tmp_path):
@@ -251,7 +226,7 @@ def test_policy_deny_names_the_first_intersecting_zone(tmp_path):
 
 def test_kpi_verdict_rejects_nan():
     nan_metrics = MetricResult(pd_per_target={}, pd_avg=math.nan, fa_avg=0.0)
-    assert not kpi_verdict(nan_metrics, Kpi(pd_min=0.0, fa_max=math.inf))
+    assert not kpi_verdict(nan_metrics, DEMO)
 
 
 # -- consent ------------------------------------------------------------------------
@@ -260,8 +235,7 @@ def test_kpi_verdict_rejects_nan():
 def test_no_consent_runs_live_only_unmasked(flow_scenario):
     store = SdsfStore()
     preseed_west_half(store)
-    request = make_request(historical_consent=False)
-    run = run_flow(flow_scenario, store, request=request)
+    run = run_flow(flow_scenario, store, historical_consent=False)
     assert run.result is not None
     assert run.result.data_source == "live-only"
     assert run.result.mask_enabled is False
@@ -271,25 +245,20 @@ def test_no_consent_runs_live_only_unmasked(flow_scenario):
     assert "HistoricalDataRequest" not in variants
 
     # Identical metrics to gating the same realization without any mask.
-    expected = run_sensing_task(
-        "stid-x",
+    (expected,) = realization_metrics(
         flow_scenario,
         generate_realization(flow_scenario, realization_rng(flow_scenario.seed, 0)),
         None,
-        FilterConfig(mask_margin_g=2.0, gate_g_det=3.0, mask_enabled=False),
-        request.kpi,
-        "live-only",
+        [FilterConfig(mask_margin_g=2.0, gate_g_det=3.0, mask_enabled=False)],
     )
-    assert run.result.metrics == expected.metrics
+    assert run.result.metrics == expected
 
 
 def test_consent_with_map_lowers_false_alarms(flow_scenario):
     masked_store = SdsfStore()
     preseed_west_half(masked_store)
     masked = run_flow(flow_scenario, masked_store)
-    unmasked = run_flow(
-        flow_scenario, SdsfStore(), request=make_request(historical_consent=False)
-    )
+    unmasked = run_flow(flow_scenario, SdsfStore(), historical_consent=False)
     assert masked.result is not None and unmasked.result is not None
     # Same realization, same gate; the historical map strictly removes clutter.
     assert masked.result.metrics.fa_avg < unmasked.result.metrics.fa_avg
@@ -300,8 +269,7 @@ def test_consent_with_map_lowers_false_alarms(flow_scenario):
 
 def test_kpi_miss_still_delivers_result(flow_scenario):
     store = SdsfStore()
-    request = make_request(kpi=Kpi(pd_min=1.1, fa_max=0.0))
-    run = run_flow(flow_scenario, store, request=request)
+    run = run_flow(flow_scenario, store, pd_min=1.1, fa_max=0.0)
     assert run.result is not None
     assert run.result.kpi_satisfied is False
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sensefuse.errors import EmptyRunError
-from sensefuse.fusion import FilterConfig, FrameDistances, fused_metrics, grid_metrics
+from sensefuse.fusion import FilterConfig, FrameDistances, grid_metrics
 from sensefuse.geometry import Rect, StaticMap, WorldPoint
 from sensefuse.scenario import (
     ClutterModel,
@@ -20,7 +20,7 @@ from sensefuse.scenario import (
 )
 
 from conftest import brute_force_metrics, columns_of
-from oracles import precompute_distances, result_from_counts
+from oracles import fused_metrics, precompute_distances, result_from_counts
 
 
 def frame_outcome(frame, static_map=None, fc=FilterConfig()):

@@ -3,10 +3,9 @@ import gc
 
 import pytest
 
-from sensefuse.callflow import Kpi, run_sensing_task
 from sensefuse.config import SweepSettings, parse_config
 from sensefuse.errors import ConfigError
-from sensefuse.fusion import FilterConfig
+from sensefuse.fusion import FilterConfig, realization_metrics
 from sensefuse import harness
 from sensefuse.harness import (
     BASELINE_G,
@@ -140,22 +139,27 @@ def test_baseline_ignores_mask_margin(small_scenario):
     assert a == b
 
 
-def test_call_flow_and_sweep_share_one_kernel(default_scenario):
-    # Call-flow fusion of a realization's detections gives exactly the sweep's
-    # metrics for the same cell; without a map it gives the baseline cell.
-    sweep = parse_config({}).sweep
-    cells = run_realization(default_scenario, sweep, 0)
+def test_call_flow_and_sweep_share_one_kernel(default_scenario, tmp_path):
+    # A live call flow masked by the scenario's own map gives exactly the
+    # sweep's metrics for the same cell; without consent, the baseline cell.
+    cfg = parse_config({})
+    cells = run_realization(default_scenario, cfg.sweep, 0)
     rz = generate_realization(default_scenario, realization_rng(default_scenario.seed, 0))
-    kpi = Kpi(pd_min=0.0, fa_max=1e9)
     for g, g_det in ((0.0, 1.0), (2.0, 3.0), (5.0, 10.0)):
         fc = FilterConfig(mask_margin_g=g, gate_g_det=g_det)
-        res = run_sensing_task(
-            "stid", default_scenario, rz, default_scenario.static_map, fc, kpi, "live-only"
+        (masked,) = realization_metrics(default_scenario, rz, default_scenario.static_map, [fc])
+        assert masked == cells[(g, g_det)]
+        (unmasked,) = realization_metrics(default_scenario, rz, None, [fc])
+        assert unmasked == cells[(BASELINE_G, g_det)]
+        demo = dataclasses.replace(
+            cfg.demo, mask_margin_g=g, gate_g_det=g_det, historical_consent=False
         )
-        assert res.mask_enabled and res.metrics == cells[(g, g_det)]
-        unmasked = run_sensing_task("stid", default_scenario, rz, None, fc, kpi, "live-only")
-        assert not unmasked.mask_enabled
-        assert unmasked.metrics == cells[(BASELINE_G, g_det)]
+        store = tmp_path / f"{g}-{g_det}.store"
+        run = demo_callflow(
+            dataclasses.replace(cfg, demo=demo), default_scenario, tmp_path / "t.jsonl", store
+        ).run
+        assert run.result is not None and not run.result.mask_enabled
+        assert run.result.metrics == cells[(BASELINE_G, g_det)]
 
 
 def test_workers_validation(small_scenario):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sensefuse.errors import EmptyRunError
-from sensefuse.fusion import FilterConfig, FrameDistances, fused_metrics
+from sensefuse.fusion import FilterConfig, FrameDistances
 from sensefuse.geometry import WorldPoint
 from sensefuse.measurement import NoiseModel
 from sensefuse.metrics import MetricResult, aggregate_values
@@ -19,7 +19,7 @@ from sensefuse.scenario import (
 )
 
 from conftest import columns_of
-from oracles import precompute_distances
+from oracles import fused_metrics, precompute_distances
 
 
 def frame(detected: dict[int, bool], unmatched: int = 0) -> Frame:

@@ -75,6 +75,15 @@ MOVED_OR_DELETED = [
     ("sdsf_store", "SensingRecord.metadata"),
     ("sdsf_store", "SensingRecord.age"),
     ("sdsf_store", "RECORD_KINDS"),
+    ("callflow", "Kpi"),
+    ("callflow", "ServiceRequest"),
+    ("callflow", "PolicyRules"),
+    ("callflow", "PolicyDecision"),
+    ("callflow", "Stid"),
+    ("callflow", "evaluate_policy"),
+    ("callflow", "run_sensing_task"),
+    ("callflow", "SensingResult.stid"),
+    ("fusion", "fused_metrics"),
 ]
 
 
