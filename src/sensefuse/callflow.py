@@ -215,6 +215,9 @@ def run_call_flow(
     result = SensingResult(metrics, kpi_verdict(metrics, demo), mask_on, plan)
     send(14, SF_NAME, SF_NAME, "FusionCompleted", stid)
     send(15, SF_NAME, SSC_NAME, "SensingResult", stid)
+    if not demo.historical_consent:
+        # Without consent nothing is archived: the store and its clock stay as they were.
+        return CallFlowRun(result=result, abort_reason=None, trace=tuple(trace), stid=stid)
 
     # Step 16: archive the refreshed static map and the fused metrics; with
     # ``archive_raw``, a live run also archives its detections pooled frame

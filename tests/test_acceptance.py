@@ -403,12 +403,14 @@ def test_warm_demo_golden_digests(tmp_path):
 # CLI from a fresh directory: ``(config per demo, store, last trace, last
 # stdout)``.  Every demo but the last only warms the store.
 CALL_FLOW_PATH_DIGESTS = {
-    # Live-only: without consent the SDSF is never read, nor its preseeded map.
+    # Live-only: without consent the SDSF is neither read, nor its preseeded
+    # map, nor written, so the store holds the preseed alone (as on a deny)
+    # and the trace ends at step 15.
     "no-consent": (
         ["demo:\n  historical_consent: false\n"],
-        "4ae19b3e9fc7e775f5b55018c73e0b937295e445cf69de9eacc956c0fb7479d2",
-        "55c189972a71b0bc554176096059a41feba9debcbda601871f62cfea68014846",
-        "9bc00a7a11f6ff40699d842550ffefdfb4067a74899f006685b802442375d5b8",
+        "3c1b2ab1c3614178190d5fc1c77740daa99c1553c3fa6507f990dd2bc7abe40b",
+        "754fe60f8571808fdfbe1e6deab74b6f7eef8bc9a228986040290064de6c6b32",
+        "fffbc1c8cdee51ad0a3ba93bb6123045a6a8e8f1b17060612a8e65aa3690a9d7",
     ),
     # The PCF denies a request whose area meets a prohibited zone: steps 1-5
     # and a ServiceAbort, with only the preseed in the store.  The stdout

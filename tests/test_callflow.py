@@ -243,6 +243,9 @@ def test_no_consent_runs_live_only_unmasked(flow_scenario):
     variants = [e.variant for e in run.trace]
     assert "AvailabilityQuery" not in variants
     assert "HistoricalDataRequest" not in variants
+    # Nor its write side: step 16 is skipped and the clock stays put.
+    assert "StorageUpdate" not in variants
+    assert len(store) == 1 and store.now == 0
 
     # Identical metrics to gating the same realization without any mask.
     (expected,) = realization_metrics(
@@ -252,6 +255,25 @@ def test_no_consent_runs_live_only_unmasked(flow_scenario):
         [FilterConfig(mask_margin_g=2.0, gate_g_det=3.0, mask_enabled=False)],
     )
     assert run.result.metrics == expected
+
+
+def test_no_consent_demo_leaves_the_store_to_the_next_request(tmp_path):
+    # A no-consent demo archives nothing, so a consenting demo after it on the
+    # same store runs exactly as on a fresh one: live+historical, masked.
+    cfg = parse_config({"demo": {"fa_max": 100}})
+    scenario = build_scenario(cfg.scenario)
+    no_consent = replace(cfg, demo=replace(cfg.demo, historical_consent=False))
+    store = tmp_path / "demo.store"
+    first = demo_callflow(no_consent, scenario, tmp_path / "a.jsonl", store)
+    assert first.run.result is not None and first.run.result.data_source == "live-only"
+    assert len(first.run.trace) == 14
+    assert store.read_bytes().count(b"\n") == 2  # header + preseed
+    after = demo_callflow(cfg, scenario, tmp_path / "b.jsonl", store).run
+    fresh = demo_callflow(cfg, scenario, tmp_path / "c.jsonl", tmp_path / "fresh.store").run
+    assert after.result is not None
+    assert (after.result.data_source, after.result.mask_enabled) == ("live+historical", True)
+    assert after.result == fresh.result and after.stid == fresh.stid
+    assert store.read_bytes() == (tmp_path / "fresh.store").read_bytes()
 
 
 def test_consent_with_map_lowers_false_alarms(flow_scenario):
