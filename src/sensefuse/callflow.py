@@ -202,17 +202,16 @@ def run_call_flow(
         send(12, SF_NAME, SDSF_NAME, "HistoricalDataRequest", stid)
         send(13, SDSF_NAME, SF_NAME, "HistoricalDataResponse", stid)
 
-    # Step 14. A live run masks only with a non-empty historical map, else it
+    # Step 14. A live run masks only with the historical map, so without one it
     # degrades to the live-only baseline. A KPI miss never blocks the result.
     if rz is None:
         assert preview is not None
-        metrics, mask_on = preview, False
+        metrics, mask_map = preview, None
     else:
         mask_map = None if plan == "live-only" else _historical_mask(records, scenario.bounds)
-        mask_on = mask_map is not None and not mask_map.empty
         fc = FilterConfig(demo.mask_margin_g, demo.gate_g_det)
-        (metrics,) = realization_metrics(scenario, rz, mask_map if mask_on else None, [fc])
-    result = SensingResult(metrics, kpi_verdict(metrics, demo), mask_on, plan)
+        (metrics,) = realization_metrics(scenario, rz, mask_map, [fc])
+    result = SensingResult(metrics, kpi_verdict(metrics, demo), mask_map is not None, plan)
     send(14, SF_NAME, SF_NAME, "FusionCompleted", stid)
     send(15, SF_NAME, SSC_NAME, "SensingResult", stid)
     if not demo.historical_consent:
