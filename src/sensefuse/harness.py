@@ -15,16 +15,19 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable
+
+import numpy as np
 
 from .callflow import CallFlowRun, run_call_flow, write_trace
 from .config import AppConfig, SweepSettings
-from .errors import ConfigError
+from .errors import ConfigError, EmptyRunError
 from .fusion import FilterConfig, realization_metrics
 from .geometry import Rect, StaticMap
-from .metrics import MetricResult, aggregate_values
+from .metrics import MetricResult
 from .scenario import Scenario, generate_realization, realization_rng
 from .scenario import generate_frames  # noqa: F401  re-export; perfbench's tests bind it here
 from .sdsf_store import SdsfStore, SensingContext
@@ -77,58 +80,41 @@ def run_realization(
     return dict(zip(keys, realization_metrics(scenario, rz, scenario.static_map, configs)))
 
 
-def _run_realization_args(args: tuple[Scenario, SweepSettings, int]) -> dict[CellKey, MetricResult]:
-    return run_realization(*args)
-
-
 def run_sweep(scenario: Scenario, sweep: SweepSettings, workers: int = 1) -> list[SweepRow]:
-    """Run the full sweep and aggregate across realizations.
+    """Run the full sweep and reduce it to one row per cell.
 
     ``workers > 1`` distributes whole realizations over processes, at most
-    one per realization, since a pool starts all of its workers at once; the
-    aggregation order is fixed by realization index, so serial and parallel
-    runs produce identical rows.
+    one per realization, since a pool starts all of its workers at once.
+    Results land in row-major (cells, realizations) arrays by realization
+    index, so serial and parallel runs produce identical rows.  Each row
+    reduces in the same pairwise order as a 1-D array of that cell's values.
+    Rows report means and sample (n-1) standard deviations, zero for one
+    realization.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, sweep.n_realizations)
-    jobs = [(scenario, sweep, ri) for ri in range(sweep.n_realizations)]
+    n = sweep.n_realizations
+    if n < 1:
+        raise EmptyRunError("cannot aggregate zero realizations")
     keys = cell_keys(sweep)
-    pd_avg: dict[CellKey, list[float]] = {key: [] for key in keys}
-    fa_avg: dict[CellKey, list[float]] = {key: [] for key in keys}
+    pd_avg = np.empty((len(keys), n))
+    fa_avg = np.empty((len(keys), n))
+    workers = min(workers, n)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        jobs = (run_realization, repeat(scenario), repeat(sweep), range(n))
+        for ri, cells in enumerate(pool.map(*jobs) if pool else map(*jobs)):
+            # Keep two floats per cell, not the MetricResults: thousands of those
+            # outliving each realization set off a full garbage collection every
+            # few sweeps, in the middle of a realization.
+            pd_avg[:, ri] = [cells[key].pd_avg for key in keys]
+            fa_avg[:, ri] = [cells[key].fa_avg for key in keys]
 
-    def collect(per_realization: Iterable[dict[CellKey, MetricResult]]) -> None:
-        # Keep two floats per cell, not the MetricResults: thousands of those
-        # outliving each realization set off a full garbage collection every
-        # few sweeps, in the middle of a realization.
-        for res in per_realization:
-            for key in keys:
-                result = res[key]
-                pd_avg[key].append(result.pd_avg)
-                fa_avg[key].append(result.fa_avg)
-
-    if workers <= 1:
-        collect(run_realization(*job) for job in jobs)
+    if n > 1:
+        pd_std, fa_std = pd_avg.std(axis=1, ddof=1), fa_avg.std(axis=1, ddof=1)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            collect(pool.map(_run_realization_args, jobs))
-
-    rows = []
-    for key in keys:
-        stats = aggregate_values(pd_avg[key], fa_avg[key])
-        g, g_det = key
-        rows.append(
-            SweepRow(
-                g=g,
-                g_det=g_det,
-                pd_mean=stats.pd_mean,
-                pd_std=stats.pd_std,
-                fa_mean=stats.fa_mean,
-                fa_std=stats.fa_std,
-                n=stats.n,
-            )
-        )
-    return rows
+        pd_std = fa_std = np.zeros(len(keys))
+    stats = np.stack([pd_avg.mean(axis=1), pd_std, fa_avg.mean(axis=1), fa_std], axis=1)
+    return [SweepRow(g, g_det, *cell, n) for (g, g_det), cell in zip(keys, stats.tolist())]
 
 
 # -- CSV ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 
+import numpy as np
 import pytest
 
 from sensefuse.config import SweepSettings, parse_config
@@ -18,7 +19,7 @@ from sensefuse.harness import (
     run_sweep,
     write_csv,
 )
-from sensefuse.metrics import MetricResult, aggregate_values
+from sensefuse.metrics import MetricResult
 from sensefuse.scenario import (
     ClutterModel,
     ScenarioConfig,
@@ -98,14 +99,14 @@ def test_row_composes_from_realizations(small_scenario, small_rows):
         run_realization(small_scenario, SMALL_SWEEP, ri)
         for ri in range(SMALL_SWEEP.n_realizations)
     ]
-    cells = [res[(2.0, 3.0)] for res in per_real]
-    stats = aggregate_values([r.pd_avg for r in cells], [r.fa_avg for r in cells])
+    pd = np.array([res[(2.0, 3.0)].pd_avg for res in per_real])
+    fa = np.array([res[(2.0, 3.0)].fa_avg for res in per_real])
     row = cell_row(small_rows, 2.0, 3.0)
     assert (row.pd_mean, row.pd_std, row.fa_mean, row.fa_std) == (
-        stats.pd_mean,
-        stats.pd_std,
-        stats.fa_mean,
-        stats.fa_std,
+        pd.mean(),
+        pd.std(ddof=1),
+        fa.mean(),
+        fa.std(ddof=1),
     )
 
 
@@ -182,8 +183,8 @@ def test_workers_capped_at_realization_count(small_scenario, small_rows, monkeyp
         def __exit__(self, *exc_info):
             return None
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
     assert run_sweep(small_scenario, SMALL_SWEEP, workers=64) == small_rows

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from sensefuse import harness
+from sensefuse.config import SweepSettings
 from sensefuse.errors import EmptyRunError
 from sensefuse.fusion import FilterConfig, FrameDistances
 from sensefuse.geometry import WorldPoint
 from sensefuse.measurement import NoiseModel
-from sensefuse.metrics import MetricResult, aggregate_values
+from sensefuse.metrics import MetricResult
 from sensefuse.scenario import (
     ClutterModel,
     Frame,
@@ -95,33 +97,47 @@ def test_no_observable_targets_gives_nan_pd():
     assert result.fa_avg == 2.0
 
 
-# -- aggregation ------------------------------------------------------------------
+# -- aggregation across realizations ---------------------------------------------
 
 
-def test_aggregate_mean_and_sample_std():
-    stats = aggregate_values([0.8, 0.6], [1.0, 3.0])
-    assert stats.pd_mean == pytest.approx(0.7)
+def one_cell_sweep(monkeypatch, pd_avg: list[float], fa_avg: list[float]) -> harness.SweepRow:
+    """The row of a one-cell sweep whose realizations report these values."""
+    sweep = SweepSettings(
+        g_values=(0.0,), g_det_values=(1.0,), n_realizations=len(pd_avg), include_baseline=False
+    )
+
+    def realization(scenario, sweep, ri):
+        return {(0.0, 1.0): MetricResult({}, pd_avg[ri], fa_avg[ri])}
+
+    monkeypatch.setattr(harness, "run_realization", realization)
+    (row,) = harness.run_sweep(None, sweep)
+    return row
+
+
+def test_aggregate_mean_and_sample_std(monkeypatch):
+    row = one_cell_sweep(monkeypatch, [0.8, 0.6], [1.0, 3.0])
+    assert row.pd_mean == pytest.approx(0.7)
     # Sample (n-1) standard deviation of [0.8, 0.6].
-    assert stats.pd_std == pytest.approx(math.sqrt(0.02), rel=1e-12)
-    assert stats.fa_mean == pytest.approx(2.0)
-    assert stats.fa_std == pytest.approx(math.sqrt(2.0), rel=1e-12)
-    assert stats.n == 2
+    assert row.pd_std == pytest.approx(math.sqrt(0.02), rel=1e-12)
+    assert row.fa_mean == pytest.approx(2.0)
+    assert row.fa_std == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    assert row.n == 2
 
 
-def test_aggregate_single_realization_has_zero_std():
-    stats = aggregate_values([0.9], [2.0])
-    assert stats.pd_std == 0.0 and stats.fa_std == 0.0 and stats.n == 1
+def test_aggregate_single_realization_has_zero_std(monkeypatch):
+    row = one_cell_sweep(monkeypatch, [0.9], [2.0])
+    assert row.pd_std == 0.0 and row.fa_std == 0.0 and row.n == 1
 
 
-def test_aggregate_identical_realizations_have_zero_std():
-    stats = aggregate_values([0.9] * 50, [2.0] * 50)
-    assert stats.pd_std == pytest.approx(0.0, abs=1e-15)
-    assert stats.fa_std == pytest.approx(0.0, abs=1e-15)
+def test_aggregate_identical_realizations_have_zero_std(monkeypatch):
+    row = one_cell_sweep(monkeypatch, [0.9] * 50, [2.0] * 50)
+    assert row.pd_std == pytest.approx(0.0, abs=1e-15)
+    assert row.fa_std == pytest.approx(0.0, abs=1e-15)
 
 
-def test_aggregate_rejects_empty():
+def test_aggregate_rejects_empty(monkeypatch):
     with pytest.raises(EmptyRunError):
-        aggregate_values([], [])
+        one_cell_sweep(monkeypatch, [], [])
 
 
 # -- end to end -------------------------------------------------------------------

@@ -84,6 +84,8 @@ MOVED_OR_DELETED = [
     ("callflow", "run_sensing_task"),
     ("callflow", "SensingResult.stid"),
     ("fusion", "fused_metrics"),
+    ("metrics", "AggregateStats"),
+    ("metrics", "aggregate_values"),
 ]
 
 
