@@ -29,8 +29,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -83,11 +82,10 @@ class TraceEvent:
         )
 
 
-def write_trace(events: Sequence[TraceEvent], path: str | Path) -> None:
-    """Write the trace as line-delimited JSON."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for ev in events:
-            fh.write(ev.to_json() + "\n")
+def write_trace(events: Sequence[TraceEvent], out: TextIO) -> None:
+    """Write the trace to an open text file as line-delimited JSON."""
+    for ev in events:
+        out.write(ev.to_json() + "\n")
 
 
 # -- KPI and history ---------------------------------------------------------

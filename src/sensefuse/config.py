@@ -219,6 +219,22 @@ def _aging_steps(a: int) -> str | None:
     return _past_int64(a) or _non_negative(a)
 
 
+# Coordinates and lengths in meters are at most this in magnitude, so that a
+# squared distance between two points of the world, noise included, is finite.
+WORLD_SCALE_MAX = 1e150
+
+
+def _in_world(rect: Rect) -> str | None:
+    if max(map(abs, rect.as_tuple())) <= WORLD_SCALE_MAX:
+        return None
+    scale = WORLD_SCALE_MAX
+    return f"coordinates must be within [-{scale!r}, {scale!r}], got {rect.as_tuple()}"
+
+
+def _world_length(x: float) -> str | None:
+    return _positive(x) or (None if x <= WORLD_SCALE_MAX else f"must be <= {WORLD_SCALE_MAX!r}")
+
+
 def _poisson_mean(lam: float) -> str | None:
     if lam > POISSON_LAM_MAX:
         return f"must be <= {POISSON_LAM_MAX!r}, the clutter sampler's limit, got {lam!r}"
@@ -232,10 +248,10 @@ def _target_type(value: str) -> str | None:
 KEYS: dict[str, dict[str, tuple[Kind, Any, Check | None]]] = {
     # section: {key: (kind, default, check)}
     "scenario": {
-        "bounds": (_rect, DEFAULT_BOUNDS, None),
+        "bounds": (_rect, DEFAULT_BOUNDS, _in_world),
         "buildings": (_rects, DEFAULT_BUILDINGS, None),
         "se_poses": (_poses, ScenarioConfig.se_poses, None),
-        "sigma_r": (_number, 0.8, _positive),
+        "sigma_r": (_number, 0.8, _world_length),
         "sigma_beta_deg": (_number, 2.0, _positive_in_radians),
         "p_det": (_number, 0.95, None),  # build_scenario checks p_det and n_targets
         "n_targets": (_integer, 8, None),
@@ -297,17 +313,27 @@ def _grid_fits(g_min: float, g_max: float, g_step: float, g_values: object) -> l
     return problems
 
 
-# Expected clutter detections per realization, which a realization holds in
-# memory at once; the default config expects 60 * 100 = 6,000.
-CLUTTER_PER_REALIZATION_MAX = 10**7
+# Rows of one kind that a realization holds in memory at once.  The default
+# config expects 60 * 100 = 6,000 clutter detections and has
+# 100 * (1 + 2 * 8) = 1,700 step and target sight-line rows.
+ROWS_PER_REALIZATION_MAX = 10**7
 
 
 def _clutter_fits(lambda_fa: float, t_steps: int) -> list[str]:
-    if (expected := lambda_fa * t_steps) <= CLUTTER_PER_REALIZATION_MAX:
+    if (expected := lambda_fa * t_steps) <= ROWS_PER_REALIZATION_MAX:
         return []
     return [
         f"scenario.lambda_fa: lambda_fa * t_steps, the expected clutter detections per"
-        f" realization, must be <= {CLUTTER_PER_REALIZATION_MAX}, got {expected!r}"
+        f" realization, must be <= {ROWS_PER_REALIZATION_MAX}, got {expected!r}"
+    ]
+
+
+def _sight_lines_fit(se_poses: tuple[Pose, ...], n_targets: int, t_steps: int) -> list[str]:
+    if (rows := t_steps * (1 + len(se_poses) * n_targets)) <= ROWS_PER_REALIZATION_MAX:
+        return []
+    return [
+        f"scenario.t_steps: t_steps * (1 + len(se_poses) * n_targets), the step and target"
+        f" sight-line rows per realization, must be <= {ROWS_PER_REALIZATION_MAX}, got {rows}"
     ]
 
 
@@ -315,6 +341,7 @@ _CROSS_CHECKS = (
     # section, keys read, check
     ("scenario", ("bounds", "buildings"), _map_fits),
     ("scenario", ("lambda_fa", "t_steps"), _clutter_fits),
+    ("scenario", ("se_poses", "n_targets", "t_steps"), _sight_lines_fit),
     ("sweep", ("g_min", "g_max", "g_step", "g_values"), _grid_fits),
 )
 

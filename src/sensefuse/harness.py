@@ -194,11 +194,14 @@ def demo_callflow(
             f"demo.aging_policy: the store clock {store.now} + t_steps {scenario.t_steps}"
             f" + aging_policy {demo.aging_policy} must be <= 2**63 - 1"
         )
-    preseeded = demo.preseed_partial_map and preseed_partial_map(
-        store, scenario, demo.aging_policy
-    )
-    run = run_call_flow(scenario, demo, store)
-    write_trace(run.trace, trace_path)
+    # Opened before anything is stored, so a trace that cannot be written
+    # leaves the store as it was.
+    with Path(trace_path).open("w", encoding="utf-8") as trace:
+        preseeded = demo.preseed_partial_map and preseed_partial_map(
+            store, scenario, demo.aging_policy
+        )
+        run = run_call_flow(scenario, demo, store)
+        write_trace(run.trace, trace)
     return DemoReport(
         run=run,
         trace_path=Path(trace_path),

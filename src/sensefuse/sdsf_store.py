@@ -191,7 +191,6 @@ class SdsfStore:
     def __init__(self, path: str | Path | None = None):
         self._path = Path(path) if path is not None else None
         self._records: dict[str, SensingRecord] = {}
-        self._dedup: dict[tuple, str] = {}
         self._next_id = 1
         self._now = 0
         self._torn_at: int | None = None  # log offset of a torn final line
@@ -226,10 +225,7 @@ class SdsfStore:
     ) -> str:
         """Persist one record and return its id.
 
-        Idempotent on (stid, kind, context, created_at), where the kind is the
-        payload's: re-storing the same logical record returns the existing id
-        without appending a duplicate.  A record is indexed only once its log
-        line is appended.
+        A record is indexed only once its log line is appended.
         """
         try:
             record = SensingRecord(
@@ -241,17 +237,10 @@ class SdsfStore:
             raise ValueError(
                 f"record rejected: created_at: {created_at} is in the future (now={self._now})"
             )
-
-        dedup_key = (stid, record.kind, context, created_at)
-        existing = self._dedup.get(dedup_key)
-        if existing is not None:
-            return existing
-
         if self._path is not None:
             self._append_to_log(record)
         self._next_id += 1
         self._records[record.record_id] = record
-        self._dedup[dedup_key] = record.record_id
         return record.record_id
 
     # -- read path -----------------------------------------------------------
@@ -357,8 +346,7 @@ class SdsfStore:
         self.set_now(now)
         expired = [rid for rid, r in self._records.items() if r.expired(now)]
         for rid in expired:
-            record = self._records.pop(rid)
-            self._dedup.pop((record.stid, record.kind, record.context, record.created_at), None)
+            del self._records[rid]
         if expired:
             log.info("aged out %d record(s) at step %d", len(expired), now)
         return len(expired)
@@ -421,9 +409,6 @@ class SdsfStore:
                 entries.append((record, num))
         for record, num in entries:
             self._records[record.record_id] = record
-            self._dedup[
-                (record.stid, record.kind, record.context, record.created_at)
-            ] = record.record_id
             self._now = max(self._now, record.created_at)
             self._next_id = max(self._next_id, num + 1)
         # Records already past their policy relative to the recovered clock

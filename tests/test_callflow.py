@@ -188,7 +188,8 @@ def test_trace_round_trips_through_jsonl(flow_scenario, tmp_path):
     store = SdsfStore()
     run = run_flow(flow_scenario, store)
     path = tmp_path / "trace.jsonl"
-    write_trace(run.trace, path)
+    with path.open("w", encoding="utf-8") as out:
+        write_trace(run.trace, out)
     assert read_trace(path) == list(run.trace)
 
 

@@ -268,6 +268,26 @@ def test_unwritable_output_exits_1(tmp_path, small_config, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fresh", [True, False], ids=["fresh-store", "used-store"])
+def test_demo_with_an_unwritable_trace_leaves_the_store_as_it_was(
+    tmp_path, small_config, capsys, fresh
+):
+    store = tmp_path / "s.store"
+    argv = ["demo", "--config", small_config, "--store", str(store), "--trace"]
+    if not fresh:
+        assert main([*argv, str(tmp_path / "first.jsonl")]) == 0
+        capsys.readouterr()
+    before = store.read_bytes() if store.exists() else None
+    assert main([*argv, str(tmp_path / "missing" / "x.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+    assert (store.read_bytes() if store.exists() else None) == before
+    # The next demo runs as if the failed one had not happened.
+    assert main([*argv, str(tmp_path / "next.jsonl")]) == 0
+    source = "live+historical" if fresh else "historical-only"
+    assert f"source={source}" in capsys.readouterr().out
+
+
 def test_missing_subcommand_rejected():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -313,6 +333,25 @@ def test_sweep_requires_out_path(small_config):
             "scenario.lambda_fa: lambda_fa * t_steps, the expected clutter detections per"
             " realization, must be <= 10000000, got 100000000000000.0",
         ),
+        # The steps and target sight lines of one realization would not fit in memory.
+        (
+            "scenario: {lambda_fa: 0, t_steps: 1000000000}\n",
+            "scenario.t_steps: t_steps * (1 + len(se_poses) * n_targets), the step and target"
+            " sight-line rows per realization, must be <= 10000000, got 17000000000",
+        ),
+        # Past the world scale, widths or squared distances overflow.
+        (
+            "scenario: {bounds: [-1.0e+308, 0, 1.0e+308, 120], se_poses: [[0, 0, 0]]}\n",
+            "scenario.bounds: coordinates must be within [-1e+150, 1e+150]",
+        ),
+        (
+            "scenario: {bounds: [0, 0, 1.0e+300, 1.0e+300]}\ndemo: {archive_raw: true}\n",
+            "scenario.bounds: coordinates must be within [-1e+150, 1e+150]",
+        ),
+        (
+            "scenario: {sigma_r: 1.0e+308}\ndemo: {archive_raw: true}\n",
+            "scenario.sigma_r: must be <= 1e+150",
+        ),
     ],
     ids=[
         "jitter-zero",
@@ -328,6 +367,10 @@ def test_sweep_requires_out_path(small_config):
         "not-utf-8",
         "aging-policy-past-int64",
         "clutter-past-memory",
+        "sight-lines-past-memory",
+        "bounds-width-overflows",
+        "bounds-squares-overflow",
+        "sigma-r-past-world-scale",
     ],
 )
 def test_bad_scenario_exits_2_on_both_commands(tmp_path, capsys, command, text, key):

@@ -6,9 +6,10 @@ from pathlib import Path
 import pytest
 
 from sensefuse.config import (
-    CLUTTER_PER_REALIZATION_MAX,
     DEFAULT_G_DET_VALUES,
     KEYS,
+    ROWS_PER_REALIZATION_MAX,
+    WORLD_SCALE_MAX,
     default_g_values,
     load_config,
     parse_config,
@@ -218,6 +219,8 @@ def test_model_constructors_never_raise_out_of_parse_config(scenario):
     [
         ("sigma_r", 0.0, "scenario.sigma_r: must be > 0"),
         ("sigma_r", -0.8, "scenario.sigma_r: must be > 0"),
+        # Past the world scale, squared noisy ranges would overflow.
+        ("sigma_r", 1.0e308, "scenario.sigma_r: must be <= 1e+150"),
         ("sigma_beta_deg", 0.0, "scenario.sigma_beta_deg: must be > 0"),
         # Positive, but 0.0 once in radians.
         (
@@ -226,7 +229,13 @@ def test_model_constructors_never_raise_out_of_parse_config(scenario):
             "scenario.sigma_beta_deg: must be > 0 in radians, got 5e-324 degrees",
         ),
     ],
-    ids=["sigma-r-zero", "sigma-r-negative", "sigma-beta-zero", "sigma-beta-underflow"],
+    ids=[
+        "sigma-r-zero",
+        "sigma-r-negative",
+        "sigma-r-past-world-scale",
+        "sigma-beta-zero",
+        "sigma-beta-underflow",
+    ],
 )
 def test_noise_violations_name_their_key(key, value, violation):
     with pytest.raises(ConfigError) as err:
@@ -329,7 +338,7 @@ def test_clutter_mean_past_the_sampler_limit_is_a_config_error():
         parse_config({"scenario": {"lambda_fa": POISSON_LAM_MAX, "t_steps": 1}})
     assert err.value.violations == [
         "scenario.lambda_fa: lambda_fa * t_steps, the expected clutter detections per"
-        f" realization, must be <= {CLUTTER_PER_REALIZATION_MAX}, got {POISSON_LAM_MAX!r}"
+        f" realization, must be <= {ROWS_PER_REALIZATION_MAX}, got {POISSON_LAM_MAX!r}"
     ]
 
 
@@ -340,8 +349,10 @@ def test_clutter_mean_past_the_sampler_limit_is_a_config_error():
         (100_000.0, 100, True),
         (math.nextafter(100_000, math.inf), 100, False),
         (1.0e12, 100, False),
-        (1.0, 10**7, True),
-        (1.0, 10**7 + 1, False),
+        # 555,556 steps, as 10**7 steps of the default scenario hold 1.7e8
+        # sight-line rows, past the bound of test_sight_lines_per_realization_are_bounded.
+        (18.0, 555_555, True),
+        (18.0, 555_556, False),
     ],
     ids=["default", "at-limit", "past-limit", "terabytes", "long-run", "long-run-past-limit"],
 )
@@ -354,14 +365,78 @@ def test_clutter_per_realization_is_bounded(lambda_fa, t_steps, fits):
         parse_config(raw)
     assert err.value.violations == [
         "scenario.lambda_fa: lambda_fa * t_steps, the expected clutter detections per"
-        f" realization, must be <= {CLUTTER_PER_REALIZATION_MAX}, got {lambda_fa * t_steps!r}"
+        f" realization, must be <= {ROWS_PER_REALIZATION_MAX}, got {lambda_fa * t_steps!r}"
     ]
 
 
-def test_largest_64_bit_t_steps_parses():
-    # Without clutter, as any other clutter rate would exceed the per-realization bound.
-    raw = {"scenario": {"t_steps": 2**63 - 1, "lambda_fa": 0}}
-    assert parse_config(raw).scenario.t_steps == 2**63 - 1
+@pytest.mark.parametrize(
+    "scenario, rows",
+    [
+        ({}, None),
+        ({"lambda_fa": 0, "t_steps": 588_235}, None),
+        ({"lambda_fa": 0, "t_steps": 588_236}, 10_000_012),
+        ({"lambda_fa": 1.0, "t_steps": 10**7}, 170_000_000),
+        ({"lambda_fa": 0, "t_steps": 10**9}, 17_000_000_000),
+        ({"lambda_fa": 0, "n_targets": 0, "t_steps": 10**7}, None),
+        ({"lambda_fa": 0, "n_targets": 0, "t_steps": 10**7 + 1}, 10**7 + 1),
+    ],
+    ids=[
+        "default",
+        "at-limit",
+        "past-limit",
+        "long-run",
+        "billion-steps",
+        "no-targets",
+        "no-targets-past-limit",
+    ],
+)
+def test_sight_lines_per_realization_are_bounded(scenario, rows):
+    # t_steps * (1 + len(se_poses) * n_targets): the default has 2 SEs and 8 targets.
+    raw = {"scenario": scenario}
+    if rows is None:
+        assert parse_config(raw).scenario.t_steps == scenario.get("t_steps", 100)
+        return
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.violations == [
+        "scenario.t_steps: t_steps * (1 + len(se_poses) * n_targets), the step and target"
+        f" sight-line rows per realization, must be <= {ROWS_PER_REALIZATION_MAX}, got {rows}"
+    ]
+
+
+def test_largest_64_bit_t_steps_passes_its_key_check():
+    # Only the sight-line bound refuses it, even without targets or clutter.
+    raw = {"scenario": {"t_steps": 2**63 - 1, "lambda_fa": 0, "n_targets": 0}}
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.violations == [
+        "scenario.t_steps: t_steps * (1 + len(se_poses) * n_targets), the step and target"
+        f" sight-line rows per realization, must be <= {ROWS_PER_REALIZATION_MAX},"
+        f" got {2**63 - 1}"
+    ]
+
+
+@pytest.mark.parametrize(
+    "bounds, fits",
+    [
+        ([-WORLD_SCALE_MAX, -WORLD_SCALE_MAX, WORLD_SCALE_MAX, WORLD_SCALE_MAX], True),
+        ([0, 0, 1.0e300, 1.0e300], False),
+        ([-1.0e308, 0, 1.0e308, 120], False),
+        ([0, -1.0e151, 120, 120], False),
+    ],
+    ids=["at-limit", "squares-overflow", "width-overflows", "one-coordinate"],
+)
+def test_bounds_are_within_the_world_scale(bounds, fits):
+    raw = {"scenario": {"bounds": bounds, "se_poses": [[0, 0, 0]], "buildings": []}}
+    if fits:
+        assert parse_config(raw).scenario.bounds == Rect(*bounds)
+        return
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.violations == [
+        "scenario.bounds: coordinates must be within [-1e+150, 1e+150],"
+        f" got {tuple(float(v) for v in bounds)}"
+    ]
 
 
 @pytest.mark.parametrize(

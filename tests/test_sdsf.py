@@ -68,14 +68,11 @@ def test_context_validation():
         ctx(target_type="starship")
 
 
-def test_contexts_equal_in_value_are_one_dedup_key():
+def test_contexts_equal_in_value_are_equal_and_hash_equal():
     # Areas equal as numbers, with coordinates of another type or sign.
     a = ctx(area=Rect(0.0, 0.0, 120.0, 120.0))
     b = ctx(area=Rect(-0.0, 0, 120, 120.0))
     assert a == b and hash(a) == hash(b)
-    store = SdsfStore()
-    rid = store.store("stid-1", a, demo_map(), 0, 50)
-    assert store.store("stid-1", b, demo_map(), 0, 50) == rid and len(store) == 1
 
 
 def test_availability_invariants():
@@ -98,14 +95,6 @@ def test_store_and_get_round_trip():
     assert record.stid == "stid-1"
     assert record.kind == "processed"
     assert record.payload == demo_map()
-
-
-def test_store_is_idempotent_on_logical_identity():
-    store = SdsfStore()
-    rid1 = store.store("stid-1", ctx(), demo_map(), 0, 50)
-    rid2 = store.store("stid-1", ctx(), demo_map(), 0, 50)
-    assert rid1 == rid2
-    assert len(store) == 1
 
 
 def test_same_context_different_kinds_are_distinct_records():
