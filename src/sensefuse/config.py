@@ -227,8 +227,7 @@ WORLD_SCALE_MAX = 1e150
 def _in_world(rect: Rect) -> str | None:
     if max(map(abs, rect.as_tuple())) <= WORLD_SCALE_MAX:
         return None
-    scale = WORLD_SCALE_MAX
-    return f"coordinates must be within [-{scale!r}, {scale!r}], got {rect.as_tuple()}"
+    return f"every |coordinate| must be <= {WORLD_SCALE_MAX!r}, got {rect.as_tuple()}"
 
 
 def _world_length(x: float) -> str | None:

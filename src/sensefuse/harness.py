@@ -100,7 +100,7 @@ def run_sweep(scenario: Scenario, sweep: SweepSettings, workers: int = 1) -> lis
     pd_avg = np.empty((len(keys), n))
     fa_avg = np.empty((len(keys), n))
     workers = min(workers, n)
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
         jobs = (run_realization, repeat(scenario), repeat(sweep), range(n))
         for ri, cells in enumerate(pool.map(*jobs) if pool else map(*jobs)):
             # Keep two floats per cell, not the MetricResults: thousands of those

@@ -342,11 +342,11 @@ def test_sweep_requires_out_path(small_config):
         # Past the world scale, widths or squared distances overflow.
         (
             "scenario: {bounds: [-1.0e+308, 0, 1.0e+308, 120], se_poses: [[0, 0, 0]]}\n",
-            "scenario.bounds: coordinates must be within [-1e+150, 1e+150]",
+            "scenario.bounds: every |coordinate| must be <= 1e+150",
         ),
         (
             "scenario: {bounds: [0, 0, 1.0e+300, 1.0e+300]}\ndemo: {archive_raw: true}\n",
-            "scenario.bounds: coordinates must be within [-1e+150, 1e+150]",
+            "scenario.bounds: every |coordinate| must be <= 1e+150",
         ),
         (
             "scenario: {sigma_r: 1.0e+308}\ndemo: {archive_raw: true}\n",
