@@ -24,6 +24,7 @@ from sensefuse.scenario import (
     realization_detections,
     realization_rng,
 )
+from sensefuse.callflow import run_call_flow
 from sensefuse.sdsf_store import (
     LOG_MAGIC,
     Availability,
@@ -38,6 +39,7 @@ from conftest import columns_of, live_record
 AREA = Rect(0.0, 0.0, 120.0, 120.0)
 FIXTURE = Path(__file__).parent / "data" / "pre-cov-drop.store"
 TRIMMED_FIXTURE = Path(__file__).parent / "data" / "pre-schema-trim.store"
+LIST_COLUMNS_FIXTURE = Path(__file__).parent / "data" / "pre-compact-raw.store"
 
 
 def ctx(area: Rect = AREA, window: tuple[int, int] = (0, 100), target_type: str = "vehicle"):
@@ -613,6 +615,26 @@ def test_log_written_with_covariances_replays_and_rewrites_without_them(tmp_path
     assert rewritten[:4] == lines[:4] and b'"cov"' not in rewritten[4]
     assert json.loads(rewritten[4]) == expected
     assert live_record(SdsfStore(path), "rec-000004") == raw
+
+
+def test_log_written_with_list_columns_replays_to_its_columns(tmp_path):
+    # An archive_raw demo's store (t_steps 2, lambda_fa 2) as written while
+    # raw columns were JSON lists: its raw record replays to the columns that
+    # the line spells and that the same demo builds in memory, bit for bit.
+    lines = _lines(LIST_COLUMNS_FIXTURE)
+    assert len(lines) == 5 and b'"xy":[[' in lines[4]
+    raw = live_record(SdsfStore(LIST_COLUMNS_FIXTURE), "rec-000004")
+    assert raw is not None and raw.kind == "raw" and len(raw.payload) == 35
+    spelled = json.loads(lines[4])["payload"]
+    assert raw.payload.xy.tobytes() == np.array(spelled["xy"], dtype=float).tobytes()
+    assert raw.payload.is_clutter.tolist() == spelled["clutter"]
+    assert raw.payload.sources() == [spelled["se_ids"][i] for i in spelled["se_idx"]]
+
+    cfg = parse_config({"scenario": {"t_steps": 2, "lambda_fa": 2}, "demo": {"archive_raw": True}})
+    memory = SdsfStore()
+    run_call_flow(build_scenario(cfg.scenario), cfg.demo, memory)
+    (built,) = [r.payload for r in memory.fetch(raw.context) if r.kind == "raw"]
+    assert raw.payload == built and raw.payload.xy.tobytes() == built.xy.tobytes()
 
 
 def _without(key):
