@@ -20,25 +20,37 @@ Every line, the header included, is ``orjson.dumps`` of its JSON form with
 sorted keys; a non-finite metric is written as ``null`` and read back as
 NaN.  A record line holds each fact once: its id, stid, context (area, time
 window, target type), payload, ``created_at`` and ``aging_policy``.  The
-payload's ``"type"`` gives the record's kind.  A raw record's payload is
-stored as the columns of :class:`DetectionColumns`.  :class:`SensingContext`
+payload's ``"type"`` gives the record's kind.  :class:`SensingContext`
 and :class:`SensingRecord` check their own fields, so window ends,
 ``created_at``, ``aging_policy`` and excluded targets are integers within
 int64, which orjson writes and reads exactly.  A record orjson cannot encode
 (a lone surrogate, an integer past 64 bits elsewhere) is rejected by
 ``store()`` before the log or the index changes.
 
+A raw record's payload is the columns of :class:`DetectionColumns`:
+``"se_ids"`` and ``"se_idx"`` are JSON lists, ``"xy"`` is one standard
+base64 string (RFC 4648, padded) of the ``(D, 2)`` row-major little-endian
+float64 bytes, and ``"clutter"`` is base64 of ``np.packbits(is_clutter)``,
+most significant bit first with zero pad bits.  A build from before this
+form fails on such a line with ``bad record: could not convert string to
+float`` followed by the whole ``"xy"`` string.
+
 Replay reads each line with orjson, and with stdlib ``json`` only for what
 older logs hold and orjson rejects (see :func:`_decode_line`).  It builds
 every record with the same constructors as ``store()``, so a replayed record
 passes the same checks.  Within one replay, equal area rects and equal static
-maps are shared.  Raw lines of older logs, one item per detection, are read
-into the same columns.  Lines of older logs also hold a ``"kind"``, which
+maps are shared.  Replay reads three raw forms into the same columns: a
+payload with ``"items"`` holds one item per detection; otherwise a string
+``"xy"`` is the form above, decoded strictly (base64 alphabet and padding,
+``16 * D`` xy bytes, ``ceil(D / 8)`` clutter bytes, zero pad bits), and a list
+``"xy"`` holds ``[x, y]`` pairs beside a list of clutter booleans.  Only the
+base64 form is written.  Lines of older logs also hold a ``"kind"``, which
 must be the payload's, and ``"conditions"`` and ``"metadata"``, which replay
 ignores.
 """
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import math
@@ -479,8 +491,8 @@ def _payload_to_json(payload: Payload) -> dict:
             "type": "detections",
             "se_ids": payload.se_ids,
             "se_idx": payload.se_idx,
-            "xy": payload.xy,
-            "clutter": payload.is_clutter,
+            "xy": _b64(payload.xy.astype("<f8", copy=False)),
+            "clutter": _b64(np.packbits(payload.is_clutter)),
         }
     if isinstance(payload, StaticMap):
         return {
@@ -495,6 +507,32 @@ def _payload_to_json(payload: Payload) -> dict:
         "fa_avg": _finite_or_none(payload.fa_avg),
         "excluded_targets": list(payload.excluded_targets),
     }
+
+
+def _b64(a: np.ndarray) -> str:
+    return base64.b64encode(a.tobytes()).decode("ascii")
+
+
+def _compact_columns_from_json(d: dict) -> DetectionColumns:
+    """The compact raw payload: base64 of the xy float64 bytes and of the packed clutter bits.
+
+    Messages name sizes only, never the payload's text.
+    """
+    if type(d["clutter"]) is not str:
+        raise ValueError("clutter must be a base64 string when xy is one")
+    xy = base64.b64decode(d["xy"], validate=True)
+    clutter = base64.b64decode(d["clutter"], validate=True)
+    n, rest = divmod(len(xy), 16)
+    if rest:
+        raise ValueError(f"xy holds {len(xy)} bytes, not a multiple of 16")
+    if len(clutter) != (n + 7) // 8:
+        raise ValueError(f"clutter holds {len(clutter)} bytes, not {(n + 7) // 8} for {n} rows")
+    bits = np.unpackbits(np.frombuffer(clutter, dtype=np.uint8))
+    if bits[n:].any():
+        raise ValueError("clutter pad bits must be zero")
+    return DetectionColumns(
+        np.frombuffer(xy, dtype="<f8").reshape(n, 2), d["se_idx"], d["se_ids"], bits[:n] == 1
+    )
 
 
 _ITEM_FIELDS = itemgetter("x", "y", "source_se", "clutter")
@@ -539,6 +577,8 @@ def _payload_from_json(d: dict, maps: dict | None = None) -> Payload:
     if d["type"] == "detections":
         if "items" in d:
             return _columns_from_json(d["items"])
+        if type(d["xy"]) is str:
+            return _compact_columns_from_json(d)
         xy = np.array(d["xy"], dtype=float).reshape(len(d["xy"]), 2)
         return DetectionColumns(xy, d["se_idx"], d["se_ids"], d["clutter"])
     raise ValueError(f"unknown payload type {d.get('type')!r}")

@@ -356,7 +356,10 @@ def test_criterion_10_sweep_csv_byte_identical(tmp_path):
 # an archive_raw demo's store log and trace must keep these bytes.
 
 DEFAULT_SWEEP_CSV_SHA256 = "6d258243f9caef82ad193831cc4ce54f36986f88c5cde4b555aff3ad4454c580"
-ARCHIVE_RAW_STORE_SHA256 = "fc1a189c40ef7a0c981436499be903c6e61f30c50b46ba1a540b7e04444fc976"
+# With its raw columns as JSON lists, the form older logs hold, the same store
+# was 348,007 B (sha256 fc1a189c...); tests/data/pre-compact-raw.store pins
+# that form's replay.
+ARCHIVE_RAW_STORE_SHA256 = "4b6fe3057ec116b063d63a1f9bad0b210c9bbead6fead4ed59ef930abf25d021"
 ARCHIVE_RAW_TRACE_SHA256 = "8e9ea2133cb16e4606421bb69dde763107fc744d79f41d38aa024aff0f5409e4"
 # Three default demos on one fresh store: one live run, then two served
 # historical-only, whose map and metrics records are appended to the same log.
@@ -380,7 +383,7 @@ def test_archive_raw_demo_golden_digests(tmp_path):
     scenario = build_scenario(cfg.scenario)
     report = demo_callflow(cfg, scenario, tmp_path / "run.jsonl", tmp_path / "demo.store")
     store = report.store_path.read_bytes()
-    assert len(store) == 348_007
+    assert len(store) == 179_815
     assert hashlib.sha256(store).hexdigest() == ARCHIVE_RAW_STORE_SHA256
     assert hashlib.sha256(report.trace_path.read_bytes()).hexdigest() == ARCHIVE_RAW_TRACE_SHA256
 

@@ -1,7 +1,9 @@
+import base64
 import dataclasses
 import json
 import math
 import re
+import struct
 import sys
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sensefuse.callflow import run_call_flow
 from sensefuse.cli import main
 from sensefuse.config import parse_config
 from sensefuse.errors import StoreCorruptError
@@ -24,7 +27,6 @@ from sensefuse.scenario import (
     realization_detections,
     realization_rng,
 )
-from sensefuse.callflow import run_call_flow
 from sensefuse.sdsf_store import (
     LOG_MAGIC,
     Availability,
@@ -417,6 +419,7 @@ def test_list_payload_is_rejected():
 _EDGE_FLOATS = [
     0.0,
     5e-324,
+    math.nextafter(2.2250738585072014e-308, 0.0),
     2.2250738585072014e-308,
     math.nextafter(1e-4, 0.0),
     1e-4,
@@ -484,9 +487,25 @@ def test_raw_record_round_trips_as_columns(tmp_path_factory, payload):
     assert again.read_bytes() == path.read_bytes()
 
 
-def _raw_line_spec(payload: DetectionColumns) -> str:
-    """The raw record's column form as ``json.dumps`` writes it."""
-    expected = {
+def _compact_xy(pairs: list) -> str:
+    """Positions as the compact form spells them: base64 of little-endian float64 x, y rows."""
+    flat = [v for pair in pairs for v in pair]
+    return base64.b64encode(struct.pack("<%dd" % len(flat), *flat)).decode()
+
+
+def _compact_clutter(flags: list[bool]) -> str:
+    """Clutter flags as the compact form spells them: base64 of bits packed MSB first."""
+    packed = bytearray((len(flags) + 7) // 8)
+    for i, flag in enumerate(flags):
+        if flag:
+            packed[i // 8] |= 0x80 >> (i % 8)
+    return base64.b64encode(bytes(packed)).decode()
+
+
+def _raw_line_spec(payload: DetectionColumns, compact: bool = True) -> dict:
+    """The raw record's JSON form, with its columns compact or as the JSON lists of older logs."""
+    xy, clutter = payload.xy.tolist(), payload.is_clutter.tolist()
+    return {
         "record_id": "rec-000001",
         "stid": "stid-1",
         "context": {
@@ -498,29 +517,45 @@ def _raw_line_spec(payload: DetectionColumns) -> str:
             "type": "detections",
             "se_ids": list(payload.se_ids),
             "se_idx": payload.se_idx.tolist(),
-            "xy": payload.xy.tolist(),
-            "clutter": payload.is_clutter.tolist(),
+            "xy": _compact_xy(xy) if compact else xy,
+            "clutter": _compact_clutter(clutter) if compact else clutter,
         },
         "created_at": 0,
         "aging_policy": 50,
     }
-    return json.dumps(expected, sort_keys=True)
 
 
-# The line's float spelling is orjson's, so it is compared as ``json.loads``
-# reads it: re-dumped without ``sort_keys``, it must equal ``json.dumps`` of
-# the column form, which holds only if its keys are already sorted and every
-# float reads back to the same double (``repr`` tells -0.0 from 0.0).
+# Positions travel as their bytes, so the line is compared byte for byte with
+# ``json.dumps`` of the compact form; the only floats left in it are the area's.
 @settings(max_examples=100, deadline=None)
 @given(payload=_columns())
 def test_raw_record_line_is_json_dumps_for_every_float_class(tmp_path_factory, payload):
     path = tmp_path_factory.mktemp("raw") / "store.jsonl"
     SdsfStore(path).store("stid-1", ctx(), payload, 0, 50)
-    assert json.dumps(json.loads(_lines(path)[1])) == _raw_line_spec(payload)
+    spec = json.dumps(
+        _raw_line_spec(payload), sort_keys=True, separators=(",", ":"), ensure_ascii=False
+    )
+    assert _lines(path)[1] == spec.encode() + b"\n"
 
     record = live_record(SdsfStore(path), "rec-000001")
     assert record is not None and record.payload == payload
     assert record.payload.xy.tobytes() == payload.xy.tobytes()
+
+
+# The JSON-list columns of older logs are read, never written: a line of that
+# form, as ``json.dumps`` spells every float class, replays bit for bit.
+@settings(max_examples=100, deadline=None)
+@given(payload=_columns())
+def test_list_column_raw_line_replays_for_every_float_class(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("raw") / "store.jsonl"
+    header = {"magic": LOG_MAGIC, "version": 1}
+    line = json.dumps(_raw_line_spec(payload, compact=False), sort_keys=True)
+    path.write_text(f"{json.dumps(header)}\n{line}\n", encoding="utf-8")
+
+    record = live_record(SdsfStore(path), "rec-000001")
+    assert record is not None and record.payload == payload
+    assert record.payload.xy.tobytes() == payload.xy.tobytes()
+    assert record.payload.is_clutter.tolist() == payload.is_clutter.tolist()
 
 
 def test_empty_raw_record_round_trips(tmp_path):
@@ -529,12 +564,16 @@ def test_empty_raw_record_round_trips(tmp_path):
     record = live_record(SdsfStore(path), "rec-000001")
     assert record is not None and len(record.payload) == 0
     assert json.loads(_lines(path)[1])["payload"] == {
-        "clutter": [],
+        "clutter": "",
         "se_ids": [],
         "se_idx": [],
         "type": "detections",
-        "xy": [],
+        "xy": "",
     }
+    # The empty list-column form of older logs replays to the same record.
+    lists = _raw_log(tmp_path / "lists.jsonl", {"clutter": [], "se_ids": [], "se_idx": [], "xy": []})
+    assert lists is not None and lists.payload == record.payload
+    assert lists.payload.xy.tobytes() == record.payload.xy.tobytes() == b""
 
 
 def _raw_log(path, payload: dict):
@@ -591,8 +630,9 @@ def test_raw_line_with_covariances_reopens_as_the_line_without_them(tmp_path):
 def test_log_written_with_covariances_replays_and_rewrites_without_them(tmp_path):
     # An archive_raw demo's store (t_steps 2, lambda_fa 2) as written while
     # raw items carried a "cov": re-storing its raw record into a copy of the
-    # lines before it writes the same record with its items as columns, and
-    # without the "kind", "conditions" and "metadata" that lines then held.
+    # lines before it writes the same record with its items as compact
+    # columns, and without the "kind", "conditions" and "metadata" that lines
+    # then held.  The same items as JSON-list columns replay to that record.
     lines = _lines(FIXTURE)
     assert len(lines) == 5 and b'"cov": [' in lines[4]
     raw = live_record(SdsfStore(FIXTURE), "rec-000004")
@@ -604,23 +644,33 @@ def test_log_written_with_covariances_replays_and_rewrites_without_them(tmp_path
     del expected["kind"], expected["metadata"], expected["context"]["conditions"]
     items = expected["payload"]["items"]
     se_ids = list(dict.fromkeys(item["source_se"] for item in items))
+    pairs = [[item["x"], item["y"]] for item in items]
+    clutter = [item["clutter"] for item in items]
+    se_idx = [se_ids.index(item["source_se"]) for item in items]
     expected["payload"] = {
-        "clutter": [item["clutter"] for item in items],
+        "clutter": _compact_clutter(clutter),
         "se_ids": se_ids,
-        "se_idx": [se_ids.index(item["source_se"]) for item in items],
+        "se_idx": se_idx,
         "type": "detections",
-        "xy": [[item["x"], item["y"]] for item in items],
+        "xy": _compact_xy(pairs),
     }
     rewritten = _lines(path)
     assert rewritten[:4] == lines[:4] and b'"cov"' not in rewritten[4]
     assert json.loads(rewritten[4]) == expected
     assert live_record(SdsfStore(path), "rec-000004") == raw
 
+    lists = {"clutter": clutter, "se_ids": se_ids, "se_idx": se_idx, "xy": pairs}
+    listed = _raw_log(tmp_path / "lists.jsonl", lists)
+    assert listed is not None and listed.payload == raw.payload
+    assert listed.payload.xy.tobytes() == raw.payload.xy.tobytes()
 
-def test_log_written_with_list_columns_replays_to_its_columns(tmp_path):
+
+def test_log_written_with_list_columns_replays_and_rewrites_compact(tmp_path):
     # An archive_raw demo's store (t_steps 2, lambda_fa 2) as written while
     # raw columns were JSON lists: its raw record replays to the columns that
-    # the line spells and that the same demo builds in memory, bit for bit.
+    # the line spells and that the same demo builds in memory, bit for bit,
+    # and re-storing it into a copy of the lines before it writes the same
+    # record with compact columns.
     lines = _lines(LIST_COLUMNS_FIXTURE)
     assert len(lines) == 5 and b'"xy":[[' in lines[4]
     raw = live_record(SdsfStore(LIST_COLUMNS_FIXTURE), "rec-000004")
@@ -635,6 +685,16 @@ def test_log_written_with_list_columns_replays_to_its_columns(tmp_path):
     run_call_flow(build_scenario(cfg.scenario), cfg.demo, memory)
     (built,) = [r.payload for r in memory.fetch(raw.context) if r.kind == "raw"]
     assert raw.payload == built and raw.payload.xy.tobytes() == built.xy.tobytes()
+
+    path = tmp_path / "store.jsonl"
+    path.write_bytes(b"".join(lines[:4]))
+    SdsfStore(path).store(raw.stid, raw.context, raw.payload, raw.created_at, raw.aging_policy)
+    expected = json.loads(lines[4])
+    expected["payload"]["xy"] = _compact_xy(spelled["xy"])
+    expected["payload"]["clutter"] = _compact_clutter(spelled["clutter"])
+    compact = json.dumps(expected, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    assert _lines(path) == [*lines[:4], compact.encode() + b"\n"]
+    assert live_record(SdsfStore(path), "rec-000004") == raw
 
 
 def _without(key):
@@ -677,18 +737,72 @@ def _with(key, row, value):
     ],
 )
 def test_corrupt_raw_record_raises_store_corrupt_error(tmp_path, corrupt):
+    # The JSON-list columns of older logs, edited.
+    lists = {"clutter": [False] * 3, "se_ids": ["se-0"], "se_idx": [0] * 3, "xy": [[1.0, 2.0]] * 3}
+    _assert_bad_raw_line(tmp_path, corrupt({**lists, "type": "detections"}))
+
+
+def _assert_bad_raw_line(tmp_path, payload: dict) -> None:
+    """A log whose fourth line is a raw record with ``payload`` fails replay naming that line."""
     path = _two_record_log(tmp_path)
     store = SdsfStore(path)
     store.store("stid-2", ctx(), columns_of([(1.0, 2.0)] * 3), 0, 1000)
     store.store("stid-3", ctx(window=(0, 5)), demo_map(), 0, 1000)
     lines = _lines(path)
     record = json.loads(lines[3])
-    record["payload"] = corrupt(record["payload"])
+    record["payload"] = payload
     lines[3] = (json.dumps(record, sort_keys=True) + "\n").encode()
     path.write_bytes(b"".join(lines))
     with pytest.raises(StoreCorruptError, match=r"store\.jsonl:4: bad record") as err:
         SdsfStore(path)
     assert err.value.lineno == 4
+    # The message names what is wrong, never the payload's text.
+    for column in (payload.get("xy"), payload.get("clutter")):
+        if isinstance(column, str) and len(column) >= 8:
+            assert column not in str(err.value)
+
+
+_XY3 = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+
+
+@pytest.mark.parametrize(
+    "xy, clutter",
+    [
+        ("!" + _compact_xy(_XY3)[1:], _compact_clutter([False] * 3)),
+        ("-" + _compact_xy(_XY3)[1:], _compact_clutter([False] * 3)),
+        ("é" + _compact_xy(_XY3)[1:], _compact_clutter([False] * 3)),
+        (_compact_xy(_XY3), _compact_clutter([False] * 3).rstrip("=")),
+        (base64.b64encode(struct.pack("<3d", 1.0, 2.0, 3.0)).decode(), "AA=="),
+        (_compact_xy(_XY3), _compact_clutter([False] * 11)),
+        (_compact_xy(_XY3), ""),
+        (_compact_xy(_XY3), _compact_clutter([False, True, False, True])),
+        (_compact_xy(_XY3), base64.b64encode(b"\x01").decode()),
+        (_compact_xy([[1.0, 2.0], [math.nan, 4.0], [5.0, 6.0]]), _compact_clutter([False] * 3)),
+        (_compact_xy([[1.0, 2.0], [3.0, -math.inf], [5.0, 6.0]]), _compact_clutter([False] * 3)),
+        (_compact_xy(_XY3), [False] * 3),
+        (_XY3, _compact_clutter([False] * 3)),
+        (_compact_xy(_XY3[:2]), _compact_clutter([False] * 2)),
+    ],
+    ids=[
+        "non-alphabet-char",
+        "url-safe-alphabet-char",
+        "non-ascii-char",
+        "unpadded",
+        "xy-not-a-multiple-of-16-bytes",
+        "clutter-too-long",
+        "clutter-empty",
+        "clutter-pad-bit",
+        "clutter-last-pad-bit",
+        "nan-position",
+        "infinite-position",
+        "string-xy-list-clutter",
+        "list-xy-string-clutter",
+        "fewer-rows-than-se-idx",
+    ],
+)
+def test_corrupt_compact_raw_record_raises_store_corrupt_error(tmp_path, xy, clutter):
+    payload = {"clutter": clutter, "se_ids": ["se-0"], "se_idx": [0] * 3, "type": "detections"}
+    _assert_bad_raw_line(tmp_path, {**payload, "xy": xy})
 
 
 # -- strict JSON ---------------------------------------------------------------------
