@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from dataclasses import replace
 
@@ -68,13 +69,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether ``a`` and ``b`` name one file: by inode when both exist, else by resolved path."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _cmd_demo(args: argparse.Namespace) -> int:
+    store_path = args.store if args.store else args.trace + ".store"
+    if _same_file(args.trace, store_path):
+        raise ConfigError(f"--trace and --store name the same file: {store_path}")
     cfg = load_config(args.config)
     scenario_cfg = cfg.scenario
     if args.seed is not None:
         scenario_cfg = replace(scenario_cfg, seed=args.seed)
     scenario = build_scenario(scenario_cfg)
-    store_path = args.store if args.store else args.trace + ".store"
     report = demo_callflow(cfg, scenario, args.trace, store_path)
     run = report.run
     print(f"trace: {report.trace_path} ({len(run.trace)} events)")

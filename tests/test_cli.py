@@ -288,6 +288,33 @@ def test_demo_with_an_unwritable_trace_leaves_the_store_as_it_was(
     assert f"source={source}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+@pytest.mark.parametrize("fresh", [True, False], ids=["fresh-store", "used-store"])
+def test_demo_with_trace_and_store_on_one_file_exits_2(
+    tmp_path, small_config, capsys, monkeypatch, spelling, fresh
+):
+    # The trace would overwrite the store the run just wrote.
+    monkeypatch.chdir(tmp_path)
+    store = tmp_path / "s.store"
+    argv = ["demo", "--config", small_config, "--store", "s.store", "--trace"]
+    if not fresh:
+        assert main([*argv, "t.jsonl"]) == 0
+        capsys.readouterr()
+    if spelling == "symlink":
+        (tmp_path / "link.jsonl").symlink_to(store)
+    trace = {"same": "s.store", "dotted": str(tmp_path / "sub" / ".." / "s.store")}.get(
+        spelling, "link.jsonl"
+    )
+    (tmp_path / "sub").mkdir()
+    before = store.read_bytes() if store.exists() else None
+    assert main([*argv, trace]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: --trace and --store name the same file")
+    assert captured.err.count("\n") == 1
+    assert (store.read_bytes() if store.exists() else None) == before
+
+
 def test_missing_subcommand_rejected():
     with pytest.raises(SystemExit) as exc:
         main([])

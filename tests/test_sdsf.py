@@ -571,7 +571,8 @@ def test_empty_raw_record_round_trips(tmp_path):
         "xy": "",
     }
     # The empty list-column form of older logs replays to the same record.
-    lists = _raw_log(tmp_path / "lists.jsonl", {"clutter": [], "se_ids": [], "se_idx": [], "xy": []})
+    empty_lists = {"clutter": [], "se_ids": [], "se_idx": [], "xy": []}
+    lists = _raw_log(tmp_path / "lists.jsonl", empty_lists)
     assert lists is not None and lists.payload == record.payload
     assert lists.payload.xy.tobytes() == record.payload.xy.tobytes() == b""
 
