@@ -6,17 +6,29 @@ produces a frame: per-SE noisy detections of every in-area target plus a
 Poisson batch of clutter detections concentrated near building edges.
 
 A realization is generated as flat arrays (:class:`Realization`), which is all
-the sweep and the call flow's fusion read.  The generator is drawn from in the
-order of the one-frame-at-a-time oracle ``generate_frame`` in
-``tests/oracles.py``: per step, each target hit's scalar draws are recorded,
-then the frame's clutter comes from a sampler that holds the map's edge
-segments and the bounds for the whole realization.  Truth, the noise-free
-geometry and the back-projection of every hit are array math done once per
-realization, bit-identical to the scalar formulas.
+the sweep and the call flow's fusion read.
 :func:`realization_detections` returns chosen rows as
 :class:`DetectionColumns`: the call flow's raw archive record stores those
 columns, and the ``Frame`` view of :func:`generate_frames`, which serves
 tests and the acceptance criteria, holds one such batch per frame.
+
+Draw order is a contract.  Golden digests pin the sweep CSV and the stores
+across versions, so a realization consumes its generator exactly as the
+one-frame-at-a-time oracles in ``tests/oracles.py`` do, and a speed-up must
+keep this order.  Frame by frame, in step order:
+
+1. per (SE, in-area target) pair, SE-major then in track order: one uniform
+   for the p_det test and, for a hit, range normals redrawn while the range
+   is not positive, then one bearing normal;
+2. then the frame's clutter: the Poisson count ``k``, ``k`` uniforms for the
+   edge split, the ``n`` edge points' segment integers, ``n`` lerp uniforms
+   and ``(n, 2)`` jitter normals, any resample draws (per round, the same
+   three for the points out of the bounds), and ``(k - n, 2)`` uniforms for
+   the rest.
+
+Only those draws are made per frame.  Truth, the noise-free geometry, the
+clutter positions and the back-projection of every hit are array math done
+once per realization, bit-identical to the scalar formulas.
 
 Clutter points model spurious detections (multipath and ghost returns), so
 the sampled world position *is* the realized detection: no second noise draw
@@ -27,6 +39,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -310,133 +323,204 @@ def realization_rng(seed: int, realization: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, realization)))
 
 
-def _clutter_sampler(
-    clutter: ClutterModel, static_map: StaticMap, bounds: Rect
-) -> Callable[[np.random.Generator], np.ndarray]:
-    """A draw of one frame's clutter positions as a (k, 2) array.
+class _ClutterSampler:
+    """One realization's clutter: drawn frame by frame, placed once.
 
     Count is Poisson(lambda_fa).  Each point is edge clutter with probability
     edge_fraction: a uniform point on a uniformly chosen building edge segment
     plus isotropic Gaussian jitter.  The rest is uniform over the bounds.
     Edge points jittered out of the bounds are resampled a bounded number of
     times, then clamped.  Points landing inside buildings are kept; rejecting
-    exactly those detections is the mask's job, not the generator's.  The
-    map's edge segments and the bounds are built once per sampler, which
-    warns about an empty map at most once.
+    exactly those detections is the mask's job, not the generator's.
+
+    :meth:`draw` makes one frame's generator calls and little else;
+    :meth:`points` evaluates the position formulas once over every frame
+    drawn.  They are elementwise, so each point equals its per-frame
+    evaluation to the bit.  Only resampling needs a frame's positions before
+    the next frame is drawn, and only when its largest jitter could carry a
+    point on an edge out of the bounds: when ``sigma * max|z|`` is not below
+    the edges' clearance to the bounds, less 8 ulps at the coordinate scale
+    for rounding.  Such a frame is placed on the spot, as is every frame
+    with edge points on a map flush with or crossing the bounds.  An empty
+    map is warned about at most once per sampler.
     """
-    segments = np.asarray(static_map.all_edges(), dtype=float).reshape(-1, 2, 2)  # (S, 2, 2)
-    seg_a, seg_b = segments[:, 0].copy(), segments[:, 1].copy()
-    lo, hi = np.array([[bounds.x_min, bounds.y_min], [bounds.x_max, bounds.y_max]])
-    span = hi - lo
-    warned = False
 
-    def edge_points(n: int, rng: np.random.Generator) -> np.ndarray:
-        idx = rng.integers(0, len(seg_a), n)
-        tpar = rng.random(n)[:, None]
-        base = seg_a.take(idx, axis=0) * (1.0 - tpar) + seg_b.take(idx, axis=0) * tpar
-        return base + clutter.edge_jitter_sigma * rng.standard_normal((n, 2))
+    def __init__(self, clutter: ClutterModel, static_map: StaticMap, bounds: Rect) -> None:
+        segments = np.asarray(static_map.all_edges(), dtype=float).reshape(-1, 2, 2)  # (S, 2, 2)
+        self._seg_a, self._seg_b = segments[:, 0].copy(), segments[:, 1].copy()
+        self._lo, self._hi = np.array([[bounds.x_min, bounds.y_min], [bounds.x_max, bounds.y_max]])
+        self._clutter = clutter
+        self._jitter_max = -math.inf  # no edges, no edge points
+        if len(segments):
+            ends = segments.reshape(-1, 2)
+            clearance = min((ends - self._lo).min(), (self._hi - ends).min())
+            scale = max(np.abs(ends).max(), np.abs(self._lo).max(), np.abs(self._hi).max())
+            # The lerp rounds by under 2 ulps of the scale, the clearance and
+            # this subtraction by under 2 each: 8 ulps leave a margin.
+            self._jitter_max = float(clearance) - 8.0 * math.ulp(scale)
+        self._warned = False
+        self.counts: list[int] = []  # points per frame
+        # Per frame: which points are edge clutter, the edge points' segment
+        # indices, lerp parameters and (n, 2) jitter normals, and the uniform
+        # share's (k - n, 2) unit draws; each list starts with an empty block.
+        self._edge = [np.zeros(0, dtype=bool)]
+        self._idx = [np.zeros(0, dtype=np.int64)]
+        self._t = [np.zeros(0)]
+        self._z = [np.zeros((0, 2))]
+        self._unit = [np.zeros((0, 2))]
+        self._n_edge = 0
+        self._placed: list[tuple[int, np.ndarray]] = []  # (first edge point, positions)
 
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        nonlocal warned
+    def draw(self, rng: np.random.Generator) -> None:
+        """Draw one frame: count, edge split, segments, lerps, jitter, uniform share."""
+        clutter = self._clutter
         k = int(rng.poisson(clutter.lambda_fa))
-        edge_mask = rng.random(k) < clutter.edge_fraction
-        n_edge = int(np.count_nonzero(edge_mask))
-        if n_edge and not len(seg_a):
-            if not warned:
+        edge = rng.random(k) < clutter.edge_fraction
+        n_edge = int(np.count_nonzero(edge))
+        if n_edge and not len(self._seg_a):
+            if not self._warned:
                 log.warning(
                     "clutter edge_fraction=%.2f with an empty static map; generating all "
                     "clutter uniformly",
                     clutter.edge_fraction,
                 )
-                warned = True
-            edge_mask[:] = False
+                self._warned = True
+            edge[:] = False
             n_edge = 0
-        xy = np.empty((k, 2))
+        self.counts.append(k)
+        self._edge.append(edge)
         if n_edge:
-            pts = edge_points(n_edge, rng)
-            for _ in range(_RESAMPLE_ROUNDS):
-                inside = (lo <= pts) & (pts <= hi)
-                if inside.all():
-                    break
-                bad = ~inside.all(axis=1)
-                pts[bad] = edge_points(int(np.count_nonzero(bad)), rng)
-            else:
-                np.clip(pts, lo, hi, out=pts)
-            xy[edge_mask] = pts
+            idx = rng.integers(0, len(self._seg_a), n_edge)
+            t = rng.random(n_edge)
+            z = rng.standard_normal((n_edge, 2))
+            self._idx.append(idx)
+            self._t.append(t)
+            self._z.append(z)
+            if not clutter.edge_jitter_sigma * abs(z).max() < self._jitter_max:
+                self._placed.append((self._n_edge, self._in_bounds(idx, t, z, rng)))
+            self._n_edge += n_edge
         if n_edge < k:
-            # lo + span * U[0, 1) is rng.uniform(lo, hi) to the bit, on the same draws.
-            xy[~edge_mask] = lo + span * rng.random((k - n_edge, 2))
-        return xy
+            self._unit.append(rng.random((k - n_edge, 2)))
 
-    return draw
+    def points(self) -> np.ndarray:
+        """Every point drawn so far as a (k, 2) array, in frame order."""
+        edge = np.concatenate(self._edge)
+        pts = self._edge_points(*map(np.concatenate, (self._idx, self._t, self._z)))
+        for start, placed in self._placed:
+            pts[start : start + len(placed)] = placed
+        # lo + span * U[0, 1) is rng.uniform(lo, hi) to the bit, on the same draws.
+        uniform = self._lo + (self._hi - self._lo) * np.concatenate(self._unit)
+        # Row i of [pts; uniform] goes to frame-order row at[i]; gathering
+        # rows by the inverse permutation is much faster than boolean scatters.
+        at = np.concatenate([np.flatnonzero(edge), np.flatnonzero(~edge)])
+        src = np.empty_like(at)
+        src[at] = np.arange(len(at))
+        return np.concatenate([pts, uniform]).take(src, axis=0)
+
+    def _edge_points(self, idx: np.ndarray, t: np.ndarray, z: np.ndarray) -> np.ndarray:
+        tpar = t[:, None]
+        base = self._seg_a.take(idx, axis=0) * (1.0 - tpar) + self._seg_b.take(idx, axis=0) * tpar
+        return base + self._clutter.edge_jitter_sigma * z
+
+    def _in_bounds(
+        self, idx: np.ndarray, t: np.ndarray, z: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """One frame's edge points, resampled point by point until in bounds, then clamped."""
+        lo, hi = self._lo, self._hi
+        pts = self._edge_points(idx, t, z)
+        for _ in range(_RESAMPLE_ROUNDS):
+            inside = (lo <= pts) & (pts <= hi)
+            if inside.all():
+                break
+            bad = ~inside.all(axis=1)
+            n = int(np.count_nonzero(bad))
+            pts[bad] = self._edge_points(
+                rng.integers(0, len(self._seg_a), n), rng.random(n), rng.standard_normal((n, 2))
+            )
+        else:
+            np.clip(pts, lo, hi, out=pts)
+        return pts
 
 
-def _realize(scenario: Scenario, steps: Sequence[int], rng: np.random.Generator) -> Realization:
-    # The generator is consumed in the order of one frame at a time: per
-    # step, the p_det draw and noisy polar sample of each (SE, in-area
-    # target) pair, then the frame's clutter.  Only those draws are scalar;
-    # truth, the noise-free geometry and the back-projection are arrays.
-    poses, bounds = scenario.se_poses, scenario.bounds
+def _draw(
+    scenario: Scenario, truth_in: np.ndarray, r0: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """Every generator call of a realization, frame by frame in the module's draw order.
+
+    Returns each target hit's flat (step, SE, target) index, sampled range
+    and bearing normal, then the clutter points in frame order and their
+    count per frame.  The per-frame draws are released on return.
+    """
+    poses = scenario.se_poses
     n_se, n_tr = len(poses), len(scenario.tracks)
-    truth_xy, truth_in, dx, dy, r0 = _sight_lines(poses, scenario.tracks, bounds, steps)
+    # Flat (step, SE, target) index and noise-free range of every in-area
+    # pair, in draw order, and the number of pairs in each step.
+    pair_at = np.flatnonzero(np.broadcast_to(truth_in[:, None, :], r0.shape))
+    pairs = zip(pair_at.tolist(), r0.ravel()[pair_at].tolist())
+    per_step = (np.count_nonzero(truth_in, axis=1) * n_se).tolist()
 
     p_det, sigma_r = scenario.p_det, scenario.noise.sigma_range
     random, normal = rng.random, rng.standard_normal
-    draw_clutter = _clutter_sampler(scenario.clutter, scenario.static_map, bounds)
-    hit_at: list[int] = []  # flat (step, SE, target) index of each hit
-    hit_r: list[float] = []  # sampled range, redrawn while non-positive
-    hit_zb: list[float] = []  # the bearing's standard normal draw
-    clutter: list[np.ndarray] = []
-    for i, (inside, r0_i) in enumerate(zip(truth_in.tolist(), r0.tolist())):
-        cols = [n for n, flag in enumerate(inside) if flag]
-        for s, r0_s in enumerate(r0_i):
-            for n in cols:
-                if random() >= p_det:
-                    continue
-                r0_n = r0_s[n]
-                if r0_n == 0.0:
-                    raise DegenerateGeometryError(
-                        f"cannot take a bearing to a point at the SE position "
-                        f"({poses[s].x}, {poses[s].y})"
+    sampler = _ClutterSampler(scenario.clutter, scenario.static_map, scenario.bounds)
+    draw_clutter = sampler.draw
+    hit_at: list[int] = []
+    hit_r: list[float] = []  # redrawn while non-positive
+    hit_zb: list[float] = []
+    for n_pairs in per_step:
+        for at, r0_n in islice(pairs, n_pairs):
+            if random() >= p_det:
+                continue
+            if r0_n == 0.0:
+                pose = poses[at // n_tr % n_se]
+                raise DegenerateGeometryError(
+                    f"cannot take a bearing to a point at the SE position ({pose.x}, {pose.y})"
+                )
+            r = r0_n + sigma_r * normal()
+            redraws = 0
+            while r <= 0.0:
+                redraws += 1
+                if redraws > 1000:  # only a pathological noise scale gets here
+                    raise RuntimeError(
+                        f"range redraw cap exceeded at range {r0_n} with sigma {sigma_r}"
                     )
                 r = r0_n + sigma_r * normal()
-                redraws = 0
-                while r <= 0.0:
-                    redraws += 1
-                    if redraws > 1000:  # only a pathological noise scale gets here
-                        raise RuntimeError(
-                            f"range redraw cap exceeded at range {r0_n} with sigma {sigma_r}"
-                        )
-                    r = r0_n + sigma_r * normal()
-                hit_at.append((i * n_se + s) * n_tr + n)
-                hit_r.append(r)
-                hit_zb.append(normal())
-        clutter.append(draw_clutter(rng))
+            hit_at.append(at)
+            hit_r.append(r)
+            hit_zb.append(normal())
+        draw_clutter(rng)
+    hits = np.array(hit_at, dtype=np.intp), np.array(hit_r), np.array(hit_zb)
+    return *hits, sampler.points(), sampler.counts
+
+
+def _realize(scenario: Scenario, steps: Sequence[int], rng: np.random.Generator) -> Realization:
+    # Only the generator calls are made frame by frame (``_draw``); truth,
+    # the noise-free geometry, the clutter positions and the back-projection
+    # are arrays over the whole realization.
+    poses = scenario.se_poses
+    truth_xy, truth_in, dx, dy, r0 = _sight_lines(poses, scenario.tracks, scenario.bounds, steps)
+    at, range_m, zb, clutter, counts = _draw(scenario, truth_in, r0, rng)
 
     # Back-projection of every hit through its pose into the world frame, in
     # the scalar formulas' evaluation order; the transcendental functions are
     # Python's math ones, mapped over the column.
-    at = np.array(hit_at, dtype=np.intp)
     step_of, se_of = np.unravel_index(at, r0.shape)[:2]
     pose = np.array([(p.x, p.y, p.theta, math.cos(p.theta), math.sin(p.theta)) for p in poses])
     px, py, theta, cos_h, sin_h = pose.take(se_of, axis=0).T
     b0 = wrap_angles(_mapped(math.atan2, dy.ravel()[at], dx.ravel()[at]) - theta)
-    bearing = wrap_angles(b0 + scenario.noise.sigma_bearing * np.array(hit_zb))
-    range_m = np.array(hit_r)
+    bearing = wrap_angles(b0 + scenario.noise.sigma_bearing * zb)
     lx = range_m * _mapped(math.cos, bearing)
     ly = range_m * _mapped(math.sin, bearing)
     x = px + cos_h * lx - sin_h * ly
     y = py + sin_h * lx + cos_h * ly
 
-    counts = [len(c) for c in clutter]
-    n_clutter = sum(counts)
+    n_clutter = len(clutter)
     # Clutter is assigned to SEs round-robin within each frame.
-    clutter_se = (np.arange(n_clutter) - np.repeat(np.cumsum(counts) - counts, counts)) % n_se
+    clutter_se = (np.arange(n_clutter) - np.repeat(np.cumsum(counts) - counts, counts)) % len(poses)
     frame_of = np.concatenate([step_of, np.repeat(np.arange(len(counts)), counts)])
     # Stable on frame index: each frame's target detections precede its clutter.
     order = np.argsort(frame_of, kind="stable")
     return Realization(
-        xy=np.concatenate([np.column_stack([x, y]), *clutter]).take(order, axis=0),
+        xy=np.concatenate([np.column_stack([x, y]), clutter]).take(order, axis=0),
         frame_of=frame_of[order],
         se_idx=np.concatenate([se_of, clutter_se])[order],
         is_clutter=np.repeat([False, True], [len(at), n_clutter])[order],

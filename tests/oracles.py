@@ -47,7 +47,7 @@ from sensefuse.scenario import (
     Frame,
     Scenario,
     TargetTrack,
-    _clutter_sampler,
+    _ClutterSampler,
     _frames,
     _realize,
 )
@@ -223,7 +223,9 @@ def generate_clutter(
     clutter: ClutterModel, static_map: StaticMap, bounds: Rect, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw one frame's clutter positions as a (k, 2) array, with a fresh sampler."""
-    return _clutter_sampler(clutter, static_map, bounds)(rng)
+    sampler = _ClutterSampler(clutter, static_map, bounds)
+    sampler.draw(rng)
+    return sampler.points()
 
 
 def clutter_frame(

@@ -160,6 +160,24 @@ def test_generator_rejects_target_at_the_se_position():
         generate_realization(scenario, realization_rng(scenario.seed, 0))
 
 
+def test_generator_raises_on_the_oracles_draw():
+    # Track 0 reaches the second SE at step 5.  Both generators stop after
+    # the p_det draw of that (SE, target) pair, five frames of hits and
+    # clutter in, with the stream in the same state.
+    cfg = ScenarioConfig(p_det=0.9, n_targets=2)
+    scenario = dataclasses.replace(
+        build_scenario(cfg), se_poses=(Pose(0.0, 0.0, 0.0), Pose(6.0, 15.0, 0.0))
+    )
+    rng, rng_rz = realization_rng(4, 0), realization_rng(4, 0)
+    with pytest.raises(DegenerateGeometryError, match=r"\(6.0, 15.0\)"):
+        for t in range(scenario.t_steps):
+            scalar_frame(scenario, t, rng)
+    with pytest.raises(DegenerateGeometryError, match=r"\(6.0, 15.0\)"):
+        generate_realization(scenario, rng_rz)
+    assert t == 5
+    assert rng_rz.bit_generator.state == rng.bit_generator.state
+
+
 # -- frame generation -----------------------------------------------------------
 
 
@@ -439,6 +457,7 @@ def test_empty_map_warns_once_per_realization(caplog):
 
 
 _FLUSH_BOUNDS = Rect(0.0, 0.0, 40.0, 40.0)
+_NEAR_FLUSH_BOUNDS = Rect(1e6, 1e6, 1e6 + 40.0, 1e6 + 40.0)
 CLUTTER_CASES = {
     "default": ScenarioConfig(),
     "resample-and-clamp": ScenarioConfig(
@@ -451,6 +470,18 @@ CLUTTER_CASES = {
     "uniform-only": ScenarioConfig(clutter=ClutterModel(edge_fraction=0.0)),
     "edge-only": ScenarioConfig(clutter=ClutterModel(edge_fraction=1.0, edge_jitter_sigma=0.05)),
     "sparse": ScenarioConfig(clutter=ClutterModel(lambda_fa=0.5)),
+    # A building 1e-9 m (9 ulps) inside bounds at 1e6 m, with jitter of a
+    # few ulps: jitter alone cannot clear a frame, and a sampler that trusted
+    # its bound without the lerp's rounding as slack would let points out.
+    "near-flush": ScenarioConfig(
+        bounds=_NEAR_FLUSH_BOUNDS,
+        static_map=StaticMap(
+            (Rect(1e6 + 1e-9, 1e6 + 1e-9, 1e6 + 40.0 - 1e-9, 1e6 + 40.0 - 1e-9),),
+            _NEAR_FLUSH_BOUNDS,
+        ),
+        se_poses=(Pose(1e6 + 20.0, 1e6 + 20.0, 0.0),),
+        clutter=ClutterModel(lambda_fa=200.0, edge_fraction=0.9, edge_jitter_sigma=4e-10),
+    ),
 }
 
 
@@ -469,6 +500,42 @@ def test_realization_clutter_matches_per_frame_oracle(cfg):
         assert rz.xy.tobytes() == np.concatenate(expected).tobytes()
         assert rz.frame_of.tolist() == [t for t, xy in enumerate(expected) for _ in xy]
         assert rng_rz.bit_generator.state == rng.bit_generator.state
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    clearance=st.sampled_from([0.0, 1e-9, 20.0]),
+    origin=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+    sigma=st.floats(0.05, 50.0),
+    edge_fraction=st.floats(0.0, 1.0),
+)
+@example(seed=0, clearance=1e-9, origin=(1e6, -1e6), sigma=0.05, edge_fraction=1.0)
+@example(seed=0, clearance=20.0, origin=(0.0, 0.0), sigma=5.0, edge_fraction=0.7)
+def test_realization_clutter_matches_oracle_near_the_bounds(
+    seed, clearance, origin, sigma, edge_fraction
+):
+    # A building inset by ``clearance`` on every side of 60 m bounds: flush,
+    # within a few ulps at large coordinates, or well clear.  Whether jitter
+    # can leave the bounds decides which frames the sampler places at once.
+    ox, oy = origin
+    bounds = Rect(ox, oy, ox + 60.0, oy + 60.0)
+    building = Rect(ox + clearance, oy + clearance, ox + 60.0 - clearance, oy + 60.0 - clearance)
+    cfg = ScenarioConfig(
+        bounds=bounds,
+        static_map=StaticMap((building,), bounds),
+        se_poses=(Pose(ox + 30.0, oy + 30.0, 0.0),),
+        n_targets=0,
+        t_steps=8,
+        clutter=ClutterModel(lambda_fa=30.0, edge_fraction=edge_fraction, edge_jitter_sigma=sigma),
+    )
+    scenario = build_scenario(cfg)
+    rng, rng_rz = realization_rng(seed, 0), realization_rng(seed, 0)
+    expected = [clutter_frame(scenario.clutter, scenario.static_map, bounds, rng) for _ in range(8)]
+    rz = generate_realization(scenario, rng_rz)
+    assert rz.xy.tobytes() == np.concatenate(expected).tobytes()
+    assert rz.frame_of.tolist() == [t for t, xy in enumerate(expected) for _ in xy]
+    assert rng_rz.bit_generator.state == rng.bit_generator.state
 
 
 _bound = st.floats(-1e4, 1e4, allow_nan=False)
