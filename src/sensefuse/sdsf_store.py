@@ -14,7 +14,8 @@ line, replayed into the in-memory index on load.  Each line is written with
 its ``"\n"`` last, so a final line without one is torn by an interrupted
 append: replay drops it with a warning, and the next append first cuts the
 log back to its last complete line.  Any other line that cannot be replayed,
-and a torn header, raise :class:`StoreCorruptError` naming the file and line.
+a line whose record id an earlier line already holds, and a torn header,
+raise :class:`StoreCorruptError` naming the file and line.
 
 Every line, the header included, is ``orjson.dumps`` of its JSON form with
 sorted keys; a non-finite metric is written as ``null`` and read back as
@@ -42,7 +43,9 @@ passes the same checks.  Within one replay, equal area rects and equal static
 maps are shared.  Replay reads three raw forms into the same columns: a
 payload with ``"items"`` holds one item per detection; otherwise a string
 ``"xy"`` is the form above, decoded strictly (base64 alphabet and padding,
-``16 * D`` xy bytes, ``ceil(D / 8)`` clutter bytes, zero pad bits), and a list
+zero leftover bits in a padded last group, so that each column has one
+spelling, ``16 * D`` xy bytes, ``ceil(D / 8)`` clutter bytes, zero pad
+bits), and a list
 ``"xy"`` holds ``[x, y]`` pairs beside a list of clutter booleans.  Only the
 base64 form is written.  Lines of older logs also hold a ``"kind"``, which
 must be the payload's, and ``"conditions"`` and ``"metadata"``, which replay
@@ -404,6 +407,7 @@ class SdsfStore:
             rects: dict[bytes, Rect] = {}
             maps: dict[bytes, StaticMap] = {}
             entries = []
+            first_line: dict[str, int] = {}  # record id -> the line it is on
             end = len(header_line)
             for lineno, line in enumerate(fh, start=2):
                 if not line.endswith(b"\n"):
@@ -418,6 +422,13 @@ class SdsfStore:
                     num = int(record.record_id.split("-")[-1])
                 except (ValueError, TypeError, KeyError, AttributeError, OverflowError) as exc:
                     raise StoreCorruptError(self._path, lineno, f"bad record: {exc}") from exc
+                first = first_line.setdefault(record.record_id, lineno)
+                if first != lineno:
+                    raise StoreCorruptError(
+                        self._path,
+                        lineno,
+                        f"duplicate record_id {record.record_id!r}, first on line {first}",
+                    )
                 entries.append((record, num))
         for record, num in entries:
             self._records[record.record_id] = record
@@ -513,6 +524,16 @@ def _b64(a: np.ndarray) -> str:
     return base64.b64encode(a.tobytes()).decode("ascii")
 
 
+def _b64_column(text: str, name: str) -> bytes:
+    """Strict base64: alphabet, padding, and zero leftover bits in the last group."""
+    raw = base64.b64decode(text, validate=True)
+    # 'AB==' and 'AA==' both decode to one zero byte; only the second is what
+    # the writer emits, so the final group must re-encode to itself.
+    if len(raw) % 3 and base64.b64encode(raw[-(len(raw) % 3) :]).decode() != text[-4:]:
+        raise ValueError(f"{name} is not canonical base64 ({len(raw)} bytes)")
+    return raw
+
+
 def _compact_columns_from_json(d: dict) -> DetectionColumns:
     """The compact raw payload: base64 of the xy float64 bytes and of the packed clutter bits.
 
@@ -520,8 +541,8 @@ def _compact_columns_from_json(d: dict) -> DetectionColumns:
     """
     if type(d["clutter"]) is not str:
         raise ValueError("clutter must be a base64 string when xy is one")
-    xy = base64.b64decode(d["xy"], validate=True)
-    clutter = base64.b64decode(d["clutter"], validate=True)
+    xy = _b64_column(d["xy"], "xy")
+    clutter = _b64_column(d["clutter"], "clutter")
     n, rest = divmod(len(xy), 16)
     if rest:
         raise ValueError(f"xy holds {len(xy)} bytes, not a multiple of 16")

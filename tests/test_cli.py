@@ -186,8 +186,10 @@ def _torn(path):
         _torn,
         lambda path: path.write_text("garbage\n"),
         lambda path: path.write_text('{"magic": "other", "version": 1}\n'),
+        # The last record line again: a second record under its id.
+        lambda path: path.write_bytes(path.read_bytes() + path.read_bytes().splitlines(True)[-1]),
     ],
-    ids=["torn", "garbage", "bad-magic"],
+    ids=["torn", "garbage", "bad-magic", "duplicate-record-id"],
 )
 def test_corrupt_store_exits_1(tmp_path, small_config, capsys, corrupt):
     trace = tmp_path / "run.jsonl"

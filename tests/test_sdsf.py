@@ -322,6 +322,30 @@ def test_torn_last_line_raises_store_corrupt_error(tmp_path):
     assert err.value.lineno == 1
 
 
+def test_duplicate_record_id_raises_store_corrupt_error(tmp_path):
+    # One writer numbers its records uniquely; two lines under one id mean the
+    # log was edited or interleaved, and replay would keep only the second.
+    path = tmp_path / "store.jsonl"
+    path.write_text(
+        '{"magic":"sensefuse-sdsf-log","version":1}\n'
+        '{"aging_policy":1000,"context":{"area":[0.0,0.0,10.0,10.0],"target_type":"unknown",'
+        '"time_window":[0,5]},"created_at":0,"payload":{"bounds":[0.0,0.0,10.0,10.0],'
+        '"rects":[],"type":"static_map"},"record_id":"rec-000001","stid":"stid-1"}\n'
+        '{"aging_policy":1000,"context":{"area":[0.0,0.0,10.0,10.0],"target_type":"unknown",'
+        '"time_window":[0,5]},"created_at":0,"payload":{"bounds":[0.0,0.0,10.0,10.0],'
+        '"rects":[],"type":"static_map"},"record_id":"rec-000001","stid":"stid-2"}\n'
+    )
+    with pytest.raises(
+        StoreCorruptError,
+        match=r"store\.jsonl:3: duplicate record_id 'rec-000001', first on line 2$",
+    ) as err:
+        SdsfStore(path)
+    assert err.value.lineno == 3
+    # Without the second line the log replays.
+    path.write_bytes(b"".join(_lines(path)[:2]))
+    assert list(SdsfStore(path)._records) == ["rec-000001"]
+
+
 def test_torn_last_line_is_dropped_and_cut_by_the_next_append(tmp_path, caplog):
     path = _two_record_log(tmp_path)
     data = path.read_bytes()
@@ -764,25 +788,44 @@ def _assert_bad_raw_line(tmp_path, payload: dict) -> None:
 
 
 _XY3 = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+_XY4 = _XY3 + [[7.0, 8.0]]  # 64 bytes: a last group with one byte and two pad characters
+_B64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def _leftover_bits(text: str) -> str:
+    """A padded base64 string with the lowest leftover bit of its last group set.
+
+    It decodes to the same bytes, as ``'AB=='`` and ``'AA=='`` both decode
+    to one zero byte, but the writer never spells it so.
+    """
+    at = len(text.rstrip("=")) - 1
+    assert text.endswith("=") and _B64_ALPHABET.index(text[at]) % 4 == 0
+    spelled = text[:at] + _B64_ALPHABET[_B64_ALPHABET.index(text[at]) + 1] + text[at + 1 :]
+    assert base64.b64decode(spelled, validate=True) == base64.b64decode(text, validate=True)
+    return spelled
 
 
 @pytest.mark.parametrize(
-    "xy, clutter",
+    "xy, clutter, rows",
     [
-        ("!" + _compact_xy(_XY3)[1:], _compact_clutter([False] * 3)),
-        ("-" + _compact_xy(_XY3)[1:], _compact_clutter([False] * 3)),
-        ("é" + _compact_xy(_XY3)[1:], _compact_clutter([False] * 3)),
-        (_compact_xy(_XY3), _compact_clutter([False] * 3).rstrip("=")),
-        (base64.b64encode(struct.pack("<3d", 1.0, 2.0, 3.0)).decode(), "AA=="),
-        (_compact_xy(_XY3), _compact_clutter([False] * 11)),
-        (_compact_xy(_XY3), ""),
-        (_compact_xy(_XY3), _compact_clutter([False, True, False, True])),
-        (_compact_xy(_XY3), base64.b64encode(b"\x01").decode()),
-        (_compact_xy([[1.0, 2.0], [math.nan, 4.0], [5.0, 6.0]]), _compact_clutter([False] * 3)),
-        (_compact_xy([[1.0, 2.0], [3.0, -math.inf], [5.0, 6.0]]), _compact_clutter([False] * 3)),
-        (_compact_xy(_XY3), [False] * 3),
-        (_XY3, _compact_clutter([False] * 3)),
-        (_compact_xy(_XY3[:2]), _compact_clutter([False] * 2)),
+        ("!" + _compact_xy(_XY3)[1:], _compact_clutter([False] * 3), 3),
+        ("-" + _compact_xy(_XY3)[1:], _compact_clutter([False] * 3), 3),
+        ("é" + _compact_xy(_XY3)[1:], _compact_clutter([False] * 3), 3),
+        (_compact_xy(_XY3), _compact_clutter([False] * 3).rstrip("="), 3),
+        (base64.b64encode(struct.pack("<3d", 1.0, 2.0, 3.0)).decode(), "AA==", 3),
+        (_compact_xy(_XY3), _compact_clutter([False] * 11), 3),
+        (_compact_xy(_XY3), "", 3),
+        (_compact_xy(_XY3), _compact_clutter([False, True, False, True]), 3),
+        (_compact_xy(_XY3), base64.b64encode(b"\x01").decode(), 3),
+        (_compact_xy([[1.0, 2.0], [math.nan, 4.0], [5.0, 6.0]]), _compact_clutter([False] * 3), 3),
+        (_compact_xy([[1.0, 2.0], [3.0, -math.inf], [5.0, 6.0]]), _compact_clutter([False] * 3), 3),
+        (_compact_xy(_XY3), [False] * 3, 3),
+        (_XY3, _compact_clutter([False] * 3), 3),
+        (_compact_xy(_XY3[:2]), _compact_clutter([False] * 2), 3),
+        (_compact_xy(_XY3), _leftover_bits(_compact_clutter([False] * 3)), 3),
+        (_leftover_bits(_compact_xy(_XY4)), _compact_clutter([False] * 4), 4),
+        (_leftover_bits(_compact_xy(_XY4)), _leftover_bits(_compact_clutter([False] * 4)), 4),
+        (_leftover_bits(_compact_xy(_XY3[:2])), _compact_clutter([False] * 2), 2),
     ],
     ids=[
         "non-alphabet-char",
@@ -799,10 +842,14 @@ _XY3 = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
         "string-xy-list-clutter",
         "list-xy-string-clutter",
         "fewer-rows-than-se-idx",
+        "clutter-leftover-bits",
+        "xy-leftover-bits",
+        "xy-and-clutter-leftover-bits",
+        "xy-leftover-bits-in-a-one-pad-group",
     ],
 )
-def test_corrupt_compact_raw_record_raises_store_corrupt_error(tmp_path, xy, clutter):
-    payload = {"clutter": clutter, "se_ids": ["se-0"], "se_idx": [0] * 3, "type": "detections"}
+def test_corrupt_compact_raw_record_raises_store_corrupt_error(tmp_path, xy, clutter, rows):
+    payload = {"clutter": clutter, "se_ids": ["se-0"], "se_idx": [0] * rows, "type": "detections"}
     _assert_bad_raw_line(tmp_path, {**payload, "xy": xy})
 
 
