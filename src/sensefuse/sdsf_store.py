@@ -45,9 +45,8 @@ payload with ``"items"`` holds one item per detection; otherwise a string
 ``"xy"`` is the form above, decoded strictly (base64 alphabet and padding,
 zero leftover bits in a padded last group, so that each column has one
 spelling, ``16 * D`` xy bytes, ``ceil(D / 8)`` clutter bytes, zero pad
-bits), and a list
-``"xy"`` holds ``[x, y]`` pairs beside a list of clutter booleans.  Only the
-base64 form is written.  Lines of older logs also hold a ``"kind"``, which
+bits), and a list ``"xy"`` holds ``[x, y]`` pairs beside a list of clutter
+booleans.  Only the base64 form is written.  Lines of older logs also hold a ``"kind"``, which
 must be the payload's, and ``"conditions"`` and ``"metadata"``, which replay
 ignores.
 """
