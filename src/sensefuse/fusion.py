@@ -12,18 +12,26 @@ The pipeline is two hard decisions applied to each frame's pooled detections:
 Gating is a pure distance-threshold test per side; there is deliberately no
 one-to-one assignment between detections and targets.
 
-One kernel serves both the sweep and the call flow, which both call
-:func:`realization_metrics`.  Distances are computed once per realization by
-:func:`detection_distances` from its flat arrays.  :func:`grid_metrics`
-then evaluates one gate for every mask margin at once in closed form: a
-target is detected at margin ``g`` when the detection inside its gate that
-lies farthest from the map is more than ``g`` from it, and the false alarms at
-``g`` are the gate-unmatched detections more than ``g`` from the map.  The
-detection-target pairs inside the widest gate and one sort of the map
-distances serve every gate, and each gate's Pd is computed as arrays for all
-of its cells.  Distances are compared in squared form so the kernel agrees
-bit for bit with the scalar dilated-map membership spec the tests hold
-(``in_dilated_map`` in ``tests/oracles.py``).
+One kernel serves both the sweep and the call flow: :func:`grid_arrays`,
+which the call flow reaches through :func:`realization_metrics` and the
+sweep directly.  Distances are computed once per realization by
+:func:`detection_distances`, one contiguous row of takes by frame per
+target.  The kernel then evaluates every (mask margin, gate) cell at once in
+closed form: a target is detected at margin ``g`` when the detection inside
+its gate that lies farthest from the map is more than ``g`` from it, and the
+false alarms at ``g`` are the gate-unmatched detections more than ``g`` from
+the map.  The detection-target pairs inside the widest gate are found once,
+and each is assigned to the narrowest gate that holds it.  Each matched
+detection gets a rank, the number of mask thresholds its map distance
+exceeds.  One scatter of the ranks into a (gates, targets, frames) array,
+carried from each gate to the next wider one, gives every gate its farthest
+gated detection per target and frame, and one histogram of that array gives
+every cell's Pd.  A cell's false alarms are the detections its threshold
+keeps, counted from one sort of the map distances, less the matched ones
+among them, counted from one histogram of gate and rank.  Distances are
+compared in squared form so the kernel agrees bit for bit with the scalar
+dilated-map membership spec the tests hold (``in_dilated_map`` in
+``tests/oracles.py``).
 """
 from __future__ import annotations
 
@@ -83,29 +91,116 @@ def detection_distances(
     target_ids: Sequence[int],
     static_map: StaticMap | None,
 ) -> FrameDistances:
-    """Distance tensors of (D, 2) detections against (T, N) per-frame truth.
+    """Distance tensors of (D, 2) finite detections against (T, N) per-frame truth.
 
     ``target_ids`` names the truth columns; columns never in the area are
     dropped and the rest ordered by id.  ``static_map=None`` means no map:
     every detection is infinitely far from it, so the mask keeps everything
-    at any margin.
+    at any margin.  ``target_dist_sq`` is the transpose of a row-major
+    (N, D) array, so each target's distances are contiguous.
     """
     cols = sorted((tid, n) for n, tid in enumerate(target_ids) if truth_in[:, n].any())
     keep = [n for _, n in cols]
-    # Each target's coordinates as a (D, N) plane, one row per detection.
-    dx = xy[:, 0, None] - truth_xy[:, keep, 0].take(frame_of, axis=0)
-    dy = xy[:, 1, None] - truth_xy[:, keep, 1].take(frame_of, axis=0)
-    dist_sq = dx * dx + dy * dy
     inside = truth_in[:, keep]
+    # Each target's coordinates per frame, +inf where it is outside the area:
+    # a finite detection is then +inf away from it in that frame.
+    tx, ty = (np.where(inside, truth_xy[:, keep, k], np.inf).T.copy() for k in (0, 1))
+    x, y = np.ascontiguousarray(xy.T)
+    dist_sq = np.empty((len(keep), len(xy)))
+    for row, row_x, row_y in zip(dist_sq, tx, ty):
+        dx = x - row_x.take(frame_of)
+        dy = y - row_y.take(frame_of)
+        dx *= dx
+        dy *= dy
+        np.add(dx, dy, out=row)
     return FrameDistances(
         map_dist_sq=(
             np.full(len(xy), np.inf) if static_map is None else static_map.min_distance_sq_many(xy)
         ),
-        target_dist_sq=np.where(inside.take(frame_of, axis=0), dist_sq, np.inf),
+        target_dist_sq=dist_sq.T,
         frame_of=frame_of,
         target_inbounds=inside,
         target_ids=tuple(tid for tid, _ in cols),
     )
+
+
+def realization_distances(
+    scenario: Scenario, rz: Realization, static_map: StaticMap | None
+) -> FrameDistances:
+    """Distance tensors of one realization of ``scenario``; ``static_map=None`` means no map."""
+    ids = [track.id for track in scenario.tracks]
+    return detection_distances(rz.xy, rz.frame_of, rz.truth_xy, rz.truth_in, ids, static_map)
+
+
+def _above(counts: np.ndarray) -> np.ndarray:
+    # counts[..., v] of values 0..M -> [..., m], the count of values above m, for m < M.
+    return np.cumsum(counts[..., :0:-1], axis=-1)[..., ::-1]
+
+
+def grid_arrays(
+    fd: FrameDistances, gates: np.ndarray, thresholds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pd/FA of the frame sequence in each cell, as arrays.
+
+    Cell ``i`` gates at ``gates[i]`` and keeps the detections whose squared
+    map distance exceeds ``thresholds[i]``; ``-inf`` turns its mask off.
+    Returns ``pd``, (cells, observed targets) in ``target_ids`` order, and
+    ``pd_avg`` and ``fa_avg``, (cells,).  Targets never inside the area are
+    left out of Pd, with one warning; ``pd_avg`` is NaN when no target was
+    inside.  Raises :class:`EmptyRunError` on zero frames.
+    """
+    steps = fd.target_inbounds.sum(axis=0)
+    n_frames, n_targets = fd.target_inbounds.shape
+    if n_frames == 0:
+        raise EmptyRunError("cannot compute metrics over zero frames")
+    observed = steps > 0
+    if not observed.all():
+        excluded = [tid for tid, seen in zip(fd.target_ids, observed.tolist()) if not seen]
+        log.warning("targets %s were never inside the sensing area; excluded from pd_avg", excluded)
+    # Each distance becomes a small integer.  A pair's level is the narrowest
+    # gate that holds it (it is held at that level and wider), and a
+    # detection's rank is the number of thresholds it exceeds (it is kept at
+    # those thresholds).
+    levels, level_of = np.unique(gates, return_inverse=True)
+    limits, limit_of = np.unique(thresholds, return_inverse=True)
+    level_sq = levels * levels
+    n_levels, n_limits = len(levels), len(limits)
+    dist = fd.target_dist_sq.T
+    pairs = np.flatnonzero(dist <= level_sq.max(initial=-np.inf))
+    col, det = np.divmod(pairs, dist.shape[1])
+    level = np.searchsorted(level_sq, dist.take(pairs))
+    # A detection is matched from its nearest pair's level on; only matched
+    # detections need a rank.
+    match = np.full(dist.shape[1], n_levels)
+    np.minimum.at(match, det, level)
+    matched = np.flatnonzero(match < n_levels)
+    rank = np.zeros(dist.shape[1], dtype=np.intp)
+    rank[matched] = np.searchsorted(limits, fd.map_dist_sq[matched])
+
+    # best[k, n, t]: the highest rank among frame t's detections that gate k
+    # holds for target n; the target is detected at threshold m < best.
+    best = np.zeros((n_levels, n_targets, n_frames), dtype=np.intp)
+    slot = (level * n_targets + col) * n_frames + fd.frame_of[det]
+    np.maximum.at(best.reshape(-1), slot, rank[det])
+    for wider, narrower in zip(best[1:], best):
+        np.maximum(wider, narrower, out=wider)
+    # One histogram of best per (gate, target), in bins of width n_limits + 1.
+    bins = n_limits + 1
+    hist_of = np.arange(n_levels * n_targets).reshape(n_levels, n_targets, 1) * bins
+    counts = np.bincount((best + hist_of).reshape(-1), minlength=n_levels * n_targets * bins)
+    successes = _above(counts.reshape(n_levels, n_targets, bins))[level_of, :, limit_of]
+
+    # False alarms: the detections kept at a threshold, less the matched ones among them.
+    kept = len(fd.map_dist_sq) - np.searchsorted(np.sort(fd.map_dist_sq), limits, side="right")
+    matched_counts = np.bincount(match[matched] * bins + rank[matched], minlength=n_levels * bins)
+    kept_matched = np.cumsum(_above(matched_counts.reshape(n_levels, bins)), axis=0)
+    fa_avg = (kept - kept_matched)[level_of, limit_of] / n_frames
+
+    # Selected columns come back column-major, where a row's mean sums in
+    # another order and can round differently: copy to row-major.
+    pd = np.ascontiguousarray(successes[:, observed]) / steps[observed]
+    pd_avg = pd.mean(axis=1) if observed.any() else np.full(len(gates), math.nan)
+    return pd, pd_avg, fa_avg
 
 
 def _mask_sq(fc: FilterConfig) -> float:
@@ -116,54 +211,19 @@ def _mask_sq(fc: FilterConfig) -> float:
 def grid_metrics(fd: FrameDistances, configs: Sequence[FilterConfig]) -> list[MetricResult]:
     """Pd/FA of the frame sequence under each filter configuration.
 
-    Configurations that share a gate are evaluated together in one pass.
-    Targets never inside the area are left out of Pd and listed in every
-    result's ``excluded_targets``, with one warning; ``pd_avg`` is NaN when
-    no target was inside.  Raises :class:`EmptyRunError` on zero frames.
+    :func:`grid_arrays` as one :class:`MetricResult` per configuration;
+    targets never inside the area are listed in every result's
+    ``excluded_targets``.
     """
-    steps, n_frames = fd.target_inbounds.sum(axis=0), len(fd.target_inbounds)
-    if n_frames == 0:
-        raise EmptyRunError("cannot compute metrics over zero frames")
-    observed = steps > 0
-    ids = [tid for tid, seen in zip(fd.target_ids, observed.tolist()) if seen]
-    excluded = tuple(tid for tid, seen in zip(fd.target_ids, observed.tolist()) if not seen)
-    if excluded:
-        log.warning(
-            "targets %s were never inside the sensing area; excluded from pd_avg", list(excluded)
-        )
-    gates = list(dict.fromkeys(fc.gate_g_det for fc in configs))
-    # The (detection, target) pairs inside the widest gate hold every
-    # narrower gate's pairs, and a detection's nearest target among them
-    # decides whether it is unmatched at any gate.
-    widest = max(gates, default=0.0)
-    pairs = np.flatnonzero(fd.target_dist_sq <= widest * widest)
-    det, col = np.unravel_index(pairs, fd.target_dist_sq.shape)
-    pair_sq = fd.target_dist_sq.ravel()[pairs]
-    pair_frame, pair_map = fd.frame_of[det], fd.map_dist_sq[det]
-    nearest = np.full(len(fd.map_dist_sq), np.inf)
-    np.minimum.at(nearest, det, pair_sq)
-    # One sort serves every gate: a gate's unmatched detections are a
-    # subsequence of the map-distance order.
-    order = np.argsort(fd.map_dist_sq)
-    map_sorted, nearest = fd.map_dist_sq[order], nearest[order]
-    results: dict[int, MetricResult] = {}
-    for gate in gates:
-        cells = [i for i, fc in enumerate(configs) if fc.gate_g_det == gate]
-        thresholds = np.array([_mask_sq(configs[i]) for i in cells])
-        inside = pair_sq <= gate * gate
-        # best[n, t]: map distance of the gated detection of target n farthest from the map.
-        best = np.full(fd.target_inbounds.shape[::-1], -np.inf)
-        np.maximum.at(best, (col[inside], pair_frame[inside]), pair_map[inside])
-        successes = (best > thresholds[:, None, None]).sum(axis=2)
-        unmatched = map_sorted[nearest > gate * gate]
-        false_alarms = len(unmatched) - np.searchsorted(unmatched, thresholds, side="right")
-        # Selected columns come back column-major, where a row's mean sums
-        # in another order and can round differently: copy to row-major.
-        pd = np.ascontiguousarray(successes[:, observed]) / steps[observed]
-        pd_avg = pd.mean(axis=1).tolist() if ids else [math.nan] * len(cells)
-        for i, row, avg, fa in zip(cells, pd.tolist(), pd_avg, (false_alarms / n_frames).tolist()):
-            results[i] = MetricResult(dict(zip(ids, row)), avg, fa, excluded)
-    return [results[i] for i in range(len(configs))]
+    gates = np.array([fc.gate_g_det for fc in configs])
+    pd, pd_avg, fa_avg = grid_arrays(fd, gates, np.array([_mask_sq(fc) for fc in configs]))
+    observed = fd.target_inbounds.any(axis=0).tolist()
+    ids = [tid for tid, seen in zip(fd.target_ids, observed) if seen]
+    excluded = tuple(tid for tid, seen in zip(fd.target_ids, observed) if not seen)
+    return [
+        MetricResult(dict(zip(ids, row)), avg, fa, excluded)
+        for row, avg, fa in zip(pd.tolist(), pd_avg.tolist(), fa_avg.tolist())
+    ]
 
 
 def realization_metrics(
@@ -176,6 +236,4 @@ def realization_metrics(
 
     ``static_map`` is the mask's map; ``None`` means no map.
     """
-    ids = [track.id for track in scenario.tracks]
-    fd = detection_distances(rz.xy, rz.frame_of, rz.truth_xy, rz.truth_in, ids, static_map)
-    return grid_metrics(fd, configs)
+    return grid_metrics(realization_distances(scenario, rz, static_map), configs)

@@ -2,8 +2,8 @@
 
 The sweep evaluates a grid of (mask margin, validation gate) pairs over many
 independent realizations.  It is realization-major: each realization is
-generated once as arrays, reduced to distance tensors once, and each gate is
-then one closed-form kernel pass that yields every mask margin at once.
+generated once as arrays, reduced to distance tensors once, and one
+closed-form kernel pass then yields every (mask margin, gate) cell at once.
 Beyond speed this gives the grid common random numbers: within a
 realization, two cells differ only in their thresholds, so monotone
 relationships hold pathwise rather than just in expectation.
@@ -14,6 +14,7 @@ read/write round trip is byte-identical.
 from __future__ import annotations
 
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -25,9 +26,8 @@ import numpy as np
 from .callflow import CallFlowRun, run_call_flow, write_trace
 from .config import AppConfig, SweepSettings
 from .errors import ConfigError, EmptyRunError
-from .fusion import FilterConfig, realization_metrics
+from .fusion import grid_arrays, realization_distances
 from .geometry import Rect, StaticMap
-from .metrics import MetricResult
 from .scenario import Scenario, generate_realization, realization_rng
 from .scenario import generate_frames  # noqa: F401  re-export; perfbench's tests bind it here
 from .sdsf_store import SdsfStore, SensingContext
@@ -67,29 +67,45 @@ def cell_keys(sweep: SweepSettings) -> list[CellKey]:
     return keys
 
 
+def cell_filters(sweep: SweepSettings) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's gate and squared mask threshold (-inf: mask off), in cell order."""
+    g, g_det = np.array(cell_keys(sweep)).reshape(-1, 2).T
+    return g_det, np.where(g == BASELINE_G, -np.inf, g * g)
+
+
 def run_realization(
-    scenario: Scenario, sweep: SweepSettings, realization: int
-) -> dict[CellKey, MetricResult]:
-    """Evaluate every grid cell on one realization, one kernel pass per gate."""
+    scenario: Scenario, cells: tuple[np.ndarray, np.ndarray], realization: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every cell's ``pd_avg`` and ``fa_avg`` on one realization, as (cells,) arrays.
+
+    ``cells`` is :func:`cell_filters` of the sweep.
+    """
     rz = generate_realization(scenario, realization_rng(scenario.seed, realization))
-    keys = cell_keys(sweep)
-    configs = [
-        FilterConfig(0.0, g_det, mask_enabled=False) if g == BASELINE_G else FilterConfig(g, g_det)
-        for g, g_det in keys
-    ]
-    return dict(zip(keys, realization_metrics(scenario, rz, scenario.static_map, configs)))
+    fd = realization_distances(scenario, rz, scenario.static_map)
+    _, pd_avg, fa_avg = grid_arrays(fd, *cells)
+    return pd_avg, fa_avg
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def run_sweep(scenario: Scenario, sweep: SweepSettings, workers: int = 1) -> list[SweepRow]:
     """Run the full sweep and reduce it to one row per cell.
 
-    ``workers > 1`` distributes whole realizations over processes, at most
-    one per realization, since a pool starts all of its workers at once.
-    Results land in row-major (cells, realizations) arrays by realization
-    index, so serial and parallel runs produce identical rows.  Each row
-    reduces in the same pairwise order as a 1-D array of that cell's values.
-    Rows report means and sample (n-1) standard deviations, zero for one
-    realization.
+    The cells' gates and thresholds are built once, and each realization
+    returns two (cells,) arrays.  ``workers > 1`` distributes whole
+    realizations over processes, at most one per realization, since a pool
+    starts all of its workers at once, and at most one per CPU this process
+    may use.  Results land in row-major (cells, realizations) arrays by
+    realization index, so serial and parallel runs produce identical rows.
+    Each row reduces in the same pairwise order as a 1-D array of that cell's
+    values.  Rows report means and sample (n-1) standard deviations, zero for
+    one realization.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -99,15 +115,11 @@ def run_sweep(scenario: Scenario, sweep: SweepSettings, workers: int = 1) -> lis
     keys = cell_keys(sweep)
     pd_avg = np.empty((len(keys), n))
     fa_avg = np.empty((len(keys), n))
-    workers = min(workers, n)
+    workers = min(workers, n, _usable_cpus())
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
-        jobs = (run_realization, repeat(scenario), repeat(sweep), range(n))
-        for ri, cells in enumerate(pool.map(*jobs) if pool else map(*jobs)):
-            # Keep two floats per cell, not the MetricResults: thousands of those
-            # outliving each realization set off a full garbage collection every
-            # few sweeps, in the middle of a realization.
-            pd_avg[:, ri] = [cells[key].pd_avg for key in keys]
-            fa_avg[:, ri] = [cells[key].fa_avg for key in keys]
+        jobs = (run_realization, repeat(scenario), repeat(cell_filters(sweep)), range(n))
+        for ri, (cell_pd, cell_fa) in enumerate(pool.map(*jobs) if pool else map(*jobs)):
+            pd_avg[:, ri], fa_avg[:, ri] = cell_pd, cell_fa
 
     if n > 1:
         pd_std, fa_std = pd_avg.std(axis=1, ddof=1), fa_avg.std(axis=1, ddof=1)

@@ -4,9 +4,9 @@ Per-target detection probability is the fraction of steps, among those where
 the target was inside the sensing area, in which it was detected.  The scalar
 summary averages those fractions over targets that were observable at least
 once; the false-alarm rate is total unmatched accepted detections divided by
-total steps.  :func:`sensefuse.fusion.grid_metrics` computes both from
-counts, as arrays, and :func:`sensefuse.harness.run_sweep` reduces the
-results of many realizations to means and sample standard deviations.
+total steps.  :func:`sensefuse.fusion.grid_arrays` computes both from
+counts, as arrays, and :func:`sensefuse.harness.run_sweep` reduces those
+arrays over many realizations to means and sample standard deviations.
 """
 from __future__ import annotations
 

@@ -221,6 +221,9 @@ def test_precompute_empty_frames():
 GRID_MAP = StaticMap((Rect(0.0, 0.0, 10.0, 10.0),), Rect(-50.0, -50.0, 50.0, 50.0))
 GRID_G = (0.0, 1.0, 2.0, 2.5, 3.0)
 GRID_G_DET = (1.0, 2.0, 3.0)
+# Gate lists as the kernel may be given them: sorted, unsorted, with
+# duplicates, and a single gate.
+GRID_G_DET_LISTS = (GRID_G_DET, (3.0, 1.0, 2.0), (2.0, 2.0, 1.0, 2.0), (3.0,))
 
 # Integer coordinates around the building make exact ties at g and g_det common.
 _coord = st.integers(-4, 16).map(float)
@@ -241,14 +244,39 @@ def _same(a, b):
 
 
 @settings(max_examples=150, deadline=None)
-@given(raw_frames=st.lists(_frame, min_size=1, max_size=5), use_map=st.booleans())
+@given(
+    raw_frames=st.lists(_frame, min_size=1, max_size=5),
+    use_map=st.booleans(),
+    g_dets=st.sampled_from(GRID_G_DET_LISTS),
+)
 @example(
     # (13, 5) is exactly 3 from the building and exactly 2 from target 0;
     # then an empty frame and a frame with no truth.
     raw_frames=[([(13.0, 5.0)], {0: (13.0, 7.0)}), ([], {}), ([(12.0, 5.0)], {})],
     use_map=True,
+    g_dets=GRID_G_DET,
 )
-def test_grid_kernel_matches_one_cell_kernel_and_brute_force(raw_frames, use_map):
+@example(
+    # Unsorted gates; the detection is exactly on the middle gate's radius
+    # from target 0: matched at 2, a miss and a false alarm at 1.
+    raw_frames=[([(-2.0, 14.0)], {0: (0.0, 14.0)})],
+    use_map=True,
+    g_dets=(3.0, 1.0, 2.0),
+)
+@example(
+    # Duplicated gates; the pair is exactly on the widest gate.
+    raw_frames=[([(14.0, 14.0)], {1: (14.0, 16.0)})],
+    use_map=True,
+    g_dets=(2.0, 2.0, 1.0, 2.0),
+)
+@example(
+    # One gate, with a pair exactly on it; the target stays unmatched in the
+    # second frame.
+    raw_frames=[([(12.0, 0.0)], {2: (15.0, 0.0)}), ([], {2: (15.0, 1.0)})],
+    use_map=True,
+    g_dets=(3.0,),
+)
+def test_grid_kernel_matches_one_cell_kernel_and_brute_force(raw_frames, use_map, g_dets):
     frames = [
         Frame(
             t=t,
@@ -263,7 +291,7 @@ def test_grid_kernel_matches_one_cell_kernel_and_brute_force(raw_frames, use_map
     # Every gate with the baseline cell (mask off) and every margin, in one call.
     cells = [
         FilterConfig(g, g_det, mask_enabled)
-        for g_det in GRID_G_DET
+        for g_det in g_dets
         for g, mask_enabled in [(0.0, False)] + [(g, True) for g in GRID_G]
     ]
     grid = grid_metrics(fd, cells)
@@ -322,12 +350,39 @@ def _hand_distances(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(fd=_hand_distances())
-def test_grid_pd_arrays_equal_result_from_counts(fd):
+@given(
+    fd=_hand_distances(),
+    g_dets=st.sampled_from([(1.0, 1.5, 3.0), (3.0, 1.0, 1.5), (1.5, 1.5, 3.0, 1.5), (1.5,)]),
+)
+@example(
+    # Detection 0 is exactly on the middle gate (1.5) from target 10, and
+    # detection 1 exactly on the widest (3) from target 13: each is matched
+    # at its gate and unmatched at the narrower ones.
+    fd=FrameDistances(
+        map_dist_sq=np.array([9.0, 30.0]),
+        target_dist_sq=np.array([[2.25, 30.0], [np.inf, 9.0]]),
+        frame_of=np.array([0, 1]),
+        target_inbounds=np.array([[True, True], [False, True]]),
+        target_ids=(10, 13),
+    ),
+    g_dets=(3.0, 1.5, 1.0),
+)
+@example(
+    # One gate, with the only pair exactly on it.
+    fd=FrameDistances(
+        map_dist_sq=np.array([6.25, 0.0]),
+        target_dist_sq=np.array([[2.25], [30.0]]),
+        frame_of=np.array([0, 0]),
+        target_inbounds=np.array([[True]]),
+        target_ids=(10,),
+    ),
+    g_dets=(1.5,),
+)
+def test_grid_pd_arrays_equal_result_from_counts(fd, g_dets):
     # Up to 12 targets, some possibly never in the area (the zero-step case).
     configs = [
         FilterConfig(g, g_det, mask_enabled)
-        for g_det in (1.0, 1.5, 3.0)
+        for g_det in g_dets
         for g, mask_enabled in [(0.0, False), (0.0, True), (1.0, True), (2.5, True)]
     ]
     grid = grid_metrics(fd, configs)

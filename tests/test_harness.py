@@ -12,6 +12,7 @@ from sensefuse.harness import (
     BASELINE_G,
     CSV_HEADER,
     SweepRow,
+    cell_filters,
     cell_keys,
     demo_callflow,
     preseed_partial_map,
@@ -95,12 +96,13 @@ def test_serial_equals_parallel(small_scenario, small_rows):
 
 
 def test_row_composes_from_realizations(small_scenario, small_rows):
+    cells = cell_filters(SMALL_SWEEP)
     per_real = [
-        run_realization(small_scenario, SMALL_SWEEP, ri)
-        for ri in range(SMALL_SWEEP.n_realizations)
+        run_realization(small_scenario, cells, ri) for ri in range(SMALL_SWEEP.n_realizations)
     ]
-    pd = np.array([res[(2.0, 3.0)].pd_avg for res in per_real])
-    fa = np.array([res[(2.0, 3.0)].fa_avg for res in per_real])
+    i = cell_keys(SMALL_SWEEP).index((2.0, 3.0))
+    pd = np.array([pd_avg[i] for pd_avg, _ in per_real])
+    fa = np.array([fa_avg[i] for _, fa_avg in per_real])
     row = cell_row(small_rows, 2.0, 3.0)
     assert (row.pd_mean, row.pd_std, row.fa_mean, row.fa_std) == (
         pd.mean(),
@@ -144,14 +146,15 @@ def test_call_flow_and_sweep_share_one_kernel(default_scenario, tmp_path):
     # A live call flow masked by the scenario's own map gives exactly the
     # sweep's metrics for the same cell; without consent, the baseline cell.
     cfg = parse_config({})
-    cells = run_realization(default_scenario, cfg.sweep, 0)
+    pd_avg, fa_avg = run_realization(default_scenario, cell_filters(cfg.sweep), 0)
+    cells = dict(zip(cell_keys(cfg.sweep), zip(pd_avg.tolist(), fa_avg.tolist())))
     rz = generate_realization(default_scenario, realization_rng(default_scenario.seed, 0))
     for g, g_det in ((0.0, 1.0), (2.0, 3.0), (5.0, 10.0)):
         fc = FilterConfig(mask_margin_g=g, gate_g_det=g_det)
         (masked,) = realization_metrics(default_scenario, rz, default_scenario.static_map, [fc])
-        assert masked == cells[(g, g_det)]
+        assert (masked.pd_avg, masked.fa_avg) == cells[(g, g_det)]
         (unmasked,) = realization_metrics(default_scenario, rz, None, [fc])
-        assert unmasked == cells[(BASELINE_G, g_det)]
+        assert (unmasked.pd_avg, unmasked.fa_avg) == cells[(BASELINE_G, g_det)]
         demo = dataclasses.replace(
             cfg.demo, mask_margin_g=g, gate_g_det=g_det, historical_consent=False
         )
@@ -160,7 +163,7 @@ def test_call_flow_and_sweep_share_one_kernel(default_scenario, tmp_path):
             dataclasses.replace(cfg, demo=demo), default_scenario, tmp_path / "t.jsonl", store
         ).run
         assert run.result is not None and not run.result.mask_enabled
-        assert run.result.metrics == cells[(BASELINE_G, g_det)]
+        assert run.result.metrics == unmasked
 
 
 def test_workers_validation(small_scenario):
@@ -168,10 +171,8 @@ def test_workers_validation(small_scenario):
         run_sweep(small_scenario, SMALL_SWEEP, workers=0)
 
 
-def test_workers_capped_at_realization_count(small_scenario, small_rows, monkeypatch):
-    # A fork pool starts all of its workers at the first submit, so the pool
-    # is never sized past the jobs, and one job runs without a pool.
-    sizes = []
+def in_process_pool(sizes):
+    """A ``ProcessPoolExecutor`` stand-in that records its size and maps in this process."""
 
     class InProcessPool:
         def __init__(self, max_workers):
@@ -186,11 +187,34 @@ def test_workers_capped_at_realization_count(small_scenario, small_rows, monkeyp
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    return InProcessPool
+
+
+def test_workers_capped_at_realization_count(small_scenario, small_rows, monkeypatch):
+    # A fork pool starts all of its workers at the first submit, so the pool
+    # is never sized past the jobs, and one job runs without a pool.
+    sizes = []
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", in_process_pool(sizes))
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     assert run_sweep(small_scenario, SMALL_SWEEP, workers=64) == small_rows
     one = dataclasses.replace(SMALL_SWEEP, n_realizations=1)
     assert run_sweep(small_scenario, one, workers=8) == run_sweep(small_scenario, one)
     assert sizes == [SMALL_SWEEP.n_realizations]
+
+
+def test_workers_capped_at_usable_cpus(small_scenario, small_rows, monkeypatch):
+    # The pool is never sized past the CPUs this process may run on: its
+    # affinity set, or the CPU count where there is no affinity call, or one
+    # CPU (no pool) where the count is unknown.
+    sizes = []
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", in_process_pool(sizes))
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert run_sweep(small_scenario, SMALL_SWEEP, workers=64) == small_rows
+    monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+    for count in (2, None):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: count)
+        assert run_sweep(small_scenario, SMALL_SWEEP, workers=64) == small_rows
+    assert sizes == [2, 2]
 
 
 # -- CSV --------------------------------------------------------------------------

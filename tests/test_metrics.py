@@ -107,7 +107,7 @@ def one_cell_sweep(monkeypatch, pd_avg: list[float], fa_avg: list[float]) -> har
     )
 
     def realization(scenario, sweep, ri):
-        return {(0.0, 1.0): MetricResult({}, pd_avg[ri], fa_avg[ri])}
+        return np.array([pd_avg[ri]]), np.array([fa_avg[ri]])
 
     monkeypatch.setattr(harness, "run_realization", realization)
     (row,) = harness.run_sweep(None, sweep)
