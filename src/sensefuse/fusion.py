@@ -138,12 +138,12 @@ def _above(counts: np.ndarray) -> np.ndarray:
 
 
 def grid_arrays(
-    fd: FrameDistances, gates: np.ndarray, thresholds: np.ndarray
+    fd: FrameDistances, margins: np.ndarray, gates: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pd/FA of the frame sequence in each cell, as arrays.
 
-    Cell ``i`` gates at ``gates[i]`` and keeps the detections whose squared
-    map distance exceeds ``thresholds[i]``; ``-inf`` turns its mask off.
+    Cell ``i`` keeps the detections more than ``margins[i]`` from the map,
+    where a negative margin turns the mask off, and gates at ``gates[i]``.
     Returns ``pd``, (cells, observed targets) in ``target_ids`` order, and
     ``pd_avg`` and ``fa_avg``, (cells,).  Targets never inside the area are
     left out of Pd, with one warning; ``pd_avg`` is NaN when no target was
@@ -159,10 +159,11 @@ def grid_arrays(
         log.warning("targets %s were never inside the sensing area; excluded from pd_avg", excluded)
     # Each distance becomes a small integer.  A pair's level is the narrowest
     # gate that holds it (it is held at that level and wider), and a
-    # detection's rank is the number of thresholds it exceeds (it is kept at
-    # those thresholds).
+    # detection's rank is the number of squared margins (limits) its squared
+    # map distance exceeds (it is kept at those limits); -inf keeps everything.
     levels, level_of = np.unique(gates, return_inverse=True)
-    limits, limit_of = np.unique(thresholds, return_inverse=True)
+    limits = np.where(margins < 0.0, -np.inf, margins * margins)
+    limits, limit_of = np.unique(limits, return_inverse=True)
     level_sq = levels * levels
     n_levels, n_limits = len(levels), len(limits)
     dist = fd.target_dist_sq.T
@@ -178,7 +179,7 @@ def grid_arrays(
     rank[matched] = np.searchsorted(limits, fd.map_dist_sq[matched])
 
     # best[k, n, t]: the highest rank among frame t's detections that gate k
-    # holds for target n; the target is detected at threshold m < best.
+    # holds for target n; the target is detected at every limit m < best.
     best = np.zeros((n_levels, n_targets, n_frames), dtype=np.intp)
     slot = (level * n_targets + col) * n_frames + fd.frame_of[det]
     np.maximum.at(best.reshape(-1), slot, rank[det])
@@ -190,7 +191,7 @@ def grid_arrays(
     counts = np.bincount((best + hist_of).reshape(-1), minlength=n_levels * n_targets * bins)
     successes = _above(counts.reshape(n_levels, n_targets, bins))[level_of, :, limit_of]
 
-    # False alarms: the detections kept at a threshold, less the matched ones among them.
+    # False alarms: the detections kept at a limit, less the matched ones among them.
     kept = len(fd.map_dist_sq) - np.searchsorted(np.sort(fd.map_dist_sq), limits, side="right")
     matched_counts = np.bincount(match[matched] * bins + rank[matched], minlength=n_levels * bins)
     kept_matched = np.cumsum(_above(matched_counts.reshape(n_levels, bins)), axis=0)
@@ -203,11 +204,6 @@ def grid_arrays(
     return pd, pd_avg, fa_avg
 
 
-def _mask_sq(fc: FilterConfig) -> float:
-    # Squared distance from the map a detection must exceed; -inf keeps all.
-    return fc.mask_margin_g * fc.mask_margin_g if fc.mask_enabled else -math.inf
-
-
 def grid_metrics(fd: FrameDistances, configs: Sequence[FilterConfig]) -> list[MetricResult]:
     """Pd/FA of the frame sequence under each filter configuration.
 
@@ -215,8 +211,8 @@ def grid_metrics(fd: FrameDistances, configs: Sequence[FilterConfig]) -> list[Me
     targets never inside the area are listed in every result's
     ``excluded_targets``.
     """
-    gates = np.array([fc.gate_g_det for fc in configs])
-    pd, pd_avg, fa_avg = grid_arrays(fd, gates, np.array([_mask_sq(fc) for fc in configs]))
+    margins = np.array([fc.mask_margin_g if fc.mask_enabled else -1.0 for fc in configs])
+    pd, pd_avg, fa_avg = grid_arrays(fd, margins, np.array([fc.gate_g_det for fc in configs]))
     observed = fd.target_inbounds.any(axis=0).tolist()
     ids = [tid for tid, seen in zip(fd.target_ids, observed) if seen]
     excluded = tuple(tid for tid, seen in zip(fd.target_ids, observed) if not seen)

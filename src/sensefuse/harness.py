@@ -35,7 +35,8 @@ from .sdsf_store import SdsfStore, SensingContext
 log = logging.getLogger(__name__)
 
 # Sentinel mask margin for the mask-disabled baseline row.  Negative margins
-# are otherwise invalid, so the value cannot collide with a real grid cell.
+# are otherwise invalid, so the value cannot collide with a real grid cell,
+# and the fusion kernel reads a negative margin as mask off.
 BASELINE_G = -1.0
 
 CSV_HEADER = "g,g_det,pd_mean,pd_std,fa_mean,fa_std,n"
@@ -67,22 +68,16 @@ def cell_keys(sweep: SweepSettings) -> list[CellKey]:
     return keys
 
 
-def cell_filters(sweep: SweepSettings) -> tuple[np.ndarray, np.ndarray]:
-    """Each cell's gate and squared mask threshold (-inf: mask off), in cell order."""
-    g, g_det = np.array(cell_keys(sweep)).reshape(-1, 2).T
-    return g_det, np.where(g == BASELINE_G, -np.inf, g * g)
-
-
 def run_realization(
-    scenario: Scenario, cells: tuple[np.ndarray, np.ndarray], realization: int
+    scenario: Scenario, cells: np.ndarray, realization: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every cell's ``pd_avg`` and ``fa_avg`` on one realization, as (cells,) arrays.
 
-    ``cells`` is :func:`cell_filters` of the sweep.
+    ``cells`` is the sweep's :func:`cell_keys` as a (cells, 2) array.
     """
     rz = generate_realization(scenario, realization_rng(scenario.seed, realization))
     fd = realization_distances(scenario, rz, scenario.static_map)
-    _, pd_avg, fa_avg = grid_arrays(fd, *cells)
+    _, pd_avg, fa_avg = grid_arrays(fd, *cells.T)
     return pd_avg, fa_avg
 
 
@@ -97,8 +92,8 @@ def _usable_cpus() -> int:
 def run_sweep(scenario: Scenario, sweep: SweepSettings, workers: int = 1) -> list[SweepRow]:
     """Run the full sweep and reduce it to one row per cell.
 
-    The cells' gates and thresholds are built once, and each realization
-    returns two (cells,) arrays.  ``workers > 1`` distributes whole
+    The cells are built once as one array, and each realization returns two
+    (cells,) arrays.  ``workers > 1`` distributes whole
     realizations over processes, at most one per realization, since a pool
     starts all of its workers at once, and at most one per CPU this process
     may use.  Results land in row-major (cells, realizations) arrays by
@@ -113,11 +108,12 @@ def run_sweep(scenario: Scenario, sweep: SweepSettings, workers: int = 1) -> lis
     if n < 1:
         raise EmptyRunError("cannot aggregate zero realizations")
     keys = cell_keys(sweep)
+    cells = np.array(keys).reshape(-1, 2)
     pd_avg = np.empty((len(keys), n))
     fa_avg = np.empty((len(keys), n))
     workers = min(workers, n, _usable_cpus())
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
-        jobs = (run_realization, repeat(scenario), repeat(cell_filters(sweep)), range(n))
+        jobs = (run_realization, repeat(scenario), repeat(cells), range(n))
         for ri, (cell_pd, cell_fa) in enumerate(pool.map(*jobs) if pool else map(*jobs)):
             pd_avg[:, ri], fa_avg[:, ri] = cell_pd, cell_fa
 

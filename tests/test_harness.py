@@ -12,7 +12,6 @@ from sensefuse.harness import (
     BASELINE_G,
     CSV_HEADER,
     SweepRow,
-    cell_filters,
     cell_keys,
     demo_callflow,
     preseed_partial_map,
@@ -96,7 +95,7 @@ def test_serial_equals_parallel(small_scenario, small_rows):
 
 
 def test_row_composes_from_realizations(small_scenario, small_rows):
-    cells = cell_filters(SMALL_SWEEP)
+    cells = np.array(cell_keys(SMALL_SWEEP))
     per_real = [
         run_realization(small_scenario, cells, ri) for ri in range(SMALL_SWEEP.n_realizations)
     ]
@@ -146,7 +145,7 @@ def test_call_flow_and_sweep_share_one_kernel(default_scenario, tmp_path):
     # A live call flow masked by the scenario's own map gives exactly the
     # sweep's metrics for the same cell; without consent, the baseline cell.
     cfg = parse_config({})
-    pd_avg, fa_avg = run_realization(default_scenario, cell_filters(cfg.sweep), 0)
+    pd_avg, fa_avg = run_realization(default_scenario, np.array(cell_keys(cfg.sweep)), 0)
     cells = dict(zip(cell_keys(cfg.sweep), zip(pd_avg.tolist(), fa_avg.tolist())))
     rz = generate_realization(default_scenario, realization_rng(default_scenario.seed, 0))
     for g, g_det in ((0.0, 1.0), (2.0, 3.0), (5.0, 10.0)):
