@@ -39,7 +39,7 @@ from .geometry import Rect, StaticMap
 from .metrics import MetricResult
 from .scenario import Scenario, generate_realization, realization_detections, realization_rng
 from .scenario import generate_frames  # noqa: F401  re-export; perfbench's tests bind it here
-from .sdsf_store import SdsfStore, SensingContext, SensingRecord
+from .sdsf_store import SdsfStore, SensingContext, SensingRecord, availability
 
 log = logging.getLogger(__name__)
 
@@ -165,8 +165,8 @@ def run_call_flow(
         send(5, SF_NAME, SSC_NAME, "ServiceAbort", stid)
         return CallFlowRun(result=None, abort_reason=reason, trace=tuple(trace), stid=stid)
 
-    # Steps 6-8. Without consent the store's read side is never touched. The
-    # records fetched for step 7's metrics preview also answer steps 12-13.
+    # Steps 6-8. Without consent the store's read side is never touched. One
+    # fetch answers step 7, verdict and metrics preview alike, and steps 12-13.
     task_ctx = SensingContext(
         area=scenario.bounds,
         time_window=(epoch, epoch + scenario.t_steps),
@@ -175,8 +175,8 @@ def run_call_flow(
     plan, records, preview = "live-only", [], None
     if demo.historical_consent:
         send(6, SF_NAME, SDSF_NAME, "AvailabilityQuery", stid)
-        status = store.query_availability(task_ctx).status
         records = store.fetch(task_ctx, demo.max_age)
+        status = availability(task_ctx, records).status
         preview = _metrics_preview(records)
         send(7, SDSF_NAME, SF_NAME, "AvailabilityResponse", stid)
         if status == "exists" and preview is not None and kpi_verdict(preview, demo):

@@ -2,10 +2,11 @@
 
 A stid/time/context-indexed store for sensing records with three duties:
 
-* availability queries: report whether stored records jointly cover a
-  requested context (area, time window, target type), and name the covered
-  and missing portions when coverage is partial;
-* freshness-filtered retrieval for fusion;
+* freshness-filtered retrieval, :meth:`SdsfStore.fetch`, the store's one
+  read;
+* availability: :func:`availability` reports whether the fetched records
+  jointly cover a requested context (area, time window, target type), and
+  names the missing portions when coverage is partial;
 * an aging policy that expires records.
 
 Time is the simulator's integer step clock; the store never consults wall
@@ -92,7 +93,7 @@ class SensingContext:
 
     def __post_init__(self) -> None:
         start, end = self.time_window
-        # No generator: replay and query_availability build many contexts.
+        # No generator: replay builds many contexts.
         if type(start) is not int or type(end) is not int:
             raise ValueError(f"time_window ends must be integers, got {self.time_window!r}")
         if start > end:
@@ -158,10 +159,9 @@ class SensingRecord:
 
 @dataclass(frozen=True)
 class Availability:
-    """Coverage verdict for an availability query."""
+    """Coverage verdict for a request, as :func:`availability` computes it."""
 
     status: str  # exists | partial | missing
-    available_portions: tuple[SensingContext, ...] = ()
     missing_portions: tuple[SensingContext, ...] = ()
 
     def __post_init__(self) -> None:
@@ -169,8 +169,6 @@ class Availability:
             raise ValueError(f"invalid availability status {self.status!r}")
         if self.status == "exists" and self.missing_portions:
             raise ValueError("status 'exists' cannot carry missing portions")
-        if self.status == "missing" and self.available_portions:
-            raise ValueError("status 'missing' cannot carry available portions")
 
 
 def _subtract_window(
@@ -192,6 +190,29 @@ def _subtract_window(
         if not remaining:
             break
     return remaining
+
+
+def availability(ctx: SensingContext, records: list[SensingRecord]) -> Availability:
+    """Coverage of ``ctx`` by the records ``fetch(ctx, ...)`` returned.
+
+    Spatial and temporal coverage are computed separately and intersected:
+    full availability requires both.  A record's area and window need no
+    clipping to the request: each cut is intersected with pieces that
+    already lie inside it.  Subtracting a cut a second time is a no-op, so
+    only distinct cuts are subtracted, in order of first appearance.
+    """
+    if not records:
+        return Availability(status="missing", missing_portions=(ctx,))
+    areas = dict.fromkeys(r.context.area for r in records)
+    windows = dict.fromkeys(r.context.time_window for r in records)
+    uncovered_rects = subtract_rects(ctx.area, list(areas))
+    uncovered_windows = _subtract_window(ctx.time_window, list(windows))
+    if not uncovered_rects and not uncovered_windows:
+        return Availability(status="exists")
+    missing = [
+        SensingContext(rect, ctx.time_window, ctx.target_type) for rect in uncovered_rects
+    ] + [SensingContext(ctx.area, win, ctx.target_type) for win in uncovered_windows]
+    return Availability(status="partial", missing_portions=tuple(missing))
 
 
 class SdsfStore:
@@ -259,95 +280,31 @@ class SdsfStore:
 
     # -- read path -----------------------------------------------------------
 
-    def query_availability(self, ctx: SensingContext) -> Availability:
-        """Coverage of ``ctx`` by the live (non-expired) records.
-
-        Matching is purely by context, so one task can reuse data archived by
-        another.  Spatial and temporal coverage are computed separately and
-        intersected: full availability requires both.
-        """
-        relevant = self._overlapping(ctx)
-        if not relevant:
-            return Availability(status="missing", missing_portions=(ctx,))
-
-        area, (t0, t1) = ctx.area, ctx.time_window
-        # Portions built from the same area, start and end objects are equal,
-        # so one is built per distinct triple, keyed by the objects' ids.  Each
-        # keyed object stays referenced by its portion, so no id is reused.
-        portions: dict[tuple[int, int, int], SensingContext] = {}
-        overlaps = []
-        for r in relevant:
-            stored = r.context.area
-            if (
-                area.x_min <= stored.x_min
-                and stored.x_max <= area.x_max
-                and area.y_min <= stored.y_min
-                and stored.y_max <= area.y_max
-            ):
-                # The intersection would rebuild ``stored`` coordinate for coordinate.
-                inter_area = stored
-            else:
-                inter_area = stored.intersection(area)
-                assert inter_area is not None
-            w0 = max(r.context.time_window[0], t0)
-            w1 = min(r.context.time_window[1], t1)
-            key = (id(inter_area), id(w0), id(w1))
-            portion = portions.get(key)
-            if portion is None:
-                portion = portions[key] = SensingContext(
-                    area=inter_area,
-                    time_window=(w0, w1),
-                    target_type=ctx.target_type,
-                )
-            overlaps.append(portion)
-
-        # Subtracting a cut a second time is a no-op, so only distinct cuts
-        # are subtracted, in order of first appearance.
-        distinct = portions.values()
-        uncovered_rects = subtract_rects(area, list(dict.fromkeys(p.area for p in distinct)))
-        uncovered_windows = _subtract_window(
-            ctx.time_window, list(dict.fromkeys(p.time_window for p in distinct))
-        )
-        if not uncovered_rects and not uncovered_windows:
-            return Availability(status="exists", available_portions=tuple(overlaps))
-        missing = [
-            SensingContext(rect, ctx.time_window, ctx.target_type) for rect in uncovered_rects
-        ] + [SensingContext(ctx.area, win, ctx.target_type) for win in uncovered_windows]
-        return Availability(
-            status="partial",
-            available_portions=tuple(overlaps),
-            missing_portions=tuple(missing),
-        )
-
     def fetch(self, ctx: SensingContext, max_age: float = math.inf) -> list[SensingRecord]:
-        """Records overlapping ``ctx`` whose age at the store clock is <= max_age.
+        """Live records overlapping ``ctx`` whose age at the store clock is <= max_age.
 
+        This is the store's one read; :func:`availability` turns its result
+        into the coverage verdict.  Matching is purely by context, so one task
+        can reuse data archived by another.  Stored "unknown" data is
+        type-agnostic and satisfies any requested target type.  Windows
+        overlap when they share a step; areas when they share positive area.
         The age bound is inclusive.  Self-expired records (those past their
         own aging policy) are never returned, so a later aging pass cannot
         remove anything fetch would still have served.  Results are ordered
         newest first, then by record id for stability.
         """
         now = self._now
-        hits = [r for r in self._overlapping(ctx) if now - r.created_at <= max_age]
-        return sorted(hits, key=lambda r: (-r.created_at, r.record_id))
-
-    def _overlapping(self, ctx: SensingContext) -> list[SensingRecord]:
-        """Live records whose context overlaps ``ctx``, in one pass over the index.
-
-        Live means ``not r.expired(now)``.  Stored "unknown" data is
-        type-agnostic and satisfies any requested target type.  Windows
-        overlap when they share a step; areas when they share positive area.
-        """
-        now = self._now
         area, (t0, t1), wanted = ctx.area, ctx.time_window, ctx.target_type
-        return [
+        hits = [
             r
             for r in self._records.values()
             if not now - r.created_at > r.aging_policy
+            and now - r.created_at <= max_age
             and ((c := r.context).target_type == wanted or c.target_type == "unknown")
             and max(c.time_window[0], t0) <= min(c.time_window[1], t1)
             and c.area.intersects(area)
         ]
+        return sorted(hits, key=lambda r: (-r.created_at, r.record_id))
 
     # -- aging ---------------------------------------------------------------
 

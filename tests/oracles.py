@@ -19,8 +19,9 @@ functions here are the object-at-a-time forms of the same math:
 * :func:`rect_contains`, point-to-map distances and the closed dilated-map
   membership spec;
 * :func:`read_trace`, the inverse of ``callflow.write_trace``;
-* :func:`query_availability` and :func:`fetch`, the store's read path with
-  one coverage portion built and subtracted per overlapping record.
+* :func:`fetch`, the store's one read, and :func:`availability`, its
+  coverage verdict with one portion clipped and subtracted per fetched
+  record.
 
 Tests import this module by name, as they import ``conftest``.  Nothing in
 the package imports it.
@@ -404,53 +405,44 @@ def read_trace(path: str | Path) -> list[TraceEvent]:
     return events
 
 
-def _overlapping(
-    records: Sequence[SensingRecord], ctx: SensingContext, now: int
+def fetch(
+    records: Sequence[SensingRecord], ctx: SensingContext, now: int, max_age: float
 ) -> list[SensingRecord]:
-    return [
+    """``SdsfStore.fetch``: overlapping live records no older than ``max_age``, newest first."""
+    hits = [
         r
         for r in records
         if not r.expired(now)
+        and now - r.created_at <= max_age
         and r.context.target_type in (ctx.target_type, "unknown")
         and max(r.context.time_window[0], ctx.time_window[0])
         <= min(r.context.time_window[1], ctx.time_window[1])
         and r.context.area.intersects(ctx.area)
     ]
+    return sorted(hits, key=lambda r: (-r.created_at, r.record_id))
 
 
-def query_availability(
-    records: Sequence[SensingRecord], ctx: SensingContext, now: int
+def availability(
+    records: Sequence[SensingRecord], ctx: SensingContext, now: int, max_age: float
 ) -> Availability:
-    """``SdsfStore.query_availability`` with a fresh portion per overlapping record."""
-    relevant = _overlapping(records, ctx, now)
-    if not relevant:
+    """``sdsf_store.availability`` over :func:`fetch`, one clipped portion per record.
+
+    The portions are subtracted in fetch order, so that the uncovered area
+    comes back tiled as the store tiles it.
+    """
+    fetched = fetch(records, ctx, now, max_age)
+    if not fetched:
         return Availability(status="missing", missing_portions=(ctx,))
-    overlaps = [
-        SensingContext(
-            area=r.context.area.intersection(ctx.area),
-            time_window=(
-                max(r.context.time_window[0], ctx.time_window[0]),
-                min(r.context.time_window[1], ctx.time_window[1]),
-            ),
-            target_type=ctx.target_type,
-        )
-        for r in relevant
+    t0, t1 = ctx.time_window
+    areas = [r.context.area.intersection(ctx.area) for r in fetched]
+    windows = [
+        (max(r.context.time_window[0], t0), min(r.context.time_window[1], t1)) for r in fetched
     ]
-    uncovered_rects = subtract_rects(ctx.area, [o.area for o in overlaps])
-    uncovered_windows = _subtract_window(ctx.time_window, [o.time_window for o in overlaps])
+    uncovered_rects = subtract_rects(ctx.area, areas)
+    uncovered_windows = _subtract_window(ctx.time_window, windows)
     if not uncovered_rects and not uncovered_windows:
-        return Availability(status="exists", available_portions=tuple(overlaps))
+        return Availability(status="exists")
     missing = [
         SensingContext(rect, ctx.time_window, ctx.target_type) for rect in uncovered_rects
     ] + [SensingContext(ctx.area, win, ctx.target_type) for win in uncovered_windows]
-    return Availability(
-        status="partial", available_portions=tuple(overlaps), missing_portions=tuple(missing)
-    )
-
-
-def fetch(
-    records: Sequence[SensingRecord], ctx: SensingContext, now: int, max_age: float
-) -> list[SensingRecord]:
-    """``SdsfStore.fetch``: overlapping live records no older than ``max_age``, newest first."""
-    hits = [r for r in _overlapping(records, ctx, now) if now - r.created_at <= max_age]
-    return sorted(hits, key=lambda r: (-r.created_at, r.record_id))
+    return Availability(status="partial", missing_portions=tuple(missing))

@@ -163,6 +163,20 @@ def test_existing_archive_below_kpi_forces_live_collection(flow_scenario):
     assert (10, "SensingDataRequest") in steps_and_variants(second)
 
 
+def test_history_older_than_max_age_decides_no_coverage(flow_scenario):
+    # The only covering record is a map older than max_age: the verdict comes
+    # from the records fetch returns, so the request runs live-only, unmasked.
+    store = SdsfStore()
+    ctx = SensingContext(area=flow_scenario.bounds, time_window=(0, 10**6), target_type="unknown")
+    store.store("stid-old", ctx, flow_scenario.static_map, created_at=0, aging_policy=10**6)
+    store.set_now(50)
+    run = run_flow(flow_scenario, store, max_age=10)
+    assert run.result is not None
+    assert run.result.data_source == "live-only"
+    assert not {12, 13} & {e.step for e in run.trace}
+    assert run.result.mask_enabled is False
+
+
 # -- trace invariants ---------------------------------------------------------------
 
 

@@ -33,6 +33,7 @@ from sensefuse.sdsf_store import (
     SdsfStore,
     SensingContext,
     _record_from_json,
+    availability,
 )
 
 import oracles
@@ -82,8 +83,6 @@ def test_contexts_equal_in_value_are_equal_and_hash_equal():
 def test_availability_invariants():
     with pytest.raises(ValueError):
         Availability(status="exists", missing_portions=(ctx(),))
-    with pytest.raises(ValueError):
-        Availability(status="missing", available_portions=(ctx(),))
     with pytest.raises(ValueError):
         Availability(status="total")
 
@@ -140,9 +139,13 @@ def test_detection_list_is_raw_kind():
 # -- availability ------------------------------------------------------------------
 
 
+def available(store: SdsfStore, request: SensingContext):
+    return availability(request, store.fetch(request))
+
+
 def test_availability_empty_store_is_missing():
     store = SdsfStore()
-    result = store.query_availability(ctx())
+    result = available(store, ctx())
     assert result.status == "missing"
     assert result.missing_portions == (ctx(),)
 
@@ -150,25 +153,23 @@ def test_availability_empty_store_is_missing():
 def test_availability_full_cover_is_exists():
     store = SdsfStore()
     store.store("stid-1", ctx(window=(0, 200)), demo_map(), 0, 1000)
-    result = store.query_availability(ctx(window=(10, 90)))
+    result = available(store, ctx(window=(10, 90)))
     assert result.status == "exists"
-    assert result.available_portions[0].time_window == (10, 90)
 
 
 def test_availability_spatial_partial_reports_both_portions():
     store = SdsfStore()
     west = Rect(0.0, 0.0, 60.0, 120.0)
     store.store("stid-1", ctx(area=west), demo_map(west), 0, 1000)
-    result = store.query_availability(ctx())
+    result = available(store, ctx())
     assert result.status == "partial"
-    assert [c.area for c in result.available_portions] == [west]
     assert [c.area for c in result.missing_portions] == [Rect(60.0, 0.0, 120.0, 120.0)]
 
 
 def test_availability_temporal_partial():
     store = SdsfStore()
     store.store("stid-1", ctx(window=(0, 50)), demo_map(), 0, 1000)
-    result = store.query_availability(ctx(window=(0, 100)))
+    result = available(store, ctx(window=(0, 100)))
     assert result.status == "partial"
     assert [c.time_window for c in result.missing_portions] == [(51, 100)]
 
@@ -177,17 +178,17 @@ def test_availability_type_matching():
     store = SdsfStore()
     store.store("stid-1", ctx(target_type="unknown"), demo_map(), 0, 1000)
     # Type-agnostic stored data satisfies a vehicle request, not vice versa.
-    assert store.query_availability(ctx(target_type="vehicle")).status == "exists"
+    assert available(store, ctx(target_type="vehicle")).status == "exists"
     store2 = SdsfStore()
     store2.store("stid-1", ctx(target_type="pedestrian"), demo_map(), 0, 1000)
-    assert store2.query_availability(ctx(target_type="vehicle")).status == "missing"
+    assert available(store2, ctx(target_type="vehicle")).status == "missing"
 
 
 def test_availability_ignores_expired_records():
     store = SdsfStore()
     store.store("stid-1", ctx(), demo_map(), 0, aging_policy=10)
     store.set_now(11)
-    assert store.query_availability(ctx()).status == "missing"
+    assert available(store, ctx()).status == "missing"
 
 
 # -- fetch and aging ---------------------------------------------------------------
@@ -1263,7 +1264,7 @@ def test_read_path_equals_one_portion_per_record(
         store.store(f"stid-{i}", context, metrics_payload(), created_at, aging)
     records = list(store._records.values())
     ctx = SensingContext(area, (start, start + length), target_type)
-    assert _typed(store.query_availability(ctx)) == _typed(
-        oracles.query_availability(records, ctx, store.now)
-    )
-    assert store.fetch(ctx, max_age=max_age) == oracles.fetch(records, ctx, store.now, max_age)
+    fetched = store.fetch(ctx, max_age=max_age)
+    assert fetched == oracles.fetch(records, ctx, store.now, max_age)
+    # Equal in value: a clipped corner may differ from the stored one in type.
+    assert availability(ctx, fetched) == oracles.availability(records, ctx, store.now, max_age)
