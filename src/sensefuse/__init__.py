@@ -6,7 +6,6 @@ from .errors import (
     EmptyRunError,
     StoreCorruptError,
 )
-from .fusion import FilterConfig
 from .geometry import Rect, StaticMap, WorldPoint
 from .measurement import DetectionColumns, NoiseModel, Pose
 from .metrics import MetricResult
@@ -31,7 +30,6 @@ __all__ = [
     "DegenerateGeometryError",
     "DetectionColumns",
     "EmptyRunError",
-    "FilterConfig",
     "Frame",
     "MetricResult",
     "NoiseModel",

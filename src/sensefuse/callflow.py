@@ -34,7 +34,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .config import DemoSettings
-from .fusion import FilterConfig, realization_metrics
+from .fusion import realization_metrics
 from .geometry import Rect, StaticMap
 from .metrics import MetricResult
 from .scenario import Scenario, generate_realization, realization_detections, realization_rng
@@ -107,14 +107,12 @@ def _metrics_preview(records: list[SensingRecord]) -> MetricResult | None:
     return None
 
 
-def _historical_mask(records: list[SensingRecord], bounds: Rect) -> StaticMap | None:
+def _historical_mask(records: list[SensingRecord], bounds: Rect) -> StaticMap:
     # Archived maps may cover another area; keep the rects that reach these bounds.
     rects: list[Rect] = []
     for record in records:
         if isinstance(record.payload, StaticMap):
             rects.extend(r for r in record.payload.rects if r.intersects(bounds))
-    if not rects:
-        return None
     return StaticMap(tuple(dict.fromkeys(rects)), bounds)
 
 
@@ -200,16 +198,17 @@ def run_call_flow(
         send(12, SF_NAME, SDSF_NAME, "HistoricalDataRequest", stid)
         send(13, SDSF_NAME, SF_NAME, "HistoricalDataResponse", stid)
 
-    # Step 14. A live run masks only with the historical map, so without one it
-    # degrades to the live-only baseline. A KPI miss never blocks the result.
+    # Step 14. A live run masks only with the historical map; when no fetched
+    # rect reaches the bounds the map is empty, and the run fuses as the
+    # live-only baseline. A KPI miss never blocks the result.
     if rz is None:
         assert preview is not None
-        metrics, mask_map = preview, None
+        metrics, mask_enabled = preview, False
     else:
-        mask_map = None if plan == "live-only" else _historical_mask(records, scenario.bounds)
-        fc = FilterConfig(demo.mask_margin_g, demo.gate_g_det)
-        (metrics,) = realization_metrics(scenario, rz, mask_map, [fc])
-    result = SensingResult(metrics, kpi_verdict(metrics, demo), mask_map is not None, plan)
+        mask_map = _historical_mask(records, scenario.bounds)
+        metrics = realization_metrics(scenario, rz, mask_map, demo.mask_margin_g, demo.gate_g_det)
+        mask_enabled = not mask_map.empty
+    result = SensingResult(metrics, kpi_verdict(metrics, demo), mask_enabled, plan)
     send(14, SF_NAME, SF_NAME, "FusionCompleted", stid)
     send(15, SF_NAME, SSC_NAME, "SensingResult", stid)
     if not demo.historical_consent:

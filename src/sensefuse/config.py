@@ -69,8 +69,11 @@ def default_g_values(
     g_min: float = 0.0, g_max: float = 5.0, g_step: float = 0.25
 ) -> tuple[float, ...]:
     """Inclusive arithmetic grid of mask margins; needs ``g_step > 0`` and ``g_max >= g_min``."""
-    n = int(math.floor((g_max - g_min) / g_step + 0.5)) + 1
-    return tuple(round(g_min + i * g_step, 12) for i in range(n))
+    return tuple(round(g_min + i * g_step, 12) for i in range(_grid_size(g_min, g_max, g_step)))
+
+
+def _grid_size(g_min: float, g_max: float, g_step: float) -> int:
+    return int(math.floor((g_max - g_min) / g_step + 0.5)) + 1
 
 
 def load_config(path: str | Path | None) -> AppConfig:
@@ -336,12 +339,46 @@ def _sight_lines_fit(se_poses: tuple[Pose, ...], n_targets: int, t_steps: int) -
     ]
 
 
+# Values of one metric that a sweep holds in memory at once, one per cell and
+# realization.  The default config has 6 * (1 + 21) = 132 cells and 50 realizations.
+SWEEP_VALUES_MAX = 10**7
+
+
+def _sweep_fits(
+    g_min: float,
+    g_max: float,
+    g_step: float,
+    g_values: tuple[float, ...] | None,
+    g_det_values: tuple[float, ...],
+    n_realizations: int,
+    baseline: bool,
+) -> list[str]:
+    if _grid_fits(g_min, g_max, g_step, g_values):
+        return []  # the grid cannot be counted; _grid_fits says why
+    # Counted, not built: the grid itself may not fit in memory.
+    n_g = _grid_size(g_min, g_max, g_step) if g_values is None else len(g_values)
+    cells = len(g_det_values) * (n_g + baseline)
+    if (values := cells * n_realizations) <= SWEEP_VALUES_MAX:
+        return []
+    grid = "g_step" if g_values is None else "g_values"
+    return [
+        f"sweep.{grid if cells > SWEEP_VALUES_MAX else 'n_realizations'}: the cells times"
+        f" n_realizations, the values per metric a sweep holds, must be <= {SWEEP_VALUES_MAX},"
+        f" got {cells} * {n_realizations} = {values}"
+    ]
+
+
 _CROSS_CHECKS = (
     # section, keys read, check
     ("scenario", ("bounds", "buildings"), _map_fits),
     ("scenario", ("lambda_fa", "t_steps"), _clutter_fits),
     ("scenario", ("se_poses", "n_targets", "t_steps"), _sight_lines_fit),
     ("sweep", ("g_min", "g_max", "g_step", "g_values"), _grid_fits),
+    (
+        "sweep",
+        ("g_min", "g_max", "g_step", "g_values", "g_det_values", "n_realizations", "baseline"),
+        _sweep_fits,
+    ),
 )
 
 

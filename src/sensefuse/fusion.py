@@ -3,7 +3,7 @@
 The pipeline is two hard decisions applied to each frame's pooled detections:
 
 1. mask: drop every detection whose back-projected position falls inside the
-   static map dilated by the margin ``g`` (when masking is enabled);
+   static map dilated by the margin ``g``; an empty map drops nothing;
 2. gate: a target counts as detected when any surviving detection lies within
    the Euclidean gate ``g_det`` of its true position, and a surviving
    detection counts as a false alarm when no true target lies within
@@ -12,30 +12,29 @@ The pipeline is two hard decisions applied to each frame's pooled detections:
 Gating is a pure distance-threshold test per side; there is deliberately no
 one-to-one assignment between detections and targets.
 
-One kernel serves both the sweep and the call flow: :func:`grid_arrays`,
-which the call flow reaches through :func:`realization_metrics` and the
-sweep directly.  Distances are computed once per realization by
-:func:`detection_distances`, one contiguous row of takes by frame per
-target.  The kernel then evaluates every (mask margin, gate) cell at once in
-closed form: a target is detected at margin ``g`` when the detection inside
-its gate that lies farthest from the map is more than ``g`` from it, and the
-false alarms at ``g`` are the gate-unmatched detections more than ``g`` from
-the map.  The detection-target pairs inside the widest gate are found once,
-and each is assigned to the narrowest gate that holds it.  Each matched
-detection gets a rank, the number of mask thresholds its map distance
-exceeds.  One scatter of the ranks into a (gates, targets, frames) array,
-carried from each gate to the next wider one, gives every gate its farthest
-gated detection per target and frame, and one histogram of that array gives
-every cell's Pd.  A cell's false alarms are the detections its threshold
-keeps, counted from one sort of the map distances, less the matched ones
-among them, counted from one histogram of gate and rank.  Distances are
-compared in squared form so the kernel agrees bit for bit with the scalar
-dilated-map membership spec the tests hold (``in_dilated_map`` in
-``tests/oracles.py``).
+The filter is two numbers, ``g`` and ``g_det``.  One kernel serves both the
+sweep and the call flow: :func:`grid_arrays`, which the sweep calls with
+every cell and the call flow through :func:`realization_metrics` with one.
+Distances are computed once per realization by :func:`detection_distances`,
+one contiguous row of takes by frame per target.  The kernel then evaluates
+every (mask margin, gate) cell at once in closed form: a target is detected
+at margin ``g`` when the detection inside its gate that lies farthest from
+the map is more than ``g`` from it, and the false alarms at ``g`` are the
+gate-unmatched detections more than ``g`` from the map.  The detection-target
+pairs inside the widest gate are found once, and each is assigned to the
+narrowest gate that holds it.  Each matched detection gets a rank, the number
+of mask thresholds its map distance exceeds.  One scatter of the ranks into a
+(gates, targets, frames) array, carried from each gate to the next wider one,
+gives every gate its farthest gated detection per target and frame, and one
+histogram of that array gives every cell's Pd.  A cell's false alarms are the
+detections its threshold keeps, counted from one sort of the map distances,
+less the matched ones among them, counted from one histogram of gate and
+rank.  Distances are compared in squared form so the kernel agrees bit for
+bit with the scalar dilated-map membership spec the tests hold
+(``in_dilated_map`` in ``tests/oracles.py``).
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -47,23 +46,6 @@ from .geometry import StaticMap
 from .metrics import MetricResult
 from .scenario import Realization, Scenario
 
-log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True, slots=True)
-class FilterConfig:
-    """Fusion knobs: mask margin, validation gate, and the mask switch."""
-
-    mask_margin_g: float = 0.0
-    gate_g_det: float = 3.0
-    mask_enabled: bool = True
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.mask_margin_g) and self.mask_margin_g >= 0.0):
-            raise ValueError(f"mask_margin_g must be finite and >= 0, got {self.mask_margin_g}")
-        if not (math.isfinite(self.gate_g_det) and self.gate_g_det > 0.0):
-            raise ValueError(f"gate_g_det must be finite and > 0, got {self.gate_g_det}")
-
 
 @dataclass(frozen=True)
 class FrameDistances:
@@ -71,9 +53,9 @@ class FrameDistances:
 
     Shapes: (D,) for detection-to-map distance and the detection's frame
     index, (D, N) for detection-to-target, (T, N) for target in-area flags,
-    where D counts the detections of all T frames and N the distinct target
-    ids observed, in ascending order.  A target outside the area in a
-    detection's frame is +inf away from it.
+    where D counts the detections of all T frames and N the target ids in
+    ascending order.  Every target is inside the area in at least one frame,
+    and one outside the area in a detection's frame is +inf away from it.
     """
 
     map_dist_sq: np.ndarray
@@ -89,15 +71,15 @@ def detection_distances(
     truth_xy: np.ndarray,
     truth_in: np.ndarray,
     target_ids: Sequence[int],
-    static_map: StaticMap | None,
+    static_map: StaticMap,
 ) -> FrameDistances:
     """Distance tensors of (D, 2) finite detections against (T, N) per-frame truth.
 
     ``target_ids`` names the truth columns; columns never in the area are
-    dropped and the rest ordered by id.  ``static_map=None`` means no map:
-    every detection is infinitely far from it, so the mask keeps everything
-    at any margin.  ``target_dist_sq`` is the transpose of a row-major
-    (N, D) array, so each target's distances are contiguous.
+    dropped and the rest ordered by id.  Every detection is +inf from an
+    empty map, so its mask keeps everything at any margin.
+    ``target_dist_sq`` is the transpose of a row-major (N, D) array, so each
+    target's distances are contiguous.
     """
     cols = sorted((tid, n) for n, tid in enumerate(target_ids) if truth_in[:, n].any())
     keep = [n for _, n in cols]
@@ -114,9 +96,7 @@ def detection_distances(
         dy *= dy
         np.add(dx, dy, out=row)
     return FrameDistances(
-        map_dist_sq=(
-            np.full(len(xy), np.inf) if static_map is None else static_map.min_distance_sq_many(xy)
-        ),
+        map_dist_sq=static_map.min_distance_sq_many(xy),
         target_dist_sq=dist_sq.T,
         frame_of=frame_of,
         target_inbounds=inside,
@@ -125,9 +105,9 @@ def detection_distances(
 
 
 def realization_distances(
-    scenario: Scenario, rz: Realization, static_map: StaticMap | None
+    scenario: Scenario, rz: Realization, static_map: StaticMap
 ) -> FrameDistances:
-    """Distance tensors of one realization of ``scenario``; ``static_map=None`` means no map."""
+    """Distance tensors of one realization of ``scenario`` against ``static_map``."""
     ids = [track.id for track in scenario.tracks]
     return detection_distances(rz.xy, rz.frame_of, rz.truth_xy, rz.truth_in, ids, static_map)
 
@@ -144,19 +124,13 @@ def grid_arrays(
 
     Cell ``i`` keeps the detections more than ``margins[i]`` from the map,
     where a negative margin turns the mask off, and gates at ``gates[i]``.
-    Returns ``pd``, (cells, observed targets) in ``target_ids`` order, and
-    ``pd_avg`` and ``fa_avg``, (cells,).  Targets never inside the area are
-    left out of Pd, with one warning; ``pd_avg`` is NaN when no target was
-    inside.  Raises :class:`EmptyRunError` on zero frames.
+    Returns ``pd``, (cells, targets) in ``target_ids`` order, and ``pd_avg``
+    and ``fa_avg``, (cells,); ``pd_avg`` is NaN when there is no target.
+    Raises :class:`EmptyRunError` on zero frames.
     """
-    steps = fd.target_inbounds.sum(axis=0)
     n_frames, n_targets = fd.target_inbounds.shape
     if n_frames == 0:
         raise EmptyRunError("cannot compute metrics over zero frames")
-    observed = steps > 0
-    if not observed.all():
-        excluded = [tid for tid, seen in zip(fd.target_ids, observed.tolist()) if not seen]
-        log.warning("targets %s were never inside the sensing area; excluded from pd_avg", excluded)
     # Each distance becomes a small integer.  A pair's level is the narrowest
     # gate that holds it (it is held at that level and wider), and a
     # detection's rank is the number of squared margins (limits) its squared
@@ -197,39 +171,20 @@ def grid_arrays(
     kept_matched = np.cumsum(_above(matched_counts.reshape(n_levels, bins)), axis=0)
     fa_avg = (kept - kept_matched)[level_of, limit_of] / n_frames
 
-    # Selected columns come back column-major, where a row's mean sums in
+    # The fancy index can come back column-major, where a row's mean sums in
     # another order and can round differently: copy to row-major.
-    pd = np.ascontiguousarray(successes[:, observed]) / steps[observed]
-    pd_avg = pd.mean(axis=1) if observed.any() else np.full(len(gates), math.nan)
+    pd = np.ascontiguousarray(successes) / fd.target_inbounds.sum(axis=0)
+    pd_avg = pd.mean(axis=1) if n_targets else np.full(len(gates), math.nan)
     return pd, pd_avg, fa_avg
 
 
-def grid_metrics(fd: FrameDistances, configs: Sequence[FilterConfig]) -> list[MetricResult]:
-    """Pd/FA of the frame sequence under each filter configuration.
-
-    :func:`grid_arrays` as one :class:`MetricResult` per configuration;
-    targets never inside the area are listed in every result's
-    ``excluded_targets``.
-    """
-    margins = np.array([fc.mask_margin_g if fc.mask_enabled else -1.0 for fc in configs])
-    pd, pd_avg, fa_avg = grid_arrays(fd, margins, np.array([fc.gate_g_det for fc in configs]))
-    observed = fd.target_inbounds.any(axis=0).tolist()
-    ids = [tid for tid, seen in zip(fd.target_ids, observed) if seen]
-    excluded = tuple(tid for tid, seen in zip(fd.target_ids, observed) if not seen)
-    return [
-        MetricResult(dict(zip(ids, row)), avg, fa, excluded)
-        for row, avg, fa in zip(pd.tolist(), pd_avg.tolist(), fa_avg.tolist())
-    ]
-
-
 def realization_metrics(
-    scenario: Scenario,
-    rz: Realization,
-    static_map: StaticMap | None,
-    configs: Sequence[FilterConfig],
-) -> list[MetricResult]:
-    """Pd/FA of one realization of ``scenario`` under each filter configuration.
-
-    ``static_map`` is the mask's map; ``None`` means no map.
-    """
-    return grid_metrics(realization_distances(scenario, rz, static_map), configs)
+    scenario: Scenario, rz: Realization, static_map: StaticMap, margin: float, gate: float
+) -> MetricResult:
+    """Pd/FA of one realization masked with ``static_map`` at ``margin`` and gated at ``gate``."""
+    if not (math.isfinite(margin) and margin >= 0.0 and math.isfinite(gate) and gate > 0.0):
+        raise ValueError(f"need a finite margin >= 0 and a finite gate > 0, got {margin}, {gate}")
+    fd = realization_distances(scenario, rz, static_map)
+    cell = grid_arrays(fd, np.array([margin]), np.array([gate]))
+    (pd,), (pd_avg,), (fa_avg,) = (a.tolist() for a in cell)
+    return MetricResult(dict(zip(fd.target_ids, pd)), pd_avg, fa_avg)

@@ -60,8 +60,11 @@ def _hand_rect_d2(x: float, y: float, rect: Rect) -> float:
     return dx * dx + dy * dy
 
 
-def brute_force_metrics(frames, static_map, fc):
-    """Independent reimplementation of mask, gate, and metric counting."""
+def brute_force_metrics(frames, static_map, margin, gate):
+    """Independent reimplementation of mask, gate, and metric counting.
+
+    A negative ``margin`` turns the mask off.
+    """
     successes: dict[int, int] = {}
     steps: dict[int, int] = {}
     fa_total = 0
@@ -69,9 +72,9 @@ def brute_force_metrics(frames, static_map, fc):
         kept = []
         for x, y in frame.detections.xy.tolist():
             d2 = min((_hand_rect_d2(x, y, r) for r in static_map.rects), default=math.inf)
-            if not (fc.mask_enabled and d2 <= fc.mask_margin_g * fc.mask_margin_g):
+            if not (margin >= 0.0 and d2 <= margin * margin):
                 kept.append((x, y))
-        gate2 = fc.gate_g_det * fc.gate_g_det
+        gate2 = gate * gate
         for tid, pos in frame.truth:
             steps[tid] = steps.get(tid, 0) + 1
             hit = any((x - pos.x) ** 2 + (y - pos.y) ** 2 <= gate2 for x, y in kept)

@@ -15,7 +15,8 @@ functions here are the object-at-a-time forms of the same math:
   :func:`clutter_frame`, the same draws with nothing hoisted;
 * :func:`precompute_distances`, which packs ``Frame`` lists into the fusion
   kernel's input, :func:`fused_metrics`, the kernel's one-cell case, and
-  :func:`result_from_counts`, one cell's Pd/FA from plain counters;
+  :func:`result_from_counts`, one cell's Pd/FA from plain counters; a cell
+  is a margin and a gate, a negative margin meaning mask off;
 * :func:`rect_contains`, point-to-map distances and the closed dilated-map
   membership spec;
 * :func:`read_trace`, the inverse of ``callflow.write_trace``;
@@ -29,7 +30,6 @@ the package imports it.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -39,7 +39,7 @@ import numpy as np
 
 from sensefuse.callflow import TraceEvent
 from sensefuse.errors import DegenerateGeometryError, EmptyRunError
-from sensefuse.fusion import FilterConfig, FrameDistances, detection_distances, grid_metrics
+from sensefuse.fusion import FrameDistances, detection_distances, grid_arrays
 from sensefuse.geometry import Rect, StaticMap, WorldPoint, subtract_rects
 from sensefuse.measurement import NoiseModel, Pose, wrap_angle, wrap_angles
 from sensefuse.metrics import MetricResult
@@ -53,8 +53,6 @@ from sensefuse.scenario import (
     _realize,
 )
 from sensefuse.sdsf_store import Availability, SensingContext, SensingRecord, _subtract_window
-
-log = logging.getLogger(__name__)
 
 
 # -- measurement -----------------------------------------------------------------
@@ -281,9 +279,7 @@ def clutter_frame(
 # -- fusion ------------------------------------------------------------------------
 
 
-def precompute_distances(
-    frames: Sequence[Frame], static_map: StaticMap | None
-) -> FrameDistances:
+def precompute_distances(frames: Sequence[Frame], static_map: StaticMap) -> FrameDistances:
     """Pack a ``Frame`` sequence into the tensors of :func:`detection_distances`."""
     ids = sorted({tid for f in frames for tid, _ in f.truth})
     col = {tid: n for n, tid in enumerate(ids)}
@@ -298,9 +294,11 @@ def precompute_distances(
     return detection_distances(xy, frame_of, truth_xy, truth_in, ids, static_map)
 
 
-def fused_metrics(fd: FrameDistances, fc: FilterConfig) -> MetricResult:
-    """Pd/FA of the whole frame sequence under one filter configuration."""
-    return grid_metrics(fd, [fc])[0]
+def fused_metrics(fd: FrameDistances, margin: float, gate: float) -> MetricResult:
+    """Pd/FA of the whole frame sequence in the kernel's one cell ``(margin, gate)``."""
+    cell = grid_arrays(fd, np.array([margin]), np.array([gate]))
+    (pd,), (pd_avg,), (fa_avg,) = (a.tolist() for a in cell)
+    return MetricResult(dict(zip(fd.target_ids, pd)), pd_avg, fa_avg)
 
 
 def result_from_counts(
@@ -310,33 +308,18 @@ def result_from_counts(
     fa_total: int,
     t_total: int,
 ) -> MetricResult:
-    """Build a ``MetricResult`` from raw counters.
+    """Build a ``MetricResult`` from raw counters, each target with ``steps > 0``.
 
     Raises ``EmptyRunError`` when no frame was counted.
     """
     if t_total <= 0:
         raise EmptyRunError(f"t_total must be >= 1, got {t_total}")
-    pd_per_target: dict[int, float] = {}
-    excluded: list[int] = []
-    for tid, succ, n_steps in zip(target_ids, successes, steps):
-        if n_steps > 0:
-            pd_per_target[tid] = succ / n_steps
-        else:
-            excluded.append(tid)
-    if excluded:
-        log.warning(
-            "targets %s were never inside the sensing area; excluded from pd_avg", excluded
-        )
+    pd_per_target = {tid: succ / n for tid, succ, n in zip(target_ids, successes, steps)}
     if pd_per_target:
         pd_avg = float(np.mean([pd_per_target[tid] for tid in sorted(pd_per_target)]))
     else:
         pd_avg = math.nan
-    return MetricResult(
-        pd_per_target=pd_per_target,
-        pd_avg=pd_avg,
-        fa_avg=fa_total / t_total,
-        excluded_targets=tuple(excluded),
-    )
+    return MetricResult(pd_per_target=pd_per_target, pd_avg=pd_avg, fa_avg=fa_total / t_total)
 
 
 # -- geometry ----------------------------------------------------------------------

@@ -32,7 +32,6 @@ from oracles import (
 )
 from sensefuse.cli import main as cli_main
 from sensefuse.config import parse_config
-from sensefuse.fusion import FilterConfig
 from sensefuse.geometry import Rect, StaticMap, WorldPoint
 from sensefuse.harness import demo_callflow, run_sweep, write_csv
 from sensefuse.measurement import NoiseModel, Pose
@@ -177,9 +176,8 @@ def test_criterion_07_clutter_survival_matches_thinning_oracle():
 
     fd = precompute_distances(frames, scenario.static_map)
     for g in (0.0, 1.0, 2.0, 5.0):
-        fc = FilterConfig(mask_margin_g=g, gate_g_det=3.0)
         # No targets: every surviving detection is a false alarm.
-        mean_survived = fused_metrics(fd, fc).fa_avg
+        mean_survived = fused_metrics(fd, g, 3.0).fa_avg
         p_reject = float(np.mean(oracle_d2 <= g * g))
         expected = lam * (1.0 - p_reject)
         sigma = math.sqrt(
@@ -193,11 +191,10 @@ def test_criterion_07_clutter_survival_matches_thinning_oracle():
 def _micro_instance(rng: np.random.Generator):
     bounds = Rect(0.0, 0.0, 40.0, 40.0)
     static_map = StaticMap((Rect(8.0, 8.0, 16.0, 16.0),), bounds)
-    fc = FilterConfig(
-        mask_margin_g=float(rng.choice([0.0, 1.0, 2.5])),
-        gate_g_det=float(rng.choice([1.5, 3.0])),
-        mask_enabled=bool(rng.integers(0, 2)),
-    )
+    margin = float(rng.choice([0.0, 1.0, 2.5]))
+    gate = float(rng.choice([1.5, 3.0]))
+    if not rng.integers(0, 2):
+        margin = -1.0  # mask off
     n_targets = int(rng.integers(0, 4))
     frames = []
     for t in range(10):
@@ -218,7 +215,7 @@ def _micro_instance(rng: np.random.Generator):
         frames.append(
             Frame(t=t, detections=columns_of(points, sources, clutter), truth=tuple(truth))
         )
-    return frames, static_map, fc
+    return frames, static_map, (margin, gate)
 
 
 def test_criterion_08_streaming_metrics_equal_brute_force():
@@ -226,11 +223,11 @@ def test_criterion_08_streaming_metrics_equal_brute_force():
     # exactly with an independent evaluation of the same frames.
     for k in range(20):
         rng = np.random.default_rng(5600 + k)
-        frames, static_map, fc = _micro_instance(rng)
+        frames, static_map, cell = _micro_instance(rng)
 
-        result = fused_metrics(precompute_distances(frames, static_map), fc)
+        result = fused_metrics(precompute_distances(frames, static_map), *cell)
 
-        pd, pd_avg, fa_avg = brute_force_metrics(frames, static_map, fc)
+        pd, pd_avg, fa_avg = brute_force_metrics(frames, static_map, *cell)
         assert result.pd_per_target == pd, f"instance {k}"
         assert result.fa_avg == fa_avg, f"instance {k}"
         if math.isnan(pd_avg):

@@ -9,7 +9,7 @@ import pytest
 from sensefuse import callflow
 from sensefuse.callflow import kpi_verdict, run_call_flow, write_trace
 from sensefuse.config import parse_config
-from sensefuse.fusion import FilterConfig, realization_metrics
+from sensefuse.fusion import realization_metrics
 from sensefuse.geometry import Rect, StaticMap, WorldPoint
 from sensefuse.harness import demo_callflow
 from sensefuse.measurement import Pose
@@ -249,14 +249,31 @@ def test_no_consent_runs_live_only_unmasked(flow_scenario):
     assert "StorageUpdate" not in variants
     assert len(store) == 1 and store.now == 0
 
-    # Identical metrics to gating the same realization without any mask.
-    (expected,) = realization_metrics(
+    # Identical metrics to gating the same realization with an empty map.
+    expected = realization_metrics(
         flow_scenario,
         generate_realization(flow_scenario, realization_rng(flow_scenario.seed, 0)),
-        None,
-        [FilterConfig(mask_margin_g=2.0, gate_g_det=3.0, mask_enabled=False)],
+        StaticMap((), flow_scenario.bounds),
+        2.0,
+        3.0,
     )
     assert run.result.metrics == expected
+
+
+def test_consent_with_a_foreign_map_fuses_as_live_only(flow_scenario):
+    # The only fetched map overlaps the requested area, but its one building
+    # lies outside it: the mask is empty, and the metrics are the no-consent run's.
+    store = SdsfStore()
+    area = Rect(100.0, 100.0, 200.0, 200.0)
+    ctx = SensingContext(area=area, time_window=(0, 10_000), target_type="unknown")
+    foreign = StaticMap((Rect(150.0, 150.0, 160.0, 160.0),), area)
+    store.store("stid-foreign", ctx, foreign, created_at=0, aging_policy=100_000)
+    run = run_flow(flow_scenario, store)
+    unmasked = run_flow(flow_scenario, SdsfStore(), historical_consent=False)
+    assert run.result is not None and unmasked.result is not None
+    assert steps_and_variants(run) == RUN1_TRACE
+    assert (run.result.data_source, run.result.mask_enabled) == ("live+historical", False)
+    assert run.result.metrics == unmasked.result.metrics
 
 
 def test_no_consent_demo_leaves_the_store_to_the_next_request(tmp_path):

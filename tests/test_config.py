@@ -9,6 +9,7 @@ from sensefuse.config import (
     DEFAULT_G_DET_VALUES,
     KEYS,
     ROWS_PER_REALIZATION_MAX,
+    SWEEP_VALUES_MAX,
     WORLD_SCALE_MAX,
     default_g_values,
     load_config,
@@ -439,12 +440,58 @@ def test_bounds_are_within_the_world_scale(bounds, fits):
     ids=["huge-range", "subnormal-step"],
 )
 def test_grid_count_past_float_range_is_a_config_error(sweep):
-    # Only counts past float range are tested: a huge finite grid would be built.
     with pytest.raises(ConfigError) as err:
         parse_config({"sweep": sweep})
     assert err.value.violations == [
         "sweep.g_step: (g_max - g_min) / g_step must be finite, got inf"
     ]
+
+
+ONE_CELL = {"g_values": [0.0], "g_det_values": [1.0], "baseline": False}
+
+
+@pytest.mark.parametrize(
+    "sweep, violation",
+    [
+        ({}, None),
+        # The default grid has 6 * (1 + 21) = 132 cells.
+        ({"n_realizations": 75_757}, None),
+        ({"n_realizations": 75_758}, ("sweep.n_realizations", "132 * 75758 = 10000056")),
+        ({**ONE_CELL, "n_realizations": 10**7}, None),
+        (
+            {**ONE_CELL, "n_realizations": 10**7 + 1},
+            ("sweep.n_realizations", "1 * 10000001 = 10000001"),
+        ),
+        # 5e9 + 1 margins: counted from g_step, never built.
+        ({"g_step": 1.0e-9}, ("sweep.g_step", "30000000012 * 50 = 1500000000600")),
+        # More cells than the bound on their own: the grid is named.
+        (
+            {"g_values": list(range(3_200)), "g_det_values": list(range(1, 3_201))},
+            ("sweep.g_values", "10243200 * 50 = 512160000"),
+        ),
+    ],
+    ids=[
+        "default",
+        "at-limit",
+        "past-limit",
+        "one-cell-at-limit",
+        "one-cell-past-limit",
+        "tiny-g-step",
+        "many-gates",
+    ],
+)
+def test_sweep_cells_times_realizations_are_bounded(sweep, violation):
+    if violation is None:
+        assert parse_config({"sweep": sweep}).sweep.n_realizations == sweep.get(
+            "n_realizations", 50
+        )
+        return
+    with pytest.raises(ConfigError) as err:
+        parse_config({"sweep": sweep})
+    name, product = violation
+    (message,) = err.value.violations
+    assert message.startswith(f"{name}: the cells times n_realizations")
+    assert message.endswith(f"must be <= {SWEEP_VALUES_MAX}, got {product}")
 
 
 def test_every_key_reports_once_in_table_order():

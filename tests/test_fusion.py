@@ -1,4 +1,3 @@
-import logging
 import math
 import warnings
 
@@ -8,14 +7,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sensefuse.errors import EmptyRunError
-from sensefuse.fusion import FilterConfig, FrameDistances, grid_metrics
+from sensefuse.fusion import (
+    FrameDistances,
+    detection_distances,
+    grid_arrays,
+    realization_metrics,
+)
 from sensefuse.geometry import Rect, StaticMap, WorldPoint
+from sensefuse.metrics import MetricResult
 from sensefuse.scenario import (
     ClutterModel,
     Frame,
     ScenarioConfig,
     build_scenario,
     generate_frames,
+    generate_realization,
     realization_rng,
 )
 
@@ -23,34 +29,34 @@ from conftest import brute_force_metrics, columns_of
 from oracles import fused_metrics, precompute_distances, result_from_counts
 
 
-def frame_outcome(frame, static_map=None, fc=FilterConfig()):
+NO_MAP = StaticMap((), Rect(-50.0, -50.0, 50.0, 50.0))
+MASK_OFF = -1.0  # a negative margin turns the kernel's mask off
+
+
+def frame_outcome(frame, static_map=NO_MAP, margin=0.0, gate=3.0):
     """One frame through the kernel: (detected by target id, false alarms)."""
-    result = fused_metrics(precompute_distances([frame], static_map), fc)
+    result = fused_metrics(precompute_distances([frame], static_map), margin, gate)
     return {tid: pd == 1.0 for tid, pd in result.pd_per_target.items()}, int(result.fa_avg)
 
 
-def outcome(points, truth=(), static_map=None, fc=FilterConfig()):
+def outcome(points, truth=(), static_map=NO_MAP, margin=0.0, gate=3.0):
     frame = Frame(t=0, detections=columns_of(points), truth=tuple(truth))
-    return frame_outcome(frame, static_map, fc)
+    return frame_outcome(frame, static_map, margin, gate)
 
 
 def kept(points, static_map, g):
     """Per-detection mask survival, each detection in its own target-free frame."""
-    return [outcome([p], (), static_map, FilterConfig(g, 3.0))[1] == 1 for p in points]
+    return [outcome([p], (), static_map, g)[1] == 1 for p in points]
 
 
-# -- FilterConfig ---------------------------------------------------------------
+# -- the filter's two numbers -----------------------------------------------------
 
 
-def test_filter_config_validation():
-    with pytest.raises(ValueError):
-        FilterConfig(mask_margin_g=-0.5)
-    with pytest.raises(ValueError):
-        FilterConfig(mask_margin_g=math.nan)
-    with pytest.raises(ValueError):
-        FilterConfig(gate_g_det=0.0)
-    with pytest.raises(ValueError):
-        FilterConfig(gate_g_det=math.inf)
+def test_realization_metrics_rejects_bad_filter(default_scenario):
+    rz = generate_realization(default_scenario, realization_rng(default_scenario.seed, 0))
+    for margin, gate in [(-0.5, 3.0), (math.nan, 3.0), (0.0, 0.0), (0.0, math.inf)]:
+        with pytest.raises(ValueError, match="finite margin >= 0 and a finite gate > 0"):
+            realization_metrics(default_scenario, rz, default_scenario.static_map, margin, gate)
 
 
 # -- hard mask ------------------------------------------------------------------
@@ -78,7 +84,6 @@ def test_mask_with_empty_map_is_a_no_op():
     empty = StaticMap((), Rect(-50.0, -50.0, 50.0, 50.0))
     dets = [(0.0, 0.0), (10.0, 10.0)]
     assert kept(dets, empty, 100.0) == [True, True]
-    assert kept(dets, None, 100.0) == [True, True]
 
 
 # -- validation gate --------------------------------------------------------------
@@ -86,31 +91,31 @@ def test_mask_with_empty_map_is_a_no_op():
 
 def test_gate_match_within_radius():
     truth = [(0, WorldPoint(10.0, 10.5))]
-    out = outcome([(10.0, 10.0)], truth, fc=FilterConfig(0.0, 1.0))
+    out = outcome([(10.0, 10.0)], truth, gate=1.0)
     assert out == ({0: True}, 0)
 
 
 def test_gate_miss_counts_false_alarm():
     truth = [(0, WorldPoint(20.0, 20.0))]
-    out = outcome([(10.0, 10.0)], truth, fc=FilterConfig(0.0, 1.0))
+    out = outcome([(10.0, 10.0)], truth, gate=1.0)
     assert out == ({0: False}, 1)
 
 
 def test_gate_mixed_match_and_false_alarm():
     dets = [(0.0, 0.0), (3.0, 0.0)]
-    out = outcome(dets, [(0, WorldPoint(0.0, 0.0))], fc=FilterConfig(0.0, 2.0))
+    out = outcome(dets, [(0, WorldPoint(0.0, 0.0))], gate=2.0)
     assert out == ({0: True}, 1)
 
 
 def test_gate_boundary_tie_is_inside():
     truth = [(0, WorldPoint(0.0, 0.0))]
-    out = outcome([(2.0, 0.0)], truth, fc=FilterConfig(0.0, 2.0))
+    out = outcome([(2.0, 0.0)], truth, gate=2.0)
     assert out == ({0: True}, 0)
 
 
 def test_gate_one_detection_can_cover_two_targets():
     truth = [(0, WorldPoint(0.0, 0.0)), (1, WorldPoint(1.0, 0.0))]
-    out = outcome([(0.5, 0.0)], truth, fc=FilterConfig(0.0, 1.0))
+    out = outcome([(0.5, 0.0)], truth, gate=1.0)
     assert out == ({0: True, 1: True}, 0)
 
 
@@ -122,23 +127,23 @@ def test_mask_runs_before_gate(unit_map):
     # dilated building, so masking removes it before gating can match it.
     dets = [(10.5, 5.0)]
     truth = [(0, WorldPoint(12.0, 5.0))]
-    masked = outcome(dets, truth, unit_map, FilterConfig(1.0, 3.0, mask_enabled=True))
+    masked = outcome(dets, truth, unit_map, 1.0)
     assert masked == ({0: False}, 0)
-    unmasked = outcome(dets, truth, unit_map, FilterConfig(1.0, 3.0, mask_enabled=False))
+    unmasked = outcome(dets, truth, unit_map, MASK_OFF)
     assert unmasked == ({0: True}, 0)
 
 
 def test_mask_disabled_equals_plain_gating(default_scenario):
+    # A negative margin with the map gates as an empty map does at any margin.
     frames = generate_frames(default_scenario, realization_rng(7, 5))[:3]
-    fc = FilterConfig(mask_margin_g=4.0, gate_g_det=3.0, mask_enabled=False)
     for frame in frames:
-        with_map = frame_outcome(frame, default_scenario.static_map, fc)
-        assert with_map == frame_outcome(frame, None, fc)
+        with_map = frame_outcome(frame, default_scenario.static_map, MASK_OFF)
+        assert with_map == frame_outcome(frame, NO_MAP, 4.0)
 
 
 def test_clutter_inside_building_is_masked_at_zero_margin(unit_map):
     clutter = Frame(t=0, detections=columns_of([(5.0, 5.0)], clutter=[True]), truth=())
-    assert frame_outcome(clutter, unit_map, FilterConfig(0.0, 3.0)) == ({}, 0)
+    assert frame_outcome(clutter, unit_map, 0.0) == ({}, 0)
 
 
 def test_mask_survival_matches_area_ratio(default_scenario, rng):
@@ -146,7 +151,7 @@ def test_mask_survival_matches_area_ratio(default_scenario, rng):
     # 1 - 2100 / 14400.  Binomial three-sigma band around that.
     n = 1_000
     xy = rng.uniform((0.0, 0.0), (120.0, 120.0), (n, 2))
-    _, n_kept = outcome(xy, (), default_scenario.static_map, FilterConfig(0.0, 3.0))
+    _, n_kept = outcome(xy, (), default_scenario.static_map, 0.0)
     p = 1.0 - 2100.0 / 14400.0
     sigma = math.sqrt(p * (1.0 - p) / n)
     assert abs(n_kept / n - p) <= 3.0 * sigma
@@ -164,25 +169,24 @@ def _mixed_frames() -> list[Frame]:
     return frames
 
 
-def _batch_matches_loop(frames, static_map, fc):
+def _batch_matches_loop(frames, static_map, cell):
     fd = precompute_distances(frames, static_map)
     for t, frame in enumerate(frames):
-        pd, _, fa = brute_force_metrics([frame], static_map, fc)
-        detected, n_fa = frame_outcome(frame, static_map, fc)
-        assert n_fa == fa, (t, fc)
-        assert detected == {tid: hit_rate == 1.0 for tid, hit_rate in pd.items()}, (t, fc)
-    pd, _, fa = brute_force_metrics(frames, static_map, fc)
-    result = fused_metrics(fd, fc)
-    assert result.pd_per_target == pd and result.fa_avg == fa, fc
+        pd, _, fa = brute_force_metrics([frame], static_map, *cell)
+        detected, n_fa = frame_outcome(frame, static_map, *cell)
+        assert n_fa == fa, (t, cell)
+        assert detected == {tid: hit_rate == 1.0 for tid, hit_rate in pd.items()}, (t, cell)
+    pd, _, fa = brute_force_metrics(frames, static_map, *cell)
+    result = fused_metrics(fd, *cell)
+    assert result.pd_per_target == pd and result.fa_avg == fa, cell
 
 
 def test_batch_kernel_matches_frame_loop_exactly():
     frames = _mixed_frames()
     static_map = build_scenario(ScenarioConfig()).static_map
-    for g in (0.0, 1.0, 2.5, 5.0):
+    for g in (MASK_OFF, 0.0, 1.0, 2.5, 5.0):
         for g_det in (1.0, 3.0, 10.0):
-            for mask_enabled in (True, False):
-                _batch_matches_loop(frames, static_map, FilterConfig(g, g_det, mask_enabled))
+            _batch_matches_loop(frames, static_map, (g, g_det))
 
 
 def test_precompute_shapes_and_padding():
@@ -212,7 +216,7 @@ def test_precompute_empty_frames():
     assert fd.map_dist_sq.shape == (0,)
     assert fd.target_inbounds.shape == (2, 0)
     assert fd.target_ids == ()
-    result = fused_metrics(fd, FilterConfig(1.0, 3.0))
+    result = fused_metrics(fd, 1.0, 3.0)
     assert result.pd_per_target == {} and result.fa_avg == 0.0
 
 
@@ -234,13 +238,15 @@ _frame = st.tuples(
 )
 
 
-def _same(a, b):
-    return (
-        a.pd_per_target == b.pd_per_target
-        and a.fa_avg == b.fa_avg
-        and a.excluded_targets == b.excluded_targets
-        and (a.pd_avg == b.pd_avg or (math.isnan(a.pd_avg) and math.isnan(b.pd_avg)))
-    )
+def _assert_grid_equals(fd, cells, expected):
+    """``grid_arrays`` over ``cells`` equals one expected ``MetricResult`` per cell."""
+    pd, pd_avg, fa_avg = grid_arrays(fd, *np.array(cells).reshape(-1, 2).T)
+    assert pd.shape == (len(cells), len(fd.target_ids))
+    for row, result, cell in zip(pd.tolist(), expected, cells):
+        assert dict(zip(fd.target_ids, row)) == result.pd_per_target, cell
+        assert list(result.pd_per_target) == list(fd.target_ids), cell
+    np.testing.assert_array_equal(pd_avg, [r.pd_avg for r in expected])
+    np.testing.assert_array_equal(fa_avg, [r.fa_avg for r in expected])
 
 
 @settings(max_examples=150, deadline=None)
@@ -285,34 +291,25 @@ def test_grid_kernel_matches_one_cell_kernel_and_brute_force(raw_frames, use_map
         )
         for t, (dets, truth) in enumerate(raw_frames)
     ]
-    static_map = GRID_MAP if use_map else None
-    oracle_map = GRID_MAP if use_map else StaticMap((), GRID_MAP.bounds)
+    static_map = GRID_MAP if use_map else StaticMap((), GRID_MAP.bounds)
     fd = precompute_distances(frames, static_map)
     # Every gate with the baseline cell (mask off) and every margin, in one call.
-    cells = [
-        FilterConfig(g, g_det, mask_enabled)
-        for g_det in g_dets
-        for g, mask_enabled in [(0.0, False)] + [(g, True) for g in GRID_G]
-    ]
-    grid = grid_metrics(fd, cells)
-    assert len(grid) == len(cells)
-    for fc, result in zip(cells, grid):
-        assert _same(result, fused_metrics(fd, fc)), fc
-        pd, pd_avg, fa = brute_force_metrics(frames, oracle_map, fc)
-        assert result.pd_per_target == pd and result.fa_avg == fa, fc
-        assert result.pd_avg == pd_avg or (math.isnan(pd_avg) and math.isnan(result.pd_avg))
+    cells = [(g, g_det) for g_det in g_dets for g in (MASK_OFF,) + GRID_G]
+    _assert_grid_equals(fd, cells, [fused_metrics(fd, *cell) for cell in cells])
+    brute = [brute_force_metrics(frames, static_map, *cell) for cell in cells]
+    _assert_grid_equals(fd, cells, [MetricResult(*b) for b in brute])
 
 
 # -- the grid's Pd arrays ----------------------------------------------------------
 
 
-def _counted_results(fd, configs):
+def _counted_results(fd, cells):
     """Brute-force counters per cell, finalized by ``result_from_counts``."""
     steps = fd.target_inbounds.sum(axis=0).tolist()
     results = []
-    for fc in configs:
-        kept = fd.map_dist_sq > (fc.mask_margin_g**2 if fc.mask_enabled else -math.inf)
-        within = fd.target_dist_sq <= fc.gate_g_det**2
+    for g, g_det in cells:
+        kept = fd.map_dist_sq > (g**2 if g >= 0.0 else -math.inf)
+        within = fd.target_dist_sq <= g_det**2
         successes = [
             len({t for t, k, w in zip(fd.frame_of.tolist(), kept, within[:, n]) if k and w})
             for n in range(len(fd.target_ids))
@@ -338,6 +335,8 @@ def _hand_distances(draw):
 
     inbounds = np.array(cells(st.booleans(), n_frames * n_targets), dtype=bool)
     inbounds = inbounds.reshape(n_frames, n_targets)
+    # FrameDistances holds only targets inside the area in some frame.
+    inbounds[cells(st.integers(0, n_frames - 1), n_targets), np.arange(n_targets)] = True
     frame_of = np.array(cells(st.integers(0, n_frames - 1), n_det), dtype=np.intp)
     dist = np.array(cells(_d2, n_det * n_targets)).reshape(n_det, n_targets)
     return FrameDistances(
@@ -379,16 +378,9 @@ def _hand_distances(draw):
     g_dets=(1.5,),
 )
 def test_grid_pd_arrays_equal_result_from_counts(fd, g_dets):
-    # Up to 12 targets, some possibly never in the area (the zero-step case).
-    configs = [
-        FilterConfig(g, g_det, mask_enabled)
-        for g_det in g_dets
-        for g, mask_enabled in [(0.0, False), (0.0, True), (1.0, True), (2.5, True)]
-    ]
-    grid = grid_metrics(fd, configs)
-    for fc, result, expected in zip(configs, grid, _counted_results(fd, configs)):
-        assert _same(result, expected), fc
-        assert list(result.pd_per_target) == list(expected.pd_per_target), fc
+    # Up to 12 targets, each inside the area in at least one frame.
+    cells = [(g, g_det) for g_det in g_dets for g in (MASK_OFF, 0.0, 1.0, 2.5)]
+    _assert_grid_equals(fd, cells, _counted_results(fd, cells))
 
 
 def test_grid_with_no_observable_target_has_nan_pd_without_warnings():
@@ -401,30 +393,29 @@ def test_grid_with_no_observable_target_has_nan_pd_without_warnings():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        results = grid_metrics(fd, [FilterConfig(0.0, 3.0), FilterConfig(3.0, 3.0)])
-    assert [r.pd_per_target for r in results] == [{}, {}]
-    assert all(math.isnan(r.pd_avg) for r in results)
-    assert [r.fa_avg for r in results] == [2 / 3, 1 / 3]
+        pd, pd_avg, fa_avg = grid_arrays(fd, np.array([0.0, 3.0]), np.array([3.0, 3.0]))
+    assert pd.shape == (2, 0)
+    assert np.isnan(pd_avg).all()
+    assert fa_avg.tolist() == [2 / 3, 1 / 3]
 
 
-def test_grid_excludes_a_target_with_no_steps(caplog):
-    # Target 5 is never in the area: excluded from pd_avg, with a warning.
-    inbounds = np.array([[True, False, True], [True, False, False]])
-    fd = FrameDistances(
-        map_dist_sq=np.array([16.0, 16.0, 16.0]),
-        target_dist_sq=np.array(
-            [[1.0, np.inf, 1.0], [np.inf, np.inf, np.inf], [1.0, np.inf, np.inf]]
-        ),
-        frame_of=np.array([0, 0, 1]),
-        target_inbounds=inbounds,
-        target_ids=(3, 5, 9),
+def test_detection_distances_drops_a_target_never_inside():
+    # Columns named 9, 5, 3: target 5 is never in the area and is dropped,
+    # and the kept columns come back ordered by id.
+    truth_xy = np.array(
+        [[[0.0, 0.0], [50.0, 50.0], [4.0, 0.0]], [[1.0, 0.0], [50.0, 50.0], [0.0, 0.0]]]
     )
-    with caplog.at_level(logging.WARNING, logger="sensefuse.metrics"):
-        (result,) = grid_metrics(fd, [FilterConfig(0.0, 2.0)])
-    assert result.excluded_targets == (5,)
-    assert result.pd_per_target == {3: 1.0, 9: 1.0}
-    assert result.pd_avg == 1.0 and result.fa_avg == 0.5
-    assert "excluded from pd_avg" in caplog.text
+    truth_in = np.array([[True, False, True], [False, False, True]])
+    xy = np.array([[0.0, 0.0], [1.0, 0.0]])
+    fd = detection_distances(xy, np.array([0, 1]), truth_xy, truth_in, [9, 5, 3], NO_MAP)
+    assert fd.target_ids == (3, 9)
+    assert fd.target_inbounds.tolist() == [[True, True], [True, False]]
+    assert fd.target_dist_sq.tolist() == [[16.0, 0.0], [1.0, math.inf]]
+    # Target 9 is found in its one step, target 3 only in the second, and
+    # each detection matches one of them.
+    result = fused_metrics(fd, 0.0, 1.0)
+    assert result.pd_per_target == {3: 0.5, 9: 1.0} and result.pd_avg == 0.75
+    assert result.excluded_targets == () and result.fa_avg == 0.0
 
 
 @pytest.mark.parametrize("n_cells", [0, 2])
@@ -437,4 +428,4 @@ def test_grid_on_zero_frames_raises(n_cells):
         target_ids=(),
     )
     with pytest.raises(EmptyRunError):
-        grid_metrics(fd, [FilterConfig(0.0, 3.0), FilterConfig(1.0, 2.0)][:n_cells])
+        grid_arrays(fd, np.array([0.0, 1.0])[:n_cells], np.array([3.0, 2.0])[:n_cells])

@@ -6,7 +6,8 @@ import pytest
 
 from sensefuse.config import SweepSettings, parse_config
 from sensefuse.errors import ConfigError
-from sensefuse.fusion import FilterConfig, realization_metrics
+from sensefuse.fusion import realization_metrics
+from sensefuse.geometry import StaticMap
 from sensefuse import harness
 from sensefuse.harness import (
     BASELINE_G,
@@ -148,11 +149,11 @@ def test_call_flow_and_sweep_share_one_kernel(default_scenario, tmp_path):
     pd_avg, fa_avg = run_realization(default_scenario, np.array(cell_keys(cfg.sweep)), 0)
     cells = dict(zip(cell_keys(cfg.sweep), zip(pd_avg.tolist(), fa_avg.tolist())))
     rz = generate_realization(default_scenario, realization_rng(default_scenario.seed, 0))
+    no_map = StaticMap((), default_scenario.bounds)
     for g, g_det in ((0.0, 1.0), (2.0, 3.0), (5.0, 10.0)):
-        fc = FilterConfig(mask_margin_g=g, gate_g_det=g_det)
-        (masked,) = realization_metrics(default_scenario, rz, default_scenario.static_map, [fc])
+        masked = realization_metrics(default_scenario, rz, default_scenario.static_map, g, g_det)
         assert (masked.pd_avg, masked.fa_avg) == cells[(g, g_det)]
-        (unmasked,) = realization_metrics(default_scenario, rz, None, [fc])
+        unmasked = realization_metrics(default_scenario, rz, no_map, g, g_det)
         assert (unmasked.pd_avg, unmasked.fa_avg) == cells[(BASELINE_G, g_det)]
         demo = dataclasses.replace(
             cfg.demo, mask_margin_g=g, gate_g_det=g_det, historical_consent=False

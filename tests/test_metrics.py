@@ -1,4 +1,3 @@
-import logging
 import math
 
 import numpy as np
@@ -7,8 +6,7 @@ import pytest
 from sensefuse import harness
 from sensefuse.config import SweepSettings
 from sensefuse.errors import EmptyRunError
-from sensefuse.fusion import FilterConfig, FrameDistances
-from sensefuse.geometry import WorldPoint
+from sensefuse.geometry import Rect, StaticMap, WorldPoint
 from sensefuse.measurement import NoiseModel
 from sensefuse.metrics import MetricResult
 from sensefuse.scenario import (
@@ -37,7 +35,8 @@ def frame(detected: dict[int, bool], unmatched: int = 0) -> Frame:
 
 
 def metrics(frames: list[Frame]) -> MetricResult:
-    return fused_metrics(precompute_distances(frames, None), FilterConfig(0.0, 1.0))
+    no_map = StaticMap((), Rect(-10.0, -10.0, 10.0, 10.0))
+    return fused_metrics(precompute_distances(frames, no_map), 0.0, 1.0)
 
 
 # -- counting -------------------------------------------------------------------
@@ -70,24 +69,6 @@ def test_out_of_area_steps_do_not_dilute_pd():
 def test_finalize_requires_frames():
     with pytest.raises(EmptyRunError):
         metrics([])
-
-
-def test_never_observable_target_excluded_with_warning(caplog):
-    # Target 0 is in the area for 4 frames and detected in 3; target 1 never is.
-    fd = FrameDistances(
-        map_dist_sq=np.full(3, np.inf),
-        target_dist_sq=np.array([[0.0, np.inf]] * 3),
-        frame_of=np.arange(3),
-        target_inbounds=np.array([[True, False]] * 4),
-        target_ids=(0, 1),
-    )
-    with caplog.at_level(logging.WARNING):
-        result = fused_metrics(fd, FilterConfig(0.0, 1.0))
-    assert result.pd_per_target == {0: 0.75}
-    assert result.excluded_targets == (1,)
-    assert result.pd_avg == 0.75
-    assert result.fa_avg == 0.0
-    assert "never inside" in caplog.text
 
 
 def test_no_observable_targets_gives_nan_pd():
@@ -153,8 +134,7 @@ def test_clutter_free_perfect_detection_is_exact():
     )
     scenario = build_scenario(cfg)
     frames = generate_frames(scenario, realization_rng(scenario.seed, 0))
-    fc = FilterConfig(mask_margin_g=0.0, gate_g_det=10.0, mask_enabled=True)
-    result = fused_metrics(precompute_distances(frames, scenario.static_map), fc)
+    result = fused_metrics(precompute_distances(frames, scenario.static_map), 0.0, 10.0)
     assert result.pd_avg == 1.0
     assert result.fa_avg == 0.0
     assert all(v == 1.0 for v in result.pd_per_target.values())

@@ -86,6 +86,8 @@ MOVED_OR_DELETED = [
     ("fusion", "fused_metrics"),
     ("metrics", "AggregateStats"),
     ("metrics", "aggregate_values"),
+    ("fusion", "FilterConfig"),
+    ("fusion", "grid_metrics"),
 ]
 
 
