@@ -399,9 +399,9 @@ def test_grid_with_no_observable_target_has_nan_pd_without_warnings():
     assert fa_avg.tolist() == [2 / 3, 1 / 3]
 
 
-def test_detection_distances_drops_a_target_never_inside():
-    # Columns named 9, 5, 3: target 5 is never in the area and is dropped,
-    # and the kept columns come back ordered by id.
+def test_grid_excludes_a_target_with_no_steps():
+    # Columns named 9, 5, 3: target 5 is never in the area, so detection_distances
+    # drops it before the grid, and the kept columns come back ordered by id.
     truth_xy = np.array(
         [[[0.0, 0.0], [50.0, 50.0], [4.0, 0.0]], [[1.0, 0.0], [50.0, 50.0], [0.0, 0.0]]]
     )

@@ -5,7 +5,8 @@ import pytest
 
 from sensefuse import harness
 from sensefuse.config import SweepSettings
-from sensefuse.errors import EmptyRunError
+from sensefuse.errors import ConfigError, EmptyRunError
+from sensefuse.fusion import detection_distances
 from sensefuse.geometry import Rect, StaticMap, WorldPoint
 from sensefuse.measurement import NoiseModel
 from sensefuse.metrics import MetricResult
@@ -13,6 +14,7 @@ from sensefuse.scenario import (
     ClutterModel,
     Frame,
     ScenarioConfig,
+    TargetTrack,
     build_scenario,
     generate_frames,
     realization_rng,
@@ -69,6 +71,26 @@ def test_out_of_area_steps_do_not_dilute_pd():
 def test_finalize_requires_frames():
     with pytest.raises(EmptyRunError):
         metrics([])
+
+
+def test_never_observable_target_excluded_with_warning():
+    # Target 0 is in the area for 4 frames and detected in 3; target 1 never is.
+    # Its column is dropped before the kernel, so Pd counts target 0 alone.
+    truth_xy = np.array([[[0.0, 0.0], [500.0, 500.0]]] * 4)
+    truth_in = np.array([[True, False]] * 4)
+    xy = np.zeros((3, 2))
+    no_map = StaticMap((), Rect(-10.0, -10.0, 10.0, 10.0))
+    fd = detection_distances(xy, np.arange(3), truth_xy, truth_in, [0, 1], no_map)
+    result = fused_metrics(fd, 0.0, 1.0)
+    assert result.pd_per_target == {0: 0.75}
+    assert result.excluded_targets == ()
+    assert result.pd_avg == 0.75
+    assert result.fa_avg == 0.0
+    # A scenario with such a target is refused, naming it.
+    outside = TargetTrack(1, WorldPoint(500.0, 500.0), (1.0, 0.0), "horizontal")
+    inside = TargetTrack(0, WorldPoint(0.0, 60.0), (1.0, 0.0), "horizontal")
+    with pytest.raises(ConfigError, match=r"tracks \[1\] never enter the bounds"):
+        build_scenario(ScenarioConfig(tracks=(inside, outside)))
 
 
 def test_no_observable_targets_gives_nan_pd():
