@@ -14,9 +14,24 @@ clock time.  Persistence is a single append-only JSON-lines log with a header
 line, replayed into the in-memory index on load.  Each line is written with
 its ``"\n"`` last, so a final line without one is torn by an interrupted
 append: replay drops it with a warning, and the next append first cuts the
-log back to its last complete line.  Any other line that cannot be replayed,
-a line whose record id an earlier line already holds, and a torn header,
-raise :class:`StoreCorruptError` naming the file and line.
+log back to its last complete line.  It cuts only while the log still holds
+as many bytes as load read; otherwise it raises :class:`StoreCorruptError`
+and leaves the log as it is, since another writer may have appended since.
+Any other line that cannot be replayed, a line whose record id an earlier
+line already holds, and a torn header, raise :class:`StoreCorruptError`
+naming the file and line.
+
+A process keeps the replay of the one log it replayed last: the bytes
+read, and the records its complete lines built.  An open of that path whose
+bytes start with those complete lines, compared byte for byte (never by
+size or modification time), replays only the lines after them, with the
+same checks, line numbers and duplicate-id check; any other open replays
+the whole file.  Replay is a function of the bytes alone, so a reopen
+builds what a replay from the start would: aging, the clock and the next
+id come from all records at every open, and every open gets its own metrics
+payloads.  A line that raises leaves the kept replay as it was, and an open
+that finds the log missing drops it.  A CLI ``demo`` runs in a process of
+its own, so it replays the whole log.
 
 Every line, the header included, is ``orjson.dumps`` of its JSON form with
 sorted keys; a non-finite metric is written as ``null`` and read back as
@@ -40,16 +55,16 @@ float`` followed by the whole ``"xy"`` string.
 Replay reads each line with orjson, and with stdlib ``json`` only for what
 older logs hold and orjson rejects (see :func:`_decode_line`).  It builds
 every record with the same constructors as ``store()``, so a replayed record
-passes the same checks.  Within one replay, equal area rects and equal static
-maps are shared.  Replay reads three raw forms into the same columns: a
-payload with ``"items"`` holds one item per detection; otherwise a string
-``"xy"`` is the form above, decoded strictly (base64 alphabet and padding,
-zero leftover bits in a padded last group, so that each column has one
-spelling, ``16 * D`` xy bytes, ``ceil(D / 8)`` clutter bytes, zero pad
-bits), and a list ``"xy"`` holds ``[x, y]`` pairs beside a list of clutter
-booleans.  Only the base64 form is written.  Lines of older logs also hold a ``"kind"``, which
-must be the payload's, and ``"conditions"`` and ``"metadata"``, which replay
-ignores.
+passes the same checks.  Within one replay, and across the reopens that
+resume it, equal area rects and equal static maps are shared.  Replay reads
+three raw forms into the same columns: a payload with ``"items"`` holds one
+item per detection; otherwise a string ``"xy"`` is the form above, decoded
+strictly (base64 alphabet and padding, zero leftover bits in a padded last
+group, so that each column has one spelling, ``16 * D`` xy bytes,
+``ceil(D / 8)`` clutter bytes, zero pad bits), and a list ``"xy"`` holds
+``[x, y]`` pairs beside a list of clutter booleans.  Only the base64 form is
+written.  Lines of older logs also hold a ``"kind"``, which must be the
+payload's, and ``"conditions"`` and ``"metadata"``, which replay ignores.
 """
 from __future__ import annotations
 
@@ -58,6 +73,7 @@ import json
 import logging
 import math
 import os
+import re
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -228,8 +244,9 @@ class SdsfStore:
         self._records: dict[str, SensingRecord] = {}
         self._next_id = 1
         self._now = 0
-        self._torn_at: int | None = None  # log offset of a torn final line
-        if self._path is not None and self._path.exists():
+        self._torn_at: tuple[int, int] | None = None  # line number, offset of a torn final line
+        self._log_size = 0  # bytes the log held at load
+        if self._path is not None:
             self._load()
 
     # -- clock ---------------------------------------------------------------
@@ -333,7 +350,18 @@ class SdsfStore:
         except orjson.JSONEncodeError as exc:
             raise ValueError(f"record rejected: {exc}") from None
         if self._torn_at is not None:
-            os.truncate(self._path, self._torn_at)
+            # Cut only the bytes load saw torn: a log that changed since may
+            # hold another writer's lines after them.
+            lineno, offset = self._torn_at
+            size = os.path.getsize(self._path)
+            if size != self._log_size:
+                raise StoreCorruptError(
+                    self._path,
+                    lineno,
+                    f"torn final line not cut: the log holds {size} B, not the"
+                    f" {self._log_size} B it held at load",
+                )
+            os.truncate(self._path, offset)
             self._torn_at = None
         with self._path.open("ab") as fh:
             if not fh.tell():
@@ -341,58 +369,148 @@ class SdsfStore:
             fh.write(line)
 
     def _load(self) -> None:
+        global _last_replay
         assert self._path is not None
+        path, since = self._path, _last_replay
+        if not path.exists():
+            if since is not None and since.path == path:
+                _last_replay = None
+            return
         # Bytes, so that invalid UTF-8 surfaces as a bad line, not a read error.
-        with self._path.open("rb") as fh:
-            header_line = fh.readline()
-            if not header_line.strip():
+        data = path.read_bytes()
+        self._log_size = len(data)
+        if (
+            since is None
+            or since.path != path
+            or not data.startswith(memoryview(since.data)[: since.end])
+        ):
+            since = _replay_header(path, data)
+            if since is None:
                 return  # empty file behaves like a fresh store
-            if not header_line.endswith(b"\n"):
-                raise StoreCorruptError(self._path, 1, "torn header")
-            try:
-                header = orjson.loads(header_line)
-            except orjson.JSONDecodeError:
-                header = None
-            if not isinstance(header, dict) or header.get("magic") != LOG_MAGIC:
-                raise StoreCorruptError(self._path, 1, "not a sensing store log (bad magic)")
-            if header.get("version") != LOG_FORMAT_VERSION:
-                raise StoreCorruptError(
-                    self._path, 1, f"unsupported log version {header.get('version')!r}"
-                )
-            # Equal area rects and equal maps decoded in this replay share one object.
-            rects: dict[bytes, Rect] = {}
-            maps: dict[bytes, StaticMap] = {}
-            entries = []
-            first_line: dict[str, int] = {}  # record id -> the line it is on
-            end = len(header_line)
-            for lineno, line in enumerate(fh, start=2):
-                if not line.endswith(b"\n"):
-                    log.warning("%s:%d: dropped a torn final line", self._path, lineno)
-                    self._torn_at = end
-                    break
-                end += len(line)
-                if not line.strip():
-                    continue
-                try:
-                    record = _record_from_json(_decode_line(line), rects, maps)
-                    num = int(record.record_id.split("-")[-1])
-                except (ValueError, TypeError, KeyError, AttributeError, OverflowError) as exc:
-                    raise StoreCorruptError(self._path, lineno, f"bad record: {exc}") from exc
-                first = first_line.setdefault(record.record_id, lineno)
-                if first != lineno:
-                    raise StoreCorruptError(
-                        self._path,
-                        lineno,
-                        f"duplicate record_id {record.record_id!r}, first on line {first}",
-                    )
-                entries.append((record, num))
-        for record, num in entries:
-            self._records[record.record_id] = record
+        replay, self._torn_at = _replay_lines(path, data, since)
+        _last_replay = replay
+        for record, num in replay.entries:
+            self._records[record.record_id] = (
+                _unshared(record) if type(record.payload) is MetricResult else record
+            )
             self._now = max(self._now, record.created_at)
             self._next_id = max(self._next_id, num + 1)
         # Records already past their policy relative to the recovered clock
         # stay out of the index, matching what apply_aging would have done.
         self.apply_aging(self._now)
+
+
+# -- replay ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Replay:
+    """What replaying a log's complete lines built, before aging.
+
+    ``data`` is the bytes object read: its first ``end`` bytes are the lines
+    replayed, and ``lineno`` numbers the line after them.  ``entries`` pairs
+    each record with the number in its id, ``first_line`` maps each id to
+    its line, and ``rects`` and ``maps`` intern areas and static maps: all a
+    replay needs to go on from ``end`` exactly as one from the start would.
+    """
+
+    path: Path
+    data: bytes
+    end: int
+    lineno: int
+    entries: list[tuple[SensingRecord, int]]
+    first_line: dict[str, int]
+    rects: dict[bytes, Rect]
+    maps: dict[bytes, StaticMap]
+
+
+# A line that ``bytes.strip`` leaves empty; replay skips it.
+_BLANK = re.compile(rb"\s*")
+
+# The replay of the log this process replayed last.  A reopen whose bytes
+# start with its complete lines replays only the lines after them.  It is
+# replaced whole and never changed in place, so two opens at once need no lock.
+_last_replay: _Replay | None = None
+
+
+def _replay_header(path: Path, data: bytes) -> _Replay | None:
+    """An empty replay positioned after the header; None for an empty file."""
+    stop = data.find(b"\n") + 1
+    header_line = data[:stop] if stop else data
+    if not header_line.strip():
+        return None
+    if not stop:
+        raise StoreCorruptError(path, 1, "torn header")
+    try:
+        header = orjson.loads(header_line)
+    except orjson.JSONDecodeError:
+        header = None
+    if not isinstance(header, dict) or header.get("magic") != LOG_MAGIC:
+        raise StoreCorruptError(path, 1, "not a sensing store log (bad magic)")
+    if header.get("version") != LOG_FORMAT_VERSION:
+        raise StoreCorruptError(path, 1, f"unsupported log version {header.get('version')!r}")
+    return _Replay(path, data, stop, 2, [], {}, {}, {})
+
+
+def _replay_lines(
+    path: Path, data: bytes, since: _Replay
+) -> tuple[_Replay, tuple[int, int] | None]:
+    """The replay of ``data``, going on from the lines ``since`` replayed.
+
+    Also returns the line number and offset of a torn final line, or None.
+    ``since`` is left as it was, so a line that raises changes nothing.
+    """
+    entries, first_line = list(since.entries), dict(since.first_line)
+    # Equal area rects and equal maps decoded in one replay share one object.
+    rects, maps = dict(since.rects), dict(since.maps)
+    end, lineno, torn = since.end, since.lineno, None
+    view = memoryview(data)  # lines are decoded in place, never copied
+    while end < len(data):
+        stop = data.find(b"\n", end) + 1
+        if not stop:
+            log.warning("%s:%d: dropped a torn final line", path, lineno)
+            torn = (lineno, end)
+            break
+        if not _BLANK.fullmatch(data, end, stop):
+            try:
+                record = _record_from_json(_decode_line(view[end:stop]), rects, maps)
+                num = int(record.record_id.split("-")[-1])
+            except (ValueError, TypeError, KeyError, AttributeError, OverflowError) as exc:
+                raise StoreCorruptError(path, lineno, f"bad record: {exc}") from exc
+            first = first_line.setdefault(record.record_id, lineno)
+            if first != lineno:
+                raise StoreCorruptError(
+                    path,
+                    lineno,
+                    f"duplicate record_id {record.record_id!r}, first on line {first}",
+                )
+            entries.append((record, num))
+        end, lineno = stop, lineno + 1
+    return _Replay(path, data, end, lineno, entries, first_line, rects, maps), torn
+
+
+def _unshared(record: SensingRecord) -> SensingRecord:
+    """A copy of a metrics record with its own ``MetricResult`` and ``pd_per_target``.
+
+    The bytes the record came from already passed the constructors' checks,
+    so no constructor runs again.  The fields are set one by one in their
+    declared order, as the constructors set them, and ``__dict__`` is never
+    read: that keeps attribute reads in ``fetch`` as fast as on the original.
+    """
+    put, payload = object.__setattr__, record.payload
+    metrics = object.__new__(MetricResult)
+    put(metrics, "pd_per_target", payload.pd_per_target.copy())
+    put(metrics, "pd_avg", payload.pd_avg)
+    put(metrics, "fa_avg", payload.fa_avg)
+    put(metrics, "excluded_targets", payload.excluded_targets)
+    copy = object.__new__(SensingRecord)
+    put(copy, "record_id", record.record_id)
+    put(copy, "stid", record.stid)
+    put(copy, "context", record.context)
+    put(copy, "payload", metrics)
+    put(copy, "created_at", record.created_at)
+    put(copy, "aging_policy", record.aging_policy)
+    return copy
 
 
 # -- JSON codecs -------------------------------------------------------------
@@ -438,7 +556,7 @@ def _interned(cache: dict[bytes, T] | None, coords: object, build: Callable[[], 
     return obj
 
 
-def _decode_line(line: bytes) -> Any:
+def _decode_line(line: memoryview) -> Any:
     """One log line as ``json.loads`` decodes it, parsed by orjson where orjson can.
 
     orjson rejects what only older logs hold: the bare ``NaN``/``Infinity`` of
@@ -449,7 +567,7 @@ def _decode_line(line: bytes) -> Any:
     try:
         return orjson.loads(line)
     except orjson.JSONDecodeError:
-        return json.loads(line)
+        return json.loads(bytes(line))
 
 
 def _payload_to_json(payload: Payload) -> dict:

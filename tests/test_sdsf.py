@@ -1,17 +1,22 @@
 import base64
 import dataclasses
 import json
+import logging
 import math
+import os
 import re
 import struct
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
+from sensefuse import sdsf_store
 from sensefuse.callflow import run_call_flow
 from sensefuse.cli import main
 from sensefuse.config import parse_config
@@ -400,6 +405,191 @@ def test_raw_line_cut_inside_reopens_to_the_lines_before_it(tmp_path):
     cuts = tmp_path / "cut.jsonl"
     for cut in (raw_start + 1, raw_start + 40, (raw_start + len(data)) // 2, len(data) - 1):
         _reopen_after_cut(cuts, data, cut, expected)
+
+
+def test_append_after_a_torn_tail_never_cuts_lines_written_since_load(tmp_path):
+    path = _two_record_log(tmp_path)
+    data = path.read_bytes()
+    path.write_bytes(data[:-20])
+    store = SdsfStore(path)
+    # Another writer completes the torn line before this store appends.
+    with path.open("ab") as fh:
+        fh.write(data[-20:])
+    with pytest.raises(
+        StoreCorruptError,
+        match=rf"store\.jsonl:3: torn final line not cut: the log holds {len(data)} B,"
+        rf" not the {len(data) - 20} B it held at load$",
+    ):
+        store.store("stid-2", ctx(), metrics_payload(), 0, 1000)
+    assert path.read_bytes() == data
+    assert sorted(store._records) == ["rec-000001"]
+    assert sorted(SdsfStore(path)._records) == ["rec-000001", "rec-000002"]
+
+
+# -- reopening in one process -------------------------------------------------------
+
+
+class _Warnings(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages: list[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.messages.append(record.getMessage())
+
+
+def _opened(path) -> tuple[tuple, SdsfStore | None]:
+    """What opening ``path`` gives, and the store or None.
+
+    That is the records, clock, next id, torn line and warnings of the store,
+    or the error and the warnings before it.
+    """
+    warnings = _Warnings()
+    logger = logging.getLogger(sdsf_store.__name__)
+    logger.addHandler(warnings)
+    try:
+        store = SdsfStore(path)
+    except StoreCorruptError as exc:
+        return ("error", str(exc), exc.lineno, warnings.messages), None
+    finally:
+        logger.removeHandler(warnings)
+    state = (store._records, store.now, store._next_id, store._torn_at, warnings.messages)
+    return state, store
+
+
+def _replay_state() -> tuple | None:
+    """The process's last replay: the object and a copy of all it holds."""
+    memo = sdsf_store._last_replay
+    if memo is None:
+        return None
+    held = (memo.entries, memo.first_line, memo.rects, memo.maps)
+    return (memo, memo.data, memo.end, memo.lineno, *(type(h)(h) for h in held))
+
+
+def _open_warm_and_cold(path) -> SdsfStore | None:
+    """Open ``path`` as this process would, and check it against a replay from the start.
+
+    The process keeps the replay the first open left; an open that raises
+    leaves it as it was.
+    """
+    before = _replay_state()
+    warm, store = _opened(path)
+    after = sdsf_store._last_replay
+    if store is None:
+        assert _replay_state() == before
+    sdsf_store._last_replay = None
+    try:
+        cold, _ = _opened(path)
+    finally:
+        sdsf_store._last_replay = after
+    assert warm == cold
+    return store
+
+
+def test_log_cut_at_any_byte_reopens_warm_as_it_does_cold(tmp_path):
+    data = _two_record_log(tmp_path).read_bytes()
+    cuts = tmp_path / "cut.jsonl"
+    for cut in range(len(data) + 1):
+        # Open the cut just after the full log, then the full log just after the cut.
+        for first, then in ((data, data[:cut]), (data[:cut], data)):
+            cuts.write_bytes(first)
+            _open_warm_and_cold(cuts)
+            cuts.write_bytes(then)
+            _open_warm_and_cold(cuts)
+
+
+def test_metrics_are_never_shared_across_opens(tmp_path):
+    path = _two_record_log(tmp_path)
+    first, second = SdsfStore(path), SdsfStore(path)
+    (a,) = [r.payload for r in first._records.values() if r.kind == "high-level"]
+    (b,) = [r.payload for r in second._records.values() if r.kind == "high-level"]
+    assert a == b and a is not b and a.pd_per_target is not b.pd_per_target
+    a.pd_per_target[0] = 0.1
+    assert b.pd_per_target == {0: 0.9}
+    assert live_record(SdsfStore(path), "rec-000002").payload.pd_per_target == {0: 0.9}
+
+
+def test_the_process_keeps_the_replay_of_one_log_until_it_is_missing(tmp_path):
+    a = _two_record_log(tmp_path)
+    b = tmp_path / "b.jsonl"
+    b.write_bytes(a.read_bytes())
+    SdsfStore(a)
+    assert sdsf_store._last_replay.path == a
+    SdsfStore(b)
+    assert sdsf_store._last_replay.path == b
+    a.unlink()
+    assert len(SdsfStore(a)) == 0 and sdsf_store._last_replay.path == b
+    b.unlink()
+    assert len(SdsfStore(b)) == 0 and sdsf_store._last_replay is None
+
+
+class WarmReopenMachine(RuleBasedStateMachine):
+    """Stores, reopens and edits of one log; every open must equal a replay from the start."""
+
+    def __init__(self):
+        super().__init__()
+        self.dir = tempfile.TemporaryDirectory()
+        self.path = Path(self.dir.name) / "store.jsonl"
+
+    def teardown(self):
+        self.dir.cleanup()
+
+    @rule(
+        records=st.lists(
+            st.tuples(st.sampled_from(["map", "metrics"]), st.integers(0, 3), st.integers(0, 6)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def store(self, records):
+        store = _open_warm_and_cold(self.path)
+        for kind, advance, aging in records if store is not None else ():
+            store.set_now(store.now + advance)
+            payload = demo_map() if kind == "map" else metrics_payload()
+            store.store("stid-1", ctx(), payload, store.now, aging)
+
+    @rule()
+    def reopen(self):
+        _open_warm_and_cold(self.path)
+
+    @precondition(lambda self: self.path.exists())
+    @rule(data=st.data())
+    def truncate(self, data):
+        os.truncate(self.path, data.draw(st.integers(0, self.path.stat().st_size)))
+
+    @precondition(lambda self: self.path.exists() and self.path.stat().st_size > 0)
+    @rule(data=st.data(), bit=st.integers(0, 7))
+    def flip(self, data, bit):
+        # A line, then a byte in it, so that each line is as likely as any other.
+        lines = _lines(self.path)
+        line = data.draw(st.integers(0, len(lines) - 1))
+        at = sum(map(len, lines[:line])) + data.draw(st.integers(0, len(lines[line]) - 1))
+        with self.path.open("r+b") as fh:
+            fh.seek(at)
+            byte = fh.read(1)[0]
+            fh.seek(at)
+            fh.write(bytes([byte ^ (1 << bit)]))
+
+    @rule(records=st.integers(0, 3))
+    def replace(self, records):
+        other = Path(self.dir.name) / "other.jsonl"
+        other.unlink(missing_ok=True)
+        store = SdsfStore(other)
+        for t in range(records):
+            store.set_now(t)
+            store.store("stid-other", ctx(window=(0, t)), metrics_payload(), t, 1000)
+        other.touch()
+        os.replace(other, self.path)
+
+    @rule()
+    def unlink(self):
+        self.path.unlink(missing_ok=True)
+
+
+WarmReopenMachine.TestCase.settings = settings(
+    max_examples=200, stateful_step_count=30, deadline=None
+)
+TestWarmReopenEqualsColdReplay = WarmReopenMachine.TestCase
 
 
 @pytest.mark.parametrize("content", [b"garbage\n", b"\xff\xfegarbage\n"], ids=["text", "binary"])
