@@ -13,22 +13,26 @@ columns, and the ``Frame`` view of :func:`generate_frames`, which serves
 tests and the acceptance criteria, holds one such batch per frame.
 
 Draw order is a contract.  Golden digests pin the sweep CSV and the stores
-across versions, so a realization consumes its generator exactly as the
-one-frame-at-a-time oracles in ``tests/oracles.py`` do, and a speed-up must
-keep this order.  Frame by frame, in step order:
+across versions, so a realization makes exactly the generator calls of the
+block oracle in ``tests/oracles.py``: one per variable, in this order.
 
-1. per (SE, in-area target) pair, SE-major then in track order: one uniform
-   for the p_det test and, for a hit, range normals redrawn while the range
-   is not positive, then one bearing normal;
-2. then the frame's clutter: the Poisson count ``k``, ``k`` uniforms for the
-   edge split, the ``n`` edge points' segment integers, ``n`` lerp uniforms
-   and ``(n, 2)`` jitter normals, any resample draws (per round, the same
-   three for the points out of the bounds), and ``(k - n, 2)`` uniforms for
-   the rest.
+1. ``random(P)``, one uniform per in-area (step, SE, target) pair in that
+   nesting order; a pair below ``p_det`` is a hit.  A hit at zero range
+   raises :class:`DegenerateGeometryError` naming the first one's SE.
+2. ``standard_normal(H)``, the ``H`` hits' range normals; then rounds of
+   ``standard_normal(m)`` for the ``m`` ranges still not positive, at most
+   1000 rounds.
+3. ``standard_normal(H)``, the bearing normals.
+4. Clutter: ``poisson(lambda_fa, T)`` per-frame counts; ``random(K)``
+   splits all ``K`` points, in frame order, into ``n`` edge points and the
+   rest; ``integers(0, S, n)``, ``random(n)`` and ``standard_normal((n, 2))``
+   place the edge points on the ``S`` building edges clipped to the bounds;
+   up to 10 rounds of the same three calls redraw the edge points out of the
+   bounds, then any still out are clamped; ``random((K - n, 2))`` places the
+   uniform share.  A call for no points draws nothing.
 
-Only those draws are made per frame.  Truth, the noise-free geometry, the
-clutter positions and the back-projection of every hit are array math done
-once per realization, bit-identical to the scalar formulas.
+Truth, the noise-free geometry, the clutter positions and the back-projection
+of every hit are array math on those draws.
 
 Clutter points model spurious detections (multipath and ghost returns), so
 the sampled world position *is* the realized detection: no second noise draw
@@ -39,7 +43,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -323,179 +326,90 @@ def realization_rng(seed: int, realization: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, realization)))
 
 
-class _ClutterSampler:
-    """One realization's clutter: drawn frame by frame, placed once.
+def _clutter(scenario: Scenario, k: int, rng: np.random.Generator) -> np.ndarray:
+    """``k`` clutter points in frame order, as step 4 of the module's draw order places them.
 
-    Count is Poisson(lambda_fa).  Each point is edge clutter with probability
-    edge_fraction: a uniform point on a uniformly chosen building edge segment
-    plus isotropic Gaussian jitter.  The rest is uniform over the bounds.
-    Edge points jittered out of the bounds are resampled a bounded number of
-    times, then clamped.  Points landing inside buildings are kept; rejecting
-    exactly those detections is the mask's job, not the generator's.
-
-    :meth:`draw` makes one frame's generator calls and little else;
-    :meth:`points` evaluates the position formulas once over every frame
-    drawn.  They are elementwise, so each point equals its per-frame
-    evaluation to the bit.  Only resampling needs a frame's positions before
-    the next frame is drawn, and only when its largest jitter could carry a
-    point on an edge out of the bounds: when ``sigma * max|z|`` is not below
-    the edges' clearance to the bounds, less 8 ulps at the coordinate scale
-    for rounding.  Such a frame is placed on the spot, as is every frame
-    with edge points on a map flush with or crossing the bounds.  An empty
-    map is warned about at most once per sampler.
+    Points landing inside buildings are kept; rejecting exactly those
+    detections is the mask's job, not the generator's.
     """
+    clutter, bounds = scenario.clutter, scenario.bounds
+    lo, hi = np.array([[bounds.x_min, bounds.y_min], [bounds.x_max, bounds.y_max]])
+    # Edges are axis-aligned: drop those whose fixed coordinate lies outside
+    # the bounds, clip the rest along their axis, and drop any left empty.
+    seg = np.asarray(scenario.static_map.all_edges(), dtype=float).reshape(-1, 2, 2)
+    clipped = np.clip(seg, lo, hi)
+    keep = ((clipped == seg) | (seg[:, :1] != seg[:, 1:])).all(axis=(1, 2))
+    segments = clipped[keep & (clipped[:, 0] != clipped[:, 1]).any(axis=1)]
 
-    def __init__(self, clutter: ClutterModel, static_map: StaticMap, bounds: Rect) -> None:
-        segments = np.asarray(static_map.all_edges(), dtype=float).reshape(-1, 2, 2)  # (S, 2, 2)
-        self._seg_a, self._seg_b = segments[:, 0].copy(), segments[:, 1].copy()
-        self._lo, self._hi = np.array([[bounds.x_min, bounds.y_min], [bounds.x_max, bounds.y_max]])
-        self._clutter = clutter
-        self._jitter_max = -math.inf  # no edges, no edge points
-        if len(segments):
-            ends = segments.reshape(-1, 2)
-            clearance = min((ends - self._lo).min(), (self._hi - ends).min())
-            scale = max(np.abs(ends).max(), np.abs(self._lo).max(), np.abs(self._hi).max())
-            # The lerp rounds by under 2 ulps of the scale, the clearance and
-            # this subtraction by under 2 each: 8 ulps leave a margin.
-            self._jitter_max = float(clearance) - 8.0 * math.ulp(scale)
-        self._warned = False
-        self.counts: list[int] = []  # points per frame
-        # Per frame: which points are edge clutter, the edge points' segment
-        # indices, lerp parameters and (n, 2) jitter normals, and the uniform
-        # share's (k - n, 2) unit draws; each list starts with an empty block.
-        self._edge = [np.zeros(0, dtype=bool)]
-        self._idx = [np.zeros(0, dtype=np.int64)]
-        self._t = [np.zeros(0)]
-        self._z = [np.zeros((0, 2))]
-        self._unit = [np.zeros((0, 2))]
-        self._n_edge = 0
-        self._placed: list[tuple[int, np.ndarray]] = []  # (first edge point, positions)
+    def edge_points(n: int) -> np.ndarray:
+        ends = segments.take(rng.integers(0, len(segments), n), axis=0)
+        t = rng.random(n)[:, None]
+        jitter = clutter.edge_jitter_sigma * rng.standard_normal((n, 2))
+        return ends[:, 0] * (1.0 - t) + ends[:, 1] * t + jitter
 
-    def draw(self, rng: np.random.Generator) -> None:
-        """Draw one frame: count, edge split, segments, lerps, jitter, uniform share."""
-        clutter = self._clutter
-        k = int(rng.poisson(clutter.lambda_fa))
-        edge = rng.random(k) < clutter.edge_fraction
-        n_edge = int(np.count_nonzero(edge))
-        if n_edge and not len(self._seg_a):
-            if not self._warned:
-                log.warning(
-                    "clutter edge_fraction=%.2f with an empty static map; generating all "
-                    "clutter uniformly",
-                    clutter.edge_fraction,
-                )
-                self._warned = True
-            edge[:] = False
-            n_edge = 0
-        self.counts.append(k)
-        self._edge.append(edge)
-        if n_edge:
-            idx = rng.integers(0, len(self._seg_a), n_edge)
-            t = rng.random(n_edge)
-            z = rng.standard_normal((n_edge, 2))
-            self._idx.append(idx)
-            self._t.append(t)
-            self._z.append(z)
-            if not clutter.edge_jitter_sigma * abs(z).max() < self._jitter_max:
-                self._placed.append((self._n_edge, self._in_bounds(idx, t, z, rng)))
-            self._n_edge += n_edge
-        if n_edge < k:
-            self._unit.append(rng.random((k - n_edge, 2)))
-
-    def points(self) -> np.ndarray:
-        """Every point drawn so far as a (k, 2) array, in frame order."""
-        edge = np.concatenate(self._edge)
-        pts = self._edge_points(*map(np.concatenate, (self._idx, self._t, self._z)))
-        for start, placed in self._placed:
-            pts[start : start + len(placed)] = placed
-        # lo + span * U[0, 1) is rng.uniform(lo, hi) to the bit, on the same draws.
-        uniform = self._lo + (self._hi - self._lo) * np.concatenate(self._unit)
-        # Row i of [pts; uniform] goes to frame-order row at[i]; gathering
-        # rows by the inverse permutation is much faster than boolean scatters.
-        at = np.concatenate([np.flatnonzero(edge), np.flatnonzero(~edge)])
-        src = np.empty_like(at)
-        src[at] = np.arange(len(at))
-        return np.concatenate([pts, uniform]).take(src, axis=0)
-
-    def _edge_points(self, idx: np.ndarray, t: np.ndarray, z: np.ndarray) -> np.ndarray:
-        tpar = t[:, None]
-        base = self._seg_a.take(idx, axis=0) * (1.0 - tpar) + self._seg_b.take(idx, axis=0) * tpar
-        return base + self._clutter.edge_jitter_sigma * z
-
-    def _in_bounds(
-        self, idx: np.ndarray, t: np.ndarray, z: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """One frame's edge points, resampled point by point until in bounds, then clamped."""
-        lo, hi = self._lo, self._hi
-        pts = self._edge_points(idx, t, z)
-        for _ in range(_RESAMPLE_ROUNDS):
-            inside = (lo <= pts) & (pts <= hi)
-            if inside.all():
-                break
-            bad = ~inside.all(axis=1)
-            n = int(np.count_nonzero(bad))
-            pts[bad] = self._edge_points(
-                rng.integers(0, len(self._seg_a), n), rng.random(n), rng.standard_normal((n, 2))
-            )
-        else:
-            np.clip(pts, lo, hi, out=pts)
-        return pts
+    edge = rng.random(k) < clutter.edge_fraction
+    if not len(segments) and edge.any():
+        log.warning(
+            "clutter edge_fraction=%.2f with an empty static map (no building edge inside"
+            " the bounds); generating all clutter uniformly",
+            clutter.edge_fraction,
+        )
+        edge[:] = False
+    n = int(np.count_nonzero(edge))
+    pts = edge_points(n) if n else np.empty((0, 2))
+    for _ in range(_RESAMPLE_ROUNDS):
+        bad = ~((lo <= pts) & (pts <= hi)).all(axis=1)
+        if not bad.any():
+            break
+        pts[bad] = edge_points(int(np.count_nonzero(bad)))
+    else:
+        np.clip(pts, lo, hi, out=pts)
+    # lo + span * U[0, 1) is rng.uniform(lo, hi) to the bit, on the same draws.
+    uniform = lo + (hi - lo) * rng.random((k - n, 2))
+    # Row i of [pts; uniform] goes to frame-order row at[i]; gathering rows by
+    # the inverse permutation is much faster than boolean scatters.
+    at = np.concatenate([np.flatnonzero(edge), np.flatnonzero(~edge)])
+    src = np.empty_like(at)
+    src[at] = np.arange(k)
+    return np.concatenate([pts, uniform]).take(src, axis=0)
 
 
 def _draw(
     scenario: Scenario, truth_in: np.ndarray, r0: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """Every generator call of a realization, frame by frame in the module's draw order.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every generator call of a realization, in the module's draw order.
 
-    Returns each target hit's flat (step, SE, target) index, sampled range
-    and bearing normal, then the clutter points in frame order and their
-    count per frame.  The per-frame draws are released on return.
+    Returns each hit's flat (step, SE, target) index, range and bearing
+    normal, then the clutter points in frame order and their count per frame.
     """
-    poses = scenario.se_poses
-    n_se, n_tr = len(poses), len(scenario.tracks)
-    # Flat (step, SE, target) index and noise-free range of every in-area
-    # pair, in draw order, and the number of pairs in each step.
+    # Flat (step, SE, target) index of every in-area pair, in draw order.
     pair_at = np.flatnonzero(np.broadcast_to(truth_in[:, None, :], r0.shape))
-    pairs = zip(pair_at.tolist(), r0.ravel()[pair_at].tolist())
-    per_step = (np.count_nonzero(truth_in, axis=1) * n_se).tolist()
-
-    p_det, sigma_r = scenario.p_det, scenario.noise.sigma_range
-    random, normal = rng.random, rng.standard_normal
-    sampler = _ClutterSampler(scenario.clutter, scenario.static_map, scenario.bounds)
-    draw_clutter = sampler.draw
-    hit_at: list[int] = []
-    hit_r: list[float] = []  # redrawn while non-positive
-    hit_zb: list[float] = []
-    for n_pairs in per_step:
-        for at, r0_n in islice(pairs, n_pairs):
-            if random() >= p_det:
-                continue
-            if r0_n == 0.0:
-                pose = poses[at // n_tr % n_se]
-                raise DegenerateGeometryError(
-                    f"cannot take a bearing to a point at the SE position ({pose.x}, {pose.y})"
-                )
-            r = r0_n + sigma_r * normal()
-            redraws = 0
-            while r <= 0.0:
-                redraws += 1
-                if redraws > 1000:  # only a pathological noise scale gets here
-                    raise RuntimeError(
-                        f"range redraw cap exceeded at range {r0_n} with sigma {sigma_r}"
-                    )
-                r = r0_n + sigma_r * normal()
-            hit_at.append(at)
-            hit_r.append(r)
-            hit_zb.append(normal())
-        draw_clutter(rng)
-    hits = np.array(hit_at, dtype=np.intp), np.array(hit_r), np.array(hit_zb)
-    return *hits, sampler.points(), sampler.counts
+    at = pair_at[rng.random(len(pair_at)) < scenario.p_det]
+    r0_hit = r0.ravel()[at]
+    if (r0_hit == 0.0).any():
+        pose = scenario.se_poses[np.unravel_index(at[r0_hit == 0.0][0], r0.shape)[1]]
+        raise DegenerateGeometryError(
+            f"cannot take a bearing to a point at the SE position ({pose.x}, {pose.y})"
+        )
+    sigma_r = scenario.noise.sigma_range
+    range_m = r0_hit + sigma_r * rng.standard_normal(len(at))
+    rounds = 0
+    while len(bad := np.flatnonzero(range_m <= 0.0)):
+        rounds += 1
+        if rounds > 1000:  # only a pathological noise scale gets here
+            raise RuntimeError(
+                f"range redraw cap exceeded at range {float(r0_hit[bad[0]])} with sigma {sigma_r}"
+            )
+        range_m[bad] = r0_hit[bad] + sigma_r * rng.standard_normal(len(bad))
+    zb = rng.standard_normal(len(at))
+    counts = rng.poisson(scenario.clutter.lambda_fa, len(truth_in))
+    clutter = _clutter(scenario, int(counts.sum()), rng)
+    return at, range_m, zb, clutter, counts
 
 
 def _realize(scenario: Scenario, steps: Sequence[int], rng: np.random.Generator) -> Realization:
-    # Only the generator calls are made frame by frame (``_draw``); truth,
-    # the noise-free geometry, the clutter positions and the back-projection
-    # are arrays over the whole realization.
+    # The generator calls are ``_draw``'s; truth, the noise-free geometry
+    # and the back-projection are arrays over the whole realization.
     poses = scenario.se_poses
     truth_xy, truth_in, dx, dy, r0 = _sight_lines(poses, scenario.tracks, scenario.bounds, steps)
     at, range_m, zb, clutter, counts = _draw(scenario, truth_in, r0, rng)

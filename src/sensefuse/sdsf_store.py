@@ -18,8 +18,9 @@ log back to its last complete line.  It cuts only while the log still holds
 as many bytes as load read; otherwise it raises :class:`StoreCorruptError`
 and leaves the log as it is, since another writer may have appended since.
 Any other line that cannot be replayed, a line whose record id an earlier
-line already holds, and a torn header, raise :class:`StoreCorruptError`
-naming the file and line.
+line already holds, and a torn or blank header, raise
+:class:`StoreCorruptError` naming the file and line.  Only a 0-byte file is
+an empty store.
 
 A process keeps the replay of the one log it replayed last: the bytes
 read, and the records its complete lines built.  An open of that path whose
@@ -386,7 +387,7 @@ class SdsfStore:
         ):
             since = _replay_header(path, data)
             if since is None:
-                return  # empty file behaves like a fresh store
+                return  # a 0-byte file is a fresh store
         replay, self._torn_at = _replay_lines(path, data, since)
         _last_replay = replay
         for record, num in replay.entries:
@@ -434,11 +435,13 @@ _last_replay: _Replay | None = None
 
 
 def _replay_header(path: Path, data: bytes) -> _Replay | None:
-    """An empty replay positioned after the header; None for an empty file."""
+    """An empty replay positioned after the header; None for a 0-byte file."""
+    if not data:
+        return None
     stop = data.find(b"\n") + 1
     header_line = data[:stop] if stop else data
     if not header_line.strip():
-        return None
+        raise StoreCorruptError(path, 1, "blank header line")
     if not stop:
         raise StoreCorruptError(path, 1, "torn header")
     try:

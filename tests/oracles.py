@@ -10,9 +10,11 @@ functions here are the object-at-a-time forms of the same math:
   per-detection covariances as ``(xx, xy, yy)`` tuples and
   :func:`cov_matrix`;
 * :func:`target_position`, a track's position at one step;
-* :func:`generate_frame`, one step of a realization as a ``Frame``,
-  :func:`generate_clutter`, one frame's clutter from a fresh sampler, and
-  :func:`clutter_frame`, the same draws with nothing hoisted;
+* :func:`generate_frame`, one step of a realization as a ``Frame``, and
+  :func:`generate_clutter`, one frame's clutter;
+* :func:`block_frames` and :func:`block_clutter`, the block draw order
+  built point by point, and :func:`frame_order_draw`, the frame draw order
+  that the block order replaced, kept as its distributional reference;
 * :func:`precompute_distances`, which packs ``Frame`` lists into the fusion
   kernel's input, :func:`fused_metrics`, the kernel's one-cell case, and
   :func:`result_from_counts`, one cell's Pd/FA from plain counters; a cell
@@ -30,8 +32,10 @@ the package imports it.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -40,19 +44,22 @@ import numpy as np
 from sensefuse.callflow import TraceEvent
 from sensefuse.errors import DegenerateGeometryError, EmptyRunError
 from sensefuse.fusion import FrameDistances, detection_distances, grid_arrays
-from sensefuse.geometry import Rect, StaticMap, WorldPoint, subtract_rects
-from sensefuse.measurement import NoiseModel, Pose, wrap_angle, wrap_angles
+from sensefuse.geometry import Rect, Segment, StaticMap, WorldPoint, subtract_rects
+from sensefuse.measurement import DetectionColumns, NoiseModel, Pose, wrap_angle, wrap_angles
 from sensefuse.metrics import MetricResult
 from sensefuse.scenario import (
+    _RESAMPLE_ROUNDS,
     ClutterModel,
     Frame,
     Scenario,
     TargetTrack,
-    _ClutterSampler,
     _frames,
     _realize,
+    generate_realization,
 )
 from sensefuse.sdsf_store import Availability, SensingContext, SensingRecord, _subtract_window
+
+log = logging.getLogger(__name__)
 
 
 # -- measurement -----------------------------------------------------------------
@@ -207,13 +214,12 @@ def target_position(track: TargetTrack, t: int) -> WorldPoint:
 
 
 def generate_frame(scenario: Scenario, t: int, rng: np.random.Generator) -> Frame:
-    """Generate the frame for step ``t``.
+    """Generate the frame for step ``t``, as a one-step realization.
 
     Truth lists every target inside the closed bounds.  For each SE and each
     in-area target a detection is included with probability p_det, drawn
     through the noisy polar pipeline.  Clutter points are assigned to SEs
-    round-robin and enter as detections at their sampled position with the
-    viewing SE's covariance.
+    round-robin and enter as detections at their sampled position.
     """
     return replace(_frames(scenario, _realize(scenario, (t,), rng))[0], t=t)
 
@@ -221,59 +227,315 @@ def generate_frame(scenario: Scenario, t: int, rng: np.random.Generator) -> Fram
 def generate_clutter(
     clutter: ClutterModel, static_map: StaticMap, bounds: Rect, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw one frame's clutter positions as a (k, 2) array, with a fresh sampler."""
-    sampler = _ClutterSampler(clutter, static_map, bounds)
-    sampler.draw(rng)
-    return sampler.points()
+    """One frame's clutter positions as a (k, 2) array, from the package's generator."""
+    scenario = Scenario(
+        bounds=bounds,
+        static_map=static_map,
+        se_poses=(Pose(bounds.x_min, bounds.y_min, 0.0),),
+        se_ids=("se-0",),
+        noise=NoiseModel(1.0, 0.01),
+        p_det=0.0,
+        clutter=clutter,
+        tracks=(),
+        t_steps=1,
+        seed=0,
+    )
+    return generate_realization(scenario, rng).xy
 
 
-def clutter_frame(
-    clutter: ClutterModel, static_map: StaticMap, bounds: Rect, rng: np.random.Generator
-) -> np.ndarray:
-    """One frame's clutter as ``generate_clutter`` draws it, built from scratch per call.
+# The block draw order of the ``scenario`` docstring, one point at a time.
 
-    The segments and bounds are rebuilt here on every call, coordinates are
-    checked and clamped one axis at a time, and the uniform share comes from
-    ``rng.uniform``, so the generator's hoisted body is checked against the
-    plain per-frame form of the same draws.
+
+def clipped_edges(static_map: StaticMap, bounds: Rect) -> list[Segment]:
+    """The map's building edges inside the bounds.
+
+    Each edge is axis-aligned.  It is dropped when its fixed coordinate lies
+    outside the bounds; otherwise both ends are clamped into the bounds, and
+    it is dropped when that leaves it with no length.
     """
-    k = int(rng.poisson(clutter.lambda_fa))
-    if k == 0:
-        return np.empty((0, 2))
-    edge_mask = rng.random(k) < clutter.edge_fraction
-    segments = static_map.all_edges()
-    if not segments:
-        edge_mask[:] = False
+    lo, hi = (bounds.x_min, bounds.y_min), (bounds.x_max, bounds.y_max)
+    kept = []
+    for a, b in static_map.all_edges():
+        if any(a[i] == b[i] and not lo[i] <= a[i] <= hi[i] for i in (0, 1)):
+            continue
+        a, b = (tuple(min(max(p[i], lo[i]), hi[i]) for i in (0, 1)) for p in (a, b))
+        if a != b:
+            kept.append((a, b))
+    return kept
 
-    def edge_points(n: int) -> np.ndarray:
-        seg_arr = np.asarray(segments)
-        idx = rng.integers(0, len(seg_arr), n)
-        tpar = rng.random(n)[:, None]
-        base = seg_arr[idx, 0] * (1.0 - tpar) + seg_arr[idx, 1] * tpar
-        return base + clutter.edge_jitter_sigma * rng.standard_normal((n, 2))
 
-    xy = np.empty((k, 2))
-    n_edge = int(edge_mask.sum())
-    if n_edge:
-        pts = edge_points(n_edge)
-        for _ in range(10):
-            bad = ~(
-                (pts[:, 0] >= bounds.x_min)
-                & (pts[:, 0] <= bounds.x_max)
-                & (pts[:, 1] >= bounds.y_min)
-                & (pts[:, 1] <= bounds.y_max)
-            )
-            if not bad.any():
-                break
-            pts[bad] = edge_points(int(bad.sum()))
-        np.clip(pts[:, 0], bounds.x_min, bounds.x_max, out=pts[:, 0])
-        np.clip(pts[:, 1], bounds.y_min, bounds.y_max, out=pts[:, 1])
-        xy[edge_mask] = pts
-    if k - n_edge:
-        xy[~edge_mask] = rng.uniform(
-            (bounds.x_min, bounds.y_min), (bounds.x_max, bounds.y_max), (k - n_edge, 2)
+def block_clutter(
+    clutter: ClutterModel,
+    static_map: StaticMap,
+    bounds: Rect,
+    n_frames: int,
+    rng: np.random.Generator,
+) -> list[list[tuple[float, float]]]:
+    """``n_frames`` frames of clutter points drawn in the block order, per frame."""
+    x_min, y_min, x_max, y_max = bounds.as_tuple()
+    segments = clipped_edges(static_map, bounds)
+    sigma = clutter.edge_jitter_sigma
+
+    def edge_points(n: int) -> list[tuple[float, float]]:
+        idx = rng.integers(0, len(segments), n).tolist()
+        lerp = rng.random(n).tolist()
+        jitter = rng.standard_normal((n, 2)).tolist()
+        points = []
+        for i, t, (zx, zy) in zip(idx, lerp, jitter):
+            (ax, ay), (bx, by) = segments[i]
+            x = ax * (1.0 - t) + bx * t + sigma * zx
+            y = ay * (1.0 - t) + by * t + sigma * zy
+            points.append((x, y))
+        return points
+
+    counts = rng.poisson(clutter.lambda_fa, n_frames).tolist()
+    edge = [u < clutter.edge_fraction and bool(segments) for u in rng.random(sum(counts)).tolist()]
+    n = sum(edge)
+    pts = edge_points(n) if n else []
+    for _ in range(10):
+        bad = [
+            i for i, (x, y) in enumerate(pts) if not (x_min <= x <= x_max and y_min <= y <= y_max)
+        ]
+        if not bad:
+            break
+        for i, point in zip(bad, edge_points(len(bad))):
+            pts[i] = point
+    else:
+        pts = [(min(max(x, x_min), x_max), min(max(y, y_min), y_max)) for x, y in pts]
+    edge_iter = iter(pts)
+    uniform = iter(
+        (x_min + (x_max - x_min) * ux, y_min + (y_max - y_min) * uy)
+        for ux, uy in rng.random((len(edge) - n, 2)).tolist()
+    )
+    points = [next(edge_iter) if e else next(uniform) for e in edge]
+    ends = np.cumsum(counts).tolist()
+    return [points[end - k : end] for k, end in zip(counts, ends)]
+
+
+def block_frames(scenario: Scenario, steps: Sequence[int], rng: np.random.Generator) -> list[Frame]:
+    """The frames at ``steps`` drawn in the block order, built point by point.
+
+    The generator calls are the ``scenario`` docstring's; every position is
+    computed from them with scalar ``math``.
+    """
+    poses, noise = scenario.se_poses, scenario.noise
+    truth = [
+        tuple(
+            (track.id, pos)
+            for track in scenario.tracks
+            if rect_contains(scenario.bounds, pos := target_position(track, t))
         )
-    return xy
+        for t in steps
+    ]
+    pairs = [
+        (i, s, pos) for i, seen in enumerate(truth) for s in range(len(poses)) for _, pos in seen
+    ]
+    hits = [pair for pair, u in zip(pairs, rng.random(len(pairs)).tolist()) if u < scenario.p_det]
+    polar = [world_to_polar(poses[s], pos) for _, s, pos in hits]  # raises at the first zero range
+    normals = rng.standard_normal(len(hits)).tolist()
+    ranges = [z.range_m + noise.sigma_range * n for z, n in zip(polar, normals)]
+    rounds = 0
+    while bad := [j for j, r in enumerate(ranges) if r <= 0.0]:
+        rounds += 1
+        if rounds > 1000:
+            raise RuntimeError(
+                f"range redraw cap exceeded at range {polar[bad[0]].range_m} with sigma "
+                f"{noise.sigma_range}"
+            )
+        for j, n in zip(bad, rng.standard_normal(len(bad)).tolist()):
+            ranges[j] = polar[j].range_m + noise.sigma_range * n
+    rows: list[list[tuple[float, float, int, bool]]] = [[] for _ in steps]
+    for (i, s, _), z, r, n in zip(hits, polar, ranges, rng.standard_normal(len(hits)).tolist()):
+        bearing = wrap_angle(z.bearing + noise.sigma_bearing * n)
+        point = polar_to_world(poses[s], PolarMeasurement(r, bearing))
+        rows[i].append((point.x, point.y, s, False))
+    clutter = block_clutter(scenario.clutter, scenario.static_map, scenario.bounds, len(steps), rng)
+    frames = []
+    for t, seen, frame_rows, xy in zip(steps, truth, rows, clutter):
+        frame_rows += [(x, y, j % len(poses), True) for j, (x, y) in enumerate(xy)]
+        detections = DetectionColumns(
+            xy=np.array([(x, y) for x, y, *_ in frame_rows]).reshape(-1, 2),
+            se_idx=np.array([s for *_, s, _ in frame_rows], dtype=np.intp),
+            se_ids=scenario.se_ids,
+            is_clutter=np.array([flag for *_, flag in frame_rows], dtype=bool),
+        )
+        frames.append(Frame(t=t, detections=detections, truth=seen))
+    return frames
+
+
+# The frame draw order, kept as the reference for the generator's
+# distribution: the draws that every golden digest pinned before the block
+# order replaced it.  ``scenario._draw`` set to :func:`frame_order_draw` makes
+# the package generate exactly what it generated then.
+
+
+class FrameOrderClutterSampler:
+    """One realization's clutter: drawn frame by frame, placed once.
+
+    Count is Poisson(lambda_fa).  Each point is edge clutter with probability
+    edge_fraction: a uniform point on a uniformly chosen building edge segment
+    plus isotropic Gaussian jitter.  The rest is uniform over the bounds.
+    Edge points jittered out of the bounds are resampled a bounded number of
+    times, then clamped.  Points landing inside buildings are kept; rejecting
+    exactly those detections is the mask's job, not the generator's.
+
+    :meth:`draw` makes one frame's generator calls and little else;
+    :meth:`points` evaluates the position formulas once over every frame
+    drawn.  They are elementwise, so each point equals its per-frame
+    evaluation to the bit.  Only resampling needs a frame's positions before
+    the next frame is drawn, and only when its largest jitter could carry a
+    point on an edge out of the bounds: when ``sigma * max|z|`` is not below
+    the edges' clearance to the bounds, less 8 ulps at the coordinate scale
+    for rounding.  Such a frame is placed on the spot, as is every frame
+    with edge points on a map flush with or crossing the bounds.  An empty
+    map is warned about at most once per sampler.
+    """
+
+    def __init__(self, clutter: ClutterModel, static_map: StaticMap, bounds: Rect) -> None:
+        segments = np.asarray(static_map.all_edges(), dtype=float).reshape(-1, 2, 2)  # (S, 2, 2)
+        self._seg_a, self._seg_b = segments[:, 0].copy(), segments[:, 1].copy()
+        self._lo, self._hi = np.array([[bounds.x_min, bounds.y_min], [bounds.x_max, bounds.y_max]])
+        self._clutter = clutter
+        self._jitter_max = -math.inf  # no edges, no edge points
+        if len(segments):
+            ends = segments.reshape(-1, 2)
+            clearance = min((ends - self._lo).min(), (self._hi - ends).min())
+            scale = max(np.abs(ends).max(), np.abs(self._lo).max(), np.abs(self._hi).max())
+            # The lerp rounds by under 2 ulps of the scale, the clearance and
+            # this subtraction by under 2 each: 8 ulps leave a margin.
+            self._jitter_max = float(clearance) - 8.0 * math.ulp(scale)
+        self._warned = False
+        self.counts: list[int] = []  # points per frame
+        # Per frame: which points are edge clutter, the edge points' segment
+        # indices, lerp parameters and (n, 2) jitter normals, and the uniform
+        # share's (k - n, 2) unit draws; each list starts with an empty block.
+        self._edge = [np.zeros(0, dtype=bool)]
+        self._idx = [np.zeros(0, dtype=np.int64)]
+        self._t = [np.zeros(0)]
+        self._z = [np.zeros((0, 2))]
+        self._unit = [np.zeros((0, 2))]
+        self._n_edge = 0
+        self._placed: list[tuple[int, np.ndarray]] = []  # (first edge point, positions)
+
+    def draw(self, rng: np.random.Generator) -> None:
+        """Draw one frame: count, edge split, segments, lerps, jitter, uniform share."""
+        clutter = self._clutter
+        k = int(rng.poisson(clutter.lambda_fa))
+        edge = rng.random(k) < clutter.edge_fraction
+        n_edge = int(np.count_nonzero(edge))
+        if n_edge and not len(self._seg_a):
+            if not self._warned:
+                log.warning(
+                    "clutter edge_fraction=%.2f with an empty static map; generating all "
+                    "clutter uniformly",
+                    clutter.edge_fraction,
+                )
+                self._warned = True
+            edge[:] = False
+            n_edge = 0
+        self.counts.append(k)
+        self._edge.append(edge)
+        if n_edge:
+            idx = rng.integers(0, len(self._seg_a), n_edge)
+            t = rng.random(n_edge)
+            z = rng.standard_normal((n_edge, 2))
+            self._idx.append(idx)
+            self._t.append(t)
+            self._z.append(z)
+            if not clutter.edge_jitter_sigma * abs(z).max() < self._jitter_max:
+                self._placed.append((self._n_edge, self._in_bounds(idx, t, z, rng)))
+            self._n_edge += n_edge
+        if n_edge < k:
+            self._unit.append(rng.random((k - n_edge, 2)))
+
+    def points(self) -> np.ndarray:
+        """Every point drawn so far as a (k, 2) array, in frame order."""
+        edge = np.concatenate(self._edge)
+        pts = self._edge_points(*map(np.concatenate, (self._idx, self._t, self._z)))
+        for start, placed in self._placed:
+            pts[start : start + len(placed)] = placed
+        # lo + span * U[0, 1) is rng.uniform(lo, hi) to the bit, on the same draws.
+        uniform = self._lo + (self._hi - self._lo) * np.concatenate(self._unit)
+        # Row i of [pts; uniform] goes to frame-order row at[i]; gathering
+        # rows by the inverse permutation is much faster than boolean scatters.
+        at = np.concatenate([np.flatnonzero(edge), np.flatnonzero(~edge)])
+        src = np.empty_like(at)
+        src[at] = np.arange(len(at))
+        return np.concatenate([pts, uniform]).take(src, axis=0)
+
+    def _edge_points(self, idx: np.ndarray, t: np.ndarray, z: np.ndarray) -> np.ndarray:
+        tpar = t[:, None]
+        base = self._seg_a.take(idx, axis=0) * (1.0 - tpar) + self._seg_b.take(idx, axis=0) * tpar
+        return base + self._clutter.edge_jitter_sigma * z
+
+    def _in_bounds(
+        self, idx: np.ndarray, t: np.ndarray, z: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """One frame's edge points, resampled point by point until in bounds, then clamped."""
+        lo, hi = self._lo, self._hi
+        pts = self._edge_points(idx, t, z)
+        for _ in range(_RESAMPLE_ROUNDS):
+            inside = (lo <= pts) & (pts <= hi)
+            if inside.all():
+                break
+            bad = ~inside.all(axis=1)
+            n = int(np.count_nonzero(bad))
+            pts[bad] = self._edge_points(
+                rng.integers(0, len(self._seg_a), n), rng.random(n), rng.standard_normal((n, 2))
+            )
+        else:
+            np.clip(pts, lo, hi, out=pts)
+        return pts
+
+
+def frame_order_draw(
+    scenario: Scenario, truth_in: np.ndarray, r0: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """Every generator call of a realization, frame by frame in the frame draw order.
+
+    Returns each target hit's flat (step, SE, target) index, sampled range
+    and bearing normal, then the clutter points in frame order and their
+    count per frame.  The per-frame draws are released on return.
+    """
+    poses = scenario.se_poses
+    n_se, n_tr = len(poses), len(scenario.tracks)
+    # Flat (step, SE, target) index and noise-free range of every in-area
+    # pair, in draw order, and the number of pairs in each step.
+    pair_at = np.flatnonzero(np.broadcast_to(truth_in[:, None, :], r0.shape))
+    pairs = zip(pair_at.tolist(), r0.ravel()[pair_at].tolist())
+    per_step = (np.count_nonzero(truth_in, axis=1) * n_se).tolist()
+
+    p_det, sigma_r = scenario.p_det, scenario.noise.sigma_range
+    random, normal = rng.random, rng.standard_normal
+    sampler = FrameOrderClutterSampler(scenario.clutter, scenario.static_map, scenario.bounds)
+    draw_clutter = sampler.draw
+    hit_at: list[int] = []
+    hit_r: list[float] = []  # redrawn while non-positive
+    hit_zb: list[float] = []
+    for n_pairs in per_step:
+        for at, r0_n in islice(pairs, n_pairs):
+            if random() >= p_det:
+                continue
+            if r0_n == 0.0:
+                pose = poses[at // n_tr % n_se]
+                raise DegenerateGeometryError(
+                    f"cannot take a bearing to a point at the SE position ({pose.x}, {pose.y})"
+                )
+            r = r0_n + sigma_r * normal()
+            redraws = 0
+            while r <= 0.0:
+                redraws += 1
+                if redraws > 1000:  # only a pathological noise scale gets here
+                    raise RuntimeError(
+                        f"range redraw cap exceeded at range {r0_n} with sigma {sigma_r}"
+                    )
+                r = r0_n + sigma_r * normal()
+            hit_at.append(at)
+            hit_r.append(r)
+            hit_zb.append(normal())
+        draw_clutter(rng)
+    hits = np.array(hit_at, dtype=np.intp), np.array(hit_r), np.array(hit_zb)
+    return *hits, sampler.points(), sampler.counts
 
 
 # -- fusion ------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from conftest import baseline_row, brute_force_metrics, cell_row, columns_of
 from oracles import (
     PolarMeasurement,
     cov_matrix,
+    frame_order_draw,
     fused_metrics,
     generate_clutter,
     polar_to_world,
@@ -30,6 +31,7 @@ from oracles import (
     sample_measurements,
     world_covariance,
 )
+import sensefuse.scenario as scenario_module
 from sensefuse.cli import main as cli_main
 from sensefuse.config import parse_config
 from sensefuse.geometry import Rect, StaticMap, WorldPoint
@@ -352,17 +354,19 @@ def test_criterion_10_sweep_csv_byte_identical(tmp_path):
 # Identity across versions, not only across reruns: the default sweep CSV and
 # an archive_raw demo's store log and trace must keep these bytes.
 
-DEFAULT_SWEEP_CSV_SHA256 = "6d258243f9caef82ad193831cc4ce54f36986f88c5cde4b555aff3ad4454c580"
-# With its raw columns as JSON lists, the form older logs hold, the same store
-# was 348,007 B (sha256 fc1a189c...); tests/data/pre-compact-raw.store pins
-# that form's replay.
-ARCHIVE_RAW_STORE_SHA256 = "4b6fe3057ec116b063d63a1f9bad0b210c9bbead6fead4ed59ef930abf25d021"
+DEFAULT_SWEEP_CSV_SHA256 = "9996f003605e1707fbcac7736f61f684760b57fdeee0aa2e2b4843b87f80ca7d"
+# The same sweep with the frame draw order that the block order replaced.
+FRAME_ORDER_SWEEP_CSV_SHA256 = "6d258243f9caef82ad193831cc4ce54f36986f88c5cde4b555aff3ad4454c580"
+# Drawn in the frame order and with its raw columns as JSON lists, the form
+# older logs hold, this store was 348,007 B (sha256 fc1a189c...);
+# tests/data/pre-compact-raw.store pins that form's replay.
+ARCHIVE_RAW_STORE_SHA256 = "58862735f6af72f1d36a42ba80a3554a8beac8233b521d99fc8a7f3b18fe53a1"
 ARCHIVE_RAW_TRACE_SHA256 = "8e9ea2133cb16e4606421bb69dde763107fc744d79f41d38aa024aff0f5409e4"
 # Three default demos on one fresh store: one live run, then two served
 # historical-only, whose map and metrics records are appended to the same log.
 # Reusing an archive only for the same filter question, and bounding the log,
 # are planned changes to this path that will move these digests on purpose.
-WARM_STORE_SHA256 = "eedda84b9b2ea5fc8b207cf8b0a6792a9f63d7b8d38d9ff9d30d46b797f7d583"
+WARM_STORE_SHA256 = "1dc73f17a2849f8662d32ec8f02914f350fd6af076f01d96433d56e89f0bd1c7"
 WARM_THIRD_TRACE_SHA256 = "a7cfcc37ab5bf874bac9a509e41f3dc7ab524e6b9ac204babd1d8526d42446ff"
 
 
@@ -371,8 +375,21 @@ def test_default_sweep_csv_golden_digest(full_sweep, tmp_path):
     out = tmp_path / "sweep.csv"
     write_csv(rows, out)
     data = out.read_bytes()
-    assert (len(data), data.count(b"\n")) == (10528, 133)
+    assert (len(data), data.count(b"\n")) == (10369, 133)
     assert hashlib.sha256(data).hexdigest() == DEFAULT_SWEEP_CSV_SHA256
+
+
+def test_frame_order_reference_writes_the_frame_order_sweep(tmp_path, monkeypatch):
+    # The frame-order reference in the oracles is the generator that wrote
+    # the default sweep before the block order: through it, the sweep keeps
+    # that generator's bytes.
+    monkeypatch.setattr(scenario_module, "_draw", frame_order_draw)
+    cfg = parse_config({})
+    out = tmp_path / "sweep.csv"
+    write_csv(run_sweep(build_scenario(cfg.scenario), cfg.sweep), out)
+    data = out.read_bytes()
+    assert (len(data), data.count(b"\n")) == (10528, 133)
+    assert hashlib.sha256(data).hexdigest() == FRAME_ORDER_SWEEP_CSV_SHA256
 
 
 def test_archive_raw_demo_golden_digests(tmp_path):
@@ -380,7 +397,7 @@ def test_archive_raw_demo_golden_digests(tmp_path):
     scenario = build_scenario(cfg.scenario)
     report = demo_callflow(cfg, scenario, tmp_path / "run.jsonl", tmp_path / "demo.store")
     store = report.store_path.read_bytes()
-    assert len(store) == 179_815
+    assert len(store) == 179_429
     assert hashlib.sha256(store).hexdigest() == ARCHIVE_RAW_STORE_SHA256
     assert hashlib.sha256(report.trace_path.read_bytes()).hexdigest() == ARCHIVE_RAW_TRACE_SHA256
 
@@ -394,7 +411,7 @@ def test_warm_demo_golden_digests(tmp_path):
         sources.append(report.run.result.data_source)
     assert sources == ["live+historical", "historical-only", "historical-only"]
     store = report.store_path.read_bytes()
-    assert (len(store), store.count(b"\n")) == (2272, 8)
+    assert (len(store), store.count(b"\n")) == (2308, 8)
     assert hashlib.sha256(store).hexdigest() == WARM_STORE_SHA256
     assert hashlib.sha256(report.trace_path.read_bytes()).hexdigest() == WARM_THIRD_TRACE_SHA256
 
@@ -410,7 +427,7 @@ CALL_FLOW_PATH_DIGESTS = {
         ["demo:\n  historical_consent: false\n"],
         "3c1b2ab1c3614178190d5fc1c77740daa99c1553c3fa6507f990dd2bc7abe40b",
         "754fe60f8571808fdfbe1e6deab74b6f7eef8bc9a228986040290064de6c6b32",
-        "fffbc1c8cdee51ad0a3ba93bb6123045a6a8e8f1b17060612a8e65aa3690a9d7",
+        "40efbbc765f075156198beaac40a143b6ac39ff6c7ed0b272069d7058cb5d2c5",
     ),
     # The PCF denies a request whose area meets a prohibited zone: steps 1-5
     # and a ServiceAbort, with only the preseed in the store.  The stdout
@@ -424,17 +441,17 @@ CALL_FLOW_PATH_DIGESTS = {
     # Consent on an empty store: availability "missing", so live-only after 6-7.
     "empty-store-missing": (
         ["demo:\n  preseed_partial_map: false\n"],
-        "d97f02f5ec54124143d92a05458022b8fa9e46d6377c7bdc4cd1ebf0b772bb5e",
+        "49aaaa7d4276e28dff0197430a1b01e3595d651af97158272ea0557238491bde",
         "801f7c961901d37dd0a3152109c844768e6436391bd029fefbde4b5218cc2215",
-        "605b66d78a3a55e33722edab895dad278c788fbcbce9c898e375e2c8098af5cf",
+        "17b4646fe90dc237819f6289c984a433ab5ee77dd4fffc4003526327add33897",
     ),
-    # Coverage "exists" but the archived Pd (0.8625) misses the KPI, so the
+    # Coverage "exists" but the archived Pd (0.8675) misses the KPI, so the
     # second demo senses live+historical.
     "warm-store-kpi-miss": (
         ["", "demo:\n  pd_min: 1.0\n"],
-        "33a2b8b8ceedfd77a41ba4c6b81ed6b9997a30fcf0c74ae9f244a33e44e4d2ae",
+        "3606cf99fcd61e28043db9846e203251d38955988d554f523cd195d71afd03e2",
         "c554a350c9fc0fecf232d7746b75831145eceab4f223fe1a7690a68da383ebfc",
-        "7818483981dfcfbf15859e585360da44cc112a51c9e6f5212a1501dc16386db1",
+        "338f1f05708c46bf6cf611e2d07a6c5ef34c9a8c6c58c04cb331f6146a083318",
     ),
 }
 

@@ -188,8 +188,9 @@ def _torn(path):
         lambda path: path.write_text('{"magic": "other", "version": 1}\n'),
         # The last record line again: a second record under its id.
         lambda path: path.write_bytes(path.read_bytes() + path.read_bytes().splitlines(True)[-1]),
+        lambda path: path.write_bytes(b"\n" + path.read_bytes()),
     ],
-    ids=["torn", "garbage", "bad-magic", "duplicate-record-id"],
+    ids=["torn", "garbage", "bad-magic", "duplicate-record-id", "blank-first-line"],
 )
 def test_corrupt_store_exits_1(tmp_path, small_config, capsys, corrupt):
     trace = tmp_path / "run.jsonl"

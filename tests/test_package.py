@@ -88,6 +88,7 @@ MOVED_OR_DELETED = [
     ("metrics", "aggregate_values"),
     ("fusion", "FilterConfig"),
     ("fusion", "grid_metrics"),
+    ("scenario", "_ClutterSampler"),
 ]
 
 

@@ -8,14 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import sensefuse.scenario as scenario_module
 from sensefuse.errors import ConfigError, DegenerateGeometryError
 from sensefuse.geometry import Rect, StaticMap, WorldPoint
-from sensefuse.measurement import DetectionColumns, NoiseModel, Pose
+from sensefuse.harness import BASELINE_G, run_realization
+from sensefuse.measurement import NoiseModel, Pose
 from sensefuse.scenario import (
     DEFAULT_BOUNDS,
     POISSON_LAM_MAX,
     ClutterModel,
-    Frame,
     ScenarioConfig,
     TargetTrack,
     build_scenario,
@@ -26,13 +27,13 @@ from sensefuse.scenario import (
 )
 
 from oracles import (
-    build_detection,
-    clutter_frame,
+    block_clutter,
+    block_frames,
+    frame_order_draw,
     generate_clutter,
     generate_frame,
     min_distance,
     rect_contains,
-    sample_measurement,
     target_position,
 )
 
@@ -162,20 +163,20 @@ def test_generator_rejects_target_at_the_se_position():
 
 def test_generator_raises_on_the_oracles_draw():
     # Track 0 reaches the second SE at step 5.  Both generators stop after
-    # the p_det draw of that (SE, target) pair, five frames of hits and
-    # clutter in, with the stream in the same state.
+    # the p_det draw of every in-area pair, when that pair is a hit, with
+    # the stream in the same state: one random(P) call past its start.
     cfg = ScenarioConfig(p_det=0.9, n_targets=2)
     scenario = dataclasses.replace(
         build_scenario(cfg), se_poses=(Pose(0.0, 0.0, 0.0), Pose(6.0, 15.0, 0.0))
     )
-    rng, rng_rz = realization_rng(4, 0), realization_rng(4, 0)
+    rng, rng_rz = RecordingRng(realization_rng(4, 0)), RecordingRng(realization_rng(4, 0))
     with pytest.raises(DegenerateGeometryError, match=r"\(6.0, 15.0\)"):
-        for t in range(scenario.t_steps):
-            scalar_frame(scenario, t, rng)
+        block_frames(scenario, range(scenario.t_steps), rng)
     with pytest.raises(DegenerateGeometryError, match=r"\(6.0, 15.0\)"):
         generate_realization(scenario, rng_rz)
-    assert t == 5
-    assert rng_rz.bit_generator.state == rng.bit_generator.state
+    pairs = 2 * 2 * scenario.t_steps  # both targets stay in the area
+    assert rng.calls == rng_rz.calls == [("random", (pairs,))]
+    assert rng_rz.state == rng.state
 
 
 # -- frame generation -----------------------------------------------------------
@@ -239,11 +240,7 @@ def test_truth_excludes_targets_after_they_leave():
 
 
 def frame_counts(scenario, rng, n_frames):
-    """Detections per frame of consecutive realizations drawn from one stream.
-
-    A realization draws its frames one after another, so this is the count
-    sequence of ``n_frames`` calls of ``generate_frame(scenario, t % T, rng)``.
-    """
+    """Detections per frame of consecutive realizations drawn from one stream."""
     realizations = math.ceil(n_frames / scenario.t_steps)
     counts = [
         np.bincount(generate_realization(scenario, rng).frame_of, minlength=scenario.t_steps)
@@ -272,6 +269,34 @@ def test_detection_count_is_additive_with_clutter():
     mean = float(np.mean(counts))
     sigma = math.sqrt((16 * 0.95 * 0.05 + 60.0) / n_frames)
     assert abs(mean - 75.2) <= 3.0 * sigma
+
+
+# Fixed before the first run: 200 realizations of the default scenario at
+# seed 31337 per draw order; per metric, Welch's |t| < 4 and a two-sample
+# Kolmogorov-Smirnov p > 1e-3.
+TWO_SAMPLE_SEED, TWO_SAMPLE_N = 31337, 200
+
+
+def test_block_order_has_the_frame_orders_distribution(monkeypatch):
+    # Per-realization Pd and FA at (g, g_det) = (2, 3) and at the mask-off
+    # baseline with g_det = 3, from the block order and from the frame-order
+    # reference: different draws of one distribution.
+    scenario = build_scenario(ScenarioConfig(seed=TWO_SAMPLE_SEED))
+    cells = np.array([[2.0, 3.0], [BASELINE_G, 3.0]])
+
+    def per_realization():
+        runs = [run_realization(scenario, cells, r) for r in range(TWO_SAMPLE_N)]
+        return np.array([np.concatenate(run) for run in runs]).T
+
+    block = per_realization()
+    monkeypatch.setattr(scenario_module, "_draw", frame_order_draw)
+    frame = per_realization()
+    assert not np.array_equal(block, frame)
+    names = ["pd (2, 3)", "pd baseline", "fa (2, 3)", "fa baseline"]
+    for name, a, b in zip(names, block, frame):
+        t = stats.ttest_ind(a, b, equal_var=False).statistic
+        p = stats.ks_2samp(a, b).pvalue
+        assert abs(t) < 4.0 and p > 1e-3, (name, t, p)
 
 
 # -- columnar realization ---------------------------------------------------------
@@ -305,30 +330,43 @@ EDGE_CASES = [
 ]
 
 
-def scalar_frame(scenario, t, rng):
-    """Oracle: one frame built point by point."""
-    truth = tuple(
-        (track.id, pos)
-        for track in scenario.tracks
-        if rect_contains(scenario.bounds, pos := target_position(track, t))
-    )
-    rows = []  # (x, y, SE index, clutter flag) per detection
-    for s, pose in enumerate(scenario.se_poses):
-        for _, pos in truth:
-            if rng.random() < scenario.p_det:
-                z = sample_measurement(pose, pos, scenario.noise, rng)
-                point, _ = build_detection(pose, z, scenario.noise)
-                rows.append((point.x, point.y, s, False))
-    xy = generate_clutter(scenario.clutter, scenario.static_map, scenario.bounds, rng)
-    for i, (x, y) in enumerate(xy.tolist()):
-        rows.append((x, y, i % len(scenario.se_poses), True))
-    detections = DetectionColumns(
-        xy=np.array([(x, y) for x, y, *_ in rows]).reshape(-1, 2),
-        se_idx=np.array([s for *_, s, _ in rows], dtype=np.intp),
-        se_ids=scenario.se_ids,
-        is_clutter=np.array([flag for *_, flag in rows], dtype=bool),
-    )
-    return Frame(t=t, detections=detections, truth=truth)
+class RecordingRng:
+    """A generator that records each call's method name and arguments."""
+
+    def __init__(self, rng):
+        self._rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def call(*args):
+            self.calls.append((name, args))
+            return method(*args)
+
+        return call
+
+    @property
+    def state(self):
+        return self._rng.bit_generator.state
+
+
+def assert_same_frames(frames, expected):
+    """Frame by frame: step, truth, and the detections' xy bytes, SEs and clutter flags."""
+    assert [f.t for f in frames] == [f.t for f in expected]
+    for frame, want in zip(frames, expected):
+        assert frame.truth == want.truth
+        assert frame.detections.xy.tobytes() == want.detections.xy.tobytes()
+        assert frame.detections.se_idx.tolist() == want.detections.se_idx.tolist()
+        assert frame.detections.is_clutter.tolist() == want.detections.is_clutter.tolist()
+
+
+def assert_matches_block_oracle(scenario, steps, rng, rng_rz, frames):
+    """``frames``, drawn from ``rng_rz``, are the block oracle's on ``rng`` with the same calls."""
+    rng, rng_rz = RecordingRng(rng), RecordingRng(rng_rz)
+    assert_same_frames(frames(rng_rz), block_frames(scenario, steps, rng))
+    assert rng_rz.calls == rng.calls
+    assert rng_rz.state == rng.state
+    return rng.calls
 
 
 @pytest.mark.parametrize("seed,cfg", AGREEMENT_CASES)
@@ -354,23 +392,30 @@ def test_realization_columns_match_frames(seed, cfg):
 
 @pytest.mark.parametrize("seed,cfg", AGREEMENT_CASES + EDGE_CASES)
 def test_frames_match_scalar_oracle(seed, cfg):
-    # Same points to the bit.
+    # Same points to the bit, from the same generator calls.
     scenario = build_scenario(cfg)
-    rng = realization_rng(seed, 0)
-    expected = [scalar_frame(scenario, t, rng) for t in range(cfg.t_steps)]
-    assert generate_frames(scenario, realization_rng(seed, 0)) == expected
-    rng_a, rng_b = realization_rng(seed, 1), realization_rng(seed, 1)
+    steps = range(cfg.t_steps)
+    rngs = realization_rng(seed, 0), realization_rng(seed, 0)
+    assert_matches_block_oracle(scenario, steps, *rngs, lambda r: generate_frames(scenario, r))
+    rngs = realization_rng(seed, 1), realization_rng(seed, 1)
     for t in (3, 0, 3):
-        assert generate_frame(scenario, t, rng_a) == scalar_frame(scenario, t, rng_b)
+        assert_matches_block_oracle(
+            scenario, (t,), *rngs, lambda r: [generate_frame(scenario, t, r)]
+        )
 
 
 def test_range_redraws_match_scalar_oracle():
-    # With sigma_r = 40 m against ranges from 15 m, this realization redraws
-    # 22 non-positive ranges across its 149 target hits.
+    # With sigma_r = 40 m against ranges from 15 m, the first range draw is
+    # not positive for 10 of this realization's 154 target hits, and five
+    # more rounds redraw the ranges still not positive.
     scenario = build_scenario(ScenarioConfig(t_steps=10, noise=NoiseModel(40.0, 0.3)))
-    rng = realization_rng(5, 0)
-    expected = [scalar_frame(scenario, t, rng) for t in range(10)]
-    assert generate_frames(scenario, realization_rng(5, 0)) == expected
+    rngs = realization_rng(5, 0), realization_rng(5, 0)
+    calls = assert_matches_block_oracle(
+        scenario, range(10), *rngs, lambda r: generate_frames(scenario, r)
+    )
+    stop = [name for name, _ in calls].index("poisson")
+    hits, *rounds, bearings = [args[0] for _, args in calls[1:stop]]
+    assert (hits, rounds, bearings) == (154, [10, 5, 1, 1, 1, 1], 154)
 
 
 # -- clutter --------------------------------------------------------------------
@@ -452,8 +497,7 @@ def test_empty_map_warns_once_per_realization(caplog):
     with caplog.at_level(logging.WARNING, logger="sensefuse.scenario"):
         frames = generate_frames(scenario, realization_rng(3, 0))
     assert sum("empty static map" in r.getMessage() for r in caplog.records) == 1
-    rng = realization_rng(3, 0)
-    assert frames == [scalar_frame(scenario, t, rng) for t in range(20)]
+    assert_same_frames(frames, block_frames(scenario, range(20), realization_rng(3, 0)))
 
 
 _FLUSH_BOUNDS = Rect(0.0, 0.0, 40.0, 40.0)
@@ -471,8 +515,7 @@ CLUTTER_CASES = {
     "edge-only": ScenarioConfig(clutter=ClutterModel(edge_fraction=1.0, edge_jitter_sigma=0.05)),
     "sparse": ScenarioConfig(clutter=ClutterModel(lambda_fa=0.5)),
     # A building 1e-9 m (9 ulps) inside bounds at 1e6 m, with jitter of a
-    # few ulps: jitter alone cannot clear a frame, and a sampler that trusted
-    # its bound without the lerp's rounding as slack would let points out.
+    # few ulps: whether a point leaves the bounds turns on the lerp's rounding.
     "near-flush": ScenarioConfig(
         bounds=_NEAR_FLUSH_BOUNDS,
         static_map=StaticMap(
@@ -482,24 +525,38 @@ CLUTTER_CASES = {
         se_poses=(Pose(1e6 + 20.0, 1e6 + 20.0, 0.0),),
         clutter=ClutterModel(lambda_fa=200.0, edge_fraction=0.9, edge_jitter_sigma=4e-10),
     ),
+    # Edges outside the bounds are clipped away or shortened.
+    "crossing-bounds": ScenarioConfig(
+        static_map=StaticMap((Rect(100.0, 45.0, 160.0, 75.0),), DEFAULT_BOUNDS),
+        clutter=ClutterModel(edge_fraction=1.0),
+    ),
 }
+
+
+def assert_clutter_matches_block_oracle(scenario, rng, rng_rz):
+    """Without targets a realization is its clutter, as the block oracle draws it."""
+    rng, rng_rz = RecordingRng(rng), RecordingRng(rng_rz)
+    expected = block_clutter(
+        scenario.clutter, scenario.static_map, scenario.bounds, scenario.t_steps, rng
+    )
+    rz = generate_realization(scenario, rng_rz)
+    xy = np.array([point for frame in expected for point in frame]).reshape(-1, 2)
+    assert rz.xy.tobytes() == xy.tobytes()
+    assert rz.frame_of.tolist() == [t for t, frame in enumerate(expected) for _ in frame]
+    n_se = len(scenario.se_poses)
+    assert rz.se_idx.tolist() == [i % n_se for frame in expected for i in range(len(frame))]
+    assert rz.is_clutter.all()
+    assert rng_rz.calls[3:] == rng.calls  # after the three target calls, P = H = 0
+    assert rng_rz.state == rng.state
 
 
 @pytest.mark.parametrize("cfg", CLUTTER_CASES.values(), ids=CLUTTER_CASES.keys())
 def test_realization_clutter_matches_per_frame_oracle(cfg):
-    # Without targets a realization is its frames' clutter, drawn by one
-    # hoisted sampler; the oracle rebuilds everything on every frame.
+    # The oracle places every point on its own, one frame at a time.
     scenario = build_scenario(dataclasses.replace(cfg, n_targets=0, t_steps=25))
     for seed in range(4):
-        rng, rng_rz = realization_rng(seed, 9), realization_rng(seed, 9)
-        expected = [
-            clutter_frame(scenario.clutter, scenario.static_map, scenario.bounds, rng)
-            for _ in range(25)
-        ]
-        rz = generate_realization(scenario, rng_rz)
-        assert rz.xy.tobytes() == np.concatenate(expected).tobytes()
-        assert rz.frame_of.tolist() == [t for t, xy in enumerate(expected) for _ in xy]
-        assert rng_rz.bit_generator.state == rng.bit_generator.state
+        rngs = realization_rng(seed, 9), realization_rng(seed, 9)
+        assert_clutter_matches_block_oracle(scenario, *rngs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -517,7 +574,7 @@ def test_realization_clutter_matches_oracle_near_the_bounds(
 ):
     # A building inset by ``clearance`` on every side of 60 m bounds: flush,
     # within a few ulps at large coordinates, or well clear.  Whether jitter
-    # can leave the bounds decides which frames the sampler places at once.
+    # leaves the bounds decides how many resample rounds are drawn.
     ox, oy = origin
     bounds = Rect(ox, oy, ox + 60.0, oy + 60.0)
     building = Rect(ox + clearance, oy + clearance, ox + 60.0 - clearance, oy + 60.0 - clearance)
@@ -530,12 +587,44 @@ def test_realization_clutter_matches_oracle_near_the_bounds(
         clutter=ClutterModel(lambda_fa=30.0, edge_fraction=edge_fraction, edge_jitter_sigma=sigma),
     )
     scenario = build_scenario(cfg)
-    rng, rng_rz = realization_rng(seed, 0), realization_rng(seed, 0)
-    expected = [clutter_frame(scenario.clutter, scenario.static_map, bounds, rng) for _ in range(8)]
-    rz = generate_realization(scenario, rng_rz)
-    assert rz.xy.tobytes() == np.concatenate(expected).tobytes()
-    assert rz.frame_of.tolist() == [t for t, xy in enumerate(expected) for _ in xy]
-    assert rng_rz.bit_generator.state == rng.bit_generator.state
+    assert_clutter_matches_block_oracle(scenario, *(realization_rng(seed, 0) for _ in "ab"))
+
+
+def test_clutter_stays_off_the_bounds_when_a_building_crosses_them(monkeypatch):
+    # The building's east edge lies outside the bounds.  Its edges are
+    # clipped to the bounds before any point is drawn, so no edge point is
+    # drawn out there, resampled and finally clamped onto x = 120.
+    bounds = DEFAULT_BOUNDS
+    static_map = StaticMap((Rect(100.0, 45.0, 160.0, 75.0),), bounds)
+    scenario = build_scenario(
+        ScenarioConfig(static_map=static_map, clutter=ClutterModel(edge_fraction=1.0))
+    )
+
+    def clutter_on_the_bounds():
+        rz = generate_realization(scenario, realization_rng(scenario.seed, 0))
+        xy = rz.xy[rz.is_clutter]
+        assert len(xy) > 5000
+        assert ((bounds.x_min <= xy) & (xy <= bounds.x_max)).all()  # square bounds
+        return int(np.count_nonzero((xy == bounds.x_min) | (xy == bounds.x_max)))
+
+    assert clutter_on_the_bounds() == 0
+    monkeypatch.setattr(scenario_module, "_draw", frame_order_draw)
+    assert clutter_on_the_bounds() == 12  # the frame draw order clamped these
+
+
+def test_map_with_no_edge_inside_the_bounds_draws_clutter_uniformly(caplog):
+    # Every edge of a building that covers the bounds lies outside them:
+    # the clutter is that of an empty map, with the same single warning.
+    covering = StaticMap((Rect(-10.0, -10.0, 130.0, 130.0),), DEFAULT_BOUNDS)
+    empty = StaticMap((), DEFAULT_BOUNDS)
+    realizations = []
+    for static_map in (covering, empty):
+        caplog.clear()
+        scenario = build_scenario(ScenarioConfig(t_steps=20, static_map=static_map))
+        with caplog.at_level(logging.WARNING, logger="sensefuse.scenario"):
+            realizations.append(generate_realization(scenario, realization_rng(3, 0)))
+        assert sum("empty static map" in r.getMessage() for r in caplog.records) == 1
+    assert realizations[0].xy.tobytes() == realizations[1].xy.tobytes()
 
 
 _bound = st.floats(-1e4, 1e4, allow_nan=False)

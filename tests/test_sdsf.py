@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
+import sensefuse.scenario as scenario_module
 from sensefuse import sdsf_store
 from sensefuse.callflow import run_call_flow
 from sensefuse.cli import main
@@ -326,6 +327,20 @@ def test_torn_last_line_raises_store_corrupt_error(tmp_path):
     with pytest.raises(StoreCorruptError, match=r"store\.jsonl:1: torn header") as err:
         SdsfStore(path)
     assert err.value.lineno == 1
+
+
+@pytest.mark.parametrize("head", [b"\n", b" \t\r\n"], ids=["empty", "whitespace"])
+def test_blank_first_line_raises_store_corrupt_error(tmp_path, head):
+    # Only a 0-byte file is a fresh store.  Read as one, a log behind a blank
+    # first line would lose its records, and the next append would write a
+    # second record under an id the log already holds.
+    path = _two_record_log(tmp_path)
+    data = path.read_bytes()
+    for content in (head + data, head):
+        path.write_bytes(content)
+        with pytest.raises(StoreCorruptError, match=r"store\.jsonl:1: blank header line") as err:
+            SdsfStore(path)
+        assert err.value.lineno == 1 and path.read_bytes() == content
 
 
 def test_duplicate_record_id_raises_store_corrupt_error(tmp_path):
@@ -881,12 +896,14 @@ def test_log_written_with_covariances_replays_and_rewrites_without_them(tmp_path
     assert listed.payload.xy.tobytes() == raw.payload.xy.tobytes()
 
 
-def test_log_written_with_list_columns_replays_and_rewrites_compact(tmp_path):
+def test_log_written_with_list_columns_replays_and_rewrites_compact(tmp_path, monkeypatch):
     # An archive_raw demo's store (t_steps 2, lambda_fa 2) as written while
     # raw columns were JSON lists: its raw record replays to the columns that
     # the line spells and that the same demo builds in memory, bit for bit,
     # and re-storing it into a copy of the lines before it writes the same
-    # record with compact columns.
+    # record with compact columns.  The fixture's detections were drawn in
+    # the frame draw order, so the demo is built with that order too.
+    monkeypatch.setattr(scenario_module, "_draw", oracles.frame_order_draw)
     lines = _lines(LIST_COLUMNS_FIXTURE)
     assert len(lines) == 5 and b'"xy":[[' in lines[4]
     raw = live_record(SdsfStore(LIST_COLUMNS_FIXTURE), "rec-000004")
