@@ -12,18 +12,27 @@ many realizations to means and sample standard deviations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 
 @dataclass(frozen=True)
 class MetricResult:
-    """Finalized metrics for one realization.
+    """Finalized metrics for one realization; immutable, so one result may be shared.
 
     ``pd_per_target`` covers the targets inside the area at least once, and
-    ``pd_avg`` is NaN when there is none.  ``excluded_targets`` is always
-    ``()`` for results this build computes; the store's log format holds it.
+    ``pd_avg`` is NaN when there is none.  It is a read-only view of a copy
+    the result makes of the mapping it is built from: a caller that changes
+    its own mapping afterwards changes no result, and assigning into it
+    raises ``TypeError``.  A read-only view cannot be pickled or deep-copied.
+    ``excluded_targets`` is always ``()`` for results this build computes;
+    the store's log format holds it.
     """
 
-    pd_per_target: dict[int, float]
+    pd_per_target: Mapping[int, float]
     pd_avg: float
     fa_avg: float
     excluded_targets: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pd_per_target", MappingProxyType(dict(self.pd_per_target)))

@@ -18,21 +18,24 @@ log back to its last complete line.  It cuts only while the log still holds
 as many bytes as load read; otherwise it raises :class:`StoreCorruptError`
 and leaves the log as it is, since another writer may have appended since.
 Any other line that cannot be replayed, a line whose record id an earlier
-line already holds, and a torn or blank header, raise
-:class:`StoreCorruptError` naming the file and line.  Only a 0-byte file is
-an empty store.
+line already holds, a header line after line 1, and a torn or blank header,
+raise :class:`StoreCorruptError` naming the file and line.  Only a 0-byte
+file is an empty store.
 
 A process keeps the replay of the one log it replayed last: the bytes
-read, and the records its complete lines built.  An open of that path whose
-bytes start with those complete lines, compared byte for byte (never by
-size or modification time), replays only the lines after them, with the
-same checks, line numbers and duplicate-id check; any other open replays
-the whole file.  Replay is a function of the bytes alone, so a reopen
-builds what a replay from the start would: aging, the clock and the next
-id come from all records at every open, and every open gets its own metrics
-payloads.  A line that raises leaves the kept replay as it was, and an open
-that finds the log missing drops it.  A CLI ``demo`` runs in a process of
-its own, so it replays the whole log.
+read, the records its complete lines built, and the clock, next id and
+earliest expiry those records give.  An open of that path whose bytes start
+with those complete lines, compared byte for byte (never by size or
+modification time), replays only the lines after them, with the same
+checks, line numbers and duplicate-id check; any other open replays the
+whole file.  Replay is a function of the bytes alone, so a reopen builds
+what a replay from the start would.  Records are immutable, metrics
+included, so every open shares the replay's records: an open copies the
+index, and scans it for expired records only when the clock is past the
+earliest expiry.  A warm open thus does work for the lines appended, not
+for the records held.  A line that raises leaves the kept replay as it was,
+and an open that finds the log missing drops it.  A CLI ``demo`` runs in a
+process of its own, so it replays the whole log.
 
 Every line, the header included, is ``orjson.dumps`` of its JSON form with
 sorted keys; a non-finite metric is written as ``null`` and read back as
@@ -390,15 +393,14 @@ class SdsfStore:
                 return  # a 0-byte file is a fresh store
         replay, self._torn_at = _replay_lines(path, data, since)
         _last_replay = replay
-        for record, num in replay.entries:
-            self._records[record.record_id] = (
-                _unshared(record) if type(record.payload) is MetricResult else record
-            )
-            self._now = max(self._now, record.created_at)
-            self._next_id = max(self._next_id, num + 1)
+        # Records are immutable, so an open shares the replay's records.
+        self._records = dict(replay.index)
+        self._now, self._next_id = replay.now, replay.next_id
         # Records already past their policy relative to the recovered clock
-        # stay out of the index, matching what apply_aging would have done.
-        self.apply_aging(self._now)
+        # stay out of the index, matching what apply_aging would have done;
+        # before the earliest expiry there are none.
+        if self._now > replay.expiry:
+            self.apply_aging(self._now)
 
 
 # -- replay ------------------------------------------------------------------
@@ -409,20 +411,28 @@ class _Replay:
     """What replaying a log's complete lines built, before aging.
 
     ``data`` is the bytes object read: its first ``end`` bytes are the lines
-    replayed, and ``lineno`` numbers the line after them.  ``entries`` pairs
-    each record with the number in its id, ``first_line`` maps each id to
-    its line, and ``rects`` and ``maps`` intern areas and static maps: all a
-    replay needs to go on from ``end`` exactly as one from the start would.
+    replayed, and ``lineno`` numbers the line after them.  ``index`` maps
+    each record id to its record, in line order, and ``first_line`` to its
+    line; ``rects`` and ``maps`` intern areas and static maps.  ``now`` is
+    the latest ``created_at`` (0 for none), ``next_id`` one past the largest
+    number in an id (1 for none), and ``expiry`` the earliest
+    ``created_at + aging_policy`` (infinite for none), so no record is past
+    its policy at a clock up to ``expiry``.  That is all a replay needs to go
+    on from ``end`` exactly as one from the start would, and all an open
+    needs besides.
     """
 
     path: Path
     data: bytes
     end: int
     lineno: int
-    entries: list[tuple[SensingRecord, int]]
+    index: dict[str, SensingRecord]
     first_line: dict[str, int]
     rects: dict[bytes, Rect]
     maps: dict[bytes, StaticMap]
+    now: int
+    next_id: int
+    expiry: float
 
 
 # A line that ``bytes.strip`` leaves empty; replay skips it.
@@ -452,7 +462,7 @@ def _replay_header(path: Path, data: bytes) -> _Replay | None:
         raise StoreCorruptError(path, 1, "not a sensing store log (bad magic)")
     if header.get("version") != LOG_FORMAT_VERSION:
         raise StoreCorruptError(path, 1, f"unsupported log version {header.get('version')!r}")
-    return _Replay(path, data, stop, 2, [], {}, {}, {})
+    return _Replay(path, data, stop, 2, {}, {}, {}, {}, 0, 1, math.inf)
 
 
 def _replay_lines(
@@ -463,9 +473,10 @@ def _replay_lines(
     Also returns the line number and offset of a torn final line, or None.
     ``since`` is left as it was, so a line that raises changes nothing.
     """
-    entries, first_line = list(since.entries), dict(since.first_line)
+    index, first_line = dict(since.index), dict(since.first_line)
     # Equal area rects and equal maps decoded in one replay share one object.
     rects, maps = dict(since.rects), dict(since.maps)
+    now, next_id, expiry = since.now, since.next_id, since.expiry
     end, lineno, torn = since.end, since.lineno, None
     view = memoryview(data)  # lines are decoded in place, never copied
     while end < len(data):
@@ -476,10 +487,16 @@ def _replay_lines(
             break
         if not _BLANK.fullmatch(data, end, stop):
             try:
-                record = _record_from_json(_decode_line(view[end:stop]), rects, maps)
-                num = int(record.record_id.split("-")[-1])
+                fields = _decode_line(view[end:stop])
+                header = type(fields) is dict and "magic" in fields
+                if not header:
+                    record = _record_from_json(fields, rects, maps)
+                    num = int(record.record_id.split("-")[-1])
             except (ValueError, TypeError, KeyError, AttributeError, OverflowError) as exc:
                 raise StoreCorruptError(path, lineno, f"bad record: {exc}") from exc
+            if header:
+                # Such as where two logs were joined end to end.
+                raise StoreCorruptError(path, lineno, "header line found after line 1")
             first = first_line.setdefault(record.record_id, lineno)
             if first != lineno:
                 raise StoreCorruptError(
@@ -487,33 +504,14 @@ def _replay_lines(
                     lineno,
                     f"duplicate record_id {record.record_id!r}, first on line {first}",
                 )
-            entries.append((record, num))
+            index[record.record_id] = record
+            now, next_id = max(now, record.created_at), max(next_id, num + 1)
+            expiry = min(expiry, record.created_at + record.aging_policy)
         end, lineno = stop, lineno + 1
-    return _Replay(path, data, end, lineno, entries, first_line, rects, maps), torn
-
-
-def _unshared(record: SensingRecord) -> SensingRecord:
-    """A copy of a metrics record with its own ``MetricResult`` and ``pd_per_target``.
-
-    The bytes the record came from already passed the constructors' checks,
-    so no constructor runs again.  The fields are set one by one in their
-    declared order, as the constructors set them, and ``__dict__`` is never
-    read: that keeps attribute reads in ``fetch`` as fast as on the original.
-    """
-    put, payload = object.__setattr__, record.payload
-    metrics = object.__new__(MetricResult)
-    put(metrics, "pd_per_target", payload.pd_per_target.copy())
-    put(metrics, "pd_avg", payload.pd_avg)
-    put(metrics, "fa_avg", payload.fa_avg)
-    put(metrics, "excluded_targets", payload.excluded_targets)
-    copy = object.__new__(SensingRecord)
-    put(copy, "record_id", record.record_id)
-    put(copy, "stid", record.stid)
-    put(copy, "context", record.context)
-    put(copy, "payload", metrics)
-    put(copy, "created_at", record.created_at)
-    put(copy, "aging_policy", record.aging_policy)
-    return copy
+    replay = _Replay(
+        path, data, end, lineno, index, first_line, rects, maps, now, next_id, expiry
+    )
+    return replay, torn
 
 
 # -- JSON codecs -------------------------------------------------------------
@@ -663,7 +661,6 @@ def _payload_from_json(d: dict, maps: dict | None = None) -> Payload:
     if d["type"] == "static_map":
         return _interned(maps, (d["bounds"], d["rects"]), lambda: _static_map_from_json(d))
     if d["type"] == "metrics":
-        # Never shared: pd_per_target is a mutable dict.
         return MetricResult(
             pd_per_target={
                 int(k): math.nan if v is None else v for k, v in d["pd_per_target"].items()

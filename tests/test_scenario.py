@@ -196,6 +196,47 @@ def test_generate_frames_differ_across_realizations():
     assert a != b
 
 
+# The first words of PCG64 under SeedSequence((7, 0)), which NEP 19 keeps
+# stable, and the first values each Generator method ``_draw`` calls makes
+# from them, which numpy does not promise to keep.
+PCG64_WORDS = ["0xa00641a9f1e54a8b", "0xe5afcdbcaf266a95", "0xc693565f940af962"]
+GENERATOR_DRAWS = {
+    "random(3)": ["0x1.400c8353e3ca9p-1", "0x1.cb5f9b795e4cdp-1", "0x1.8d26acbf2815fp-1"],
+    "standard_normal(3)": [
+        "0x1.427a31c1ffc58p-10",
+        "0x1.31ea59a5b303ep-2",
+        "-0x1.18b7980d81558p-2",
+    ],
+    "poisson(60.0, 3)": ["0x3f", "0x43", "0x37"],
+    "poisson(2.0, 3)": ["0x3", "0x2", "0x3"],
+    "integers(0, 40, 3)": ["0x25", "0x19", "0x1b"],
+}
+
+
+def test_generator_streams_under_the_golden_digests_are_pinned():
+    words = realization_rng(7, 0).bit_generator.random_raw(3)
+    assert [hex(w) for w in words.tolist()] == PCG64_WORDS, (
+        "realization_rng no longer draws PCG64 words seeded by SeedSequence((seed,"
+        " realization)): every golden digest will move"
+    )
+    calls = {
+        "random(3)": lambda rng: rng.random(3),
+        "standard_normal(3)": lambda rng: rng.standard_normal(3),
+        "poisson(60.0, 3)": lambda rng: rng.poisson(60.0, 3),
+        "poisson(2.0, 3)": lambda rng: rng.poisson(2.0, 3),
+        "integers(0, 40, 3)": lambda rng: rng.integers(0, 40, 3),
+    }
+    drawn = {}
+    for name, call in calls.items():
+        values = call(realization_rng(7, 0)).tolist()  # each from the start of the stream
+        drawn[name] = [v.hex() if isinstance(v, float) else hex(v) for v in values]
+    assert drawn == GENERATOR_DRAWS, (
+        f"numpy {np.__version__} changed the Generator algorithms that turn PCG64 words"
+        " into variates: the golden digests of the sweep CSV, the stores and the traces"
+        " will move"
+    )
+
+
 def test_perfect_detection_yields_one_detection_per_se():
     cfg = ScenarioConfig(p_det=1.0, n_targets=1, clutter=ClutterModel(lambda_fa=0.0))
     scenario = build_scenario(cfg)

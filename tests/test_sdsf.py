@@ -8,6 +8,7 @@ import re
 import struct
 import sys
 import tempfile
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -367,6 +368,23 @@ def test_duplicate_record_id_raises_store_corrupt_error(tmp_path):
     assert list(SdsfStore(path)._records) == ["rec-000001"]
 
 
+def test_header_line_after_line_1_raises_store_corrupt_error(tmp_path):
+    # Two logs joined end to end hold a second header line, which is no record.
+    path = _two_record_log(tmp_path)
+    data = path.read_bytes()
+    header = _lines(path)[0]
+    older = (json.dumps({"magic": LOG_MAGIC, "version": 1}) + "\n").encode()
+    for content, lineno in ((header * 2, 2), (data + header, 4), (data + older + data, 4)):
+        path.write_bytes(data)
+        SdsfStore(path)  # kept, so that a content that starts with it is replayed warm
+        path.write_bytes(content)
+        with pytest.raises(
+            StoreCorruptError, match=rf"store\.jsonl:{lineno}: header line found after line 1$"
+        ) as err:
+            SdsfStore(path)
+        assert err.value.lineno == lineno
+
+
 def test_torn_last_line_is_dropped_and_cut_by_the_next_append(tmp_path, caplog):
     path = _two_record_log(tmp_path)
     data = path.read_bytes()
@@ -477,8 +495,9 @@ def _replay_state() -> tuple | None:
     memo = sdsf_store._last_replay
     if memo is None:
         return None
-    held = (memo.entries, memo.first_line, memo.rects, memo.maps)
-    return (memo, memo.data, memo.end, memo.lineno, *(type(h)(h) for h in held))
+    held = (memo.index, memo.first_line, memo.rects, memo.maps)
+    scalars = (memo.data, memo.end, memo.lineno, memo.now, memo.next_id, memo.expiry)
+    return (memo, *scalars, *(type(h)(h) for h in held))
 
 
 def _open_warm_and_cold(path) -> SdsfStore | None:
@@ -518,10 +537,17 @@ def test_metrics_are_never_shared_across_opens(tmp_path):
     first, second = SdsfStore(path), SdsfStore(path)
     (a,) = [r.payload for r in first._records.values() if r.kind == "high-level"]
     (b,) = [r.payload for r in second._records.values() if r.kind == "high-level"]
-    assert a == b and a is not b and a.pd_per_target is not b.pd_per_target
-    a.pd_per_target[0] = 0.1
-    assert b.pd_per_target == {0: 0.9}
+    assert a == b
+    # No open can change another open's metrics: they cannot be changed at all.
+    with pytest.raises(TypeError):
+        a.pd_per_target[0] = 0.1
+    assert a.pd_per_target == b.pd_per_target == {0: 0.9}
     assert live_record(SdsfStore(path), "rec-000002").payload.pd_per_target == {0: 0.9}
+    # A result keeps its own values when the dict it was built from changes.
+    values = {0: 0.9}
+    built = MetricResult(values, pd_avg=0.9, fa_avg=1.5)
+    values[0] = 0.1
+    assert built.pd_per_target == {0: 0.9} and built == metrics_payload()
 
 
 def test_the_process_keeps_the_replay_of_one_log_until_it_is_missing(tmp_path):
@@ -536,6 +562,50 @@ def test_the_process_keeps_the_replay_of_one_log_until_it_is_missing(tmp_path):
     assert len(SdsfStore(a)) == 0 and sdsf_store._last_replay.path == b
     b.unlink()
     assert len(SdsfStore(b)) == 0 and sdsf_store._last_replay is None
+
+
+def test_warm_reopen_decodes_only_the_appended_lines_and_keeps_their_records(
+    tmp_path, monkeypatch
+):
+    path = _duplicate_log(tmp_path, copies=5)
+    writer = previous = SdsfStore(path)
+    decoded, aged = [], []
+    record_from_json, apply_aging = sdsf_store._record_from_json, SdsfStore.apply_aging
+    monkeypatch.setattr(
+        sdsf_store, "_record_from_json", lambda *args: decoded.append(1) or record_from_json(*args)
+    )
+    monkeypatch.setattr(
+        SdsfStore, "apply_aging", lambda self, now: aged.append(now) or apply_aging(self, now)
+    )
+    for k in (0, 1, 3, 0):
+        for _ in range(k):
+            writer.store("stid-2", ctx(), metrics_payload(), writer.now, 1000)
+        decoded.clear()
+        reopened = SdsfStore(path)
+        assert len(decoded) == k and len(reopened) == len(previous) + k
+        assert all(reopened._records[rid] is r for rid, r in previous._records.items())
+        previous = reopened
+    # No record is past its policy, so no open scanned for expired ones.
+    assert aged == []
+
+
+def test_warm_reopen_past_the_earliest_expiry_ages_out_what_a_cold_replay_does(tmp_path):
+    path = tmp_path / "store.jsonl"
+    writer = SdsfStore(path)
+    writer.store("stid-1", ctx(), demo_map(), 0, 5)
+    writer.store("stid-1", ctx(), metrics_payload(), 0, 100)
+    for created_at, live in ((0, 2), (5, 3), (6, 3), (6, 3)):
+        if created_at > writer.now:
+            writer.set_now(created_at)
+            writer.store("stid-2", ctx(), metrics_payload(), created_at, 100)
+        reopened = _open_warm_and_cold(path)
+        kept = sdsf_store._last_replay
+        assert reopened.now == created_at and kept.expiry == 5
+        # The first record expires at step 5: it is live at step 5 and gone at step 6.
+        assert list(reopened._records) == [
+            rid for rid, r in kept.index.items() if not r.expired(reopened.now)
+        ]
+        assert len(reopened) == live and len(kept.index) == live + (created_at > 5)
 
 
 class WarmReopenMachine(RuleBasedStateMachine):
@@ -1116,7 +1186,7 @@ def _typed(value):
         return (type(value).__name__, *(_typed(getattr(value, f.name)) for f in fields))
     if isinstance(value, (tuple, list)):
         return (type(value).__name__, *map(_typed, value))
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):  # a dict, or the read-only view of one in a MetricResult
         return ("dict", *((_typed(k), _typed(v)) for k, v in value.items()))
     return (type(value).__name__, value)
 
@@ -1389,9 +1459,16 @@ def test_replay_shares_equal_maps_but_never_metrics(tmp_path):
     assert maps[0] is maps[1] is maps[2]
     assert records[0].context.area is records[1].context.area
     assert metrics[0] == metrics[1] == metrics[2] == metrics_payload()
-    assert len({id(m.pd_per_target) for m in metrics}) == 3
-    metrics[0].pd_per_target[0] = 0.1
-    assert metrics[1].pd_per_target == {0: 0.9}
+    with pytest.raises(TypeError):
+        metrics[0].pd_per_target[0] = 0.1
+    assert [m.pd_per_target for m in metrics] == [{0: 0.9}] * 3
+    # A stored result keeps its values when the dict it was built from changes.
+    values = {0: 0.9}
+    store = SdsfStore(path)
+    record_id = store.store("stid-2", ctx(), MetricResult(values, 0.9, 1.5), store.now, 1000)
+    values[0] = 0.1
+    assert live_record(store, record_id).payload.pd_per_target == {0: 0.9}
+    assert live_record(SdsfStore(path), record_id).payload == metrics_payload()
 
 
 def test_replay_keeps_equal_coordinates_of_other_type_or_sign_apart(tmp_path):
